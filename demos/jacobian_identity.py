@@ -16,32 +16,36 @@ from vmcone import (flow_jacobian_det, flow_jacobian_exact,
 
 
 def field(v, x):
+    """Test field on points x of shape (..., 3), as every vmcone field is."""
     x = np.asarray(x, dtype=float)
-    env = np.exp(-np.dot(x, x))
+    env = np.exp(-np.vecdot(x, x))[..., None]
     E = 0.4 * x * env
-    B = np.array([-x[1], x[0], 0.5]) * env
+    B = np.stack([-x[..., 1], x[..., 0], np.full(x.shape[:-1], 0.5)],
+                 axis=-1) * env
     return E, B
 
 
-print("orbit                          det(FD)        det(exact)     |diff|")
 rng = np.random.default_rng(42)
-for i in range(6):
-    r = rng.uniform(0.5, 1.2)
-    w = rng.uniform(-0.2, 0.3)
-    q = rng.uniform(0.005, 0.05)
-    x, p = embed_reduced_state(r, w, q)
-    det_fd = flow_jacobian_det(x, p, field, 0.0, 0.5, 1e-2, h_fd=1e-4)
-    det_ex = flow_jacobian_exact(x, p, field, 0.0, 0.5, 1e-2)
+orbits = [(rng.uniform(0.5, 1.2), rng.uniform(-0.2, 0.3),
+           rng.uniform(0.005, 0.05)) for _ in range(6)]
+x, p = (np.array(a) for a in zip(*(embed_reduced_state(*o) for o in orbits)))
+# all 6 orbits and their 72 perturbed trajectories in one integration
+det_fd = flow_jacobian_det(x, p, field, 0.0, 0.5, 1e-2, h_fd=1e-4)
+det_ex = flow_jacobian_exact(x, p, field, 0.0, 0.5, 1e-2)
+
+print("orbit                          det(FD)        det(exact)     |diff|")
+for (r, w, q), a, b in zip(orbits, det_fd, det_ex):
     print(f"r={r:.2f} w={w:+.2f} q={q:.3f}      "
-          f"{det_fd:.10f}   {det_ex:.10f}   {abs(det_fd - det_ex):.2e}")
+          f"{a:.10f}   {b:.10f}   {abs(a - b):.2e}")
 
 print()
 print("pointwise divergence of the characteristic RHS, closed form vs FD:")
-worst = 0.0
+xs, ps = [], []
 for _ in range(200):
     u = rng.normal(size=3)
-    x = u / np.linalg.norm(u) * rng.uniform(0.4, 1.5)
-    p = rng.normal(scale=0.6, size=3)
-    worst = max(worst, abs(phase_divergence(0.0, x, p, field)
-                           - phase_divergence_fd(0.0, x, p, field)))
+    xs.append(u / np.linalg.norm(u) * rng.uniform(0.4, 1.5))
+    ps.append(rng.normal(scale=0.6, size=3))
+x, p = np.array(xs), np.array(ps)
+worst = np.max(np.abs(phase_divergence(0.0, x, p, field)
+                      - phase_divergence_fd(0.0, x, p, field)))
 print(f"max |closed form - FD| over 200 random states: {worst:.2e}")

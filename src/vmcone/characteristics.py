@@ -1,7 +1,7 @@
 """Characteristic ODEs of the advanced-time Vlasov transport operator.
 
-Two equivalent forms are provided: the full 6D Cartesian system for a
-phase point (x, p) in an external field, and the reduced radial system in
+Two equivalent forms are provided: the full 6D Cartesian system for phase
+points (x, p) of shape (..., 3) in an external field, and the reduced system in
 (r, w, q) with a radial electric field.  Both share the factor
 
     p0 = sqrt(1 + |p|^2) + p.k > 0,
@@ -21,28 +21,34 @@ class IntegrationError(RuntimeError):
     """Raised when a trajectory leaves the admissible domain (r <= r_floor)."""
 
 
-def _norm(v):
-    return float(np.sqrt(np.dot(v, v)))
+def _norm(x):
+    return np.sqrt(np.vecdot(x, x))
+
+
+def _kinematics(x, p, what):
+    """States as float arrays, with |x|, k = x/|x| and gamma = sqrt(1+|p|^2)
+    over the last axis; ``what`` names the quantity undefined at x = 0."""
+    x = np.asarray(x, dtype=float)
+    p = np.asarray(p, dtype=float)
+    r = _norm(x)
+    if np.any(r <= 0.0):
+        raise ValueError(f"{what} undefined at |x| = 0")
+    return x, p, r, x / r[..., None], np.sqrt(1.0 + np.vecdot(p, p))
 
 
 def char_rhs_cartesian(v, x, p, field):
     """Right-hand side of xdot = p/p0, pdot = (gamma E + p x B)/p0.
 
-    ``field(v, x) -> (E, B)``.  Undefined at the origin (k = x/|x|).
+    ``field(v, x) -> (E, B)``, all of shape ``(..., 3)`` like the states of
+    every function here; each row is computed as for one ``(3,)`` point.
     """
-    x = np.asarray(x, dtype=float)
-    p = np.asarray(p, dtype=float)
-    r = _norm(x)
-    if r <= 0.0:
-        raise ValueError("Cartesian characteristic RHS undefined at |x| = 0")
-    k = x / r
-    gamma = np.sqrt(1.0 + np.dot(p, p))
-    p0 = gamma + np.dot(p, k)
+    x, p, _, k, gamma = _kinematics(x, p, "Cartesian characteristic RHS")
+    p0 = (gamma + np.vecdot(p, k))[..., None]
     E, B = field(v, x)
     E = np.asarray(E, dtype=float)
     B = np.asarray(B, dtype=float)
     dx = p / p0
-    dp = (gamma * E + np.cross(p, B)) / p0
+    dp = (gamma[..., None] * E + np.cross(p, B)) / p0
     return dx, dp
 
 
@@ -119,21 +125,24 @@ def integrate_reduced(r, w, q, field_fn, v_from, v_to, step,
 
 def integrate_cartesian(x, p, field, v_from, v_to, step, scheme="rk4",
                         r_floor=1e-10):
-    """Integrate the 6D Cartesian system for one phase point."""
+    """Integrate the 6D Cartesian system for phase points ``(..., 3)``."""
     def rhs(v, y):
-        dx, dp = char_rhs_cartesian(v, y[:3], y[3:], field)
-        return np.concatenate([dx, dp])
+        dx, dp = char_rhs_cartesian(v, y[..., :3], y[..., 3:], field)
+        return np.concatenate([dx, dp], axis=-1)
 
     n, dv = _steps(v_from, v_to, step)
-    y = np.concatenate([np.asarray(x, float), np.asarray(p, float)])
+    y = np.concatenate([np.asarray(x, float), np.asarray(p, float)], axis=-1)
     v = v_from
     for _ in range(n):
         y = _advance(y, v, dv, rhs, scheme)
         v += dv
-        if _norm(y[:3]) <= r_floor:
+        r = _norm(y[..., :3]).reshape(-1)
+        if np.any(r <= r_floor):
+            i = int(np.argmax(r <= r_floor))
             raise IntegrationError(
-                f"trajectory reached r <= r_floor={r_floor:g} at v={v:g}")
-    return y[:3], y[3:]
+                f"trajectory {i} (of {r.size}) reached r={r[i]:g} <= "
+                f"r_floor={r_floor:g} at v={v:g}")
+    return y[..., :3], y[..., 3:]
 
 
 def trajectory_reduced(r, w, q, field_fn, v_from, v_to, step, scheme="rk4",
@@ -163,69 +172,63 @@ def phase_divergence(v, x, p, field):
     Equals -(1+phat.k)^-2 [ |phat x k|^2 / |x|
         + (E.(k - (phat.k) phat) - (phat x k).B) / gamma ].
     """
-    x = np.asarray(x, dtype=float)
-    p = np.asarray(p, dtype=float)
-    r = _norm(x)
-    if r <= 0.0:
-        raise ValueError("phase divergence undefined at |x| = 0")
-    k = x / r
-    gamma = np.sqrt(1.0 + np.dot(p, p))
-    phat = p / gamma
-    c = np.dot(phat, k)
+    x, p, r, k, gamma = _kinematics(x, p, "phase divergence")
+    phat = p / gamma[..., None]
+    c = np.vecdot(phat, k)
     E, B = field(v, x)
     cross = np.cross(phat, k)
-    term = (np.dot(cross, cross) / r
-            + (np.dot(E, k - c * phat) - np.dot(cross, B)) / gamma)
-    return -term / (1.0 + c) ** 2
+    term = (np.vecdot(cross, cross) / r
+            + (np.vecdot(E, k - c[..., None] * phat)
+               - np.vecdot(cross, B)) / gamma)
+    return -term / np.square(1.0 + c)
 
 
 def phase_divergence_fd(v, x, p, field, h=1e-5):
-    """Central finite-difference divergence of the Cartesian RHS (oracle)."""
-    x = np.asarray(x, dtype=float)
-    p = np.asarray(p, dtype=float)
+    """Central finite-difference divergence of the Cartesian RHS (oracle);
+    the 12 stencil points of every state go through one RHS call."""
+    xs, ps = [], []
+    for e in h * np.eye(3):
+        xs += [x + e, x - e, x, x]
+        ps += [p, p, p + e, p - e]
+    dx, dp = char_rhs_cartesian(v, np.stack(xs, axis=-2),
+                                np.stack(ps, axis=-2), field)
     div = 0.0
     for i in range(3):
-        e = np.zeros(3)
-        e[i] = h
-        dxp, _ = char_rhs_cartesian(v, x + e, p, field)
-        dxm, _ = char_rhs_cartesian(v, x - e, p, field)
-        div += (dxp[i] - dxm[i]) / (2.0 * h)
-        _, dpp = char_rhs_cartesian(v, x, p + e, field)
-        _, dpm = char_rhs_cartesian(v, x, p - e, field)
-        div += (dpp[i] - dpm[i]) / (2.0 * h)
+        div += (dx[..., 4 * i, i] - dx[..., 4 * i + 1, i]) / (2.0 * h)
+        div += (dp[..., 4 * i + 2, i] - dp[..., 4 * i + 3, i]) / (2.0 * h)
     return div
 
 
 def one_plus_phat_k(x, p):
-    x = np.asarray(x, dtype=float)
-    p = np.asarray(p, dtype=float)
-    k = x / _norm(x)
-    return 1.0 + np.dot(p, k) / np.sqrt(1.0 + np.dot(p, p))
+    x, p, _, k, gamma = _kinematics(x, p, "1 + phat.k")
+    return 1.0 + np.vecdot(p, k) / gamma
 
 
 def flow_jacobian_det(x, p, field, v_from, v_to, step, h_fd=1e-4,
-                      scheme="rk4"):
+                      scheme="rk4", with_exact=False):
     """6x6 finite-difference Jacobian determinant of the flow map.
 
-    Central differences over 12 perturbed trajectories with relative
-    perturbation h_fd.  The exact value, for any external field, is
-    (1 + phat.k)(start) / (1 + Phat.K)(end).
+    Central differences over 12 perturbed trajectories per state, rows 2j
+    and 2j+1 of one stack moving coordinate j by +-h (relative h_fd).  The
+    exact value, for any field, is (1 + phat.k)(start) / (1 + Phat.K)(end):
+    ``with_exact`` also returns it, from base states stacked as row 12.
     """
-    z0 = np.concatenate([np.asarray(x, float), np.asarray(p, float)])
-    J = np.empty((6, 6))
-    for j in range(6):
-        h = h_fd * max(1.0, abs(z0[j]))
-        zp = z0.copy()
-        zp[j] += h
-        zm = z0.copy()
-        zm[j] -= h
-        xp_, pp_ = integrate_cartesian(zp[:3], zp[3:], field, v_from, v_to,
-                                       step, scheme)
-        xm_, pm_ = integrate_cartesian(zm[:3], zm[3:], field, v_from, v_to,
-                                       step, scheme)
-        J[:, j] = (np.concatenate([xp_, pp_]) -
-                   np.concatenate([xm_, pm_])) / (2.0 * h)
-    return float(np.linalg.det(J))
+    z0 = np.concatenate([np.asarray(x, float), np.asarray(p, float)], axis=-1)
+    h = h_fd * np.maximum(1.0, np.abs(z0))
+    z = np.repeat(z0[..., None, :], 13 if with_exact else 12, axis=-2)
+    j = np.arange(6)
+    z[..., 2 * j, j] += h
+    z[..., 2 * j + 1, j] -= h
+    x1, p1 = integrate_cartesian(z[..., :3], z[..., 3:], field, v_from, v_to,
+                                 step, scheme)
+    z1 = np.concatenate([x1, p1], axis=-1)
+    J = (z1[..., 0:12:2, :] - z1[..., 1:12:2, :]) / (2.0 * h[..., None])
+    det = np.linalg.det(np.swapaxes(J, -1, -2))
+    det = float(det) if det.ndim == 0 else det
+    if with_exact:
+        return det, (one_plus_phat_k(x, p)
+                     / one_plus_phat_k(x1[..., 12, :], p1[..., 12, :]))
+    return det
 
 
 def flow_jacobian_exact(x, p, field, v_from, v_to, step, scheme="rk4"):

@@ -120,7 +120,6 @@ def field_function(profile: RadialFieldProfile):
     def fn(v, r):
         r = np.asarray(r, dtype=float)
         inside = r <= grid.r_max
-        out = np.empty_like(r)
         rin = np.where(inside, r, grid.r_max)
         out = np.where(inside, eval_field(profile, rin), 0.0)
         beyond = ~inside

@@ -91,33 +91,36 @@ def test_criterion_05_future_cone_monotonicity(desk_history):
     _verdict(5, "future-cone series non-increasing", max(worst, 0.0), 1e-3)
 
 
+def _stacked(states):
+    return (np.array([x for x, _ in states]), np.array([p for _, p in states]))
+
+
 def test_criterion_06_jacobian_determinant():
     def radial_field(v, x):
         x = np.asarray(x, dtype=float)
-        return 0.35 * x * np.exp(-np.dot(x, x)), np.zeros(3)
+        return (0.35 * x * np.exp(-np.vecdot(x, x))[..., None],
+                np.zeros_like(x))
 
-    worst = 0.0
-    for x, p in random_states(20, seed=2024):
-        det_fd = flow_jacobian_det(x, p, radial_field, 0.0, 0.4, 2e-3,
-                                   h_fd=1e-4)
-        det_exact = flow_jacobian_exact(x, p, radial_field, 0.0, 0.4, 2e-3)
-        worst = max(worst, abs(det_fd - det_exact))
+    x, p = _stacked(random_states(20, seed=2024))
+    det_fd = flow_jacobian_det(x, p, radial_field, 0.0, 0.4, 2e-3, h_fd=1e-4)
+    det_exact = flow_jacobian_exact(x, p, radial_field, 0.0, 0.4, 2e-3)
+    worst = float(np.max(np.abs(det_fd - det_exact)))
     _verdict(6, "flow jacobian determinant identity, 20 orbits", worst, 1e-5)
 
 
 def test_criterion_07_phase_divergence():
     def field(v, x):
         x = np.asarray(x, dtype=float)
-        env = np.exp(-np.dot(x, x))
-        E = np.array([0.4 * x[0] + 0.1, -0.2 * x[1], 0.3]) * env
-        B = np.array([-x[1], x[0], 0.7]) * env
+        env = np.exp(-np.vecdot(x, x))[..., None]
+        const = np.ones(x.shape[:-1])
+        E = np.stack([0.4 * x[..., 0] + 0.1, -0.2 * x[..., 1], 0.3 * const],
+                     axis=-1) * env
+        B = np.stack([-x[..., 1], x[..., 0], 0.7 * const], axis=-1) * env
         return E, B
 
-    worst = 0.0
-    for x, p in random_states(1000, seed=77):
-        a = phase_divergence(0.2, x, p, field)
-        b = phase_divergence_fd(0.2, x, p, field)
-        worst = max(worst, abs(a - b))
+    x, p = _stacked(random_states(1000, seed=77))
+    worst = float(np.max(np.abs(phase_divergence(0.2, x, p, field)
+                                - phase_divergence_fd(0.2, x, p, field))))
     _verdict(7, "phase divergence closed form, 1000 states", worst, 1e-6)
 
 

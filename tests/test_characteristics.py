@@ -6,12 +6,14 @@ from vmcone import (IntegrationError, integrate_reduced, integrate_cartesian,
                     flow_jacobian_det, flow_jacobian_exact,
                     embed_reduced_state, one_plus_phat_k)
 from vmcone.characteristics import char_rhs_cartesian, char_rhs_reduced
+from vmcone.report import jacobian_report, random_states
 
 
 def radial_field_3d(amplitude=0.3):
     def field(v, x):
         x = np.asarray(x, dtype=float)
-        return amplitude * x * np.exp(-np.dot(x, x)), np.zeros(3)
+        return (amplitude * x * np.exp(-np.vecdot(x, x))[..., None],
+                np.zeros_like(x))
     return field
 
 
@@ -24,9 +26,11 @@ def radial_field_reduced(amplitude=0.3):
 
 def general_field(v, x):
     x = np.asarray(x, dtype=float)
-    env = np.exp(-np.dot(x, x))
-    E = np.array([0.4 * x[0] + 0.1, -0.2 * x[1], 0.3]) * env
-    B = np.array([-x[1], x[0], 0.7]) * env
+    env = np.exp(-np.vecdot(x, x))[..., None]
+    const = np.ones(x.shape[:-1])
+    E = np.stack([0.4 * x[..., 0] + 0.1, -0.2 * x[..., 1], 0.3 * const],
+                 axis=-1) * env
+    B = np.stack([-x[..., 1], x[..., 0], 0.7 * const], axis=-1) * env
     return E, B
 
 
@@ -36,6 +40,63 @@ def test_rhs_rejects_origin():
     with pytest.raises(ValueError, match="r > 0"):
         char_rhs_reduced(0.0, np.array([0.0]), np.array([0.1]),
                          np.array([0.01]), 0.0)
+
+
+def test_batched_rhs_rejects_any_row_at_origin():
+    x = np.array([[0.5, 0.1, 0.0], [0.0, 0.0, 0.0]])
+    with pytest.raises(ValueError, match=r"\|x\| = 0"):
+        char_rhs_cartesian(0.0, x, np.ones((2, 3)), general_field)
+
+
+def test_batched_r_floor_abort_names_row_v_and_r():
+    # the second of three radial orbits falls straight onto the axis
+    zero = lambda v, x: (np.zeros_like(x), np.zeros_like(x))
+    x = np.array([[1.0, 0.0, 0.0], [0.2, 0.0, 0.0], [0.0, 0.8, 0.0]])
+    p = np.array([[0.1, 0.2, 0.0], [-0.3, 0.0, 0.0], [0.0, 0.1, 0.3]])
+    with pytest.raises(IntegrationError,
+                       match=r"trajectory 1 \(of 3\) reached r=0\.0\d+ "
+                             r"<= r_floor=0\.05 at v=0\.\d+"):
+        integrate_cartesian(x, p, zero, 0.0, 1.0, 0.01, r_floor=0.05)
+
+
+def test_batched_calls_equal_row_by_row_calls():
+    # every row of a batched call computes exactly what a (3,) call does
+    states = random_states(50, seed=7)
+    x = np.array([s[0] for s in states])
+    p = np.array([s[1] for s in states])
+    x1, p1 = integrate_cartesian(x, p, general_field, 0.0, 0.3, 0.01)
+    det, exact = flow_jacobian_det(x, p, general_field, 0.0, 0.3, 0.01,
+                                   with_exact=True)
+    rows = [integrate_cartesian(a, b, general_field, 0.0, 0.3, 0.01)
+            for a, b in states]
+    assert np.array_equal(x1, np.array([r[0] for r in rows]))
+    assert np.array_equal(p1, np.array([r[1] for r in rows]))
+    assert np.array_equal(det, [
+        flow_jacobian_det(a, b, general_field, 0.0, 0.3, 0.01)
+        for a, b in states])
+    assert np.array_equal(exact, [
+        flow_jacobian_exact(a, b, general_field, 0.0, 0.3, 0.01)
+        for a, b in states])
+    for fn in (phase_divergence, phase_divergence_fd):
+        assert np.array_equal(fn(0.3, x, p, general_field),
+                              [fn(0.3, a, b, general_field)
+                               for a, b in states])
+    assert np.array_equal(one_plus_phat_k(x, p),
+                          [one_plus_phat_k(a, b) for a, b in states])
+
+
+def test_jacobian_report_reference_values():
+    doc = jacobian_report(n_orbits=10, seed=0)
+    values = {c["name"]: c["value"] for c in doc["checks"]}
+    assert abs(values["flow_jacobian_determinant"]
+               - 1.8117387635963045e-07) <= 1e-12
+    assert abs(values["phase_divergence_closed_form"]
+               - 5.653049806042532e-09) <= 1e-12
+
+
+def test_jacobian_report_500_orbits_passes():
+    doc = jacobian_report(n_orbits=500)
+    assert doc["passed"] and doc["orbits"] == 500
 
 
 def test_free_streaming_is_linear_in_x():
