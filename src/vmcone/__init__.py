@@ -15,7 +15,7 @@ from .characteristics import (IntegrationError, integrate_reduced,
                               embed_reduced_state, one_plus_phat_k)
 from .radial_field import (ShellGrid, MomentProfiles, RadialFieldProfile,
                            deposit, cumulative_source, solve_field,
-                           eval_field)
+                           eval_field, radial_integral)
 from .config import (RunConfig, ConfigError, config_from_dict, parse_config,
                      emit_config)
 from .cone_evolver import (SliceHistory, run, step, auto_r_max,

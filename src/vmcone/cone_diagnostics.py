@@ -20,56 +20,25 @@ import numpy as np
 
 from .cone_evolver import SliceHistory
 from .phase_model import ParticleSet
+from .radial_field import radial_integral
 
 EIGHT_PI_3 = 8.0 * np.pi / 3.0
 
 
 # ---------------------------------------------------------------------------
-# radial integration helpers
-
-def _radial_integral(grid, values, r):
-    """4 pi int_0^r values(r') r'^2 dr', trapezoid with a partial last cell."""
-    r = float(r)
-    if r < 0.0 or r > grid.r_max + 1e-12:
-        raise ValueError("radius outside shell grid")
-    edges = grid.edges
-    integrand = values * edges**2
-    j = int(np.searchsorted(edges, r, side="right")) - 1
-    total = np.trapezoid(integrand[:j + 1], dx=grid.dr) if j >= 1 else 0.0
-    if j < grid.n_shells and r > edges[j]:
-        v_r = np.interp(r, edges, values)
-        total += 0.5 * (r - edges[j]) * (integrand[j] + v_r * r**2)
-    return 4.0 * np.pi * float(total)
-
-
-def _advanced_values(history: SliceHistory, arr, v, slope, j_max):
-    """Node values of a (n_slices, n_nodes) array at times v + slope * r_j
-    for nodes 0..j_max."""
-    edges = history.grid.edges[:j_max + 1]
-    t = v + slope * edges
-    vs = history.vs
-    if t.max() > vs[-1] + 1e-9 or t.min() < vs[0] - 1e-9:
-        raise ValueError(
-            f"needs history up to v={t.max():g} but the run ends at "
-            f"{vs[-1]:g}; extend time.v_final")
-    idx = np.clip(np.searchsorted(vs, t) - 1, 0, len(vs) - 2)
-    theta = np.clip((t - vs[idx]) / (vs[idx + 1] - vs[idx]), 0.0, 1.0)
-    return (1.0 - theta) * arr[idx, np.arange(j_max + 1)] \
-        + theta * arr[idx + 1, np.arange(j_max + 1)]
-
+# shifted integrals
 
 def _advanced_integral(history, v, slope, r, combine):
     """Radial integral of a combination of advanced profiles up to r."""
     grid = history.grid
     j_max = min(int(np.searchsorted(grid.edges, float(r), side="right")),
                 grid.n_shells)
-    fields = {name: _advanced_values(history, getattr(history, name), v,
-                                     slope, j_max)
+    fields = {name: history.profile_at(name, v, slope, j_max)
               for name in ("g_plus", "g_minus", "h_plus", "h_minus", "E")}
     values = combine(fields)
     padded = np.zeros(grid.n_shells + 1)
     padded[:j_max + 1] = values
-    return _radial_integral(grid, padded, r)
+    return radial_integral(grid, padded, r)
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +55,7 @@ def past_cone_mass(history: SliceHistory, v: float, r: float) -> float:
 def past_cone_mass_cont(history: SliceHistory, v: float, r: float) -> float:
     """Trapezoid form of the past-cone mass (continuous in r); this is the
     variant used inside the flux identities."""
-    return _radial_integral(history.grid, history.profile_at("g_plus", v), r)
+    return radial_integral(history.grid, history.profile_at("g_plus", v), r)
 
 
 def slice_mass(history: SliceHistory, v: float, r: float) -> float:
@@ -106,8 +75,8 @@ def future_cone_mass(history: SliceHistory, v: float, r: float) -> float:
 
 def past_cone_energy(history: SliceHistory, v: float, r: float) -> float:
     grid = history.grid
-    kin = _radial_integral(grid, history.profile_at("h_plus", v), r)
-    fld = _radial_integral(grid, 0.5 * history.profile_at("E", v) ** 2, r)
+    kin = radial_integral(grid, history.profile_at("h_plus", v), r)
+    fld = radial_integral(grid, 0.5 * history.profile_at("E", v) ** 2, r)
     return kin + fld
 
 
@@ -248,9 +217,7 @@ def flux_derivative_checks(history: SliceHistory) -> dict:
 
 def l43_norm(grid, g) -> float:
     """L^{4/3} norm of a radial node density over 3-space."""
-    val = 4.0 * np.pi * np.trapezoid(np.abs(g) ** (4.0 / 3.0) * grid.edges**2,
-                                 dx=grid.dr)
-    return float(val ** 0.75)
+    return radial_integral(grid, np.abs(g) ** (4.0 / 3.0)) ** 0.75
 
 
 def l43_bound_constant(f_inf_norm: float, M0: float) -> float:

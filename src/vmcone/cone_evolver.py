@@ -18,8 +18,8 @@ import numpy as np
 
 from .phase_model import (InitialDatum, ParticleSet, builtin_datum,
                           sample_particles, check_measure_positivity)
-from .radial_field import (ShellGrid, MomentProfiles, RadialFieldProfile,
-                           deposit, solve_field, eval_field)
+from .radial_field import (ShellGrid, RadialFieldProfile, deposit,
+                           solve_field, eval_field, radial_integral)
 from .characteristics import integrate_reduced
 from .config import RunConfig, DV_R0_FRACTION
 
@@ -40,13 +40,11 @@ class SliceHistory:
     h_plus: np.ndarray
     h_minus: np.ndarray
     E: np.ndarray
-    I: np.ndarray
     # scalar series
     N_wedge: np.ndarray        # conservative node-volume sum == sum of weights
     M_wedge: np.ndarray        # particle kinetic sum + field energy
     P_wedge: np.ndarray
     R_slice_max: np.ndarray
-    R_slice_min: np.ndarray
     R_min_run: np.ndarray
     # probe fluxes
     probe_radii: np.ndarray
@@ -69,39 +67,26 @@ class SliceHistory:
     def v_final(self) -> float:
         return float(self.vs[-1])
 
-    def slice_index(self, v: float) -> tuple[int, float]:
-        """Bracketing index and linear weight for time interpolation."""
-        vs = self.vs
-        if v < vs[0] - 1e-12 or v > vs[-1] + 1e-12:
-            raise ValueError(
-                f"v={v:g} outside recorded history [{vs[0]:g}, {vs[-1]:g}]; "
-                f"extend time.v_final")
-        i = int(np.clip(np.searchsorted(vs, v) - 1, 0, len(vs) - 2))
-        theta = (v - vs[i]) / (vs[i + 1] - vs[i])
-        return i, float(np.clip(theta, 0.0, 1.0))
-
-    def profile_at(self, name: str, v: float) -> np.ndarray:
-        """Linear time interpolation of a stored profile row."""
-        arr = getattr(self, name)
-        i, theta = self.slice_index(v)
-        return (1.0 - theta) * arr[i] + theta * arr[i + 1]
-
-    def advanced_profile(self, name: str, v: float, slope: float) -> np.ndarray:
-        """Node values of a profile at per-node times v + slope * r_j.
+    def profile_at(self, name: str, v: float, slope: float = 0.0,
+                   j_max: int | None = None) -> np.ndarray:
+        """Node values of a stored profile at the times v + slope * r_j,
+        linear in time between recorded slices.
 
         slope = 0 reads the past cone, 1 the t = const slice, 2 the future
-        cone.  All requested times must lie inside the recorded range.
+        cone; j_max keeps only the first j_max + 1 nodes.
         """
         arr = getattr(self, name)
-        t = v + slope * self.grid.edges
+        cols = np.arange(arr.shape[1] if j_max is None else j_max + 1)
+        t = v + slope * self.grid.edges[cols]
         vs = self.vs
-        if t.max() > vs[-1] + 1e-12 or t.min() < vs[0] - 1e-12:
+        lo, hi = float(t.min()), float(t.max())
+        if lo < vs[0] - 1e-9 or hi > vs[-1] + 1e-9:
             raise ValueError(
-                f"advanced times up to v+{slope:g}*r reach {t.max():g}, beyond "
-                f"recorded history ending at {vs[-1]:g}")
+                f"{name} needed at v={hi if hi > vs[-1] else lo:g}, outside "
+                f"recorded history [{vs[0]:g}, {vs[-1]:g}]; "
+                f"extend time.v_final")
         idx = np.clip(np.searchsorted(vs, t) - 1, 0, len(vs) - 2)
         theta = np.clip((t - vs[idx]) / (vs[idx + 1] - vs[idx]), 0.0, 1.0)
-        cols = np.arange(arr.shape[1])
         return (1.0 - theta) * arr[idx, cols] + theta * arr[idx + 1, cols]
 
 
@@ -131,8 +116,7 @@ def field_function(profile: RadialFieldProfile):
 
 
 def _zero_field(grid: ShellGrid) -> RadialFieldProfile:
-    z = np.zeros(grid.n_shells + 1)
-    return RadialFieldProfile(grid=grid, I=z, E=z.copy())
+    return RadialFieldProfile(grid=grid, I=np.zeros(grid.n_shells + 1))
 
 
 def step(parts: ParticleSet, grid: ShellGrid, dv: float, picard_iters: int = 2,
@@ -159,20 +143,13 @@ def step(parts: ParticleSet, grid: ShellGrid, dv: float, picard_iters: int = 2,
             break
         end = ParticleSet(r1, w1, parts.q, parts.weight, parts.f_value)
         field1 = solve_field(deposit(end, grid))
-        avg = RadialFieldProfile(grid=grid,
-                                 I=0.5 * (field0.I + field1.I),
-                                 E=0.5 * (field0.E + field1.E))
+        avg = RadialFieldProfile(grid=grid, I=0.5 * (field0.I + field1.I))
         r1, w1 = push(avg)
 
     if np.any(~np.isfinite(r1)) or np.any(~np.isfinite(w1)):
         raise FloatingPointError("non-finite particle state after push")
     out = ParticleSet(r1, w1, parts.q, parts.weight, parts.f_value)
     return out, profiles0, field0
-
-
-def _field_energy(grid: ShellGrid, E: np.ndarray) -> float:
-    """4 pi * int 1/2 E^2 r^2 dr over the whole grid (trapezoid)."""
-    return float(4.0 * np.pi * np.trapezoid(0.5 * E**2 * grid.edges**2, dx=grid.dr))
 
 
 def default_probe_radii(datum: InitialDatum, grid: ShellGrid) -> np.ndarray:
@@ -192,7 +169,6 @@ def run(config: RunConfig, datum: InitialDatum | None = None) -> SliceHistory:
     if datum is None:
         datum = builtin_datum(config.datum_name, config.datum_params)
     parts0 = sample_particles(datum, config.resolution)
-    check_measure_positivity(parts0)
 
     r_max = config.r_max or auto_r_max(datum, config.v_final, config.margin)
     grid = ShellGrid(r_max=r_max, n_shells=config.n_shells)
@@ -212,17 +188,14 @@ def run(config: RunConfig, datum: InitialDatum | None = None) -> SliceHistory:
     prof_names = ("g_plus", "g_minus", "h_plus", "h_minus")
     profs = {k: np.zeros((n_slices, n_nodes)) for k in prof_names}
     E_arr = np.zeros((n_slices, n_nodes))
-    I_arr = np.zeros((n_slices, n_nodes))
     series = {k: np.zeros(n_slices) for k in
-              ("N_wedge", "M_wedge", "P_wedge", "R_slice_max",
-               "R_slice_min", "R_min_run")}
+              ("N_wedge", "M_wedge", "P_wedge", "R_slice_max", "R_min_run")}
     flux_j = np.zeros((n_slices, probes.size))
     flux_p = np.zeros((n_slices, probes.size))
 
     parts = parts0.copy()
     p_run = 0.0
     r_run_min = np.inf
-    prev_dr_sign = None
     turned_out = None
     r_turn_violations = 0
     min_dw = 0.0
@@ -233,7 +206,6 @@ def run(config: RunConfig, datum: InitialDatum | None = None) -> SliceHistory:
         for k in prof_names:
             profs[k][n] = getattr(profiles, k)
         E_arr[n] = fieldprof.E
-        I_arr[n] = fieldprof.I
         vol = grid.node_volumes
         series["N_wedge"][n] = float(np.sum(profiles.g_plus * vol))
         if len(state):
@@ -241,12 +213,10 @@ def run(config: RunConfig, datum: InitialDatum | None = None) -> SliceHistory:
             p_run = max(p_run, float(np.sqrt(np.max(state.momentum_sq()))))
             r_run_min = min(r_run_min, float(np.min(state.r)))
             series["R_slice_max"][n] = float(np.max(state.r))
-            series["R_slice_min"][n] = float(np.min(state.r))
         else:
             kinetic = 0.0
-            series["R_slice_max"][n] = 0.0
-            series["R_slice_min"][n] = 0.0
-        series["M_wedge"][n] = kinetic + _field_energy(grid, fieldprof.E)
+        series["M_wedge"][n] = kinetic + radial_integral(
+            grid, 0.5 * E_arr[n]**2)
         series["P_wedge"][n] = p_run
         series["R_min_run"][n] = r_run_min if np.isfinite(r_run_min) else 0.0
         j_r = 0.5 * np.interp(probes, grid.edges,
@@ -265,15 +235,14 @@ def run(config: RunConfig, datum: InitialDatum | None = None) -> SliceHistory:
         except FloatingPointError as exc:
             raise FloatingPointError(f"step {n} (v={vs[n]:g}): {exc}") from exc
         record(n, before, profiles, fieldprof)
-        r_before, w_before = before.r, before.w
         if len(parts):
-            dr_sign = np.sign(parts.r - r_before)
+            dr_sign = np.sign(parts.r - before.r)
             if turned_out is None:
                 turned_out = np.zeros(len(parts), dtype=bool)
             turning_in = (dr_sign < 0) & turned_out
             r_turn_violations += int(np.count_nonzero(turning_in))
             turned_out |= dr_sign > 0
-            min_dw = min(min_dw, float(np.min(parts.w - w_before)))
+            min_dw = min(min_dw, float(np.min(parts.w - before.w)))
         check_measure_positivity(parts)
 
     final_profiles = deposit(parts, grid)
@@ -282,13 +251,7 @@ def run(config: RunConfig, datum: InitialDatum | None = None) -> SliceHistory:
     record(n_steps, parts, final_profiles, final_field)
 
     return SliceHistory(
-        grid=grid, vs=vs,
-        g_plus=profs["g_plus"], g_minus=profs["g_minus"],
-        h_plus=profs["h_plus"], h_minus=profs["h_minus"],
-        E=E_arr, I=I_arr,
-        N_wedge=series["N_wedge"], M_wedge=series["M_wedge"],
-        P_wedge=series["P_wedge"], R_slice_max=series["R_slice_max"],
-        R_slice_min=series["R_slice_min"], R_min_run=series["R_min_run"],
+        grid=grid, vs=vs, **profs, E=E_arr, **series,
         probe_radii=probes, flux_j=flux_j, flux_p=flux_p,
         R0=datum.R0, F=datum.F, f_inf_norm=datum.f_inf_norm, dv=dv,
         r_turn_violations=r_turn_violations, min_dw=min_dw,

@@ -1,6 +1,6 @@
 """Run configuration: schema, defaults, fail-closed parsing.
 
-The configuration file is JSON with four sections (datum, sampling, grid,
+The configuration file is JSON with seven sections (datum, sampling, grid,
 time, solver, output, diagnostics).  Unknown keys anywhere are errors: a
 silently ignored typo in a tolerance or step key would invalidate a
 verification run.
@@ -9,19 +9,8 @@ verification run.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
-
-
-_SCHEMA = {
-    "datum": {"name": "shell_polynomial", "params": dict},
-    "sampling": {"resolution": [32, 32, 32]},
-    "grid": {"n_shells": 512, "r_max": None, "margin": 0.25},
-    "time": {"dv": None, "v_final": 5.0},
-    "solver": {"scheme": "rk4", "picard_iters": 2, "field_off": False,
-               "r_floor": 1e-10},
-    "output": {"directory": None},
-    "diagnostics": {"probe_radii": None},
-}
+import math
+from dataclasses import dataclass, field, fields
 
 # dv default is 0.01 * R0 (resolves the outward characteristic speed <= 1/2)
 DV_R0_FRACTION = 0.01
@@ -29,99 +18,6 @@ DV_R0_FRACTION = 0.01
 
 class ConfigError(ValueError):
     pass
-
-
-@dataclass
-class RunConfig:
-    datum_name: str = "shell_polynomial"
-    datum_params: dict = field(default_factory=dict)
-    resolution: tuple = (32, 32, 32)
-    n_shells: int = 512
-    r_max: float | None = None
-    margin: float = 0.25
-    dv: float | None = None
-    v_final: float = 5.0
-    scheme: str = "rk4"
-    picard_iters: int = 2
-    field_off: bool = False
-    r_floor: float = 1e-10
-    output_directory: str | None = None
-    probe_radii: tuple | None = None
-
-    def __post_init__(self):
-        if self.v_final < 0.0:
-            raise ConfigError("time.v_final must be >= 0")
-        if self.dv is not None and self.dv <= 0.0:
-            raise ConfigError("time.dv must be positive")
-        if self.picard_iters < 1:
-            raise ConfigError("solver.picard_iters must be >= 1")
-        if self.n_shells < 2:
-            raise ConfigError("grid.n_shells must be >= 2")
-        if self.scheme not in ("rk4", "midpoint"):
-            raise ConfigError(f"unknown solver.scheme {self.scheme!r}")
-
-    def to_dict(self) -> dict:
-        return {
-            "datum": {"name": self.datum_name, "params": self.datum_params},
-            "sampling": {"resolution": list(self.resolution)},
-            "grid": {"n_shells": self.n_shells, "r_max": self.r_max,
-                     "margin": self.margin},
-            "time": {"dv": self.dv, "v_final": self.v_final},
-            "solver": {"scheme": self.scheme,
-                       "picard_iters": self.picard_iters,
-                       "field_off": self.field_off,
-                       "r_floor": self.r_floor},
-            "output": {"directory": self.output_directory},
-            "diagnostics": {
-                "probe_radii": (None if self.probe_radii is None
-                                else list(self.probe_radii))},
-        }
-
-
-def config_from_dict(doc: dict) -> RunConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError("configuration root must be an object")
-    unknown = set(doc) - set(_SCHEMA)
-    if unknown:
-        raise ConfigError(f"unknown configuration section(s): {sorted(unknown)}")
-    for section, keys in _SCHEMA.items():
-        sub = doc.get(section, {})
-        if not isinstance(sub, dict):
-            raise ConfigError(f"section {section!r} must be an object")
-        bad = set(sub) - set(keys)
-        if bad:
-            raise ConfigError(f"unknown key(s) in section {section!r}: {sorted(bad)}")
-
-    def get(section, key, default):
-        return doc.get(section, {}).get(key, default)
-
-    try:
-        cfg = RunConfig(
-            datum_name=str(get("datum", "name", _SCHEMA["datum"]["name"])),
-            datum_params=dict(get("datum", "params", {})),
-            resolution=tuple(_as_resolution(get("sampling", "resolution",
-                                                _SCHEMA["sampling"]["resolution"]))),
-            n_shells=int(get("grid", "n_shells", _SCHEMA["grid"]["n_shells"])),
-            r_max=_opt_float(get("grid", "r_max", None), "grid.r_max"),
-            margin=float(get("grid", "margin", _SCHEMA["grid"]["margin"])),
-            dv=_opt_float(get("time", "dv", None), "time.dv"),
-            v_final=float(get("time", "v_final", _SCHEMA["time"]["v_final"])),
-            scheme=str(get("solver", "scheme", _SCHEMA["solver"]["scheme"])),
-            picard_iters=int(get("solver", "picard_iters",
-                                 _SCHEMA["solver"]["picard_iters"])),
-            field_off=_as_bool(get("solver", "field_off", False)),
-            r_floor=float(get("solver", "r_floor",
-                              _SCHEMA["solver"]["r_floor"])),
-            output_directory=get("output", "directory", None),
-            probe_radii=(None if get("diagnostics", "probe_radii", None) is None
-                         else tuple(float(x) for x in
-                                    get("diagnostics", "probe_radii", None))),
-        )
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"malformed configuration value: {exc}") from exc
-    return cfg
 
 
 def _as_resolution(value):
@@ -138,13 +34,107 @@ def _as_bool(value):
     raise ConfigError("expected a boolean")
 
 
-def _opt_float(value, key):
-    if value is None:
-        return None
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"key {key!r} must be a number or null")
+def _same(value):
+    return value
+
+
+def _optional(parse):
+    return lambda value: None if value is None else parse(value)
+
+
+def _float_tuple(value):
+    return tuple(float(x) for x in value)
+
+
+def _entry(path, parse, default=None, dump=_same, factory=None):
+    """A RunConfig field with its "section.key" spelling in the JSON file,
+    the parser of the JSON value and the JSON form written by to_dict."""
+    meta = {"key": path, "parse": parse, "dump": dump}
+    if factory is not None:
+        return field(default_factory=factory, metadata=meta)
+    return field(default=default, metadata=meta)
+
+
+@dataclass
+class RunConfig:
+    """Run configuration; each field names its JSON section and key, so the
+    file schema, the parser and to_dict all derive from this class."""
+
+    datum_name: str = _entry("datum.name", str, "shell_polynomial")
+    datum_params: dict = _entry("datum.params", dict, factory=dict)
+    resolution: tuple = _entry("sampling.resolution", _as_resolution,
+                               (32, 32, 32), dump=list)
+    n_shells: int = _entry("grid.n_shells", int, 512)
+    r_max: float | None = _entry("grid.r_max", _optional(float))
+    margin: float = _entry("grid.margin", float, 0.25)
+    dv: float | None = _entry("time.dv", _optional(float))
+    v_final: float = _entry("time.v_final", float, 5.0)
+    scheme: str = _entry("solver.scheme", str, "rk4")
+    picard_iters: int = _entry("solver.picard_iters", int, 2)
+    field_off: bool = _entry("solver.field_off", _as_bool, False)
+    r_floor: float = _entry("solver.r_floor", float, 1e-10)
+    output_directory: str | None = _entry("output.directory", _same)
+    probe_radii: tuple | None = _entry("diagnostics.probe_radii",
+                                       _optional(_float_tuple),
+                                       dump=_optional(list))
+
+    def __post_init__(self):
+        if self.v_final < 0.0:
+            raise ConfigError("time.v_final must be >= 0")
+        if self.dv is not None and self.dv <= 0.0:
+            raise ConfigError("time.dv must be positive")
+        if self.picard_iters < 1:
+            raise ConfigError("solver.picard_iters must be >= 1")
+        if self.n_shells < 2:
+            raise ConfigError("grid.n_shells must be >= 2")
+        if self.scheme not in ("rk4", "midpoint"):
+            raise ConfigError(f"unknown solver.scheme {self.scheme!r}")
+
+    def to_dict(self) -> dict:
+        return {section: {key: f.metadata["dump"](getattr(self, f.name))
+                          for key, f in keys.items()}
+                for section, keys in _sections().items()}
+
+
+def _sections() -> dict:
+    """{section: {key: field}} of the configuration file."""
+    out = {}
+    for f in fields(RunConfig):
+        section, key = f.metadata["key"].split(".")
+        out.setdefault(section, {})[key] = f
+    return out
+
+
+def config_from_dict(doc: dict) -> RunConfig:
+    if not isinstance(doc, dict):
+        raise ConfigError("configuration root must be an object")
+    sections = _sections()
+    unknown = set(doc) - set(sections)
+    if unknown:
+        raise ConfigError(f"unknown configuration section(s): {sorted(unknown)}")
+    kwargs = {}
+    for section, keys in sections.items():
+        sub = doc.get(section, {})
+        if not isinstance(sub, dict):
+            raise ConfigError(f"section {section!r} must be an object")
+        bad = set(sub) - set(keys)
+        if bad:
+            raise ConfigError(f"unknown key(s) in section {section!r}: {sorted(bad)}")
+        for key, value in sub.items():
+            f = keys[key]
+            try:
+                parsed = f.metadata["parse"](value)
+            except ConfigError:
+                raise
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ConfigError(f"malformed configuration value for "
+                                  f"{section}.{key}: {exc}") from exc
+            numbers = parsed if isinstance(parsed, tuple) else (parsed,)
+            if not all(math.isfinite(x) for x in numbers
+                       if isinstance(x, float)):
+                raise ConfigError(f"{section}.{key} must be finite")
+            kwargs[f.name] = parsed
+    return RunConfig(**kwargs)
 
 
 def parse_config(path) -> RunConfig:

@@ -88,10 +88,6 @@ def grid_from_functions(n, extent, r_cut, E_fn, B_fn, rho_fn, j_fn):
                            j=np.asarray(j_fn(pts), dtype=float))
 
 
-def _grad(scalar, h):
-    return np.stack(np.gradient(scalar, h, edge_order=2), axis=-1)
-
-
 def _partials(vec, h):
     """d[i][j] = d(vec_j)/d(x_i), central differences."""
     return [[np.gradient(vec[..., j], h, axis=i, edge_order=2)
@@ -168,16 +164,18 @@ def _norms(field, mask):
 
 
 def check_identities(grid: GriddedFieldSet,
-                     st: ConstraintStencils | None = None) -> dict:
+                     st: ConstraintStencils | None = None,
+                     W1=None, W2=None) -> dict:
     """Residuals of the recombination identities between W1 and W2.
 
     These are exact algebraic consequences of the shared derivative
     fields, so the residuals sit at machine precision for arbitrary data.
+    W1 and W2 are evaluated from the stencils unless given.
     """
     st = st or ConstraintStencils(grid)
     k = st.k
-    W1 = eval_W1(grid, st)
-    W2 = eval_W2(grid, st)
+    W1 = eval_W1(grid, st) if W1 is None else W1
+    W2 = eval_W2(grid, st) if W2 is None else W2
     id1 = W1 - (_cross(k, W2)
                 + k * (_dot(k, st.curl_E) - st.div_B)[..., None])
     id2 = W2 - (-_cross(k, W1)
@@ -208,7 +206,7 @@ def audit(grid: GriddedFieldSet) -> dict:
         mx, l2 = _norms(fld, mask)
         out[name + "_max"] = mx
         out[name + "_l2"] = l2
-    out.update(check_identities(grid, st))
+    out.update(check_identities(grid, st, W1, W2))
     out["h"] = grid.h
     out["nodes_checked"] = int(np.count_nonzero(mask))
     return out

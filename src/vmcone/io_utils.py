@@ -23,15 +23,20 @@ SERIES_COLUMNS = ("v", "N_wedge", "M_wedge", "N_vee", "M_vee",
                   "N_slice", "M_slice", "P_wedge", "R_max", "R_min")
 
 
-def _fmt(x) -> str:
-    return FMT % float(x)
+def _write_rows(fh, table):
+    """Rows of a 2-D array as comma-separated %.17g lines, formatted with
+    one template per block of 1024 rows, which keeps memory use flat."""
+    line = ",".join([FMT] * table.shape[1]) + "\n"
+    for i in range(0, len(table), 1024):
+        rows = table[i:i + 1024]
+        fh.write(line * len(rows) % tuple(rows.ravel().tolist()))
 
 
-def _write_csv(path, header, rows):
+def _save_csv(path, header, columns):
+    """One header line, then the columns as rows."""
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+        _write_rows(fh, np.column_stack(columns))
 
 
 def emit_series(history: SliceHistory, path) -> None:
@@ -58,8 +63,7 @@ def emit_series(history: SliceHistory, path) -> None:
         except ValueError:
             pass
         cols[key] = filled
-    rows = zip(*(cols[c] for c in SERIES_COLUMNS))
-    _write_csv(path, SERIES_COLUMNS, rows)
+    _save_csv(path, SERIES_COLUMNS, [cols[c] for c in SERIES_COLUMNS])
 
 
 def emit_history(history: SliceHistory, directory) -> None:
@@ -75,27 +79,21 @@ def emit_history(history: SliceHistory, directory) -> None:
     with open(join("profiles.csv"), "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for i, v in enumerate(history.vs):
-            vtxt = _fmt(v)
-            gp, gm = history.g_plus[i], history.g_minus[i]
-            hp, hm = history.h_plus[i], history.h_minus[i]
-            E = history.E[i]
-            for j in range(edges.size):
-                fh.write(",".join((vtxt, _fmt(edges[j]), _fmt(gp[j]),
-                                   _fmt(gm[j]), _fmt(hp[j]), _fmt(hm[j]),
-                                   _fmt(E[j]))) + "\n")
+            _write_rows(fh, np.column_stack((
+                np.full(edges.size, v), edges, history.g_plus[i],
+                history.g_minus[i], history.h_plus[i], history.h_minus[i],
+                history.E[i])))
 
     flux_header = (["v"]
                    + [f"flux_j_r{k}" for k in range(history.probe_radii.size)]
                    + [f"flux_p_r{k}" for k in range(history.probe_radii.size)])
-    rows = ([v] + list(fj) + list(fp) for v, fj, fp in
-            zip(history.vs, history.flux_j, history.flux_p))
-    _write_csv(join("fluxes.csv"), flux_header, rows)
+    _save_csv(join("fluxes.csv"), flux_header,
+              [history.vs, history.flux_j, history.flux_p])
 
     parts = history.particles_final
     if parts is not None:
-        _write_csv(join("particles.csv"),
-                   ("r", "w", "q", "weight", "f_value"),
-                   zip(parts.r, parts.w, parts.q, parts.weight, parts.f_value))
+        _save_csv(join("particles.csv"), ("r", "w", "q", "weight", "f_value"),
+                  [parts.r, parts.w, parts.q, parts.weight, parts.f_value])
 
     meta = {
         "r_max": history.grid.r_max,
@@ -143,11 +141,9 @@ def load_history(directory) -> SliceHistory:
         g_plus=shaped[:, :, 2], g_minus=shaped[:, :, 3],
         h_plus=shaped[:, :, 4], h_minus=shaped[:, :, 5],
         E=shaped[:, :, 6],
-        I=np.zeros_like(shaped[:, :, 6]),
         N_wedge=series[:, 1], M_wedge=series[:, 2],
         P_wedge=series[:, 7], R_slice_max=series[:, 8],
         R_min_run=series[:, 9],
-        R_slice_min=np.full(n_slices, np.nan),
         probe_radii=np.array(meta["probe_radii"]),
         flux_j=flux[:, 1:1 + n_probes],
         flux_p=flux[:, 1 + n_probes:1 + 2 * n_probes],

@@ -103,6 +103,8 @@ def _shell_box_datum(amplitude, r_support, w_max, q_support, sharpness=None):
     q_lo, q_hi = (float(q_support[0]), float(q_support[1]))
     w_max = float(w_max)
     amplitude = float(amplitude)
+    if not np.all(np.isfinite([r_lo, r_hi, q_lo, q_hi, w_max, amplitude])):
+        raise ValueError("shell profile parameters must be finite")
     if not (0.0 < r_lo < r_hi):
         raise ValueError("r_support must satisfy 0 < r_lo < r_hi")
     if q_lo <= 0.0:

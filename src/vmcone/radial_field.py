@@ -64,11 +64,18 @@ class MomentProfiles:
 
 @dataclass(frozen=True)
 class RadialFieldProfile:
-    """Cumulative source integral I(r) on the nodes and E_r = I / r^2."""
+    """Cumulative source integral I(r) on the nodes; E_r = I / r^2 is
+    derived from it."""
 
     grid: ShellGrid
     I: np.ndarray
-    E: np.ndarray
+
+    @property
+    def E(self) -> np.ndarray:
+        """E_r(r_j) = I(r_j) / r_j^2, E_r(0) = 0."""
+        E = np.zeros_like(self.I)
+        E[1:] = self.I[1:] / self.grid.edges[1:] ** 2
+        return E
 
 
 def deposit(parts, grid: ShellGrid) -> MomentProfiles:
@@ -121,6 +128,22 @@ def cumulative_source(grid: ShellGrid, g: np.ndarray) -> np.ndarray:
     return I
 
 
+def radial_integral(grid: ShellGrid, values: np.ndarray, r=None) -> float:
+    """4 pi int_0^r values(r') r'^2 dr', trapezoid with a partial last cell;
+    r = None integrates over the whole grid."""
+    r = float(grid.r_max if r is None else r)
+    if r < 0.0 or r > grid.r_max + 1e-12:
+        raise ValueError("radius outside shell grid")
+    edges = grid.edges
+    integrand = values * edges**2
+    j = int(np.searchsorted(edges, r, side="right")) - 1
+    total = np.trapezoid(integrand[:j + 1], dx=grid.dr) if j >= 1 else 0.0
+    if j < grid.n_shells and r > edges[j]:
+        v_r = np.interp(r, edges, values)
+        total += 0.5 * (r - edges[j]) * (integrand[j] + v_r * r**2)
+    return 4.0 * np.pi * float(total)
+
+
 def solve_field(profiles: MomentProfiles,
                 grid: ShellGrid | None = None) -> RadialFieldProfile:
     """Radial field from g_plus: E_r(r_j) = I(r_j) / r_j^2, E_r(0) = 0."""
@@ -130,10 +153,7 @@ def solve_field(profiles: MomentProfiles,
         raise ValueError("non-finite g_plus passed to field solve")
     if np.any(g < -1e-12 * max(1.0, float(np.max(np.abs(g))))):
         raise ValueError("negative g_plus: moment invariant violated upstream")
-    I = cumulative_source(grid, g)
-    E = np.zeros_like(I)
-    E[1:] = I[1:] / grid.edges[1:] ** 2
-    return RadialFieldProfile(grid=grid, I=I, E=E)
+    return RadialFieldProfile(grid=grid, I=cumulative_source(grid, g))
 
 
 def eval_field(profile: RadialFieldProfile, r) -> np.ndarray:

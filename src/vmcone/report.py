@@ -237,10 +237,11 @@ def jacobian_report(n_orbits=20, duration=0.5, step=0.01, h_fd=1e-4,
                       (-1, 2, 3)).swapaxes(0, 1)
     det_fd, det_exact = flow_jacobian_det(x, p, field, 0.0, duration, step,
                                           h_fd=h_fd, with_exact=True)
-    worst_det = np.max(np.abs(det_fd - det_exact), initial=0.0)
-    worst_div = np.max(np.abs(phase_divergence(0.0, x, p, field)
-                              - phase_divergence_fd(0.0, x, p, field)),
-                       initial=0.0)
+    det_err = np.abs(det_fd - det_exact)
+    div_err = np.abs(phase_divergence(0.0, x, p, field)
+                     - phase_divergence_fd(0.0, x, p, field))
+    worst_det = np.max(det_err, initial=0.0)
+    worst_div = np.max(div_err, initial=0.0)
     checks = [
         _check("flow_jacobian_determinant",
                "max |det(FD) - (1+phat.k)/(1+Phat.K)| over random orbits",
@@ -249,18 +250,22 @@ def jacobian_report(n_orbits=20, duration=0.5, step=0.01, h_fd=1e-4,
                "max |closed form - finite difference| of the phase divergence",
                worst_div, TOL_DIVERGENCE),
     ]
-    return _finish(checks, {"orbits": n_orbits, "duration": duration,
-                            "step": step, "h_fd": h_fd})
+    # orbit index (into random_states) of each largest error; a NaN error
+    # is the one named
+    return _finish(checks, {
+        "orbits": n_orbits, "duration": duration, "step": step, "h_fd": h_fd,
+        "worst_det_orbit": int(np.argmax(det_err)) if det_err.size else None,
+        "worst_div_orbit": int(np.argmax(div_err)) if div_err.size else None})
 
 
 def audit_report(grid, tol=None) -> dict:
     """Constraint-audit report for one gridded field set."""
     from . import constraint_audit as ca
 
-    res = ca.audit(grid)
     if tol is None:
-        tol = 10.0 * res["h"] ** 2 + 1e-8
+        tol = 10.0 * grid.h ** 2 + 1e-8
     verdict = ca.check_equivalence(grid, tol)
+    res = verdict["residuals"]
     checks = [
         _check("constraint_W1", "max |W1| over interior nodes",
                res["W1_max"], tol),

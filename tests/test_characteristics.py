@@ -6,6 +6,7 @@ from vmcone import (IntegrationError, integrate_reduced, integrate_cartesian,
                     flow_jacobian_det, flow_jacobian_exact,
                     embed_reduced_state, one_plus_phat_k)
 from vmcone.characteristics import char_rhs_cartesian, char_rhs_reduced
+from vmcone import report
 from vmcone.report import jacobian_report, random_states
 
 
@@ -92,6 +93,22 @@ def test_jacobian_report_reference_values():
                - 1.8117387635963045e-07) <= 1e-12
     assert abs(values["phase_divergence_closed_form"]
                - 5.653049806042532e-09) <= 1e-12
+
+
+def test_jacobian_report_names_the_worst_orbits():
+    doc = jacobian_report(n_orbits=12, seed=5)
+    x, p = np.reshape(random_states(12, seed=5), (-1, 2, 3)).swapaxes(0, 1)
+    field = report._test_field()
+    det, exact = flow_jacobian_det(x, p, field, 0.0, 0.5, 0.01,
+                                   with_exact=True)
+    det_err = np.abs(det - exact)
+    div_err = np.abs(phase_divergence(0.0, x, p, field)
+                     - phase_divergence_fd(0.0, x, p, field))
+    values = {c["name"]: c["value"] for c in doc["checks"]}
+    assert doc["worst_det_orbit"] == int(np.argmax(det_err))
+    assert doc["worst_div_orbit"] == int(np.argmax(div_err))
+    assert values["flow_jacobian_determinant"] == det_err[doc["worst_det_orbit"]]
+    assert values["phase_divergence_closed_form"] == div_err[doc["worst_div_orbit"]]
 
 
 def test_jacobian_report_500_orbits_passes():

@@ -54,6 +54,19 @@ def test_config_fail_closed(tmp_path):
         parse_config(tmp_path / "missing.json")
 
 
+def test_config_rejects_non_finite_numbers():
+    # JSON as Python's json module reads it: Infinity and NaN are accepted
+    for text, key in (('{"time": {"v_final": Infinity}}', "time.v_final"),
+                      ('{"grid": {"margin": NaN}}', "grid.margin"),
+                      ('{"grid": {"r_max": -Infinity}}', "grid.r_max"),
+                      ('{"diagnostics": {"probe_radii": [0.5, NaN]}}',
+                       "diagnostics.probe_radii")):
+        with pytest.raises(ConfigError, match=f"{key} must be finite"):
+            config_from_dict(json.loads(text))
+    with pytest.raises(ConfigError, match="grid.n_shells"):
+        config_from_dict(json.loads('{"grid": {"n_shells": Infinity}}'))
+
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

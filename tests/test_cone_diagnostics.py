@@ -4,6 +4,7 @@ from scipy.integrate import quad
 
 from vmcone import ShellGrid, ParticleSet
 from vmcone import cone_diagnostics as diag
+from vmcone.radial_field import radial_integral
 
 
 def test_radial_integral_against_quadrature(small_history):
@@ -11,11 +12,26 @@ def test_radial_integral_against_quadrature(small_history):
     values = np.exp(-2.0 * grid.edges)
     for r in (0.3137, 0.75, 1.0):
         ref, _ = quad(lambda s: np.exp(-2.0 * s) * s**2, 0.0, r)
-        got = diag._radial_integral(grid, values, r)
+        got = radial_integral(grid, values, r)
         assert got == pytest.approx(4.0 * np.pi * ref, abs=1e-6)
-    assert diag._radial_integral(grid, values, 0.0) == 0.0
+    assert radial_integral(grid, values, 0.0) == 0.0
+    assert radial_integral(grid, values) == radial_integral(grid, values, 1.0)
     with pytest.raises(ValueError, match="outside"):
-        diag._radial_integral(grid, values, 1.5)
+        radial_integral(grid, values, 1.5)
+
+
+def test_radial_integral_equals_whole_grid_trapezoid(small_history):
+    # the field energy and the L^{4/3} norm are the plain whole-grid
+    # trapezoid sums, bit for bit, on every recorded slice
+    grid = small_history.grid
+    r2 = grid.edges**2
+    for E, g in zip(small_history.E, small_history.g_plus):
+        energy = float(4.0 * np.pi * np.trapezoid(0.5 * E**2 * r2,
+                                                  dx=grid.dr))
+        assert radial_integral(grid, 0.5 * E**2) == energy
+        l43 = 4.0 * np.pi * np.trapezoid(np.abs(g) ** (4.0 / 3.0) * r2,
+                                         dx=grid.dr)
+        assert diag.l43_norm(grid, g) == float(l43 ** 0.75)
 
 
 def test_past_cone_mass_variants(small_history):

@@ -4,7 +4,7 @@ import pytest
 from vmcone import (RunConfig, run, step, auto_r_max, field_function,
                     default_probe_radii, nirc_flux, outgoing_radiation,
                     builtin_datum, sample_particles, ShellGrid, deposit,
-                    solve_field, eval_field)
+                    solve_field, eval_field, MomentProfiles)
 from vmcone.characteristics import char_rhs_reduced
 from conftest import small_config
 
@@ -42,10 +42,11 @@ def test_field_profile_recorded(small_history):
     h = small_history
     assert np.all(h.E >= 0.0)
     assert np.all(h.E[:, 0] == 0.0)
-    # the recorded cumulative integral reproduces the field on the nodes
-    n = len(h.vs) // 2
-    r = h.grid.edges[1:]
-    assert np.allclose(h.E[n][1:], h.I[n][1:] / r**2, rtol=1e-12)
+    # the recorded field is the field solve of the recorded moments
+    for n in range(len(h.vs)):
+        prof = MomentProfiles(h.grid, h.g_plus[n], h.g_minus[n],
+                              h.h_plus[n], h.h_minus[n])
+        assert np.array_equal(h.E[n], solve_field(prof).E)
 
 
 def test_step_zero_dv_is_identity():
@@ -165,7 +166,14 @@ def test_history_time_interpolation(small_history):
     v_mid = 0.5 * (h.vs[n] + h.vs[n + 1])
     prof = h.profile_at("g_plus", v_mid)
     assert np.allclose(prof, 0.5 * (h.g_plus[n] + h.g_plus[n + 1]))
+    # slope 2 reads node j at the advanced time v + 2 r_j
+    cone = h.profile_at("g_minus", v_mid, 2.0, j_max=80)
+    expected = [np.interp(v_mid + 2.0 * h.grid.edges[j], h.vs, h.g_minus[:, j])
+                for j in range(81)]
+    assert cone.shape == (81,)
+    assert np.allclose(cone, expected, rtol=1e-12,
+                       atol=1e-12 * np.max(h.g_minus))
     with pytest.raises(ValueError, match="outside recorded history"):
-        h.slice_index(h.v_final + 1.0)
-    with pytest.raises(ValueError, match="beyond"):
-        h.advanced_profile("g_minus", h.v_final, 2.0)
+        h.profile_at("g_plus", h.v_final + 1.0)
+    with pytest.raises(ValueError, match="outside recorded history"):
+        h.profile_at("g_minus", h.v_final, 2.0)

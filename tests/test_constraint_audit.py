@@ -171,3 +171,23 @@ def test_grid_file_round_trip(tmp_path):
     bad.write_bytes(b"not a grid file at all")
     with pytest.raises(ValueError, match="not a vmcone grid"):
         load_grid(bad)
+
+
+def test_audit_report_runs_the_audit_once(monkeypatch):
+    import vmcone.constraint_audit as ca
+    from vmcone.report import audit_report
+
+    calls = []
+    real = ca.audit
+
+    def counted(grid):
+        calls.append(grid)
+        return real(grid)
+
+    monkeypatch.setattr(ca, "audit", counted)
+    E_fn, B_fn, rho_fn, j_fn = smooth_ball_fields()
+    g = grid_from_functions(17, 1.0, 0.25, E_fn, B_fn, rho_fn, j_fn)
+    doc = audit_report(g)
+    assert len(calls) == 1
+    assert doc["residuals"] == real(g)
+    assert doc["equivalence"]["tol"] == 10.0 * g.h**2 + 1e-8

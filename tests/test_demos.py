@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -18,7 +20,17 @@ def run_demo(name):
                           timeout=300)
 
 
-def test_jacobian_identity_demo_runs():
-    out = run_demo("jacobian_identity.py")
+# each demo with a line its output must contain
+DEMOS = {
+    "jacobian_identity.py": "max |closed form - FD|",
+    "run_and_conserve.py": "mass drift over the run",
+    "constraint_audit_demo.py": "equivalence verdict on consistent data",
+    "field_solve_and_bounds.py": "L^(4/3) norm of g_plus",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEMOS))
+def test_demo_runs(name):
+    out = run_demo(name)
     assert out.returncode == 0, out.stderr
-    assert "max |closed form - FD|" in out.stdout
+    assert DEMOS[name] in out.stdout

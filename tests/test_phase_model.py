@@ -51,6 +51,14 @@ def test_angular_momentum_floor_required():
         builtin_datum("shell_polynomial", {"q_support": [0.0, 0.01]})
 
 
+def test_non_finite_datum_parameters_rejected():
+    # a NaN amplitude used to pass validation and sample 0 particles
+    for params in ({"amplitude": float("nan")}, {"w_max": float("nan")},
+                   {"q_support": [0.01, float("inf")]}):
+        with pytest.raises(ValueError, match="must be finite"):
+            builtin_datum("shell_polynomial", params)
+
+
 def test_support_descriptors_exact():
     d = builtin_datum("shell_polynomial")
     (r_lo, r_hi), (w_lo, w_hi), (q_lo, q_hi) = d.support_box
