@@ -19,8 +19,7 @@ from .radial_field import (ShellGrid, MomentProfiles, RadialFieldProfile,
 from .config import (RunConfig, ConfigError, config_from_dict, parse_config,
                      emit_config)
 from .cone_evolver import (SliceHistory, run, step, auto_r_max,
-                           field_function, default_probe_radii, nirc_flux,
-                           outgoing_radiation)
+                           default_probe_radii, nirc_flux, outgoing_radiation)
 from . import cone_diagnostics
 from .constraint_audit import (GriddedFieldSet, grid_from_functions,
                                ConstraintStencils, eval_W1, eval_W2,

@@ -91,6 +91,9 @@ def cmd_audit(args) -> int:
 
 
 def cmd_jacobian(args) -> int:
+    if args.orbits < 1:
+        print("--orbits must be at least 1", file=sys.stderr)
+        return 2
     doc = report_mod.jacobian_report(n_orbits=args.orbits,
                                      duration=args.duration,
                                      step=args.step, h_fd=args.h_fd,

@@ -2,16 +2,15 @@
 slices, computed from a recorded SliceHistory, plus the identity, bound and
 monotonicity checks that certify a run.
 
-Functional conventions (all radial integrals are 4 pi int_0^r (.) r'^2 dr'):
+The three surfaces are one family: the cone of slope s reads the history at
+the advanced times v + s r' (s = 0 the past cone, 1 the slice t = v, 2 the
+future cone), linear between recorded steps.  On it the mass density is
 
-  past cone    n^(v,r):  g_plus(v, r')
-  t = const    n(v,r):   rho(v + r', r'),          rho = (g_plus + g_minus)/2
-  future cone  nv(v,r):  g_minus(v + 2 r', r')
+    (1 - s/2) g_plus + (s/2) g_minus,     i.e. g_plus, rho, g_minus,
 
-and for the energies the integrands gain the kinetic moments h_* plus the
-field term E^2/2 (the Poynting part vanishes with the magnetic field).
-Future-cone and slice functionals read the history at advanced time
-v + 2r' or v + r' with linear interpolation between recorded steps.
+and the energy density the same combination of h_plus and h_minus plus the
+field term E^2/2 (the Poynting part vanishes with the magnetic field).  All
+radial integrals are 4 pi int_0^r (.) r'^2 dr'.
 """
 
 from __future__ import annotations
@@ -26,70 +25,38 @@ EIGHT_PI_3 = 8.0 * np.pi / 3.0
 
 
 # ---------------------------------------------------------------------------
-# shifted integrals
+# cone functionals
 
-def _advanced_integral(history, v, slope, r, combine):
-    """Radial integral of a combination of advanced profiles up to r."""
+def _cone_integral(history, v, r, slope, plus, minus, field_energy=False):
+    """Radial integral up to r of the slope-s weighting of the profiles
+    ``plus`` and ``minus``, plus E^2/2 if asked; only the nodes up to the
+    first one at or beyond r, and only profiles of nonzero weight, are read."""
     grid = history.grid
     j_max = min(int(np.searchsorted(grid.edges, float(r), side="right")),
                 grid.n_shells)
-    fields = {name: history.profile_at(name, v, slope, j_max)
-              for name in ("g_plus", "g_minus", "h_plus", "h_minus", "E")}
-    values = combine(fields)
+    values = sum(weight * history.profile_at(name, v, slope, j_max)
+                 for weight, name in ((1.0 - 0.5 * slope, plus),
+                                      (0.5 * slope, minus)) if weight)
+    if field_energy:
+        values = values + 0.5 * history.profile_at("E", v, slope, j_max) ** 2
     padded = np.zeros(grid.n_shells + 1)
     padded[:j_max + 1] = values
     return radial_integral(grid, padded, r)
 
 
-# ---------------------------------------------------------------------------
-# mass functionals
-
-def past_cone_mass(history: SliceHistory, v: float, r: float) -> float:
-    """Shell-volume sum of g_plus up to r; particle-exact at full radius."""
-    g = history.profile_at("g_plus", v)
-    grid = history.grid
-    mask = grid.edges <= float(r) + 1e-12
-    return float(np.sum((g * grid.node_volumes)[mask]))
+def cone_mass(history: SliceHistory, v: float, r: float,
+              slope: float = 0.0) -> float:
+    """Mass inside radius r on the cone of slope s labelled v: the past cone
+    (s = 0), the slice t = v (s = 1) or the future cone (s = 2)."""
+    return _cone_integral(history, v, r, slope, "g_plus", "g_minus")
 
 
-def past_cone_mass_cont(history: SliceHistory, v: float, r: float) -> float:
-    """Trapezoid form of the past-cone mass (continuous in r); this is the
-    variant used inside the flux identities."""
-    return radial_integral(history.grid, history.profile_at("g_plus", v), r)
-
-
-def slice_mass(history: SliceHistory, v: float, r: float) -> float:
-    """Mass inside radius r on the slice t = v."""
-    return _advanced_integral(
-        history, v, 1.0, r,
-        lambda f: 0.5 * (f["g_plus"] + f["g_minus"]))
-
-
-def future_cone_mass(history: SliceHistory, v: float, r: float) -> float:
-    """Mass inside radius r on the future cone labelled v."""
-    return _advanced_integral(history, v, 2.0, r, lambda f: f["g_minus"])
-
-
-# ---------------------------------------------------------------------------
-# energy functionals (kinetic moments plus field energy E^2/2)
-
-def past_cone_energy(history: SliceHistory, v: float, r: float) -> float:
-    grid = history.grid
-    kin = radial_integral(grid, history.profile_at("h_plus", v), r)
-    fld = radial_integral(grid, 0.5 * history.profile_at("E", v) ** 2, r)
-    return kin + fld
-
-
-def slice_energy(history: SliceHistory, v: float, r: float) -> float:
-    return _advanced_integral(
-        history, v, 1.0, r,
-        lambda f: 0.5 * (f["h_plus"] + f["h_minus"]) + 0.5 * f["E"] ** 2)
-
-
-def future_cone_energy(history: SliceHistory, v: float, r: float) -> float:
-    return _advanced_integral(
-        history, v, 2.0, r,
-        lambda f: f["h_minus"] + 0.5 * f["E"] ** 2)
+def cone_energy(history: SliceHistory, v: float, r: float,
+                slope: float = 0.0) -> float:
+    """Energy (kinetic moments plus E^2/2) inside radius r on the cone of
+    slope s labelled v."""
+    return _cone_integral(history, v, r, slope, "h_plus", "h_minus",
+                          field_energy=True)
 
 
 # ---------------------------------------------------------------------------
@@ -119,22 +86,25 @@ def evaluable_window(history: SliceHistory, slope: float):
     return v_max, r_eval
 
 
+# name -> (functional, slope) of each shifted series
+SHIFTED_SERIES = {
+    "N_slice": (cone_mass, 1.0),
+    "M_slice": (cone_energy, 1.0),
+    "N_vee": (cone_mass, 2.0),
+    "M_vee": (cone_energy, 2.0),
+}
+
+
 def functional_series(history: SliceHistory, which: str):
     """Series of a shifted functional over its evaluable window.
 
     which: one of 'N_slice', 'M_slice', 'N_vee', 'M_vee'.
     Returns (vs, values, r_eval).
     """
-    table = {
-        "N_slice": (1.0, slice_mass),
-        "M_slice": (1.0, slice_energy),
-        "N_vee": (2.0, future_cone_mass),
-        "M_vee": (2.0, future_cone_energy),
-    }
-    slope, fn = table[which]
+    fn, slope = SHIFTED_SERIES[which]
     v_max, r_eval = evaluable_window(history, slope)
     vs = history.vs[history.vs <= v_max + 1e-12]
-    values = np.array([fn(history, float(v), r_eval) for v in vs])
+    values = np.array([fn(history, float(v), r_eval, slope) for v in vs])
     return vs, values, r_eval
 
 
@@ -160,23 +130,15 @@ def _flux_time_integral(history: SliceHistory, flux, col, v1, v2):
     return float(np.trapezoid(ys, ts))
 
 
-def mass_identity_residual(history: SliceHistory, v: float,
-                           r_probe: float) -> float:
-    """Slice/past-cone mass identity: n(v,r) - n^(v,r) + int_v^{v+r} flux."""
+def mass_identity_residual(history: SliceHistory, v: float, r_probe: float,
+                           slope: float = 1.0) -> float:
+    """Mass identity between the cone of slope s and the past cone:
+    n_s(v,r) - n^(v,r) + int_v^{v+s r} flux (s = 1 slice, s = 2 future cone)."""
     col = _probe_index(history, r_probe)
     r = float(history.probe_radii[col])
-    return (slice_mass(history, v, r) - past_cone_mass_cont(history, v, r)
-            + _flux_time_integral(history, history.flux_j, col, v, v + r))
-
-
-def future_mass_identity_residual(history: SliceHistory, v: float,
-                                  r_probe: float) -> float:
-    """Future/past-cone mass identity: nv - n^ + int_v^{v+2r} flux."""
-    col = _probe_index(history, r_probe)
-    r = float(history.probe_radii[col])
-    return (future_cone_mass(history, v, r)
-            - past_cone_mass_cont(history, v, r)
-            + _flux_time_integral(history, history.flux_j, col, v, v + 2 * r))
+    return (cone_mass(history, v, r, slope) - cone_mass(history, v, r)
+            + _flux_time_integral(history, history.flux_j, col, v,
+                                  v + slope * r))
 
 
 def flux_derivative_checks(history: SliceHistory) -> dict:
@@ -198,10 +160,10 @@ def flux_derivative_checks(history: SliceHistory) -> dict:
         r_p = float(r_p)
         for i in idx:
             dt = vs[i + stride] - vs[i - stride]
-            dn = (past_cone_mass_cont(history, vs[i + stride], r_p)
-                  - past_cone_mass_cont(history, vs[i - stride], r_p)) / dt
-            dm = (past_cone_energy(history, vs[i + stride], r_p)
-                  - past_cone_energy(history, vs[i - stride], r_p)) / dt
+            dn = (cone_mass(history, vs[i + stride], r_p)
+                  - cone_mass(history, vs[i - stride], r_p)) / dt
+            dm = (cone_energy(history, vs[i + stride], r_p)
+                  - cone_energy(history, vs[i - stride], r_p)) / dt
             res_n = max(res_n, abs(dn + history.flux_j[i, col]) / N0)
             res_m = max(res_m, abs(dm + history.flux_p[i, col]) / M0)
     e_minus = history.h_minus + 0.5 * history.E**2

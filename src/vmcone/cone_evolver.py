@@ -12,7 +12,8 @@ incoming and outgoing radiation fluxes vanish structurally; see nirc_flux.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from .phase_model import (InitialDatum, ParticleSet, builtin_datum,
                           sample_particles, check_measure_positivity)
 from .radial_field import (ShellGrid, RadialFieldProfile, deposit,
                            solve_field, eval_field, radial_integral)
-from .characteristics import integrate_reduced
+from .characteristics import IntegrationError, integrate_reduced
 from .config import RunConfig, DV_R0_FRACTION
 
 
@@ -96,25 +97,6 @@ def auto_r_max(datum: InitialDatum, v_final: float, margin: float) -> float:
     return datum.R0 + 0.5 * v_final + max(margin, 0.05)
 
 
-def field_function(profile: RadialFieldProfile):
-    """Field closure for the pusher; beyond r_max the source is exhausted
-    and E continues as I(r_max) / r^2."""
-    grid = profile.grid
-    I_max = float(profile.I[-1])
-
-    def fn(v, r):
-        r = np.asarray(r, dtype=float)
-        inside = r <= grid.r_max
-        rin = np.where(inside, r, grid.r_max)
-        out = np.where(inside, eval_field(profile, rin), 0.0)
-        beyond = ~inside
-        if np.any(beyond):
-            out[beyond] = I_max / r[beyond] ** 2
-        return out
-
-    return fn
-
-
 def _zero_field(grid: ShellGrid) -> RadialFieldProfile:
     return RadialFieldProfile(grid=grid, I=np.zeros(grid.n_shells + 1))
 
@@ -132,10 +114,9 @@ def step(parts: ParticleSet, grid: ShellGrid, dv: float, picard_iters: int = 2,
         return parts.copy(), profiles0, field0
 
     def push(fieldprof):
-        fn = field_function(fieldprof)
-        r1, w1 = integrate_reduced(parts.r, parts.w, parts.q, fn, 0.0, dv, dv,
-                                   scheme=scheme, r_floor=r_floor)
-        return r1, w1
+        return integrate_reduced(parts.r, parts.w, parts.q,
+                                 lambda v, r: eval_field(fieldprof, r),
+                                 0.0, dv, dv, scheme=scheme, r_floor=r_floor)
 
     r1, w1 = push(field0)
     for _ in range(picard_iters - 1):
@@ -150,6 +131,15 @@ def step(parts: ParticleSet, grid: ShellGrid, dv: float, picard_iters: int = 2,
         raise FloatingPointError("non-finite particle state after push")
     out = ParticleSet(r1, w1, parts.q, parts.weight, parts.f_value)
     return out, profiles0, field0
+
+
+@contextmanager
+def _naming_step(n: int, v: float):
+    """Re-raise an abort of step n with the step and its v, same type."""
+    try:
+        yield
+    except (FloatingPointError, ValueError, IntegrationError) as exc:
+        raise type(exc)(f"step {n} (v={v:g}): {exc}") from exc
 
 
 def default_probe_radii(datum: InitialDatum, grid: ShellGrid) -> np.ndarray:
@@ -228,12 +218,10 @@ def run(config: RunConfig, datum: InitialDatum | None = None) -> SliceHistory:
 
     for n in range(n_steps):
         before = parts
-        try:
+        with _naming_step(n, vs[n]):
             parts, profiles, fieldprof = step(
                 parts, grid, dv, config.picard_iters, config.scheme,
                 config.field_off, config.r_floor)
-        except FloatingPointError as exc:
-            raise FloatingPointError(f"step {n} (v={vs[n]:g}): {exc}") from exc
         record(n, before, profiles, fieldprof)
         if len(parts):
             dr_sign = np.sign(parts.r - before.r)
@@ -245,9 +233,10 @@ def run(config: RunConfig, datum: InitialDatum | None = None) -> SliceHistory:
             min_dw = min(min_dw, float(np.min(parts.w - before.w)))
         check_measure_positivity(parts)
 
-    final_profiles = deposit(parts, grid)
-    final_field = (_zero_field(grid) if config.field_off
-                   else solve_field(final_profiles))
+    with _naming_step(n_steps, vs[-1]):
+        final_profiles = deposit(parts, grid)
+        final_field = (_zero_field(grid) if config.field_off
+                       else solve_field(final_profiles))
     record(n_steps, parts, final_profiles, final_field)
 
     return SliceHistory(

@@ -12,6 +12,8 @@ import json
 import math
 from dataclasses import dataclass, field, fields
 
+from .phase_model import builtin_datum
+
 # dv default is 0.01 * R0 (resolves the outward characteristic speed <= 1/2)
 DV_R0_FRACTION = 0.01
 
@@ -89,6 +91,10 @@ class RunConfig:
             raise ConfigError("grid.n_shells must be >= 2")
         if self.scheme not in ("rk4", "midpoint"):
             raise ConfigError(f"unknown solver.scheme {self.scheme!r}")
+        try:
+            builtin_datum(self.datum_name, self.datum_params)
+        except (TypeError, ValueError, LookupError) as exc:
+            raise ConfigError(f"invalid datum.name/datum.params: {exc}") from exc
 
     def to_dict(self) -> dict:
         return {section: {key: f.metadata["dump"](getattr(self, f.name))

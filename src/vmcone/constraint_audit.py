@@ -192,7 +192,8 @@ def check_identities(grid: GriddedFieldSet,
 
 
 def audit(grid: GriddedFieldSet) -> dict:
-    """All residual norms of one field set (max and L2, interior nodes)."""
+    """All residual norms of one field set (max and L2, interior nodes),
+    and the interior node of the largest |W1|."""
     st = ConstraintStencils(grid)
     mask = grid.interior_mask()
     W1 = eval_W1(grid, st)
@@ -200,12 +201,15 @@ def audit(grid: GriddedFieldSet) -> dict:
     s1, s2 = eval_scalar_constraints(grid, st)
     kW1 = _cross(st.k, W1)
     kW2 = _cross(st.k, W2)
+    W1_mag = np.sqrt(_dot(W1, W1))
     out = {}
-    for name, fld in (("W1", W1), ("W2", W2), ("scalar1", s1),
+    for name, fld in (("W1", W1_mag), ("W2", W2), ("scalar1", s1),
                       ("scalar2", s2), ("kxW1", kW1), ("kxW2", kW2)):
         mx, l2 = _norms(fld, mask)
         out[name + "_max"] = mx
         out[name + "_l2"] = l2
+    out["W1_max_node"] = [int(i) for i in np.unravel_index(
+        int(np.argmax(np.where(mask, W1_mag, -1.0))), mask.shape)]
     out.update(check_identities(grid, st, W1, W2))
     out["h"] = grid.h
     out["nodes_checked"] = int(np.count_nonzero(mask))
@@ -239,20 +243,11 @@ def check_equivalence(grid: GriddedFieldSet, tol: float) -> dict:
         "residuals": res,
     }
     if not verdict["coherent"]:
-        verdict["counterexample"] = _worst_node(grid)
+        idx = res["W1_max_node"]
+        verdict["counterexample"] = {
+            "index": idx, "x": [float(grid.axes[i]) for i in idx],
+            "W1_mag": res["W1_max"]}
     return verdict
-
-
-def _worst_node(grid: GriddedFieldSet):
-    st = ConstraintStencils(grid)
-    mask = grid.interior_mask()
-    W1 = eval_W1(grid, st)
-    mag = np.where(mask, np.sqrt(_dot(W1, W1)), -1.0)
-    idx = np.unravel_index(int(np.argmax(mag)), mag.shape)
-    ax = grid.axes
-    return {"index": [int(i) for i in idx],
-            "x": [float(ax[idx[0]]), float(ax[idx[1]]), float(ax[idx[2]])],
-            "W1_mag": float(mag[idx])}
 
 
 def embed_symmetric_solution(history, v: float, n: int, extent: float,

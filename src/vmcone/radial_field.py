@@ -157,18 +157,18 @@ def solve_field(profiles: MomentProfiles,
 
 
 def eval_field(profile: RadialFieldProfile, r) -> np.ndarray:
-    """E_r at arbitrary radii: linear interpolation of I(r), then / r^2.
+    """E_r at radii r >= 0: linear interpolation of I(r), then / r^2.
 
-    Returns 0 at r = 0.  Satisfies |E_r(r)| <= N / r^2 with
+    Returns 0 at r = 0.  Beyond r_max the source is exhausted and E_r
+    continues as I(r_max) / r^2.  Satisfies |E_r(r)| <= N / r^2 with
     N = 4 pi I(r_max) the past-cone mass.
     """
     r = np.asarray(r, dtype=float)
     scalar = (r.ndim == 0)
     r = np.atleast_1d(r)
-    grid = profile.grid
-    if np.any(r < 0.0) or np.any(r > grid.r_max * (1 + 1e-12)):
-        raise ValueError("field evaluation outside [0, r_max]")
-    I = np.interp(r, grid.edges, profile.I)
+    if np.any(r < 0.0):
+        raise ValueError("field evaluation outside r >= 0")
+    I = np.interp(r, profile.grid.edges, profile.I)
     out = np.zeros_like(r)
     pos = r > 0.0
     out[pos] = I[pos] / r[pos] ** 2

@@ -83,24 +83,24 @@ def diagnose_report(history: SliceHistory) -> dict:
         "largest deficit of the minimal radius under sqrt(min q) / P(v)",
         max(float(np.max(-clearance)), 0.0), 1e-12))
 
-    # shifted-functional constancy over the evaluable windows
-    for which, base, norm, label in (
-            ("N_slice", diag.past_cone_mass_cont, N0, "slice mass"),
-            ("M_slice", diag.past_cone_energy, M0, "slice energy"),
-            ("N_vee", diag.past_cone_mass_cont, N0, "future-cone mass"),
-            ("M_vee", diag.past_cone_energy, M0, "future-cone energy")):
+    # shifted-functional constancy over the evaluable windows, against the
+    # same functional on the initial past cone
+    for which, norm, label in (("N_slice", N0, "slice mass"),
+                               ("M_slice", M0, "slice energy"),
+                               ("N_vee", N0, "future-cone mass"),
+                               ("M_vee", M0, "future-cone energy")):
         try:
             vs_w, vals, r_eval = diag.functional_series(history, which)
         except ValueError:
             continue
-        ref = base(history, 0.0, r_eval)
+        fn, slope = diag.SHIFTED_SERIES[which]
         checks.append(_check(
             f"{which}_constancy",
             f"max relative deviation of the {label} series from the initial "
             f"past-cone value (window v <= {vs_w[-1]:.3g}, r = {r_eval:.3g})",
-            np.max(np.abs(vals - ref)) / norm,
+            np.max(np.abs(vals - fn(history, 0.0, r_eval))) / norm,
             TOL_RELATIVE))
-        if which in ("N_vee", "M_vee") and len(vals) > 1:
+        if slope == 2.0 and len(vals) > 1:
             checks.append(_check(
                 f"{which}_monotone",
                 f"max positive per-step increment of the {label} series "
@@ -108,29 +108,23 @@ def diagnose_report(history: SliceHistory) -> dict:
                 max(float(np.max(np.diff(vals))) / norm, 0.0),
                 TOL_RELATIVE))
 
-    # flux identities at the recorded probes, where the history suffices
-    res_slice = 0.0
-    res_future = 0.0
-    for r_p in history.probe_radii:
-        r_p = float(r_p)
-        v_top1 = history.v_final - r_p - 2.0 * dr
-        v_top2 = history.v_final - 2.0 * (r_p + 2.0 * dr)
-        if v_top1 >= 0.0:
-            for v in _window_samples(v_top1):
-                res_slice = max(res_slice, abs(
-                    diag.mass_identity_residual(history, float(v), r_p)))
-        if v_top2 >= 0.0:
-            for v in _window_samples(v_top2):
-                res_future = max(res_future, abs(
-                    diag.future_mass_identity_residual(history, float(v), r_p)))
-    checks.append(_check(
-        "slice_mass_flux_identity",
-        "max |n(v,r) - npast(v,r) + int flux| / N(0) over probes",
-        res_slice / N0, TOL_RELATIVE))
-    checks.append(_check(
-        "future_mass_flux_identity",
-        "max |nfuture(v,r) - npast(v,r) + int flux| / N(0) over probes",
-        res_future / N0, TOL_RELATIVE))
+    # flux identities between the slice (slope 1) or the future cone
+    # (slope 2) and the past cone at the recorded probes, over the window
+    # the history covers
+    for slope, surface, symbol in ((1.0, "slice", "n"),
+                                   (2.0, "future", "nfuture")):
+        worst = 0.0
+        for r_p in history.probe_radii:
+            r_p = float(r_p)
+            v_top = history.v_final - slope * (r_p + 2.0 * dr)
+            if v_top >= 0.0:
+                for v in _window_samples(v_top):
+                    worst = max(worst, abs(diag.mass_identity_residual(
+                        history, float(v), r_p, slope)))
+        checks.append(_check(
+            f"{surface}_mass_flux_identity",
+            f"max |{symbol}(v,r) - npast(v,r) + int flux| / N(0) over probes",
+            worst / N0, TOL_RELATIVE))
 
     fd = diag.flux_derivative_checks(history)
     checks.append(_check(
@@ -232,6 +226,8 @@ def jacobian_report(n_orbits=20, duration=0.5, step=0.01, h_fd=1e-4,
     """Compare the finite-difference flow jacobian determinant with the
     closed form (1 + phat.k) / (1 + Phat.K) on random orbits, and the
     closed-form phase divergence with its finite-difference value."""
+    if n_orbits < 1:
+        raise ValueError(f"need at least one orbit, got n_orbits={n_orbits}")
     field = _test_field()
     x, p = np.reshape(random_states(n_orbits, seed=seed),
                       (-1, 2, 3)).swapaxes(0, 1)
@@ -240,22 +236,20 @@ def jacobian_report(n_orbits=20, duration=0.5, step=0.01, h_fd=1e-4,
     det_err = np.abs(det_fd - det_exact)
     div_err = np.abs(phase_divergence(0.0, x, p, field)
                      - phase_divergence_fd(0.0, x, p, field))
-    worst_det = np.max(det_err, initial=0.0)
-    worst_div = np.max(div_err, initial=0.0)
     checks = [
         _check("flow_jacobian_determinant",
                "max |det(FD) - (1+phat.k)/(1+Phat.K)| over random orbits",
-               worst_det, TOL_JACOBIAN),
+               np.max(det_err), TOL_JACOBIAN),
         _check("phase_divergence_closed_form",
                "max |closed form - finite difference| of the phase divergence",
-               worst_div, TOL_DIVERGENCE),
+               np.max(div_err), TOL_DIVERGENCE),
     ]
     # orbit index (into random_states) of each largest error; a NaN error
     # is the one named
     return _finish(checks, {
         "orbits": n_orbits, "duration": duration, "step": step, "h_fd": h_fd,
-        "worst_det_orbit": int(np.argmax(det_err)) if det_err.size else None,
-        "worst_div_orbit": int(np.argmax(div_err)) if div_err.size else None})
+        "worst_det_orbit": int(np.argmax(det_err)),
+        "worst_div_orbit": int(np.argmax(div_err))})
 
 
 def audit_report(grid, tol=None) -> dict:

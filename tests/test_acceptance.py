@@ -72,7 +72,7 @@ def test_criterion_04_energy_conservation(desk_history, desk_report):
                       / hist.M_wedge[0])]
         for which in ("M_slice", "M_vee"):
             _, vals, r_eval = diag.functional_series(hist, which)
-            ref = diag.past_cone_energy(hist, 0.0, r_eval)
+            ref = diag.cone_energy(hist, 0.0, r_eval)
             errs.append(float(np.max(np.abs(vals - ref)) / hist.M_wedge[0]))
         return max(errs)
 
@@ -142,7 +142,7 @@ def test_criterion_08_mass_identities(desk_history):
         if v2 >= 0.0:
             for v in np.linspace(0.0, v2, 11):
                 worst = max(worst, abs(
-                    diag.future_mass_identity_residual(h, float(v), r_p)))
+                    diag.mass_identity_residual(h, float(v), r_p, 2.0)))
                 evaluated += 1
     assert evaluated > 20
     _verdict(8, "mass flux identities at probe radii", worst / N0, 1e-3)

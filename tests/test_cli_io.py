@@ -190,6 +190,26 @@ def test_cli_run_bad_config(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+def test_cli_run_rejects_bad_datum_before_the_run(tmp_path, capsys):
+    for params in (dict(DESK_DATUM_PARAMS, amplitude=float("nan")),
+                   dict(DESK_DATUM_PARAMS, amplitdue=1.0)):
+        cfg_path = write_config(tmp_path / "cfg.json",
+                                datum={"name": "shell_polynomial",
+                                       "params": params})
+        assert main(["run", "--config", cfg_path]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "datum.params" in err
+
+
+def test_jacobian_test_needs_an_orbit(capsys):
+    from vmcone.report import jacobian_report
+    with pytest.raises(ValueError, match="at least one orbit"):
+        jacobian_report(n_orbits=0)
+    assert main(["jacobian-test", "--orbits", "0"]) == 2
+    captured = capsys.readouterr()
+    assert "--orbits" in captured.err and "overall" not in captured.out
+
+
 def test_cli_jacobian_test(tmp_path, capsys):
     code = main(["jacobian-test", "--orbits", "5", "--duration", "0.2",
                  "--report", str(tmp_path / "jac.json")])

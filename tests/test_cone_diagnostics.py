@@ -35,12 +35,49 @@ def test_radial_integral_equals_whole_grid_trapezoid(small_history):
 
 
 def test_past_cone_mass_variants(small_history):
+    # the trapezoid past-cone mass over the whole grid stays within the
+    # deposition error of the node-volume sum recorded as N_wedge
     h = small_history
-    v = float(h.vs[len(h.vs) // 2])
-    node_sum = diag.past_cone_mass(h, v, h.grid.r_max)
-    assert node_sum == pytest.approx(float(h.N_wedge[0]), rel=1e-12)
-    cont = diag.past_cone_mass_cont(h, v, h.grid.r_max)
-    assert cont == pytest.approx(node_sum, rel=2e-3)
+    n = len(h.vs) // 2
+    cont = diag.cone_mass(h, float(h.vs[n]), h.grid.r_max)
+    assert cont == pytest.approx(float(h.N_wedge[n]), rel=2e-3)
+
+
+def _per_surface_integral(h, v, slope, r, combine):
+    """Reference: a slice or future-cone integral written out for one
+    surface, with its own integrand ``combine``."""
+    grid = h.grid
+    j_max = min(int(np.searchsorted(grid.edges, float(r), side="right")),
+                grid.n_shells)
+    f = {name: h.profile_at(name, v, slope, j_max)
+         for name in ("g_plus", "g_minus", "h_plus", "h_minus", "E")}
+    padded = np.zeros(grid.n_shells + 1)
+    padded[:j_max + 1] = combine(f)
+    return radial_integral(grid, padded, r)
+
+
+def test_cone_functionals_equal_the_per_surface_formulas(small_history):
+    h = small_history
+    _, r_eval = diag.evaluable_window(h, 2.0)
+    for r in (r_eval, float(h.probe_radii[0]), 0.4137):
+        for v in (0.0, 0.37, 1.0):
+            assert diag.cone_mass(h, v, r) == radial_integral(
+                h.grid, h.profile_at("g_plus", v), r)
+            assert diag.cone_mass(h, v, r, 1.0) == _per_surface_integral(
+                h, v, 1.0, r, lambda f: 0.5 * (f["g_plus"] + f["g_minus"]))
+            assert diag.cone_mass(h, v, r, 2.0) == _per_surface_integral(
+                h, v, 2.0, r, lambda f: f["g_minus"])
+            assert diag.cone_energy(h, v, r, 1.0) == _per_surface_integral(
+                h, v, 1.0, r, lambda f: 0.5 * (f["h_plus"] + f["h_minus"])
+                + 0.5 * f["E"] ** 2)
+            assert diag.cone_energy(h, v, r, 2.0) == _per_surface_integral(
+                h, v, 2.0, r, lambda f: f["h_minus"] + 0.5 * f["E"] ** 2)
+            # the past-cone energy is one integral of h_plus + E^2/2, not
+            # the sum of two, so it agrees to rounding only
+            two = (radial_integral(h.grid, h.profile_at("h_plus", v), r)
+                   + radial_integral(h.grid,
+                                     0.5 * h.profile_at("E", v) ** 2, r))
+            assert diag.cone_energy(h, v, r) == pytest.approx(two, rel=1e-13)
 
 
 def test_evaluable_window(small_history):
@@ -60,7 +97,7 @@ def test_shifted_series_agree_with_past_cone(small_history):
     N0 = float(h.N_wedge[0])
     for which, norm in (("N_slice", N0), ("N_vee", N0)):
         vs, vals, r_eval = diag.functional_series(h, which)
-        ref = diag.past_cone_mass_cont(h, 0.0, r_eval)
+        ref = diag.cone_mass(h, 0.0, r_eval)
         assert np.max(np.abs(vals - ref)) / norm < 5e-3
     with pytest.raises(KeyError):
         diag.functional_series(h, "bogus")
@@ -70,11 +107,10 @@ def test_energy_functionals_positive(small_history):
     h = small_history
     v = 0.5
     r = float(np.max(h.R_slice_max)) + 2.0 * h.grid.dr
-    assert diag.past_cone_energy(h, v, r) > 0.0
-    assert diag.slice_energy(h, v, r) > 0.0
-    assert diag.future_cone_energy(h, v, r) > 0.0
+    for slope in (0.0, 1.0, 2.0):
+        assert diag.cone_energy(h, v, r, slope) > 0.0
     # kinetic energy dominates the rest mass: m <= e pointwise
-    assert diag.past_cone_energy(h, v, r) >= diag.past_cone_mass_cont(h, v, r)
+    assert diag.cone_energy(h, v, r) >= diag.cone_mass(h, v, r)
 
 
 def test_flux_identities_small_scale(small_history):
@@ -83,7 +119,7 @@ def test_flux_identities_small_scale(small_history):
     r_p = float(h.probe_radii[0])
     for v in (0.0, 0.5, 1.0):
         assert abs(diag.mass_identity_residual(h, v, r_p)) < 5e-3 * N0
-    assert abs(diag.future_mass_identity_residual(h, 0.0, r_p)) < 5e-3 * N0
+    assert abs(diag.mass_identity_residual(h, 0.0, r_p, 2.0)) < 5e-3 * N0
     with pytest.raises(ValueError, match="probe"):
         diag.mass_identity_residual(h, 0.0, 0.123456)
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vmcone import (RunConfig, run, step, auto_r_max, field_function,
+from vmcone import (RunConfig, run, step, auto_r_max, IntegrationError,
                     default_probe_radii, nirc_flux, outgoing_radiation,
                     builtin_datum, sample_particles, ShellGrid, deposit,
                     solve_field, eval_field, MomentProfiles)
@@ -65,11 +65,10 @@ def test_step_against_manual_push():
     dv = 1e-3
     pushed, prof, fld = step(parts, grid, dv, picard_iters=1)
 
-    fn = field_function(fld)
     r, w, q = parts.r.copy(), parts.w.copy(), parts.q
 
     def rhs(rr, ww):
-        return char_rhs_reduced(0.0, rr, ww, q, fn(0.0, rr))
+        return char_rhs_reduced(0.0, rr, ww, q, eval_field(fld, rr))
 
     k1r, k1w = rhs(r, w)
     k2r, k2w = rhs(r + 0.5 * dv * k1r, w + 0.5 * dv * k1w)
@@ -96,10 +95,9 @@ def test_ten_step_hand_integration_single_particle():
     for _ in range(10):
         evolved, _, _ = step(evolved, grid, dv, picard_iters=1)
         fld = solve_field(deposit(manual, grid))
-        fn = field_function(fld)
 
         def rhs(rr, ww):
-            return char_rhs_reduced(0.0, rr, ww, manual.q, fn(0.0, rr))
+            return char_rhs_reduced(0.0, rr, ww, manual.q, eval_field(fld, rr))
 
         r, w = manual.r, manual.w
         k1r, k1w = rhs(r, w)
@@ -120,15 +118,29 @@ def test_field_off_run_is_free_streaming():
     assert h.P_wedge[-1] == pytest.approx(h.P_wedge[0], rel=1e-12)
 
 
-def test_field_function_extends_beyond_grid():
+def test_eval_field_extends_beyond_grid():
+    # beyond r_max the source is exhausted: E_r = I(r_max) / r^2, continuous
+    # at r_max
     parts = sample_particles(builtin_datum("shell_polynomial"), 8)
     grid = ShellGrid(r_max=2.0, n_shells=64)
     fld = solve_field(deposit(parts, grid))
-    fn = field_function(fld)
-    inside = fn(0.0, np.array([1.9]))
-    assert inside[0] == pytest.approx(eval_field(fld, 1.9))
-    beyond = fn(0.0, np.array([4.0]))
-    assert beyond[0] == pytest.approx(float(fld.I[-1]) / 16.0)
+    E = eval_field(fld, np.array([1.9, 2.0, 4.0]))
+    assert E[0] == float(np.interp(1.9, grid.edges, fld.I)) / 1.9**2
+    assert E[1] == fld.E[-1]
+    assert E[2] == float(fld.I[-1]) / 16.0
+
+
+def test_run_aborts_name_step_and_v():
+    # an explicit r_max inside the reach of the matter: the deposit after
+    # the first particle leaves the grid fails
+    cfg = small_config(r_max=0.59, v_final=0.5, resolution=(6, 6, 6))
+    with pytest.raises(ValueError,
+                       match=r"^step \d+ \(v=[0-9.]+\): particle \d+ at r="):
+        run(cfg)
+    # a floor above the inner edge of the support: the first push crosses it
+    cfg = small_config(r_floor=0.4, v_final=0.5, resolution=(6, 6, 6))
+    with pytest.raises(IntegrationError, match=r"^step 0 \(v=0\): trajectory"):
+        run(cfg)
 
 
 def test_default_probes_are_grid_nodes():

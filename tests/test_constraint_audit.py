@@ -133,6 +133,37 @@ def test_equivalence_verdict_manufactured_violation():
     assert not verdict["set_kxW2"]
 
 
+def test_incoherent_verdict_names_the_worst_node(monkeypatch):
+    # a tol that the scalar and k x W formulations meet at 3 tol while
+    # |W1|, |W2| <= tol fails: the verdicts disagree
+    import vmcone.constraint_audit as ca
+
+    g = random_field_set(seed=3)
+    res = audit(g)
+    tol = max(res[k] for k in ("scalar1_max", "scalar2_max", "kxW1_max",
+                               "kxW2_max")) / EQUIVALENCE_FACTOR
+    assert max(res["W1_max"], res["W2_max"]) > tol
+    W1_mag = np.linalg.norm(eval_W1(g), axis=-1)
+    built = []
+
+    class Counted(ca.ConstraintStencils):
+        def __init__(self, grid):
+            built.append(grid)
+            super().__init__(grid)
+
+    monkeypatch.setattr(ca, "ConstraintStencils", Counted)
+    verdict = check_equivalence(g, tol)
+    assert not verdict["coherent"]
+    assert len(built) == 1
+    worst = verdict["counterexample"]
+    idx = tuple(worst["index"])
+    assert g.interior_mask()[idx]
+    assert W1_mag[idx] == pytest.approx(np.max(W1_mag[g.interior_mask()]),
+                                        rel=1e-15)
+    assert worst["W1_mag"] == res["W1_max"]
+    assert worst["x"] == [float(g.axes[i]) for i in idx]
+
+
 def test_embedded_slice_consistency(small_history):
     g = embed_symmetric_solution(small_history, 1.0, 33, 0.6, r_cut=0.15)
     res = audit(g)

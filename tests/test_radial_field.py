@@ -129,8 +129,8 @@ def test_eval_field_interpolation_and_domain():
     assert eval_field(fld, 0.0) == 0.0
     vec = eval_field(fld, np.array([0.0, 0.5, 1.0]))
     assert vec.shape == (3,)
-    with pytest.raises(ValueError, match="outside"):
-        eval_field(fld, 1.5)
+    # beyond r_max the enclosed source stays I(r_max)
+    assert eval_field(fld, 1.5) == float(fld.I[-1]) / 1.5**2
     with pytest.raises(ValueError, match="outside"):
         eval_field(fld, -0.1)
 
