@@ -52,96 +52,117 @@ def char_rhs_cartesian(v, x, p, field):
     return dx, dp
 
 
-def char_rhs_reduced(v, r, w, q, E_r):
+def char_rhs_reduced(v, r, w, q, E_r, out=None):
     """Reduced radial system: dr/dv = w/p0, dw/dv = (gamma E_r + q/r^3)/p0.
 
     q is a constant of the motion and never integrated.  Vectorized over
-    particle arrays; E_r is the radial field value(s) at r.
+    particle arrays; E_r is the radial field value(s) at r and is only
+    read.  Returns (dr, dw), the rows of ``out`` (shape (2, n)) when it is
+    given; they also hold the intermediates, so only q/r^3 is allocated.
     """
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0.0):
         raise ValueError("reduced characteristic RHS requires r > 0")
     w = np.asarray(w, dtype=float)
     q = np.asarray(q, dtype=float)
-    gamma = np.sqrt(1.0 + w**2 + q / r**2)
-    p0 = gamma + w
-    dr = w / p0
-    dw = (gamma * np.asarray(E_r, dtype=float) + q / r**3) / p0
+    if out is None:
+        out = np.empty((2,) + np.broadcast_shapes(r.shape, w.shape, q.shape))
+    dr, dw = out[0, ...], out[1, ...]
+    # gamma = sqrt(1 + w^2 + q/r^2) and then p0 = gamma + w live in dr,
+    # q/r^2 and then gamma E_r + q/r^3 in dw
+    np.divide(q, np.multiply(r, r, out=dw), out=dw)
+    np.add(1.0, np.multiply(w, w, out=dr), out=dr)
+    np.sqrt(np.add(dr, dw, out=dr), out=dr)
+    np.multiply(dr, E_r, out=dw)
+    np.add(dr, w, out=dr)
+    dw += q / r**3
+    dw /= dr
+    np.divide(w, dr, out=dr)
     return dr, dw
 
 
-def _steps(v_from, v_to, step):
-    span = v_to - v_from
-    if span == 0.0:
-        return 0, 0.0
-    if step <= 0.0:
+def _integrate(rhs, y, v, v_to, step, scheme, after_step):
+    """Fixed-step rk4 or midpoint of dy/dv = rhs(v, y, out), advancing y in
+    place from v to v_to and calling after_step(v, y) after every step.
+    The stage buffers are allocated once; each combination keeps the
+    association of the textbook formula, so the result is bit for bit that
+    of the form that allocates every stage."""
+    span = v_to - v
+    if span != 0.0 and step <= 0.0:
         raise ValueError("step must be positive")
-    n = max(1, int(np.ceil(abs(span) / step - 1e-12)))
-    return n, span / n
-
-
-def _advance(y, v, dv, rhs, scheme):
-    if scheme == "rk4":
-        k1 = rhs(v, y)
-        k2 = rhs(v + 0.5 * dv, y + 0.5 * dv * k1)
-        k3 = rhs(v + 0.5 * dv, y + 0.5 * dv * k2)
-        k4 = rhs(v + dv, y + dv * k3)
-        return y + (dv / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if scheme == "midpoint":
-        k1 = rhs(v, y)
-        k2 = rhs(v + 0.5 * dv, y + 0.5 * dv * k1)
-        return y + dv * k2
-    raise ValueError(f"unknown scheme {scheme!r}")
+    n = max(1, int(np.ceil(abs(span) / step - 1e-12))) if span else 0
+    dv = span / max(n, 1)
+    if scheme not in ("rk4", "midpoint"):
+        raise ValueError(f"unknown scheme {scheme!r}")
+    k = np.empty((4 if scheme == "rk4" else 2,) + y.shape)
+    ys = np.empty_like(y)
+    half = 0.5 * dv
+    for _ in range(n):
+        rhs(v, y, k[0])
+        np.add(y, np.multiply(k[0], half, out=ys), out=ys)
+        rhs(v + half, ys, k[1])
+        if scheme == "rk4":
+            np.add(y, np.multiply(k[1], half, out=ys), out=ys)
+            rhs(v + half, ys, k[2])
+            np.add(y, np.multiply(k[2], dv, out=ys), out=ys)
+            rhs(v + dv, ys, k[3])
+            # (dv/6) (((k1 + 2 k2) + 2 k3) + k4)
+            np.add(k[0], np.multiply(k[1], 2.0, out=k[1]), out=k[1])
+            k[1] += np.multiply(k[2], 2.0, out=k[2])
+            k[1] += k[3]
+            k[1] *= dv / 6.0
+        else:
+            k[1] *= dv
+        y += k[1]
+        v += dv
+        after_step(v, y)
 
 
 def integrate_reduced(r, w, q, field_fn, v_from, v_to, step,
-                      scheme="rk4", r_floor=1e-10):
+                      scheme="rk4", r_floor=1e-10, record=None):
     """Integrate the reduced system with fixed steps; vectorized over arrays.
 
-    ``field_fn(v, r) -> E_r``.  Reaching ``r <= r_floor`` aborts: with a
-    positive angular-momentum floor no admissible orbit approaches the axis,
-    so this signals invalid data or a bug, not physics.
+    ``field_fn(v, r) -> E_r``; the arrays it returns are only read.
+    Reaching ``r <= r_floor`` aborts: with a positive angular-momentum floor
+    no admissible orbit approaches the axis, so this signals invalid data or
+    a bug, not physics.  ``record(v, y)`` sees y = (r, w) after every step.
     """
-    r = np.atleast_1d(np.asarray(r, dtype=float)).copy()
-    w = np.atleast_1d(np.asarray(w, dtype=float)).copy()
+    y = np.stack([np.atleast_1d(np.asarray(r, dtype=float)),
+                  np.atleast_1d(np.asarray(w, dtype=float))])
     q = np.atleast_1d(np.asarray(q, dtype=float))
 
-    def rhs(v, y):
-        dr, dw = char_rhs_reduced(v, y[0], y[1], q, field_fn(v, y[0]))
-        return np.stack([dr, dw])
+    def rhs(v, y, out):
+        char_rhs_reduced(v, y[0], y[1], q, field_fn(v, y[0]), out)
 
-    n, dv = _steps(v_from, v_to, step)
-    y = np.stack([r, w])
-    v = v_from
-    for _ in range(n):
-        y = _advance(y, v, dv, rhs, scheme)
-        v += dv
+    def after_step(v, y):
         if np.any(y[0] <= r_floor):
             raise IntegrationError(
                 f"trajectory reached r <= r_floor={r_floor:g} at v={v:g}; "
                 "the axis bound sqrt(F)/P is violated")
+        if record is not None:
+            record(v, y)
+
+    _integrate(rhs, y, v_from, v_to, step, scheme, after_step)
     return y[0], y[1]
 
 
 def integrate_cartesian(x, p, field, v_from, v_to, step, scheme="rk4",
                         r_floor=1e-10):
     """Integrate the 6D Cartesian system for phase points ``(..., 3)``."""
-    def rhs(v, y):
-        dx, dp = char_rhs_cartesian(v, y[..., :3], y[..., 3:], field)
-        return np.concatenate([dx, dp], axis=-1)
+    def rhs(v, y, out):
+        out[..., :3], out[..., 3:] = char_rhs_cartesian(
+            v, y[..., :3], y[..., 3:], field)
 
-    n, dv = _steps(v_from, v_to, step)
-    y = np.concatenate([np.asarray(x, float), np.asarray(p, float)], axis=-1)
-    v = v_from
-    for _ in range(n):
-        y = _advance(y, v, dv, rhs, scheme)
-        v += dv
+    def after_step(v, y):
         r = _norm(y[..., :3]).reshape(-1)
         if np.any(r <= r_floor):
             i = int(np.argmax(r <= r_floor))
             raise IntegrationError(
                 f"trajectory {i} (of {r.size}) reached r={r[i]:g} <= "
                 f"r_floor={r_floor:g} at v={v:g}")
+
+    y = np.concatenate([np.asarray(x, float), np.asarray(p, float)], axis=-1)
+    _integrate(rhs, y, v_from, v_to, step, scheme, after_step)
     return y[..., :3], y[..., 3:]
 
 
@@ -149,18 +170,13 @@ def trajectory_reduced(r, w, q, field_fn, v_from, v_to, step, scheme="rk4",
                        r_floor=1e-10):
     """As integrate_reduced for a single orbit, returning dense samples.
 
-    Returns arrays (v, r, w, E_r) at every accepted step.
+    Returns arrays (v, r, w, E_r) at the start and after every step, all
+    from one integration.
     """
-    n, dv = _steps(v_from, v_to, step)
-    q = float(q)
-    vs = np.empty(n + 1)
-    rs = np.empty(n + 1)
-    ws = np.empty(n + 1)
-    vs[0], rs[0], ws[0] = v_from, float(r), float(w)
-    for i in range(n):
-        rr, ww = integrate_reduced(rs[i], ws[i], q, field_fn,
-                                   vs[i], vs[i] + dv, dv, scheme, r_floor)
-        vs[i + 1], rs[i + 1], ws[i + 1] = vs[i] + dv, rr[0], ww[0]
+    samples = [(v_from, float(r), float(w))]
+    integrate_reduced(r, w, q, field_fn, v_from, v_to, step, scheme, r_floor,
+                      lambda v, y: samples.append((v, y[0, 0], y[1, 0])))
+    vs, rs, ws = np.array(samples).T
     Es = np.array([float(np.asarray(field_fn(v, np.array([rr])))[0])
                    for v, rr in zip(vs, rs)])
     return vs, rs, ws, Es

@@ -30,6 +30,8 @@ def _print_report(doc: dict) -> None:
         status = "PASS" if c["passed"] else "FAIL"
         print(f"[{status}] {c['name']}: value {c['value']:.6g} "
               f"(tolerance {c['tolerance']:.6g})")
+    for c in doc.get("skipped", ()):
+        print(f"[SKIP] {c['name']}: {c['reason']}")
     print("overall:", "PASS" if doc["passed"] else "FAIL")
 
 

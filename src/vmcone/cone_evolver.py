@@ -2,9 +2,9 @@
 
 Each step freezes the radial field over [v, v + dv] and integrates the
 reduced characteristics with RK4; an optional Picard correction re-deposits
-at the endpoint and re-pushes with the averaged field, giving second-order
-coupling.  Every step records the moment profiles, the field and a scalar
-series into a SliceHistory.
+the field source g_plus at the endpoint and re-pushes with the averaged
+field, giving second-order coupling.  Every step records the moment
+profiles, the field and a scalar series into a SliceHistory.
 
 The magnetic field is identically zero in spherical symmetry, so the
 incoming and outgoing radiation fluxes vanish structurally; see nirc_flux.
@@ -123,7 +123,7 @@ def step(parts: ParticleSet, grid: ShellGrid, dv: float, picard_iters: int = 2,
         if field_off:
             break
         end = ParticleSet(r1, w1, parts.q, parts.weight, parts.f_value)
-        field1 = solve_field(deposit(end, grid))
+        field1 = solve_field(deposit(end, grid, source_only=True))
         avg = RadialFieldProfile(grid=grid, I=0.5 * (field0.I + field1.I))
         r1, w1 = push(avg)
 

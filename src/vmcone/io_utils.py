@@ -111,6 +111,14 @@ def emit_history(history: SliceHistory, directory) -> None:
         fh.write("\n")
 
 
+def _loadtxt(path, **kwargs):
+    """A CSV body as floats; a ValueError names the file."""
+    try:
+        return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, **kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
 def load_history(directory) -> SliceHistory:
     """Reconstruct a SliceHistory from an emitted run directory."""
     join = lambda name: os.path.join(directory, name)
@@ -119,28 +127,32 @@ def load_history(directory) -> SliceHistory:
     grid = ShellGrid(r_max=meta["r_max"], n_shells=meta["n_shells"])
     n_nodes = grid.n_shells + 1
 
-    prof = np.loadtxt(join("profiles.csv"), delimiter=",", skiprows=1)
-    n_slices = prof.shape[0] // n_nodes
-    shaped = prof.reshape(n_slices, n_nodes, 7)
-    vs = shaped[:, 0, 0]
+    # v is the v of series.csv and r the grid's edges: read neither twice
+    prof = _loadtxt(join("profiles.csv"), usecols=range(2, 7))
+    if prof.shape[0] % n_nodes:
+        raise ValueError(f"{join('profiles.csv')}: {prof.shape[0]} rows are "
+                         f"not a whole number of {n_nodes}-node slices")
+    shaped = prof.reshape(-1, n_nodes, 5)
 
-    series = np.loadtxt(join("series.csv"), delimiter=",", skiprows=1)
-    flux = np.loadtxt(join("fluxes.csv"), delimiter=",", skiprows=1,
-                      ndmin=2)
+    series = _loadtxt(join("series.csv"), usecols=range(len(SERIES_COLUMNS)))
+    if series.shape[0] != shaped.shape[0]:
+        raise ValueError(f"{join('series.csv')}: {series.shape[0]} rows for "
+                         f"{shaped.shape[0]} slices in profiles.csv")
+    flux = _loadtxt(join("fluxes.csv"))
     n_probes = len(meta["probe_radii"])
 
     parts = None
     ppath = join("particles.csv")
     if os.path.exists(ppath):
-        data = np.loadtxt(ppath, delimiter=",", skiprows=1, ndmin=2)
+        data = _loadtxt(ppath)
         if data.size:
             parts = ParticleSet(*(data[:, i].copy() for i in range(5)))
 
     return SliceHistory(
-        grid=grid, vs=vs,
-        g_plus=shaped[:, :, 2], g_minus=shaped[:, :, 3],
-        h_plus=shaped[:, :, 4], h_minus=shaped[:, :, 5],
-        E=shaped[:, :, 6],
+        grid=grid, vs=series[:, 0],
+        g_plus=shaped[:, :, 0], g_minus=shaped[:, :, 1],
+        h_plus=shaped[:, :, 2], h_minus=shaped[:, :, 3],
+        E=shaped[:, :, 4],
         N_wedge=series[:, 1], M_wedge=series[:, 2],
         P_wedge=series[:, 7], R_slice_max=series[:, 8],
         R_min_run=series[:, 9],

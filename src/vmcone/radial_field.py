@@ -57,9 +57,9 @@ class MomentProfiles:
 
     grid: ShellGrid
     g_plus: np.ndarray
-    g_minus: np.ndarray
-    h_plus: np.ndarray
-    h_minus: np.ndarray
+    g_minus: np.ndarray | None = None
+    h_plus: np.ndarray | None = None
+    h_minus: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,7 @@ class RadialFieldProfile:
         return E
 
 
-def deposit(parts, grid: ShellGrid) -> MomentProfiles:
+def deposit(parts, grid: ShellGrid, source_only=False) -> MomentProfiles:
     """Cloud-in-cell deposition of the four moments onto the shell grid.
 
     Per-particle node contributions (omega = weight):
@@ -86,9 +86,13 @@ def deposit(parts, grid: ShellGrid) -> MomentProfiles:
       g_minus <- omega (1 - phat.k) / (1 + phat.k)
       h_plus  <- omega gamma
       h_minus <- omega (gamma - w) / (1 + phat.k)
+
+    ``source_only`` deposits g_plus alone, all that solve_field reads; the
+    other three moments are then None.
     """
-    n_nodes = grid.n_shells + 1
-    sums = np.zeros((4, n_nodes))
+    names = ("g_plus",) if source_only else (
+        "g_plus", "g_minus", "h_plus", "h_minus")
+    sums = np.zeros((len(names), grid.n_shells + 1))
     if len(parts) > 0:
         r = parts.r
         if np.any(r >= grid.r_max) or np.any(r < 0.0):
@@ -96,16 +100,14 @@ def deposit(parts, grid: ShellGrid) -> MomentProfiles:
             raise ValueError(
                 f"particle {i} at r={r[i]:.6g} outside shell grid "
                 f"[0, {grid.r_max:g}); enlarge r_max")
-        gamma = parts.gamma()
-        one_plus = 1.0 + parts.w / gamma
-        one_minus = 1.0 - parts.w / gamma
         omega = parts.weight
-        payloads = (
-            omega,
-            omega * one_minus / one_plus,
-            omega * gamma,
-            omega * (gamma - parts.w) / one_plus,
-        )
+        payloads = [omega]
+        if not source_only:
+            gamma = parts.gamma()
+            one_plus = 1.0 + parts.w / gamma
+            one_minus = 1.0 - parts.w / gamma
+            payloads += [omega * one_minus / one_plus, omega * gamma,
+                         omega * (gamma - parts.w) / one_plus]
         s = r / grid.dr
         j = np.minimum(s.astype(int), grid.n_shells - 1)
         frac = s - j
@@ -113,10 +115,7 @@ def deposit(parts, grid: ShellGrid) -> MomentProfiles:
             np.add.at(sums[row], j, payload * (1.0 - frac))
             np.add.at(sums[row], j + 1, payload * frac)
 
-    vol = grid.node_volumes
-    g_plus, g_minus, h_plus, h_minus = sums / vol
-    return MomentProfiles(grid=grid, g_plus=g_plus, g_minus=g_minus,
-                          h_plus=h_plus, h_minus=h_minus)
+    return MomentProfiles(grid, **dict(zip(names, sums / grid.node_volumes)))
 
 
 def cumulative_source(grid: ShellGrid, g: np.ndarray) -> np.ndarray:
@@ -168,8 +167,8 @@ def eval_field(profile: RadialFieldProfile, r) -> np.ndarray:
     r = np.atleast_1d(r)
     if np.any(r < 0.0):
         raise ValueError("field evaluation outside r >= 0")
-    I = np.interp(r, profile.grid.edges, profile.I)
-    out = np.zeros_like(r)
-    pos = r > 0.0
-    out[pos] = I[pos] / r[pos] ** 2
-    return float(out[0]) if scalar else out
+    # the masked divide leaves r^2 = 0 in place at r = 0
+    E = np.multiply(r, r)
+    np.divide(np.interp(r, profile.grid.edges, profile.I), E, out=E,
+              where=r > 0.0)
+    return float(E[0]) if scalar else E

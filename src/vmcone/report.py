@@ -84,16 +84,22 @@ def diagnose_report(history: SliceHistory) -> dict:
         max(float(np.max(-clearance)), 0.0), 1e-12))
 
     # shifted-functional constancy over the evaluable windows, against the
-    # same functional on the initial past cone
+    # same functional on the initial past cone; "skipped" names the checks
+    # of a series the history is too short for, with the reason
+    skipped = []
     for which, norm, label in (("N_slice", N0, "slice mass"),
                                ("M_slice", M0, "slice energy"),
                                ("N_vee", N0, "future-cone mass"),
                                ("M_vee", M0, "future-cone energy")):
+        fn, slope = diag.SHIFTED_SERIES[which]
         try:
             vs_w, vals, r_eval = diag.functional_series(history, which)
-        except ValueError:
+        except ValueError as exc:
+            kinds = ("constancy", "monotone") if slope == 2.0 else (
+                "constancy",)
+            skipped += [{"name": f"{which}_{kind}", "reason": str(exc)}
+                        for kind in kinds]
             continue
-        fn, slope = diag.SHIFTED_SERIES[which]
         checks.append(_check(
             f"{which}_constancy",
             f"max relative deviation of the {label} series from the initial "
@@ -110,10 +116,11 @@ def diagnose_report(history: SliceHistory) -> dict:
 
     # flux identities between the slice (slope 1) or the future cone
     # (slope 2) and the past cone at the recorded probes, over the window
-    # the history covers
+    # the history covers; "samples" counts the (probe, v) pairs evaluated,
+    # 0 when no probe has a window
     for slope, surface, symbol in ((1.0, "slice", "n"),
                                    (2.0, "future", "nfuture")):
-        worst = 0.0
+        worst, samples = 0.0, 0
         for r_p in history.probe_radii:
             r_p = float(r_p)
             v_top = history.v_final - slope * (r_p + 2.0 * dr)
@@ -121,10 +128,11 @@ def diagnose_report(history: SliceHistory) -> dict:
                 for v in _window_samples(v_top):
                     worst = max(worst, abs(diag.mass_identity_residual(
                         history, float(v), r_p, slope)))
-        checks.append(_check(
+                    samples += 1
+        checks.append(dict(_check(
             f"{surface}_mass_flux_identity",
             f"max |{symbol}(v,r) - npast(v,r) + int flux| / N(0) over probes",
-            worst / N0, TOL_RELATIVE))
+            worst / N0, TOL_RELATIVE), samples=samples))
 
     fd = diag.flux_derivative_checks(history)
     checks.append(_check(
@@ -185,7 +193,7 @@ def diagnose_report(history: SliceHistory) -> dict:
                 f"relative drift of the particle L^{q_exp:g} density invariant",
                 abs(b - a) / max(abs(a), 1e-300), 1e-14))
 
-    return _finish(checks, {"momentum_bound_detail": {
+    return _finish(checks, {"skipped": skipped, "momentum_bound_detail": {
         k: v for k, v in mom.items() if k != "field_bound_violations"}})
 
 

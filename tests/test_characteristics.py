@@ -6,8 +6,10 @@ from vmcone import (IntegrationError, integrate_reduced, integrate_cartesian,
                     flow_jacobian_det, flow_jacobian_exact,
                     embed_reduced_state, one_plus_phat_k)
 from vmcone.characteristics import char_rhs_cartesian, char_rhs_reduced
-from vmcone import report
+from vmcone import (report, builtin_datum, sample_particles, ShellGrid,
+                    deposit, solve_field, eval_field)
 from vmcone.report import jacobian_report, random_states
+from conftest import DESK_DATUM_PARAMS
 
 
 def radial_field_3d(amplitude=0.3):
@@ -38,9 +40,11 @@ def general_field(v, x):
 def test_rhs_rejects_origin():
     with pytest.raises(ValueError, match=r"\|x\| = 0"):
         char_rhs_cartesian(0.0, np.zeros(3), np.ones(3), general_field)
-    with pytest.raises(ValueError, match="r > 0"):
-        char_rhs_reduced(0.0, np.array([0.0]), np.array([0.1]),
-                         np.array([0.01]), 0.0)
+    for out in (None, np.empty((2, 1))):
+        with pytest.raises(ValueError, match=r"^reduced characteristic RHS "
+                                             r"requires r > 0$"):
+            char_rhs_reduced(0.0, np.array([0.0]), np.array([0.1]),
+                             np.array([0.01]), 0.0, out)
 
 
 def test_batched_rhs_rejects_any_row_at_origin():
@@ -193,9 +197,91 @@ def test_zero_span_is_identity():
 def test_r_floor_abort():
     # steady inward drift with negligible angular momentum crosses the floor
     fn = lambda v, r: np.zeros_like(np.asarray(r, dtype=float))
-    with pytest.raises(IntegrationError, match="r_floor"):
+    with pytest.raises(IntegrationError,
+                       match=r"^trajectory reached r <= r_floor=0\.05 at "
+                             r"v=0\.\d+; the axis bound sqrt\(F\)/P is "
+                             r"violated$"):
         integrate_reduced(0.2, -0.3, 1e-12, fn, 0.0, 5.0, 0.01,
                           r_floor=0.05)
+
+
+def _allocating_push(r, w, q, fld, dv, n, scheme):
+    """The push as written before the fused stepper: a stacked state, a
+    field lookup that fills zeros through a boolean index, the reduced RHS
+    in its textbook form and a generic RK step that allocates every
+    stage."""
+    def E_of(r):
+        out = np.zeros_like(r)
+        pos = r > 0.0
+        I = np.interp(r, fld.grid.edges, fld.I)
+        out[pos] = I[pos] / r[pos] ** 2
+        return out
+
+    def rhs(v, y):
+        r, w = y[0], y[1]
+        gamma = np.sqrt(1.0 + w**2 + q / r**2)
+        p0 = gamma + w
+        return np.stack([w / p0, (gamma * E_of(r) + q / r**3) / p0])
+
+    y, v = np.stack([r, w]), 0.0
+    for _ in range(n):
+        k1 = rhs(v, y)
+        k2 = rhs(v + 0.5 * dv, y + 0.5 * dv * k1)
+        if scheme == "rk4":
+            k3 = rhs(v + 0.5 * dv, y + 0.5 * dv * k2)
+            k4 = rhs(v + dv, y + dv * k3)
+            y = y + (dv / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        else:
+            y = y + dv * k2
+        v += dv
+    return y
+
+
+@pytest.fixture(scope="module")
+def desk_particles_in_field():
+    parts = sample_particles(builtin_datum("shell_polynomial",
+                                           DESK_DATUM_PARAMS), (32, 32, 32))
+    return parts, solve_field(deposit(parts, ShellGrid(1.2, 512)))
+
+
+@pytest.mark.parametrize("scheme", ["rk4", "midpoint"])
+def test_fused_push_equals_allocating_push(desk_particles_in_field, scheme):
+    parts, fld = desk_particles_in_field
+    r1, w1 = integrate_reduced(parts.r, parts.w, parts.q,
+                               lambda v, r: eval_field(fld, r), 0.0, 0.02,
+                               0.005, scheme=scheme)
+    ref = _allocating_push(parts.r, parts.w, parts.q, fld, 0.005, 4, scheme)
+    assert len(parts) > 10000
+    assert np.array_equal(r1, ref[0]) and np.array_equal(w1, ref[1])
+
+
+def test_push_only_reads_the_field_arrays(desk_particles_in_field):
+    parts, fld = desk_particles_in_field
+    returned = []
+
+    def field_fn(v, r):
+        E = eval_field(fld, r)
+        returned.append((E, E.copy()))
+        return E
+
+    r0, w0 = parts.r.copy(), parts.w.copy()
+    integrate_reduced(parts.r, parts.w, parts.q, field_fn, 0.0, 0.01, 0.005)
+    assert len(returned) == 8
+    assert all(np.array_equal(E, kept) for E, kept in returned)
+    assert np.array_equal(parts.r, r0) and np.array_equal(parts.w, w0)
+
+
+def test_trajectory_is_one_integration():
+    # the recorded end point is the integrate_reduced end point, bit for bit
+    r0, w0, q0 = 0.6, 0.2, 0.01
+    fn = radial_field_reduced(0.5)
+    vs, rs, ws, Es = trajectory_reduced(r0, w0, q0, fn, 0.0, 0.3, 0.01,
+                                        scheme="midpoint")
+    r1, w1 = integrate_reduced(r0, w0, q0, fn, 0.0, 0.3, 0.01,
+                               scheme="midpoint")
+    assert vs.shape == rs.shape == ws.shape == Es.shape == (31,)
+    assert (rs[0], ws[0]) == (r0, w0)
+    assert rs[-1] == r1[0] and ws[-1] == w1[0]
 
 
 def test_phase_divergence_matches_fd():

@@ -113,6 +113,32 @@ def test_history_round_trip(tmp_path, small_history):
     assert np.array_equal(pf.weight, small_history.particles_final.weight)
 
 
+def test_load_history_names_a_malformed_file(tmp_path, small_history):
+    d = tmp_path / "run"
+    emit_history(small_history, str(d))
+    prof = d / "profiles.csv"
+    lines = prof.read_text().splitlines(keepends=True)
+    # one row short of whole slices
+    prof.write_text("".join(lines[:-1]))
+    with pytest.raises(ValueError, match=r"profiles\.csv: \d+ rows are not "
+                                         r"a whole number of 257-node slices"):
+        load_history(str(d))
+    # the E_r column missing
+    prof.write_text("".join(line.rsplit(",", 1)[0] + "\n" for line in lines))
+    with pytest.raises(ValueError, match=r"profiles\.csv: "):
+        load_history(str(d))
+    prof.write_text("".join(lines))
+    series = d / "series.csv"
+    rows = series.read_text().splitlines(keepends=True)
+    series.write_text("".join(rows[:-1]))
+    with pytest.raises(ValueError, match=r"series\.csv: \d+ rows for \d+ "
+                                         r"slices in profiles\.csv"):
+        load_history(str(d))
+    series.write_text("".join(line.rsplit(",", 1)[0] + "\n" for line in rows))
+    with pytest.raises(ValueError, match=r"series\.csv: "):
+        load_history(str(d))
+
+
 def test_diagnose_report_survives_round_trip(tmp_path, small_history):
     d = str(tmp_path / "run")
     emit_history(small_history, d)
@@ -181,6 +207,16 @@ def test_cli_run_and_diagnose(tmp_path, capsys):
     assert code == (0 if report["passed"] else 1)
     assert all(("name" in c and "value" in c and "tolerance" in c
                 and "passed" in c) for c in report["checks"])
+
+
+def test_cli_prints_the_skipped_checks(tmp_path, capsys):
+    cfg_path = write_config(tmp_path / "cfg.json",
+                            time={"dv": 0.02, "v_final": 0.2})
+    assert main(["run", "--config", cfg_path, "--diagnose"]) == 0
+    skips = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("[SKIP]")]
+    assert len(skips) == 6
+    assert skips[0].startswith("[SKIP] N_slice_constancy: history too short")
 
 
 def test_cli_run_bad_config(tmp_path, capsys):

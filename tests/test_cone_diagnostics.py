@@ -191,3 +191,32 @@ def test_lq_invariant():
         diag.lq_invariant(parts, 0.5)
     empty = ParticleSet(*(np.empty(0) for _ in range(5)))
     assert diag.lq_invariant(empty, 2.0) == 0.0
+
+
+def _flux_identity_samples(doc):
+    return {c["name"]: c["samples"] for c in doc["checks"] if "samples" in c}
+
+
+def test_flux_identity_samples_and_skipped_checks(small_history):
+    from conftest import desk_config
+    from vmcone import run
+    from vmcone.report import diagnose_report
+
+    # 50 desk steps: no probe has a window and no shifted series exists,
+    # so the identities evaluated nothing and the series checks are skipped
+    short = diagnose_report(run(desk_config(v_final=0.25)))
+    assert _flux_identity_samples(short) == {
+        "slice_mass_flux_identity": 0, "future_mass_flux_identity": 0}
+    assert [s["name"] for s in short["skipped"]] == [
+        "N_slice_constancy", "M_slice_constancy", "N_vee_constancy",
+        "N_vee_monotone", "M_vee_constancy", "M_vee_monotone"]
+    assert all("needs v_final" in s["reason"] for s in short["skipped"])
+    assert not {s["name"] for s in short["skipped"]} & {
+        c["name"] for c in short["checks"]}
+
+    full = diagnose_report(small_history)
+    samples = _flux_identity_samples(full)
+    assert set(samples) == {"slice_mass_flux_identity",
+                            "future_mass_flux_identity"}
+    assert all(n > 0 for n in samples.values())
+    assert full["skipped"] == []

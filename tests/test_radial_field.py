@@ -3,7 +3,7 @@ import pytest
 
 from vmcone import (ShellGrid, ParticleSet, deposit, cumulative_source,
                     solve_field, eval_field, builtin_datum, sample_particles)
-from vmcone.radial_field import MomentProfiles
+from vmcone.radial_field import MomentProfiles, RadialFieldProfile
 
 
 def make_parts(r, w, q, weight):
@@ -68,8 +68,24 @@ def test_deposit_cic_split():
 def test_deposit_rejects_out_of_grid():
     grid = ShellGrid(r_max=1.0, n_shells=10)
     parts = make_parts([0.5, 1.2], [0.0, 0.0], [0.01, 0.01], [1.0, 1.0])
-    with pytest.raises(ValueError, match="particle 1"):
-        deposit(parts, grid)
+    for source_only in (False, True):
+        with pytest.raises(ValueError, match=r"^particle 1 at r=1\.2 outside "
+                                             r"shell grid \[0, 1\); enlarge "
+                                             r"r_max$"):
+            deposit(parts, grid, source_only=source_only)
+
+
+def test_source_only_deposit_is_the_full_g_plus():
+    parts = sample_particles(builtin_datum("shell_polynomial"), 8)
+    grid = ShellGrid(r_max=2.0, n_shells=128)
+    full = deposit(parts, grid)
+    src = deposit(parts, grid, source_only=True)
+    assert np.array_equal(src.g_plus, full.g_plus)
+    assert (src.g_minus, src.h_plus, src.h_minus) == (None, None, None)
+    assert np.array_equal(solve_field(src).I, solve_field(full).I)
+    empty = make_parts([], [], [], [])
+    assert np.array_equal(deposit(empty, grid, source_only=True).g_plus,
+                          np.zeros(129))
 
 
 def test_field_of_uniform_source():
@@ -133,6 +149,19 @@ def test_eval_field_interpolation_and_domain():
     assert eval_field(fld, 1.5) == float(fld.I[-1]) / 1.5**2
     with pytest.raises(ValueError, match="outside"):
         eval_field(fld, -0.1)
+
+
+def test_eval_field_is_zero_on_the_axis_whatever_I0():
+    # a hand-built profile with I(0) != 0: r = 0 still gives E = 0, and
+    # r > 0 gives the interpolated I / r^2
+    grid = ShellGrid(r_max=1.0, n_shells=4)
+    fld = RadialFieldProfile(grid, np.array([0.5, 0.7, 1.0, 1.2, 1.3]))
+    r = np.array([0.0, 0.1, 0.25, 0.0, 0.9, 2.0])
+    E = eval_field(fld, r)
+    assert E[0] == 0.0 and E[3] == 0.0 and eval_field(fld, 0.0) == 0.0
+    pos = r > 0.0
+    assert np.array_equal(E[pos], np.interp(r[pos], grid.edges, fld.I)
+                          / r[pos] ** 2)
 
 
 def test_cumulative_source_matches_quadrature():
