@@ -22,9 +22,7 @@ from .cone_evolver import (SliceHistory, run, step, auto_r_max,
                            default_probe_radii, nirc_flux, outgoing_radiation)
 from . import cone_diagnostics
 from .constraint_audit import (GriddedFieldSet, grid_from_functions,
-                               ConstraintStencils, eval_W1, eval_W2,
-                               eval_scalar_constraints, check_identities,
-                               audit, check_equivalence,
+                               constraint_fields, audit, check_equivalence,
                                embed_symmetric_solution, EQUIVALENCE_FACTOR)
 from .io_utils import (emit_series, emit_history, load_history, emit_report,
                        save_grid, load_grid)

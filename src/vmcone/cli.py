@@ -72,20 +72,31 @@ def cmd_diagnose(args) -> int:
     return 0 if doc["passed"] else 1
 
 
+def _audit_grid(args):
+    """The grid to audit: read from --input or embedded from a history."""
+    if args.input:
+        return io_utils.load_grid(args.input)
+    history = io_utils.load_history(args.from_history)
+    extent = (history.grid.r_max / 2.0 if args.extent is None
+              else args.extent)
+    # two grid spacings, or a tenth of the cube; a node count below 2 is
+    # left for GriddedFieldSet to name
+    r_cut = (max(4.0 * extent / max(args.nodes - 1, 1), 0.1 * extent)
+             if args.r_cut is None else args.r_cut)
+    return constraint_audit.embed_symmetric_solution(
+        history, args.v, args.nodes, extent, r_cut)
+
+
 def cmd_audit(args) -> int:
     if bool(args.input) == bool(args.from_history):
         print("give exactly one of --input or --from-history",
               file=sys.stderr)
         return 2
-    if args.input:
-        grid = io_utils.load_grid(args.input)
-    else:
-        history = io_utils.load_history(args.from_history)
-        extent = args.extent or history.grid.r_max / 2.0
-        r_cut = args.r_cut or max(4.0 * extent / (args.nodes - 1),
-                                  0.1 * extent)
-        grid = constraint_audit.embed_symmetric_solution(
-            history, args.v, args.nodes, extent, r_cut)
+    try:
+        grid = _audit_grid(args)
+    except (OSError, ValueError) as exc:
+        print(f"audit input error: {exc}", file=sys.stderr)
+        return 2
     doc = report_mod.audit_report(grid, tol=args.tol)
     _print_report(doc)
     _maybe_emit(doc, args.report)

@@ -81,7 +81,8 @@ class SliceHistory:
         t = v + slope * self.grid.edges[cols]
         vs = self.vs
         lo, hi = float(t.min()), float(t.max())
-        if lo < vs[0] - 1e-9 or hi > vs[-1] + 1e-9:
+        # written so that a NaN time fails too
+        if not (lo >= vs[0] - 1e-9 and hi <= vs[-1] + 1e-9):
             raise ValueError(
                 f"{name} needed at v={hi if hi > vs[-1] else lo:g}, outside "
                 f"recorded history [{vs[0]:g}, {vs[-1]:g}]; "

@@ -26,12 +26,23 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def _cube(n, extent):
+    """Nodes x (n, n, n, 3) of the cube [-extent, extent]^3, their radii r
+    and unit radial vectors k (k = 0 at the origin)."""
+    ax = np.linspace(-extent, extent, n)
+    x = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1)
+    r = np.sqrt(x[..., 0]**2 + x[..., 1]**2 + x[..., 2]**2)
+    return x, r, x / np.where(r > 0.0, r, 1.0)[..., None]
+
+
 @dataclass
 class GriddedFieldSet:
     """Uniform Cartesian grid samples of (E, B, rho, j).
 
     Vector arrays have shape (n, n, n, 3); rho has (n, n, n).  The grid is
-    the cube [-extent, extent]^3 with n nodes per axis and spacing h.
+    the cube [-extent, extent]^3 with n >= 3 nodes per axis and spacing h.
+    Construction fails unless at least one interior node lies outside the
+    excluded ball r < r_cut, so an audit never passes by checking nothing.
     """
 
     n: int
@@ -43,8 +54,29 @@ class GriddedFieldSet:
     r_cut: float
 
     def __post_init__(self):
+        if self.n < 3:
+            raise ValueError(f"a grid needs at least 3 nodes per axis, "
+                             f"got n = {self.n}")
+        if not (np.isfinite(self.extent) and self.extent > 0.0):
+            raise ValueError(f"extent must be positive and finite, "
+                             f"got {self.extent}")
+        if not np.isfinite(self.r_cut):
+            raise ValueError(f"r_cut must be finite, got {self.r_cut}")
+        vec, sca = (self.n,) * 3 + (3,), (self.n,) * 3
+        for name, shape in (("E", vec), ("B", vec), ("rho", sca), ("j", vec)):
+            if np.shape(getattr(self, name)) != shape:
+                raise ValueError(f"{name} has shape "
+                                 f"{np.shape(getattr(self, name))}, "
+                                 f"expected {shape}")
         if self.r_cut < 2.0 * self.h:
             raise ValueError("r_cut must be at least 2 grid spacings")
+        # the interior node farthest out, in the arithmetic of _cube
+        a = max(abs(self.axes[1]), abs(self.axes[-2]))
+        r_far = float(np.sqrt(a**2 + a**2 + a**2))
+        if self.r_cut > r_far:
+            raise ValueError(f"r_cut {self.r_cut:g} exceeds {r_far:g}, the "
+                             f"largest interior radius: no node would be "
+                             f"checked")
 
     @property
     def h(self) -> float:
@@ -54,33 +86,21 @@ class GriddedFieldSet:
     def axes(self) -> np.ndarray:
         return np.linspace(-self.extent, self.extent, self.n)
 
-    def coords(self):
-        ax = self.axes
-        return np.meshgrid(ax, ax, ax, indexing="ij")
-
-    def radius(self) -> np.ndarray:
-        X, Y, Z = self.coords()
-        return np.sqrt(X**2 + Y**2 + Z**2)
-
-    def unit_radial(self) -> np.ndarray:
-        X, Y, Z = self.coords()
-        r = np.sqrt(X**2 + Y**2 + Z**2)
-        r = np.where(r > 0.0, r, 1.0)
-        return np.stack([X / r, Y / r, Z / r], axis=-1)
+    def points(self) -> np.ndarray:
+        """Node coordinates, shape (n, n, n, 3)."""
+        return _cube(self.n, self.extent)[0]
 
     def interior_mask(self) -> np.ndarray:
         """Nodes where stencils are valid: one-node margin and r >= r_cut."""
         mask = np.zeros((self.n,) * 3, dtype=bool)
         mask[1:-1, 1:-1, 1:-1] = True
-        return mask & (self.radius() >= self.r_cut)
+        return mask & (_cube(self.n, self.extent)[1] >= self.r_cut)
 
 
 def grid_from_functions(n, extent, r_cut, E_fn, B_fn, rho_fn, j_fn):
     """Sample callables E(x), B(x), rho(x), j(x) on the cube grid; each
     callable takes stacked coordinates of shape (..., 3)."""
-    ax = np.linspace(-extent, extent, n)
-    X, Y, Z = np.meshgrid(ax, ax, ax, indexing="ij")
-    pts = np.stack([X, Y, Z], axis=-1)
+    pts = _cube(n, extent)[0]
     return GriddedFieldSet(n=n, extent=extent, r_cut=r_cut,
                            E=np.asarray(E_fn(pts), dtype=float),
                            B=np.asarray(B_fn(pts), dtype=float),
@@ -88,131 +108,67 @@ def grid_from_functions(n, extent, r_cut, E_fn, B_fn, rho_fn, j_fn):
                            j=np.asarray(j_fn(pts), dtype=float))
 
 
-def _partials(vec, h):
-    """d[i][j] = d(vec_j)/d(x_i), central differences."""
-    return [[np.gradient(vec[..., j], h, axis=i, edge_order=2)
-             for j in range(3)] for i in range(3)]
-
-
-def _curl(d):
-    return np.stack([d[1][2] - d[2][1],
-                     d[2][0] - d[0][2],
-                     d[0][1] - d[1][0]], axis=-1)
-
-
-def _div(d):
-    return d[0][0] + d[1][1] + d[2][2]
+def _curl_div(F, h):
+    """Curl and divergence of a (n, n, n, 3) field, central differences."""
+    # d[i][..., j] = dF_j / dx_i
+    d = np.gradient(F, h, axis=(0, 1, 2), edge_order=2)
+    curl = np.stack([d[1][..., 2] - d[2][..., 1],
+                     d[2][..., 0] - d[0][..., 2],
+                     d[0][..., 1] - d[1][..., 0]], axis=-1)
+    return curl, d[0][..., 0] + d[1][..., 1] + d[2][..., 2]
 
 
 def _dot(a, b):
     return np.einsum("...i,...i->...", a, b)
 
 
-def _cross(a, b):
-    return np.cross(a, b)
+def constraint_fields(grid: GriddedFieldSet) -> dict:
+    """Residual fields of every constraint formulation at every node.
 
-
-class ConstraintStencils:
-    """All shared finite-difference derivative fields of one field set."""
-
-    def __init__(self, grid: GriddedFieldSet):
-        h = grid.h
-        self.grid = grid
-        self.k = grid.unit_radial()
-        dE = _partials(grid.E, h)
-        dB = _partials(grid.B, h)
-        self.curl_E = _curl(dE)
-        self.curl_B = _curl(dB)
-        self.div_E = _div(dE)
-        self.div_B = _div(dB)
-        self.source = grid.rho + _dot(grid.j, self.k)
-
-
-def eval_W1(grid: GriddedFieldSet, st: ConstraintStencils | None = None):
-    st = st or ConstraintStencils(grid)
-    k = st.k
-    return (_cross(k, st.curl_B) - k * st.div_B[..., None]
-            + st.curl_E - _cross(k, grid.j))
-
-
-def eval_W2(grid: GriddedFieldSet, st: ConstraintStencils | None = None):
-    st = st or ConstraintStencils(grid)
-    k = st.k
-    return (st.curl_B + k * st.div_E[..., None] - _cross(k, st.curl_E)
-            - grid.rho[..., None] * k - grid.j)
-
-
-def eval_scalar_constraints(grid: GriddedFieldSet,
-                            st: ConstraintStencils | None = None):
-    """Residuals of div B - k.curl E and k.curl B + div E - (rho + j.k)."""
-    st = st or ConstraintStencils(grid)
-    s1 = st.div_B - _dot(st.k, st.curl_E)
-    s2 = _dot(st.k, st.curl_B) + st.div_E - st.source
-    return s1, s2
-
-
-def _norms(field, mask):
-    """(max, L2) norms of a scalar or vector residual over masked nodes."""
-    if field.ndim == 4:
-        mag = np.sqrt(_dot(field, field))
-    else:
-        mag = np.abs(field)
-    vals = mag[mask]
-    if vals.size == 0:
-        return 0.0, 0.0
-    return float(np.max(vals)), float(np.sqrt(np.mean(vals**2)))
-
-
-def check_identities(grid: GriddedFieldSet,
-                     st: ConstraintStencils | None = None,
-                     W1=None, W2=None) -> dict:
-    """Residuals of the recombination identities between W1 and W2.
-
-    These are exact algebraic consequences of the shared derivative
-    fields, so the residuals sit at machine precision for arbitrary data.
-    W1 and W2 are evaluated from the stencils unless given.
+    W1 and W2 (vectors), scalar1 = div B - k.curl E and
+    scalar2 = k.curl B + div E - (rho + j.k), the projections kxW1 and
+    kxW2, and the residuals identity1 = W1 - (k x W2 - k scalar1) and
+    identity2 = W2 - (-k x W1 + k scalar2) of the recombination
+    identities.  These are exact algebraic consequences of the shared
+    derivative fields, so they sit at machine precision for any data.
     """
-    st = st or ConstraintStencils(grid)
-    k = st.k
-    W1 = eval_W1(grid, st) if W1 is None else W1
-    W2 = eval_W2(grid, st) if W2 is None else W2
-    id1 = W1 - (_cross(k, W2)
-                + k * (_dot(k, st.curl_E) - st.div_B)[..., None])
-    id2 = W2 - (-_cross(k, W1)
-                + k * (_dot(k, st.curl_B) + st.div_E - st.source)[..., None])
-    mask = grid.interior_mask()
-    scale = max(_norms(W1, mask)[0], _norms(W2, mask)[0], 1e-300)
-    return {
-        "identity1_max": _norms(id1, mask)[0],
-        "identity2_max": _norms(id2, mask)[0],
-        "identity1_rel": _norms(id1, mask)[0] / scale,
-        "identity2_rel": _norms(id2, mask)[0] / scale,
-        "scale": scale,
-    }
+    k = _cube(grid.n, grid.extent)[2]
+    curl_E, div_E = _curl_div(grid.E, grid.h)
+    curl_B, div_B = _curl_div(grid.B, grid.h)
+    rho, j = grid.rho, grid.j
+    s1 = div_B - _dot(k, curl_E)
+    s2 = _dot(k, curl_B) + div_E - (rho + _dot(j, k))
+    W1 = (np.cross(k, curl_B) - k * div_B[..., None] + curl_E
+          - np.cross(k, j))
+    W2 = (curl_B + k * div_E[..., None] - np.cross(k, curl_E)
+          - rho[..., None] * k - j)
+    kxW1, kxW2 = np.cross(k, W1), np.cross(k, W2)
+    return {"W1": W1, "W2": W2, "scalar1": s1, "scalar2": s2,
+            "kxW1": kxW1, "kxW2": kxW2,
+            "identity1": W1 - (kxW2 + k * (-s1)[..., None]),
+            "identity2": W2 - (-kxW1 + k * s2[..., None])}
 
 
 def audit(grid: GriddedFieldSet) -> dict:
-    """All residual norms of one field set (max and L2, interior nodes),
-    and the interior node of the largest |W1|."""
-    st = ConstraintStencils(grid)
+    """All residual norms of one field set (max and L2 over interior nodes;
+    max alone, and relative to the larger of max|W1|, max|W2|, for the
+    identities), and the interior node of the largest |W1|."""
     mask = grid.interior_mask()
-    W1 = eval_W1(grid, st)
-    W2 = eval_W2(grid, st)
-    s1, s2 = eval_scalar_constraints(grid, st)
-    kW1 = _cross(st.k, W1)
-    kW2 = _cross(st.k, W2)
-    W1_mag = np.sqrt(_dot(W1, W1))
+    vals = {name: (np.sqrt(_dot(f, f)) if f.ndim == 4 else np.abs(f))[mask]
+            for name, f in constraint_fields(grid).items()}
     out = {}
-    for name, fld in (("W1", W1_mag), ("W2", W2), ("scalar1", s1),
-                      ("scalar2", s2), ("kxW1", kW1), ("kxW2", kW2)):
-        mx, l2 = _norms(fld, mask)
-        out[name + "_max"] = mx
-        out[name + "_l2"] = l2
-    out["W1_max_node"] = [int(i) for i in np.unravel_index(
-        int(np.argmax(np.where(mask, W1_mag, -1.0))), mask.shape)]
-    out.update(check_identities(grid, st, W1, W2))
+    for name in ("W1", "W2", "scalar1", "scalar2", "kxW1", "kxW2"):
+        out[name + "_max"] = float(np.max(vals[name]))
+        out[name + "_l2"] = float(np.sqrt(np.mean(vals[name]**2)))
+    node = np.flatnonzero(mask)[np.argmax(vals["W1"])]
+    out["W1_max_node"] = [int(i) for i in np.unravel_index(node, mask.shape)]
+    scale = max(out["W1_max"], out["W2_max"], 1e-300)
+    for name in ("identity1", "identity2"):
+        out[name + "_max"] = float(np.max(vals[name]))
+        out[name + "_rel"] = out[name + "_max"] / scale
+    out["scale"] = scale
     out["h"] = grid.h
-    out["nodes_checked"] = int(np.count_nonzero(mask))
+    out["nodes_checked"] = int(vals["W1"].size)
     return out
 
 
@@ -283,11 +239,8 @@ def embed_symmetric_solution(history, v: float, n: int, extent: float,
     sp_p = LSQUnivariateSpline(grid_r.edges, I_plus, knots, k=5)
     sp_m = LSQUnivariateSpline(grid_r.edges, I_minus, knots, k=5)
 
-    ax = np.linspace(-extent, extent, n)
-    X, Y, Z = np.meshgrid(ax, ax, ax, indexing="ij")
-    r = np.sqrt(X**2 + Y**2 + Z**2)
+    _, r, k = _cube(n, extent)
     r_safe = np.where(r > 0.0, r, 1.0)
-    kx, ky, kz = X / r_safe, Y / r_safe, Z / r_safe
 
     def ev(spline, rr):
         return spline(rr.ravel()).reshape(rr.shape)
@@ -298,8 +251,7 @@ def embed_symmetric_solution(history, v: float, n: int, extent: float,
     rho = 0.5 * (gp + gm)
     j_r = 0.5 * (gp - gm)
 
-    E = np.stack([E_r * kx, E_r * ky, E_r * kz], axis=-1)
-    j = np.stack([j_r * kx, j_r * ky, j_r * kz], axis=-1)
-    B = np.zeros_like(E)
+    E = E_r[..., None] * k
     return GriddedFieldSet(n=n, extent=extent, r_cut=r_cut,
-                           E=E, B=B, rho=rho, j=j)
+                           E=E, B=np.zeros_like(E), rho=rho,
+                           j=j_r[..., None] * k)

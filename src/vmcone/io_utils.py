@@ -8,6 +8,7 @@ byte-identical output files.
 from __future__ import annotations
 
 import json
+import math
 import os
 
 import numpy as np
@@ -178,45 +179,55 @@ def emit_report(report: dict, path) -> None:
 # binary grid-file format for the 3D constraint audit
 
 GRID_MAGIC = b"VMCONE-GRID-1\n"
+# the one layout save_grid writes and load_grid accepts
+GRID_LAYOUT = {"dtype": "<f8", "order": "C", "arrays": ["E", "B", "rho", "j"]}
 
 
 def save_grid(grid, path) -> None:
     """Self-describing binary field set: magic, one JSON header line, then
     little-endian float64 node-major (C-order) arrays E, B, rho, j."""
-    header = {
-        "n": grid.n,
-        "extent": grid.extent,
-        "r_cut": grid.r_cut,
-        "dtype": "<f8",
-        "order": "C",
-        "arrays": ["E", "B", "rho", "j"],
-    }
+    header = {"n": grid.n, "extent": grid.extent, "r_cut": grid.r_cut,
+              **GRID_LAYOUT}
     with open(path, "wb") as fh:
         fh.write(GRID_MAGIC)
         fh.write((json.dumps(header, sort_keys=True) + "\n").encode())
-        for name in header["arrays"]:
+        for name in GRID_LAYOUT["arrays"]:
             arr = np.ascontiguousarray(getattr(grid, name), dtype="<f8")
             fh.write(arr.tobytes())
 
 
 def load_grid(path):
+    """Read a save_grid file.  Anything but that exact layout, with a body
+    of exactly the header's size, raises a ValueError naming the file."""
     from .constraint_audit import GriddedFieldSet
 
-    with open(path, "rb") as fh:
-        magic = fh.read(len(GRID_MAGIC))
-        if magic != GRID_MAGIC:
-            raise ValueError(f"{path}: not a vmcone grid file")
-        header = json.loads(fh.readline().decode())
-        n = int(header["n"])
-        shapes = {"E": (n, n, n, 3), "B": (n, n, n, 3),
-                  "rho": (n, n, n), "j": (n, n, n, 3)}
-        arrays = {}
-        for name in header["arrays"]:
-            shape = shapes[name]
-            count = int(np.prod(shape))
-            buf = fh.read(count * 8)
-            if len(buf) != count * 8:
-                raise ValueError(f"{path}: truncated array {name!r}")
-            arrays[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
-    return GriddedFieldSet(n=n, extent=float(header["extent"]),
-                           r_cut=float(header["r_cut"]), **arrays)
+    try:
+        with open(path, "rb") as fh:
+            if fh.read(len(GRID_MAGIC)) != GRID_MAGIC:
+                raise ValueError("not a vmcone grid file")
+            header = json.loads(fh.readline())
+            if not isinstance(header, dict):
+                raise ValueError("header is not a JSON object")
+            for key, want in GRID_LAYOUT.items():
+                if header.get(key) != want:
+                    raise ValueError(f"header {key} is {header.get(key)!r}, "
+                                     f"expected {want!r}")
+            n = header.get("n")
+            if type(n) is not int or n < 0:
+                raise ValueError(f"header n is {n!r}, expected a count")
+            for key in ("extent", "r_cut"):
+                if type(header.get(key)) not in (int, float):
+                    raise ValueError(f"header {key} is {header.get(key)!r}, "
+                                     f"expected a number")
+            shapes = [(n, n, n, 3), (n, n, n, 3), (n, n, n), (n, n, n, 3)]
+            body = 8 * sum(math.prod(s) for s in shapes)
+            size = os.fstat(fh.fileno()).st_size - fh.tell()
+            if size != body:
+                raise ValueError(f"body is {size} bytes, expected {body} "
+                                 f"for n = {n}")
+            arrays = {name: np.fromfile(fh, "<f8", math.prod(s)).reshape(s)
+                      for name, s in zip(GRID_LAYOUT["arrays"], shapes)}
+        return GriddedFieldSet(n=n, extent=float(header["extent"]),
+                               r_cut=float(header["r_cut"]), **arrays)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

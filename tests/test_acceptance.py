@@ -10,9 +10,9 @@ import pytest
 
 from vmcone import (run, flow_jacobian_det, flow_jacobian_exact,
                     phase_divergence, phase_divergence_fd,
-                    embed_symmetric_solution, check_identities,
-                    check_equivalence, grid_from_functions, audit,
-                    emit_history, nirc_flux, outgoing_radiation)
+                    embed_symmetric_solution, check_equivalence,
+                    grid_from_functions, audit, emit_history, nirc_flux,
+                    outgoing_radiation)
 from vmcone import cone_diagnostics as diag
 from vmcone.report import random_states
 
@@ -167,8 +167,8 @@ def test_criterion_11_constraint_audit(desk_history):
     worst_id = 0.0
     for seed in range(100):
         g = random_field_set(n=13, extent=1.0, seed=seed, r_cut=0.4)
-        ids = check_identities(g)
-        worst_id = max(worst_id, ids["identity1_rel"], ids["identity2_rel"])
+        res = audit(g)
+        worst_id = max(worst_id, res["identity1_rel"], res["identity2_rel"])
     _verdict(11, "recombination identities on 100 random field sets",
              worst_id, 1e-12)
 

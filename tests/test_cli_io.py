@@ -268,6 +268,23 @@ def test_cli_audit_from_history(tmp_path, capsys):
     report = json.loads((tmp_path / "audit.json").read_text())
     assert report["passed"]
     assert report["equivalence"]["coherent"]
+    capsys.readouterr()
+    # a grid that checks no node, too few nodes, a slice outside the
+    # history and a cube past the shell grid are input errors, never a PASS
+    for extra, message in ((["--r-cut", "100"], "no node would be checked"),
+                           (["--nodes", "2"], "at least 3 nodes"),
+                           (["--nodes", "1"], "at least 3 nodes"),
+                           (["--extent", "0"], "extent must be positive"),
+                           (["--r-cut", "0"], "at least 2 grid spacings"),
+                           (["--v", "50"], "outside recorded history"),
+                           (["--v", "nan"], "outside recorded history"),
+                           (["--extent", "100"], "exceeds the shell grid")):
+        code = main(["audit-constraints", "--from-history",
+                     str(tmp_path / "out"), "--v", "1.0"] + extra)
+        captured = capsys.readouterr()
+        assert code == 2, extra
+        assert message in captured.err, extra
+        assert "overall" not in captured.out, extra
 
 
 def test_cli_audit_from_grid_file(tmp_path, capsys):
@@ -284,6 +301,14 @@ def test_cli_audit_from_grid_file(tmp_path, capsys):
     assert main(["audit-constraints"]) == 2
     assert main(["audit-constraints", "--input", str(path),
                  "--from-history", "x"]) == 2
+    capsys.readouterr()
+    corrupt = tmp_path / "corrupt.vmgrid"
+    corrupt.write_bytes(path.read_bytes()[:-8])
+    for bad in (corrupt, tmp_path / "missing.vmgrid"):
+        assert main(["audit-constraints", "--input", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert str(bad) in captured.err
+        assert "overall" not in captured.out
 
 
 def test_cli_version(capsys):

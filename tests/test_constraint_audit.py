@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from vmcone import (GriddedFieldSet, grid_from_functions, ConstraintStencils,
-                    eval_W1, eval_W2, eval_scalar_constraints, check_identities,
+from vmcone import (GriddedFieldSet, grid_from_functions, constraint_fields,
                     audit, check_equivalence, embed_symmetric_solution,
                     EQUIVALENCE_FACTOR, save_grid, load_grid)
 
@@ -66,16 +65,162 @@ def random_field_set(n=17, extent=1.0, seed=0, r_cut=0.3):
         j_fn=lambda x: np.stack([smooth(x, c) for c in cj], axis=-1))
 
 
+def _zero_fields(n):
+    return dict(E=np.zeros((n, n, n, 3)), B=np.zeros((n, n, n, 3)),
+                rho=np.zeros((n, n, n)), j=np.zeros((n, n, n, 3)))
+
+
 def test_grid_geometry_and_validation():
     g = random_field_set(n=17)
     assert g.h == pytest.approx(0.125)
+    pts = g.points()
+    assert pts.shape == (17, 17, 17, 3)
+    assert np.array_equal(pts[3, 5, 7], g.axes[[3, 5, 7]])
     mask = g.interior_mask()
     assert not mask[0].any() and not mask[-1].any()
-    assert np.all(g.radius()[mask] >= g.r_cut)
+    assert np.all(np.linalg.norm(pts, axis=-1)[mask] >= g.r_cut)
     with pytest.raises(ValueError, match="r_cut"):
-        GriddedFieldSet(n=9, extent=1.0, r_cut=0.01,
-                        E=np.zeros((9, 9, 9, 3)), B=np.zeros((9, 9, 9, 3)),
-                        rho=np.zeros((9, 9, 9)), j=np.zeros((9, 9, 9, 3)))
+        GriddedFieldSet(n=9, extent=1.0, r_cut=0.01, **_zero_fields(9))
+
+
+@pytest.mark.parametrize("n, extent, r_cut, match", [
+    (2, 1.0, 2.0, "at least 3 nodes"),
+    (1, 1.0, 2.0, "at least 3 nodes"),
+    (9, float("nan"), 0.5, "extent must be positive and finite"),
+    (9, float("inf"), 0.5, "extent must be positive and finite"),
+    (9, -1.0, 0.5, "extent must be positive and finite"),
+    (9, 1.0, float("nan"), "r_cut must be finite"),
+    (9, 1.0, float("inf"), "r_cut must be finite"),
+    # (extent - h) sqrt(3) = 0.75 sqrt(3) bounds the interior radii
+    (9, 1.0, 100.0, "no node would be checked"),
+    (9, 1.0, 1.3, "no node would be checked"),
+])
+def test_grid_rejects_geometry_that_checks_nothing(n, extent, r_cut, match):
+    with pytest.raises(ValueError, match=match):
+        GriddedFieldSet(n=n, extent=extent, r_cut=r_cut, **_zero_fields(n))
+
+
+@pytest.mark.parametrize("n, extent", [(9, 1.0), (11, 1.0), (17, 0.7),
+                                       (33, 0.6)])
+def test_grid_r_cut_limit_is_the_farthest_interior_radius(n, extent):
+    # the limit is the largest radius of an interior node, in the
+    # arithmetic of the mask: an r_cut there checks the nodes at that
+    # radius (up to one per octant; linspace is not exactly symmetric)
+    # and the next double up checks none
+    x = np.linspace(-extent, extent, n)[1:-1]
+    X, Y, Z = np.meshgrid(x, x, x, indexing="ij")
+    R = np.sqrt(X**2 + Y**2 + Z**2)
+    r_far = np.max(R)
+    g = GriddedFieldSet(n=n, extent=extent, r_cut=r_far, **_zero_fields(n))
+    assert audit(g)["nodes_checked"] == np.count_nonzero(R == r_far) >= 1
+    with pytest.raises(ValueError, match="no node would be checked"):
+        GriddedFieldSet(n=n, extent=extent, r_cut=np.nextafter(r_far, 2.0),
+                        **_zero_fields(n))
+
+
+@pytest.mark.parametrize("name, shape", [
+    ("E", (9, 9, 9)), ("B", (9, 9, 9, 2)), ("rho", (9, 9, 9, 1)),
+    ("j", (8, 9, 9, 3))])
+def test_grid_rejects_misshapen_arrays(name, shape):
+    fields = _zero_fields(9)
+    fields[name] = np.zeros(shape)
+    with pytest.raises(ValueError, match=f"{name} has shape"):
+        GriddedFieldSet(n=9, extent=1.0, r_cut=0.5, **fields)
+
+
+# The constraint formulas as they were written before constraint_fields
+# shared one derivative pass: the reference the fused code must match bit
+# for bit.
+def _reference_fields(g):
+    ax = np.linspace(-g.extent, g.extent, g.n)
+    X, Y, Z = np.meshgrid(ax, ax, ax, indexing="ij")
+    r = np.sqrt(X**2 + Y**2 + Z**2)
+    mask = np.zeros((g.n,) * 3, dtype=bool)
+    mask[1:-1, 1:-1, 1:-1] = True
+    mask &= r >= g.r_cut
+    r = np.where(r > 0.0, r, 1.0)
+    k = np.stack([X / r, Y / r, Z / r], axis=-1)
+
+    def partials(vec):
+        return [[np.gradient(vec[..., j], g.h, axis=i, edge_order=2)
+                 for j in range(3)] for i in range(3)]
+
+    def curl(d):
+        return np.stack([d[1][2] - d[2][1], d[2][0] - d[0][2],
+                         d[0][1] - d[1][0]], axis=-1)
+
+    def dot(a, b):
+        return np.einsum("...i,...i->...", a, b)
+
+    dE, dB = partials(g.E), partials(g.B)
+    curl_E, curl_B = curl(dE), curl(dB)
+    div_E = dE[0][0] + dE[1][1] + dE[2][2]
+    div_B = dB[0][0] + dB[1][1] + dB[2][2]
+    source = g.rho + dot(g.j, k)
+    W1 = (np.cross(k, curl_B) - k * div_B[..., None] + curl_E
+          - np.cross(k, g.j))
+    W2 = (curl_B + k * div_E[..., None] - np.cross(k, curl_E)
+          - g.rho[..., None] * k - g.j)
+    fields = {
+        "W1": W1, "W2": W2,
+        "scalar1": div_B - dot(k, curl_E),
+        "scalar2": dot(k, curl_B) + div_E - source,
+        "kxW1": np.cross(k, W1), "kxW2": np.cross(k, W2),
+        "identity1": W1 - (np.cross(k, W2)
+                           + k * (dot(k, curl_E) - div_B)[..., None]),
+        "identity2": W2 - (-np.cross(k, W1)
+                           + k * (dot(k, curl_B) + div_E - source)[..., None]),
+    }
+    return fields, mask
+
+
+def _reference_audit(g):
+    fields, mask = _reference_fields(g)
+
+    def norms(field):
+        mag = (np.sqrt(np.einsum("...i,...i->...", field, field))
+               if field.ndim == 4 else np.abs(field))
+        vals = mag[mask]
+        return float(np.max(vals)), float(np.sqrt(np.mean(vals**2)))
+
+    out = {}
+    for name in ("W1", "W2", "scalar1", "scalar2", "kxW1", "kxW2"):
+        out[name + "_max"], out[name + "_l2"] = norms(fields[name])
+    W1_mag = np.sqrt(np.einsum("...i,...i->...", fields["W1"], fields["W1"]))
+    out["W1_max_node"] = [int(i) for i in np.unravel_index(
+        int(np.argmax(np.where(mask, W1_mag, -1.0))), mask.shape)]
+    scale = max(out["W1_max"], out["W2_max"], 1e-300)
+    for name in ("identity1", "identity2"):
+        out[name + "_max"] = norms(fields[name])[0]
+        out[name + "_rel"] = out[name + "_max"] / scale
+    out["scale"] = scale
+    out["h"] = g.h
+    out["nodes_checked"] = int(np.count_nonzero(mask))
+    return out
+
+
+def _assert_matches_reference(g):
+    fields, mask = _reference_fields(g)
+    got = constraint_fields(g)
+    assert got.keys() == fields.keys()
+    for name in fields:
+        assert np.array_equal(got[name], fields[name]), name
+    assert np.array_equal(g.interior_mask(), mask)
+    res, ref = audit(g), _reference_audit(g)
+    assert res.keys() == ref.keys()
+    for key in ref:
+        assert res[key] == ref[key], key
+        assert type(res[key]) is type(ref[key]), key
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_constraint_fields_match_reference_formulas(seed):
+    _assert_matches_reference(random_field_set(seed=seed))
+
+
+def test_constraint_fields_match_reference_on_embedded_slice(small_history):
+    _assert_matches_reference(
+        embed_symmetric_solution(small_history, 1.0, 33, 0.6, r_cut=0.15))
 
 
 def test_consistent_ball_satisfies_constraints():
@@ -93,20 +238,9 @@ def test_recombination_identities_on_random_fields():
     # the identities are algebraic in the shared stencils, so they hold at
     # machine precision even on constraint-violating data
     for seed in range(5):
-        g = random_field_set(seed=seed)
-        ids = check_identities(g)
-        assert ids["identity1_rel"] <= 1e-12
-        assert ids["identity2_rel"] <= 1e-12
-
-
-def test_shared_stencils_reused():
-    g = random_field_set(seed=3)
-    st = ConstraintStencils(g)
-    assert np.array_equal(eval_W1(g, st), eval_W1(g))
-    assert np.array_equal(eval_W2(g, st), eval_W2(g))
-    s1a, s2a = eval_scalar_constraints(g, st)
-    s1b, s2b = eval_scalar_constraints(g)
-    assert np.array_equal(s1a, s1b) and np.array_equal(s2a, s2b)
+        res = audit(random_field_set(seed=seed))
+        assert res["identity1_rel"] <= 1e-12
+        assert res["identity2_rel"] <= 1e-12
 
 
 def test_equivalence_verdict_consistent_data():
@@ -143,15 +277,15 @@ def test_incoherent_verdict_names_the_worst_node(monkeypatch):
     tol = max(res[k] for k in ("scalar1_max", "scalar2_max", "kxW1_max",
                                "kxW2_max")) / EQUIVALENCE_FACTOR
     assert max(res["W1_max"], res["W2_max"]) > tol
-    W1_mag = np.linalg.norm(eval_W1(g), axis=-1)
+    W1_mag = np.linalg.norm(constraint_fields(g)["W1"], axis=-1)
     built = []
+    real = ca.constraint_fields
 
-    class Counted(ca.ConstraintStencils):
-        def __init__(self, grid):
-            built.append(grid)
-            super().__init__(grid)
+    def counted(grid):
+        built.append(grid)
+        return real(grid)
 
-    monkeypatch.setattr(ca, "ConstraintStencils", Counted)
+    monkeypatch.setattr(ca, "constraint_fields", counted)
     verdict = check_equivalence(g, tol)
     assert not verdict["coherent"]
     assert len(built) == 1
@@ -202,6 +336,88 @@ def test_grid_file_round_trip(tmp_path):
     bad.write_bytes(b"not a grid file at all")
     with pytest.raises(ValueError, match="not a vmcone grid"):
         load_grid(bad)
+
+
+def _grid_file_parts(tmp_path):
+    """(magic, header dict, body) of a saved 9^3 grid file."""
+    import json
+    from vmcone.io_utils import GRID_MAGIC
+
+    path = tmp_path / "good.vmgrid"
+    save_grid(random_field_set(n=9, seed=2, r_cut=0.5), path)
+    data = path.read_bytes()
+    end = data.index(b"\n", len(GRID_MAGIC))
+    return GRID_MAGIC, json.loads(data[len(GRID_MAGIC):end]), data[end + 1:]
+
+
+def _header_line(header):
+    import json
+    return json.dumps(header).encode() + b"\n"
+
+
+@pytest.mark.parametrize("edit, match", [
+    (lambda h: h.update(arrays=["E", "B", "rho", "J"]), "arrays"),
+    (lambda h: h.update(arrays=["E", "B", "rho"]), "arrays"),
+    (lambda h: h.update(arrays=["B", "E", "rho", "j"]), "arrays"),
+    (lambda h: h.pop("arrays"), "arrays"),
+    (lambda h: h.pop("extent"), "extent"),
+    (lambda h: h.pop("r_cut"), "r_cut"),
+    (lambda h: h.pop("n"), "header n"),
+    (lambda h: h.update(extent="1.0"), "extent"),
+    (lambda h: h.update(dtype=">f8"), "dtype"),
+    (lambda h: h.update(order="F"), "order"),
+    (lambda h: h.update(n=-3), "header n"),
+    (lambda h: h.update(n=9.0), "header n"),
+    (lambda h: h.update(n=10), "body is"),
+    (lambda h: h.update(n=10**9), "body is"),
+    (lambda h: h.update(extent=float("nan")), "extent must be"),
+    (lambda h: h.update(r_cut=100.0), "no node would be checked"),
+])
+def test_load_grid_names_the_file_for_a_malformed_header(tmp_path, edit,
+                                                         match):
+    magic, header, body = _grid_file_parts(tmp_path)
+    edit(header)
+    bad = tmp_path / "bad.vmgrid"
+    bad.write_bytes(magic + _header_line(header) + body)
+    with pytest.raises(ValueError, match=match) as exc:
+        load_grid(bad)
+    assert str(bad) in str(exc.value)
+
+
+@pytest.mark.parametrize("header_line", [
+    b"{garbled\n", b"\xff\xfe\n", b"[1, 2]\n", b"\n"])
+def test_load_grid_names_the_file_for_a_garbled_header(tmp_path,
+                                                       header_line):
+    magic, _, body = _grid_file_parts(tmp_path)
+    bad = tmp_path / "bad.vmgrid"
+    bad.write_bytes(magic + header_line + body)
+    with pytest.raises(ValueError) as exc:
+        load_grid(bad)
+    assert str(bad) in str(exc.value)
+
+
+def test_load_grid_rejects_trailing_bytes(tmp_path):
+    magic, header, body = _grid_file_parts(tmp_path)
+    bad = tmp_path / "bad.vmgrid"
+    bad.write_bytes(magic + _header_line(header) + body + b"\0")
+    with pytest.raises(ValueError, match="body is") as exc:
+        load_grid(bad)
+    assert str(bad) in str(exc.value)
+
+
+def test_load_grid_names_the_file_when_cut_short(tmp_path):
+    magic, header, body = _grid_file_parts(tmp_path)
+    data = magic + _header_line(header) + body
+    body_start = len(data) - len(body)
+    cuts = list(range(body_start + 1)) + list(range(body_start + 1,
+                                                    len(data), 997))
+    cuts.append(len(data) - 1)
+    bad = tmp_path / "bad.vmgrid"
+    for cut in cuts:
+        bad.write_bytes(data[:cut])
+        with pytest.raises(ValueError) as exc:
+            load_grid(bad)
+        assert str(bad) in str(exc.value), cut
 
 
 def test_audit_report_runs_the_audit_once(monkeypatch):
