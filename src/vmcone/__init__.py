@@ -11,8 +11,8 @@ from .phase_model import (InitialDatum, ParticleSet, builtin_datum,
 from .characteristics import (IntegrationError, integrate_reduced,
                               integrate_cartesian, trajectory_reduced,
                               phase_divergence, phase_divergence_fd,
-                              flow_jacobian_det, flow_jacobian_exact,
-                              embed_reduced_state, one_plus_phat_k)
+                              flow_jacobian_det, embed_reduced_state,
+                              one_plus_phat_k)
 from .radial_field import (ShellGrid, MomentProfiles, RadialFieldProfile,
                            deposit, cumulative_source, solve_field,
                            eval_field, radial_integral)
@@ -24,6 +24,6 @@ from . import cone_diagnostics
 from .constraint_audit import (GriddedFieldSet, grid_from_functions,
                                constraint_fields, audit, check_equivalence,
                                embed_symmetric_solution, EQUIVALENCE_FACTOR)
-from .io_utils import (emit_series, emit_history, load_history, emit_report,
-                       save_grid, load_grid)
+from .io_utils import (emit_history, load_history, emit_report, save_grid,
+                       load_grid)
 from .report import diagnose_report, jacobian_report, audit_report

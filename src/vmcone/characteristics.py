@@ -221,17 +221,16 @@ def one_plus_phat_k(x, p):
 
 
 def flow_jacobian_det(x, p, field, v_from, v_to, step, h_fd=1e-4,
-                      scheme="rk4", with_exact=False):
-    """6x6 finite-difference Jacobian determinant of the flow map.
-
-    Central differences over 12 perturbed trajectories per state, rows 2j
-    and 2j+1 of one stack moving coordinate j by +-h (relative h_fd).  The
-    exact value, for any field, is (1 + phat.k)(start) / (1 + Phat.K)(end):
-    ``with_exact`` also returns it, from base states stacked as row 12.
+                      scheme="rk4"):
+    """(det, exact): the 6x6 finite-difference Jacobian determinant of the
+    flow map and its exact value (1 + phat.k)(start) / (1 + Phat.K)(end),
+    which holds for any field, from one integration of 13 stacked rows per
+    state: rows 2j and 2j+1 move coordinate j by +-h (relative h_fd) for
+    the central differences, and row 12 is the base state.
     """
     z0 = np.concatenate([np.asarray(x, float), np.asarray(p, float)], axis=-1)
     h = h_fd * np.maximum(1.0, np.abs(z0))
-    z = np.repeat(z0[..., None, :], 13 if with_exact else 12, axis=-2)
+    z = np.repeat(z0[..., None, :], 13, axis=-2)
     j = np.arange(6)
     z[..., 2 * j, j] += h
     z[..., 2 * j + 1, j] -= h
@@ -241,16 +240,8 @@ def flow_jacobian_det(x, p, field, v_from, v_to, step, h_fd=1e-4,
     J = (z1[..., 0:12:2, :] - z1[..., 1:12:2, :]) / (2.0 * h[..., None])
     det = np.linalg.det(np.swapaxes(J, -1, -2))
     det = float(det) if det.ndim == 0 else det
-    if with_exact:
-        return det, (one_plus_phat_k(x, p)
-                     / one_plus_phat_k(x1[..., 12, :], p1[..., 12, :]))
-    return det
-
-
-def flow_jacobian_exact(x, p, field, v_from, v_to, step, scheme="rk4"):
-    """Closed-form determinant (1+phat.k)/(1+Phat.K) along the same flow."""
-    x1, p1 = integrate_cartesian(x, p, field, v_from, v_to, step, scheme)
-    return one_plus_phat_k(x, p) / one_plus_phat_k(x1, p1)
+    return det, (one_plus_phat_k(x, p)
+                 / one_plus_phat_k(x1[..., 12, :], p1[..., 12, :]))
 
 
 def embed_reduced_state(r, w, q):

@@ -25,7 +25,9 @@ from . import report as report_mod
 from . import constraint_audit
 
 
-def _print_report(doc: dict) -> None:
+def _report(doc: dict, path) -> int:
+    """Print a report, write it to path if one is given, and return the
+    exit status."""
     for c in doc["checks"]:
         status = "PASS" if c["passed"] else "FAIL"
         print(f"[{status}] {c['name']}: value {c['value']:.6g} "
@@ -33,12 +35,10 @@ def _print_report(doc: dict) -> None:
     for c in doc.get("skipped", ()):
         print(f"[SKIP] {c['name']}: {c['reason']}")
     print("overall:", "PASS" if doc["passed"] else "FAIL")
-
-
-def _maybe_emit(doc: dict, path) -> None:
     if path:
         io_utils.emit_report(doc, path)
         print(f"report written to {path}")
+    return 0 if doc["passed"] else 1
 
 
 def cmd_run(args) -> int:
@@ -57,19 +57,17 @@ def cmd_run(args) -> int:
     print(f"steps: {len(history.vs) - 1}, dv: {history.dv:g}, "
           f"particles: {0 if history.particles_final is None else len(history.particles_final)}")
     if args.diagnose:
-        doc = report_mod.diagnose_report(history)
-        _print_report(doc)
-        _maybe_emit(doc, args.report)
-        return 0 if doc["passed"] else 1
+        return _report(report_mod.diagnose_report(history), args.report)
     return 0
 
 
 def cmd_diagnose(args) -> int:
-    history = io_utils.load_history(args.history)
-    doc = report_mod.diagnose_report(history)
-    _print_report(doc)
-    _maybe_emit(doc, args.report)
-    return 0 if doc["passed"] else 1
+    try:
+        history = io_utils.load_history(args.history)
+    except (OSError, ValueError) as exc:
+        print(f"history input error: {exc}", file=sys.stderr)
+        return 2
+    return _report(report_mod.diagnose_report(history), args.report)
 
 
 def _audit_grid(args):
@@ -97,10 +95,7 @@ def cmd_audit(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"audit input error: {exc}", file=sys.stderr)
         return 2
-    doc = report_mod.audit_report(grid, tol=args.tol)
-    _print_report(doc)
-    _maybe_emit(doc, args.report)
-    return 0 if doc["passed"] else 1
+    return _report(report_mod.audit_report(grid, tol=args.tol), args.report)
 
 
 def cmd_jacobian(args) -> int:
@@ -111,9 +106,7 @@ def cmd_jacobian(args) -> int:
                                      duration=args.duration,
                                      step=args.step, h_fd=args.h_fd,
                                      seed=args.seed)
-    _print_report(doc)
-    _maybe_emit(doc, args.report)
-    return 0 if doc["passed"] else 1
+    return _report(doc, args.report)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -92,9 +92,13 @@ class RunConfig:
         if self.scheme not in ("rk4", "midpoint"):
             raise ConfigError(f"unknown solver.scheme {self.scheme!r}")
         try:
-            builtin_datum(self.datum_name, self.datum_params)
+            datum = builtin_datum(self.datum_name, self.datum_params)
         except (TypeError, ValueError, LookupError) as exc:
             raise ConfigError(f"invalid datum.name/datum.params: {exc}") from exc
+        reach = datum.R0 + 0.5 * self.v_final   # outward speed is below 1/2
+        if self.r_max is not None and self.r_max < reach:
+            raise ConfigError(f"grid.r_max {self.r_max:g} is below the reach "
+                              f"of the matter, R0 + v_final/2 = {reach:g}")
 
     def to_dict(self) -> dict:
         return {section: {key: f.metadata["dump"](getattr(self, f.name))

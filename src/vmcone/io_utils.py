@@ -10,162 +10,173 @@ from __future__ import annotations
 import json
 import math
 import os
+from operator import attrgetter
 
 import numpy as np
 
 from .radial_field import ShellGrid
 from .phase_model import ParticleSet
 from .cone_evolver import SliceHistory
-from . import cone_diagnostics as diag
 
-FMT = "%.17g"
+# The run-directory layout that emit_history writes and load_history reads:
+# each CSV column and meta.json key with the SliceHistory field it holds.
+# A "{k}" column repeats once per probe; a None field marks a label column
+# (the slice's v, the node radius r) that leads the rows and is not read
+# back; particles.csv holds the ParticleSet fields of particles_final.
+LAYOUT = {
+    "series.csv": {"v": "vs", "N_wedge": "N_wedge", "M_wedge": "M_wedge",
+                   "P_wedge": "P_wedge", "R_max": "R_slice_max",
+                   "R_min": "R_min_run"},
+    "profiles.csv": {"v": None, "r": None, "g_plus": "g_plus",
+                     "g_minus": "g_minus", "h_plus": "h_plus",
+                     "h_minus": "h_minus", "E_r": "E"},
+    "fluxes.csv": {"v": None, "flux_j_r{k}": "flux_j",
+                   "flux_p_r{k}": "flux_p"},
+    "particles.csv": {c: c for c in ("r", "w", "q", "weight", "f_value")},
+    "meta.json": {"r_max": "grid.r_max", "n_shells": "grid.n_shells",
+                  **{k: k for k in ("R0", "F", "f_inf_norm", "dv",
+                                    "probe_radii", "r_turn_violations",
+                                    "min_dw")}},
+}
 
-SERIES_COLUMNS = ("v", "N_wedge", "M_wedge", "N_vee", "M_vee",
-                  "N_slice", "M_slice", "P_wedge", "R_max", "R_min")
+
+def _columns(name, n_probes=0):
+    """(column, field) pairs of layout CSV ``name``, in file order."""
+    return [(col.format(k=k), field) for col, field in LAYOUT[name].items()
+            for k in (range(n_probes) if "{k}" in col else [0])]
 
 
 def _write_rows(fh, table):
     """Rows of a 2-D array as comma-separated %.17g lines, formatted with
     one template per block of 1024 rows, which keeps memory use flat."""
-    line = ",".join([FMT] * table.shape[1]) + "\n"
+    line = ",".join(["%.17g"] * table.shape[1]) + "\n"
     for i in range(0, len(table), 1024):
         rows = table[i:i + 1024]
         fh.write(line * len(rows) % tuple(rows.ravel().tolist()))
 
 
-def _save_csv(path, header, columns):
-    """One header line, then the columns as rows."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        _write_rows(fh, np.column_stack(columns))
-
-
-def emit_series(history: SliceHistory, path) -> None:
-    """Scalar series CSV with the fixed column order of SERIES_COLUMNS.
-
-    The shifted functionals (N_vee, M_vee, N_slice, M_slice) are only
-    defined where the recorded history completes the cone integrals; rows
-    outside those windows carry nan.
-    """
-    n = len(history.vs)
-    cols = {
-        "v": history.vs,
-        "N_wedge": history.N_wedge,
-        "M_wedge": history.M_wedge,
-        "P_wedge": history.P_wedge,
-        "R_max": history.R_slice_max,
-        "R_min": history.R_min_run,
-    }
-    for key in ("N_vee", "M_vee", "N_slice", "M_slice"):
-        filled = np.full(n, np.nan)
-        try:
-            vs_w, vals, _ = diag.functional_series(history, key)
-            filled[:len(vals)] = vals
-        except ValueError:
-            pass
-        cols[key] = filled
-    _save_csv(path, SERIES_COLUMNS, [cols[c] for c in SERIES_COLUMNS])
+def _save_csv(directory, name, tables, n_probes=0):
+    """Layout CSV ``name``: its header, then the rows of every table."""
+    with open(os.path.join(directory, name), "w", newline="\n") as fh:
+        fh.write(",".join(c for c, _ in _columns(name, n_probes)) + "\n")
+        for table in tables:
+            _write_rows(fh, table)
 
 
 def emit_history(history: SliceHistory, directory) -> None:
     """Write the full run record: profiles, series, probe fluxes, final
     particles and metadata."""
     os.makedirs(directory, exist_ok=True)
-    join = lambda name: os.path.join(directory, name)
+    fields = lambda name, obj=history: [
+        attrgetter(f)(obj) for f in LAYOUT[name].values() if f]
 
-    emit_series(history, join("series.csv"))
+    _save_csv(directory, "series.csv", [np.column_stack(fields("series.csv"))])
+    edges, profiles = history.grid.edges, fields("profiles.csv")
+    _save_csv(directory, "profiles.csv", (
+        np.column_stack([np.full(edges.size, v), edges]
+                        + [p[i] for p in profiles])
+        for i, v in enumerate(history.vs)))
+    _save_csv(directory, "fluxes.csv",
+              [np.column_stack([history.vs] + fields("fluxes.csv"))],
+              history.probe_radii.size)
+    if history.particles_final is not None:
+        _save_csv(directory, "particles.csv", [np.column_stack(
+            fields("particles.csv", history.particles_final))])
 
-    header = ("v", "r", "g_plus", "g_minus", "h_plus", "h_minus", "E_r")
-    edges = history.grid.edges
-    with open(join("profiles.csv"), "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for i, v in enumerate(history.vs):
-            _write_rows(fh, np.column_stack((
-                np.full(edges.size, v), edges, history.g_plus[i],
-                history.g_minus[i], history.h_plus[i], history.h_minus[i],
-                history.E[i])))
-
-    flux_header = (["v"]
-                   + [f"flux_j_r{k}" for k in range(history.probe_radii.size)]
-                   + [f"flux_p_r{k}" for k in range(history.probe_radii.size)])
-    _save_csv(join("fluxes.csv"), flux_header,
-              [history.vs, history.flux_j, history.flux_p])
-
-    parts = history.particles_final
-    if parts is not None:
-        _save_csv(join("particles.csv"), ("r", "w", "q", "weight", "f_value"),
-                  [parts.r, parts.w, parts.q, parts.weight, parts.f_value])
-
-    meta = {
-        "r_max": history.grid.r_max,
-        "n_shells": history.grid.n_shells,
-        "R0": history.R0,
-        "F": history.F,
-        "f_inf_norm": history.f_inf_norm,
-        "dv": history.dv,
-        "probe_radii": [float(r) for r in history.probe_radii],
-        "r_turn_violations": history.r_turn_violations,
-        "min_dw": history.min_dw,
-    }
-    with open(join("meta.json"), "w") as fh:
+    meta = {k: attrgetter(f)(history) for k, f in LAYOUT["meta.json"].items()}
+    meta["probe_radii"] = [float(r) for r in meta["probe_radii"]]
+    with open(os.path.join(directory, "meta.json"), "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def _loadtxt(path, **kwargs):
-    """A CSV body as floats; a ValueError names the file."""
+def _read_meta(path):
+    """(meta.json, its ShellGrid).  Unless every LAYOUT key holds a number,
+    n_shells an int and probe_radii a list of numbers, a ValueError names
+    the file and the key."""
+    number = lambda x: type(x) in (int, float)
     try:
-        return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, **kwargs)
+        with open(path) as fh:
+            meta = json.load(fh)
+        if not isinstance(meta, dict):
+            raise ValueError("not a JSON object")
+        for key in LAYOUT["meta.json"]:
+            value = meta.get(key)
+            ok = (type(value) is list and all(map(number, value))
+                  if key == "probe_radii" else
+                  type(value) is int if key == "n_shells" else number(value))
+            if not ok:
+                raise ValueError(f"{key} is {value!r}" if key in meta
+                                 else f"no key {key!r}")
+        return meta, ShellGrid(r_max=meta["r_max"], n_shells=meta["n_shells"])
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
 
+def _read_csv(directory, name, n_probes=0):
+    """({field: column, or (rows, n_probes) for a "{k}" column}, rows) of
+    layout CSV ``name``, each column picked by its header name; a missing
+    column or a malformed row raises a ValueError naming the file."""
+    path = os.path.join(directory, name)
+    wanted = [c for c, f in _columns(name, n_probes) if f]
+    try:
+        with open(path) as fh:
+            header = fh.readline().rstrip("\n").split(",")
+            for c in wanted:
+                if c not in header:   # a "{k}" column counts meta.json probes
+                    probes = " (meta.json probe_radii)"
+                    raise ValueError(f"no column {c!r}"
+                                     + ("" if c in LAYOUT[name] else probes))
+            cols = [header.index(c) for c in wanted]
+            # with every column wanted the rows are read whole, so that a
+            # row with more values than the header is an error too
+            whole = sorted(cols) == list(range(len(header)))
+            data = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None,
+                              usecols=None if whole else cols)
+            if whole:
+                if data.size and data.shape[1] != len(header):
+                    raise ValueError(f"rows of {data.shape[1]} values under "
+                                     f"{len(header)} columns")
+                data = data.reshape(-1, len(header))[:, cols]
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    out, j = {}, 0
+    for col, field in LAYOUT[name].items():
+        if field and "{k}" in col:
+            out[field], j = data[:, j:j + n_probes], j + n_probes
+        elif field:
+            out[field], j = data[:, j], j + 1
+    return out, data.shape[0]
+
+
 def load_history(directory) -> SliceHistory:
-    """Reconstruct a SliceHistory from an emitted run directory."""
+    """Reconstruct a SliceHistory from an emitted run directory.  Columns
+    are read by header name, so directories whose series.csv still holds
+    the shifted series (N_vee, M_vee, N_slice, M_slice) load the same."""
     join = lambda name: os.path.join(directory, name)
-    with open(join("meta.json")) as fh:
-        meta = json.load(fh)
-    grid = ShellGrid(r_max=meta["r_max"], n_shells=meta["n_shells"])
-    n_nodes = grid.n_shells + 1
+    meta, grid = _read_meta(join("meta.json"))
+    fields = {f: meta[key] for key, f in LAYOUT["meta.json"].items()
+              if not f.startswith("grid.")}
+    fields["probe_radii"] = np.array(meta["probe_radii"])
 
-    # v is the v of series.csv and r the grid's edges: read neither twice
-    prof = _loadtxt(join("profiles.csv"), usecols=range(2, 7))
-    if prof.shape[0] % n_nodes:
-        raise ValueError(f"{join('profiles.csv')}: {prof.shape[0]} rows are "
-                         f"not a whole number of {n_nodes}-node slices")
-    shaped = prof.reshape(-1, n_nodes, 5)
+    # the shapes meta.json sets are named with it
+    n_nodes, shape = grid.n_shells + 1, f"meta.json n_shells {grid.n_shells}"
+    profiles, rows = _read_csv(directory, "profiles.csv")
+    if not rows or rows % n_nodes:
+        raise ValueError(f"{join('profiles.csv')}: {rows} rows are not a "
+                         f"whole number of {n_nodes}-node slices ({shape})")
+    fields.update({f: col.reshape(-1, n_nodes) for f, col in profiles.items()})
+    for name in ("series.csv", "fluxes.csv"):
+        cols, n = _read_csv(directory, name, len(meta["probe_radii"]))
+        if n != rows // n_nodes:
+            raise ValueError(f"{join(name)}: {n} rows for {rows // n_nodes} "
+                             f"slices in profiles.csv ({shape})")
+        fields.update(cols)
 
-    series = _loadtxt(join("series.csv"), usecols=range(len(SERIES_COLUMNS)))
-    if series.shape[0] != shaped.shape[0]:
-        raise ValueError(f"{join('series.csv')}: {series.shape[0]} rows for "
-                         f"{shaped.shape[0]} slices in profiles.csv")
-    flux = _loadtxt(join("fluxes.csv"))
-    n_probes = len(meta["probe_radii"])
-
-    parts = None
-    ppath = join("particles.csv")
-    if os.path.exists(ppath):
-        data = _loadtxt(ppath)
-        if data.size:
-            parts = ParticleSet(*(data[:, i].copy() for i in range(5)))
-
-    return SliceHistory(
-        grid=grid, vs=series[:, 0],
-        g_plus=shaped[:, :, 0], g_minus=shaped[:, :, 1],
-        h_plus=shaped[:, :, 2], h_minus=shaped[:, :, 3],
-        E=shaped[:, :, 4],
-        N_wedge=series[:, 1], M_wedge=series[:, 2],
-        P_wedge=series[:, 7], R_slice_max=series[:, 8],
-        R_min_run=series[:, 9],
-        probe_radii=np.array(meta["probe_radii"]),
-        flux_j=flux[:, 1:1 + n_probes],
-        flux_p=flux[:, 1 + n_probes:1 + 2 * n_probes],
-        R0=meta["R0"], F=meta["F"], f_inf_norm=meta["f_inf_norm"],
-        dv=meta["dv"],
-        r_turn_violations=meta["r_turn_violations"],
-        min_dw=meta["min_dw"],
-        particles_initial=None, particles_final=parts,
-    )
+    if os.path.exists(join("particles.csv")):
+        cols, n = _read_csv(directory, "particles.csv")
+        fields["particles_final"] = ParticleSet(**cols) if n else None
+    return SliceHistory(grid=grid, **fields)
 
 
 def emit_report(report: dict, path) -> None:

@@ -219,7 +219,7 @@ def sample_particles(datum: InitialDatum, resolution) -> ParticleSet:
     return parts
 
 
-def check_measure_positivity(parts: ParticleSet, p_bound: float | None = None):
+def check_measure_positivity(parts: ParticleSet):
     """Assert 1 + phat.k >= (1/2) / (1 + |p|^2) for every particle.
 
     The lower bound makes the advanced-time parameterization non-degenerate
@@ -227,11 +227,8 @@ def check_measure_positivity(parts: ParticleSet, p_bound: float | None = None):
     """
     if len(parts) == 0:
         return
-    psq = parts.momentum_sq()
-    if p_bound is not None:
-        psq = np.minimum(psq, p_bound**2)
     lhs = parts.one_plus_phat_k()
-    lower = 0.5 / (1.0 + psq)
+    lower = 0.5 / (1.0 + parts.momentum_sq())
     bad = lhs < lower * (1.0 - 1e-12)
     if np.any(bad):
         i = int(np.argmax(bad))

@@ -143,10 +143,9 @@ def radial_integral(grid: ShellGrid, values: np.ndarray, r=None) -> float:
     return 4.0 * np.pi * float(total)
 
 
-def solve_field(profiles: MomentProfiles,
-                grid: ShellGrid | None = None) -> RadialFieldProfile:
+def solve_field(profiles: MomentProfiles) -> RadialFieldProfile:
     """Radial field from g_plus: E_r(r_j) = I(r_j) / r_j^2, E_r(0) = 0."""
-    grid = grid or profiles.grid
+    grid = profiles.grid
     g = profiles.g_plus
     if np.any(~np.isfinite(g)):
         raise ValueError("non-finite g_plus passed to field solve")

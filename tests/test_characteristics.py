@@ -3,8 +3,8 @@ import pytest
 
 from vmcone import (IntegrationError, integrate_reduced, integrate_cartesian,
                     trajectory_reduced, phase_divergence, phase_divergence_fd,
-                    flow_jacobian_det, flow_jacobian_exact,
-                    embed_reduced_state, one_plus_phat_k)
+                    flow_jacobian_det, embed_reduced_state,
+                    one_plus_phat_k)
 from vmcone.characteristics import char_rhs_cartesian, char_rhs_reduced
 from vmcone import (report, builtin_datum, sample_particles, ShellGrid,
                     deposit, solve_field, eval_field)
@@ -70,18 +70,18 @@ def test_batched_calls_equal_row_by_row_calls():
     x = np.array([s[0] for s in states])
     p = np.array([s[1] for s in states])
     x1, p1 = integrate_cartesian(x, p, general_field, 0.0, 0.3, 0.01)
-    det, exact = flow_jacobian_det(x, p, general_field, 0.0, 0.3, 0.01,
-                                   with_exact=True)
+    det, exact = flow_jacobian_det(x, p, general_field, 0.0, 0.3, 0.01)
     rows = [integrate_cartesian(a, b, general_field, 0.0, 0.3, 0.01)
             for a, b in states]
     assert np.array_equal(x1, np.array([r[0] for r in rows]))
     assert np.array_equal(p1, np.array([r[1] for r in rows]))
-    assert np.array_equal(det, [
-        flow_jacobian_det(a, b, general_field, 0.0, 0.3, 0.01)
-        for a, b in states])
-    assert np.array_equal(exact, [
-        flow_jacobian_exact(a, b, general_field, 0.0, 0.3, 0.01)
-        for a, b in states])
+    singles = [flow_jacobian_det(a, b, general_field, 0.0, 0.3, 0.01)
+               for a, b in states]
+    assert np.array_equal(det, [d for d, _ in singles])
+    assert np.array_equal(exact, [e for _, e in singles])
+    # the base state stacked as row 12 follows the unperturbed flow exactly
+    assert np.array_equal(exact,
+                          one_plus_phat_k(x, p) / one_plus_phat_k(x1, p1))
     for fn in (phase_divergence, phase_divergence_fd):
         assert np.array_equal(fn(0.3, x, p, general_field),
                               [fn(0.3, a, b, general_field)
@@ -103,8 +103,7 @@ def test_jacobian_report_names_the_worst_orbits():
     doc = jacobian_report(n_orbits=12, seed=5)
     x, p = np.reshape(random_states(12, seed=5), (-1, 2, 3)).swapaxes(0, 1)
     field = report._test_field()
-    det, exact = flow_jacobian_det(x, p, field, 0.0, 0.5, 0.01,
-                                   with_exact=True)
+    det, exact = flow_jacobian_det(x, p, field, 0.0, 0.5, 0.01)
     det_err = np.abs(det - exact)
     div_err = np.abs(phase_divergence(0.0, x, p, field)
                      - phase_divergence_fd(0.0, x, p, field))
@@ -312,23 +311,22 @@ def test_jacobian_identity_on_tangential_orbit():
     # mostly tangential orbit in a fixed external radial field
     x, p = embed_reduced_state(1.0, 0.02, 0.09)
     field = radial_field_3d()
-    det_fd = flow_jacobian_det(x, p, field, 0.0, 0.4, 1e-3, h_fd=1e-4)
-    det_exact = flow_jacobian_exact(x, p, field, 0.0, 0.4, 1e-3)
+    det_fd, det_exact = flow_jacobian_det(x, p, field, 0.0, 0.4, 1e-3,
+                                          h_fd=1e-4)
     assert abs(det_fd - det_exact) <= 1e-5
 
 
 def test_jacobian_zero_span_is_one():
     x, p = embed_reduced_state(0.8, 0.1, 0.02)
-    det = flow_jacobian_det(x, p, radial_field_3d(), 0.5, 0.5, 1e-3)
+    det, exact = flow_jacobian_det(x, p, radial_field_3d(), 0.5, 0.5, 1e-3)
     assert np.isclose(det, 1.0, atol=1e-12)
-    assert flow_jacobian_exact(x, p, radial_field_3d(), 0.5, 0.5, 1e-3) == 1.0
+    assert exact == 1.0
 
 
 def test_jacobian_identity_with_magnetic_field():
     x = np.array([0.9, 0.3, -0.2])
     p = np.array([0.2, -0.4, 0.1])
-    det_fd = flow_jacobian_det(x, p, general_field, 0.0, 0.5, 1e-3)
-    det_exact = flow_jacobian_exact(x, p, general_field, 0.0, 0.5, 1e-3)
+    det_fd, det_exact = flow_jacobian_det(x, p, general_field, 0.0, 0.5, 1e-3)
     assert abs(det_fd - det_exact) <= 1e-5
 
 

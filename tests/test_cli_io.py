@@ -1,13 +1,13 @@
 import json
 import os
+import shutil
+import tempfile
 
 import numpy as np
 import pytest
 
 from vmcone import (RunConfig, ConfigError, config_from_dict, parse_config,
-                    emit_config, run, emit_history, emit_series, load_history,
-                    emit_report)
-from vmcone.io_utils import SERIES_COLUMNS
+                    emit_config, run, emit_history, load_history, emit_report)
 from vmcone.report import diagnose_report
 from vmcone.cli import main
 from conftest import small_config, DESK_DATUM_PARAMS
@@ -67,6 +67,27 @@ def test_config_rejects_non_finite_numbers():
         config_from_dict(json.loads('{"grid": {"n_shells": Infinity}}'))
 
 
+def test_config_rejects_r_max_inside_the_reach_of_the_matter(tmp_path,
+                                                             capsys):
+    # the desk datum has R0 = 0.6, so v_final 0.5 reaches r = 0.85
+    doc = {"datum": {"name": "shell_polynomial",
+                     "params": dict(DESK_DATUM_PARAMS)},
+           "time": {"v_final": 0.5}}
+    with pytest.raises(ConfigError, match=r"grid\.r_max 0\.59 is below the "
+                                          r"reach of the matter, R0 \+ "
+                                          r"v_final/2 = 0\.85"):
+        config_from_dict(dict(doc, grid={"r_max": 0.59}))
+    assert config_from_dict(dict(doc, grid={"r_max": 0.85})).r_max == 0.85
+    cfg_path = write_config(tmp_path / "cfg.json",
+                            grid={"n_shells": 128, "r_max": 0.59},
+                            output={"directory": str(tmp_path / "out")})
+    assert main(["run", "--config", cfg_path]) == 2
+    captured = capsys.readouterr()
+    assert "configuration error" in captured.err
+    assert "grid.r_max" in captured.err and "steps" not in captured.out
+    assert not os.path.exists(tmp_path / "out")
+
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -118,11 +139,13 @@ def test_load_history_names_a_malformed_file(tmp_path, small_history):
     emit_history(small_history, str(d))
     prof = d / "profiles.csv"
     lines = prof.read_text().splitlines(keepends=True)
-    # one row short of whole slices
-    prof.write_text("".join(lines[:-1]))
-    with pytest.raises(ValueError, match=r"profiles\.csv: \d+ rows are not "
-                                         r"a whole number of 257-node slices"):
-        load_history(str(d))
+    # one row short of whole slices, and no slice at all
+    for bad in (lines[:-1], lines[:1]):
+        prof.write_text("".join(bad))
+        with pytest.raises(ValueError, match=r"profiles\.csv: \d+ rows are "
+                                             r"not a whole number of 257-node "
+                                             r"slices"):
+            load_history(str(d))
     # the E_r column missing
     prof.write_text("".join(line.rsplit(",", 1)[0] + "\n" for line in lines))
     with pytest.raises(ValueError, match=r"profiles\.csv: "):
@@ -135,7 +158,38 @@ def test_load_history_names_a_malformed_file(tmp_path, small_history):
                                          r"slices in profiles\.csv"):
         load_history(str(d))
     series.write_text("".join(line.rsplit(",", 1)[0] + "\n" for line in rows))
-    with pytest.raises(ValueError, match=r"series\.csv: "):
+    with pytest.raises(ValueError, match=r"series\.csv: no column 'R_min'"):
+        load_history(str(d))
+    series.write_text("".join(rows))
+    fluxes = d / "fluxes.csv"
+    rows = fluxes.read_text().splitlines(keepends=True)
+    fluxes.write_text("".join(rows[:-1]))
+    with pytest.raises(ValueError, match=r"fluxes\.csv: \d+ rows for \d+ "
+                                         r"slices in profiles\.csv"):
+        load_history(str(d))
+    fluxes.write_text("".join(rows))
+    # two particles merged into one row, and one row longer than the header
+    parts = d / "particles.csv"
+    rows = parts.read_text().splitlines(keepends=True)
+    merged = "".join(rows[:3]) + rows[3].rstrip("\n") + "," + "".join(rows[4:])
+    for bad in (merged, rows[0] + rows[1].rstrip("\n") + ",1.5\n"):
+        parts.write_text(bad)
+        with pytest.raises(ValueError, match=r"particles\.csv: "):
+            load_history(str(d))
+    parts.write_text("".join(rows))
+    meta = d / "meta.json"
+    doc = json.loads(meta.read_text())
+    for bad, message in (([], "not a JSON object"),
+                         ({k: v for k, v in doc.items() if k != "dv"},
+                          "no key 'dv'"),
+                         (dict(doc, n_shells=256.0), "n_shells is 256.0"),
+                         (dict(doc, probe_radii=0.5), "probe_radii is 0.5"),
+                         (dict(doc, r_max=0.0), "need r_max > 0")):
+        meta.write_text(json.dumps(bad))
+        with pytest.raises(ValueError, match=r"meta\.json: " + message):
+            load_history(str(d))
+    meta.write_text("{")
+    with pytest.raises(ValueError, match=r"meta\.json: Expecting"):
         load_history(str(d))
 
 
@@ -155,16 +209,97 @@ def test_diagnose_report_survives_round_trip(tmp_path, small_history):
 
 
 def test_series_columns(tmp_path, small_history):
+    # only recorded series are persisted; the shifted ones are derived
+    emit_history(small_history, str(tmp_path))
     path = tmp_path / "series.csv"
-    emit_series(small_history, path)
     header = path.read_text().splitlines()[0]
-    assert header == ",".join(SERIES_COLUMNS)
-    data = np.genfromtxt(path, delimiter=",", skip_header=1)
-    assert data.shape == (len(small_history.vs), len(SERIES_COLUMNS))
-    # shifted functionals are nan outside their windows, populated inside
-    n_vee = data[:, SERIES_COLUMNS.index("N_vee")]
-    assert np.any(np.isfinite(n_vee))
-    assert np.any(np.isnan(n_vee))
+    assert header == "v,N_wedge,M_wedge,P_wedge,R_max,R_min"
+    data = np.loadtxt(path, delimiter=",", skiprows=1)
+    h = small_history
+    assert np.array_equal(data, np.column_stack(
+        (h.vs, h.N_wedge, h.M_wedge, h.P_wedge, h.R_slice_max, h.R_min_run)))
+
+
+def _rewrite_columns(path, columns):
+    """Rewrite a CSV with the named columns, in the given order; a name
+    the file lacks becomes a column of nan."""
+    rows = [line.split(",") for line in path.read_text().splitlines()]
+    index = {name: i for i, name in enumerate(rows[0])}
+    path.write_text(",".join(columns) + "\n" + "".join(
+        ",".join(row[index[c]] if c in index else "nan" for c in columns)
+        + "\n" for row in rows[1:]))
+
+
+def _same_history(a, b):
+    for name in ("vs", "g_plus", "g_minus", "h_plus", "h_minus", "E",
+                 "N_wedge", "M_wedge", "P_wedge", "R_slice_max", "R_min_run",
+                 "probe_radii", "flux_j", "flux_p"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    for name in ("r", "w", "q", "weight", "f_value"):
+        assert np.array_equal(getattr(a.particles_final, name),
+                              getattr(b.particles_final, name)), name
+    for name in ("R0", "F", "f_inf_norm", "dv", "r_turn_violations",
+                 "min_dw"):
+        assert getattr(a, name) == getattr(b, name), name
+    assert a.grid == b.grid
+
+
+def test_load_history_reads_columns_by_name(tmp_path, small_history):
+    d = tmp_path / "run"
+    emit_history(small_history, str(d))
+    # the ten-column series.csv of older directories, with the shifted
+    # series between the recorded ones
+    _rewrite_columns(d / "series.csv", [
+        "v", "N_wedge", "M_wedge", "N_vee", "M_vee", "N_slice", "M_slice",
+        "P_wedge", "R_max", "R_min"])
+    _same_history(load_history(str(d)), small_history)
+    # any column order
+    _rewrite_columns(d / "series.csv", [
+        "R_min", "M_wedge", "v", "R_max", "N_wedge", "P_wedge"])
+    _rewrite_columns(d / "particles.csv", ["f_value", "q", "r", "weight", "w"])
+    _rewrite_columns(d / "fluxes.csv", [
+        "flux_p_r2", "v", "flux_j_r2", "flux_j_r0", "flux_p_r0", "flux_j_r1",
+        "flux_p_r1"])
+    _same_history(load_history(str(d)), small_history)
+    _rewrite_columns(d / "fluxes.csv", ["v", "flux_j_r0", "flux_j_r1",
+                                        "flux_p_r0", "flux_p_r1", "flux_p_r2"])
+    with pytest.raises(ValueError, match=r"fluxes\.csv: no column "
+                                         r"'flux_j_r2' \(meta\.json "
+                                         r"probe_radii\)"):
+        load_history(str(d))
+
+
+@pytest.fixture(scope="module")
+def tiny_run(tmp_path_factory):
+    d = tmp_path_factory.mktemp("tiny") / "run"
+    emit_history(run(small_config(resolution=(3, 3, 3), n_shells=8, dv=0.05,
+                                  v_final=0.2)), str(d))
+    return d
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_load_history_fuzz_truncated_or_overwritten(tiny_run, data):
+    # a run directory with one file cut short or one byte overwritten
+    # either loads or raises a ValueError that names the damaged file
+    name = data.draw(st.sampled_from(sorted(os.listdir(tiny_run))))
+    with tempfile.TemporaryDirectory() as tmp:
+        d = os.path.join(tmp, "run")
+        shutil.copytree(tiny_run, d)
+        path = os.path.join(d, name)
+        with open(path, "rb") as fh:
+            body = bytearray(fh.read())
+        at = data.draw(st.integers(0, len(body) - 1))
+        if data.draw(st.booleans()):
+            del body[at:]
+        else:
+            body[at] = data.draw(st.integers(0, 255))
+        with open(path, "wb") as fh:
+            fh.write(body)
+        try:
+            load_history(d)
+        except ValueError as exc:
+            assert name in str(exc), str(exc)
 
 
 def test_determinism_byte_identical(tmp_path):
@@ -207,6 +342,36 @@ def test_cli_run_and_diagnose(tmp_path, capsys):
     assert code == (0 if report["passed"] else 1)
     assert all(("name" in c and "value" in c and "tolerance" in c
                 and "passed" in c) for c in report["checks"])
+
+
+def test_cli_diagnose_fails_closed_on_bad_input(tmp_path, capsys,
+                                               small_history):
+    good = tmp_path / "good"
+    emit_history(small_history, str(good))
+    no_dv = tmp_path / "no_dv"
+    shutil.copytree(good, no_dv)
+    meta = json.loads((no_dv / "meta.json").read_text())
+    del meta["dv"]
+    (no_dv / "meta.json").write_text(json.dumps(meta))
+    no_e = tmp_path / "no_e"
+    shutil.copytree(good, no_e)
+    prof = no_e / "profiles.csv"
+    prof.write_text("".join(line.rsplit(",", 1)[0] + "\n"
+                            for line in prof.read_text().splitlines()))
+    for d, message in ((tmp_path / "missing", "No such file"),
+                       (no_dv, "meta.json: no key 'dv'"),
+                       (no_e, "profiles.csv: no column 'E_r'")):
+        assert main(["diagnose", "--history", str(d),
+                     "--report", str(tmp_path / "diag.json")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("history input error: ")
+        assert message in captured.err and len(captured.err.splitlines()) == 1
+        assert "overall" not in captured.out
+        assert not os.path.exists(tmp_path / "diag.json")
+    assert main(["audit-constraints", "--from-history", str(no_dv)]) == 2
+    captured = capsys.readouterr()
+    assert "meta.json: no key 'dv'" in captured.err
+    assert "overall" not in captured.out
 
 
 def test_cli_prints_the_skipped_checks(tmp_path, capsys):

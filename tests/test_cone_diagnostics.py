@@ -168,11 +168,24 @@ def test_momentum_ceiling_properties():
 
 
 def test_momentum_support_bound_report(small_history):
-    out = diag.momentum_support_bound(small_history)
+    h = small_history
+    out = diag.momentum_support_bound(h)
     assert out["ceiling_ok"]
     assert out["self_consistency_ok"]
-    assert out["field_bound_violations"] == []
+    assert out["field_bound_max_margin"] <= 1e-12 * out["N0"]
     assert out["measured_P_final"] <= out["momentum_ceiling"]
+    # the array form equals the per-slice loop it replaced
+    N0, C_E, P0 = out["N0"], out["field_constant"], float(h.P_wedge[0])
+    A = 2.0 * np.sqrt(N0 * C_E)
+    margin, ok = -np.inf, True
+    for n, P in enumerate(h.P_wedge):
+        bound = np.minimum(N0 / h.grid.edges[1:] ** 2, C_E * P ** (5.0 / 3.0))
+        margin = max(margin, float(np.max(np.abs(h.E[n][1:]) - bound)))
+        lhs = np.sqrt(1.0 + P**2)
+        if lhs > np.sqrt(1.0 + P0**2) + A * P ** (5.0 / 6.0) + 1e-12:
+            ok = False
+    assert out["field_bound_max_margin"] == margin
+    assert out["self_consistency_ok"] == ok
 
 
 def test_l43_bound_check(small_history):

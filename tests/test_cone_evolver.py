@@ -131,9 +131,10 @@ def test_eval_field_extends_beyond_grid():
 
 
 def test_run_aborts_name_step_and_v():
-    # an explicit r_max inside the reach of the matter: the deposit after
-    # the first particle leaves the grid fails
-    cfg = small_config(r_max=0.59, v_final=0.5, resolution=(6, 6, 6))
+    # an r_max inside the reach of the matter, set past the parse-time
+    # check: the deposit after the first particle leaves the grid fails
+    cfg = small_config(v_final=0.5, resolution=(6, 6, 6))
+    cfg.r_max = 0.59
     with pytest.raises(ValueError,
                        match=r"^step \d+ \(v=[0-9.]+\): particle \d+ at r="):
         run(cfg)
