@@ -19,7 +19,7 @@ from .radial_field import (ShellGrid, MomentProfiles, RadialFieldProfile,
 from .config import (RunConfig, ConfigError, config_from_dict, parse_config,
                      emit_config)
 from .cone_evolver import (SliceHistory, run, step, auto_r_max,
-                           default_probe_radii, nirc_flux, outgoing_radiation)
+                           default_probe_radii, nirc_flux)
 from . import cone_diagnostics
 from .constraint_audit import (GriddedFieldSet, grid_from_functions,
                                constraint_fields, audit, check_equivalence,

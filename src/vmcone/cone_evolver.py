@@ -3,8 +3,10 @@
 Each step freezes the radial field over [v, v + dv] and integrates the
 reduced characteristics with RK4; an optional Picard correction re-deposits
 the field source g_plus at the endpoint and re-pushes with the averaged
-field, giving second-order coupling.  Every step records the moment
-profiles, the field and a scalar series into a SliceHistory.
+field, giving second-order coupling.  Every step records the four moment
+profiles and the particle series into a SliceHistory; the field, the
+past-cone mass and the probe fluxes are functions of the moments and are
+derived from them.
 
 The magnetic field is identically zero in spherical symmetry, so the
 incoming and outgoing radiation fluxes vanish structurally; see nirc_flux.
@@ -14,15 +16,17 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .phase_model import (InitialDatum, ParticleSet, builtin_datum,
                           sample_particles, check_measure_positivity)
 from .radial_field import (ShellGrid, RadialFieldProfile, deposit,
-                           solve_field, eval_field, radial_integral)
+                           cumulative_source, solve_field, eval_field,
+                           radial_integral)
 from .characteristics import IntegrationError, integrate_reduced
-from .config import RunConfig, DV_R0_FRACTION
+from .config import RunConfig, DV_R0_FRACTION, auto_r_max
 
 
 @dataclass
@@ -31,7 +35,8 @@ class SliceHistory:
 
     Profile arrays have shape (n_slices, n_nodes); series arrays (n_slices,).
     P_wedge is the running momentum-support radius (non-decreasing by
-    construction); R_min_run the running minimum particle radius.
+    construction); R_min_run the running minimum particle radius.  E,
+    N_wedge, flux_j and flux_p are derived from the moment profiles.
     """
 
     grid: ShellGrid
@@ -40,17 +45,12 @@ class SliceHistory:
     g_minus: np.ndarray
     h_plus: np.ndarray
     h_minus: np.ndarray
-    E: np.ndarray
     # scalar series
-    N_wedge: np.ndarray        # conservative node-volume sum == sum of weights
     M_wedge: np.ndarray        # particle kinetic sum + field energy
     P_wedge: np.ndarray
     R_slice_max: np.ndarray
     R_min_run: np.ndarray
-    # probe fluxes
-    probe_radii: np.ndarray
-    flux_j: np.ndarray         # (n_slices, n_probes): 4 pi r^2 j.k
-    flux_p: np.ndarray         # (n_slices, n_probes): 4 pi r^2 pflux.k
+    probe_radii: np.ndarray    # spheres of the probe fluxes
     # metadata
     R0: float = 0.0
     F: float = 1.0
@@ -67,6 +67,34 @@ class SliceHistory:
     @property
     def v_final(self) -> float:
         return float(self.vs[-1])
+
+    @cached_property
+    def E(self) -> np.ndarray:
+        """E_r on the nodes of every slice: the field solve of g_plus."""
+        return RadialFieldProfile(self.grid, cumulative_source(
+            self.grid, self.g_plus)).E
+
+    @cached_property
+    def N_wedge(self) -> np.ndarray:
+        """Past-cone mass per slice: the node-volume sum of g_plus, equal to
+        the sum of the particle weights (the deposit is conservative)."""
+        return np.sum(self.g_plus * self.grid.node_volumes, axis=-1)
+
+    def _probe_flux(self, plus, minus):
+        """4 pi r^2 (plus - minus) / 2 at the probe radii r, slice by slice."""
+        r = self.probe_radii
+        at = np.array([np.interp(r, self.grid.edges, d) for d in plus - minus])
+        return 4.0 * np.pi * r**2 * (0.5 * at)
+
+    @cached_property
+    def flux_j(self) -> np.ndarray:
+        """(n_slices, n_probes) mass flux 4 pi r^2 j.k through the probes."""
+        return self._probe_flux(self.g_plus, self.g_minus)
+
+    @cached_property
+    def flux_p(self) -> np.ndarray:
+        """(n_slices, n_probes) energy flux 4 pi r^2 pflux.k."""
+        return self._probe_flux(self.h_plus, self.h_minus)
 
     def profile_at(self, name: str, v: float, slope: float = 0.0,
                    j_max: int | None = None) -> np.ndarray:
@@ -92,25 +120,15 @@ class SliceHistory:
         return (1.0 - theta) * arr[idx, cols] + theta * arr[idx + 1, cols]
 
 
-def auto_r_max(datum: InitialDatum, v_final: float, margin: float) -> float:
-    """Grid extent R0 + v_final / 2 + margin: no particle can travel past
-    this radius (outward characteristic speed is below 1/2)."""
-    return datum.R0 + 0.5 * v_final + max(margin, 0.05)
-
-
-def _zero_field(grid: ShellGrid) -> RadialFieldProfile:
-    return RadialFieldProfile(grid=grid, I=np.zeros(grid.n_shells + 1))
-
-
 def step(parts: ParticleSet, grid: ShellGrid, dv: float, picard_iters: int = 2,
-         scheme: str = "rk4", field_off: bool = False, r_floor: float = 1e-10):
+         scheme: str = "rk4", r_floor: float = 1e-10):
     """One advanced-time step; returns (pushed particles, profiles, field).
 
     The returned profiles and field are the self-consistent ones at the
     *start* of the step.
     """
     profiles0 = deposit(parts, grid)
-    field0 = _zero_field(grid) if field_off else solve_field(profiles0)
+    field0 = solve_field(profiles0)
     if len(parts) == 0 or dv == 0.0:
         return parts.copy(), profiles0, field0
 
@@ -121,8 +139,6 @@ def step(parts: ParticleSet, grid: ShellGrid, dv: float, picard_iters: int = 2,
 
     r1, w1 = push(field0)
     for _ in range(picard_iters - 1):
-        if field_off:
-            break
         end = ParticleSet(r1, w1, parts.q, parts.weight, parts.f_value)
         field1 = solve_field(deposit(end, grid, source_only=True))
         avg = RadialFieldProfile(grid=grid, I=0.5 * (field0.I + field1.I))
@@ -178,11 +194,8 @@ def run(config: RunConfig, datum: InitialDatum | None = None) -> SliceHistory:
     n_nodes = grid.n_shells + 1
     prof_names = ("g_plus", "g_minus", "h_plus", "h_minus")
     profs = {k: np.zeros((n_slices, n_nodes)) for k in prof_names}
-    E_arr = np.zeros((n_slices, n_nodes))
     series = {k: np.zeros(n_slices) for k in
-              ("N_wedge", "M_wedge", "P_wedge", "R_slice_max", "R_min_run")}
-    flux_j = np.zeros((n_slices, probes.size))
-    flux_p = np.zeros((n_slices, probes.size))
+              ("M_wedge", "P_wedge", "R_slice_max", "R_min_run")}
 
     parts = parts0.copy()
     p_run = 0.0
@@ -196,9 +209,6 @@ def run(config: RunConfig, datum: InitialDatum | None = None) -> SliceHistory:
         nonlocal p_run, r_run_min
         for k in prof_names:
             profs[k][n] = getattr(profiles, k)
-        E_arr[n] = fieldprof.E
-        vol = grid.node_volumes
-        series["N_wedge"][n] = float(np.sum(profiles.g_plus * vol))
         if len(state):
             kinetic = float(np.sum(state.weight * state.gamma()))
             p_run = max(p_run, float(np.sqrt(np.max(state.momentum_sq()))))
@@ -207,22 +217,16 @@ def run(config: RunConfig, datum: InitialDatum | None = None) -> SliceHistory:
         else:
             kinetic = 0.0
         series["M_wedge"][n] = kinetic + radial_integral(
-            grid, 0.5 * E_arr[n]**2)
+            grid, 0.5 * fieldprof.E**2)
         series["P_wedge"][n] = p_run
         series["R_min_run"][n] = r_run_min if np.isfinite(r_run_min) else 0.0
-        j_r = 0.5 * np.interp(probes, grid.edges,
-                              profiles.g_plus - profiles.g_minus)
-        pf_r = 0.5 * np.interp(probes, grid.edges,
-                               profiles.h_plus - profiles.h_minus)
-        flux_j[n] = 4.0 * np.pi * probes**2 * j_r
-        flux_p[n] = 4.0 * np.pi * probes**2 * pf_r
 
     for n in range(n_steps):
         before = parts
         with _naming_step(n, vs[n]):
             parts, profiles, fieldprof = step(
                 parts, grid, dv, config.picard_iters, config.scheme,
-                config.field_off, config.r_floor)
+                config.r_floor)
         record(n, before, profiles, fieldprof)
         if len(parts):
             dr_sign = np.sign(parts.r - before.r)
@@ -236,13 +240,11 @@ def run(config: RunConfig, datum: InitialDatum | None = None) -> SliceHistory:
 
     with _naming_step(n_steps, vs[-1]):
         final_profiles = deposit(parts, grid)
-        final_field = (_zero_field(grid) if config.field_off
-                       else solve_field(final_profiles))
+        final_field = solve_field(final_profiles)
     record(n_steps, parts, final_profiles, final_field)
 
     return SliceHistory(
-        grid=grid, vs=vs, **profs, E=E_arr, **series,
-        probe_radii=probes, flux_j=flux_j, flux_p=flux_p,
+        grid=grid, vs=vs, **profs, **series, probe_radii=probes,
         R0=datum.R0, F=datum.F, f_inf_norm=datum.f_inf_norm, dv=dv,
         r_turn_violations=r_turn_violations, min_dw=min_dw,
         particles_initial=parts0, particles_final=parts,
@@ -258,13 +260,6 @@ def nirc_flux(history: SliceHistory, v1: float, v2: float, r: float) -> float:
     """
     if v2 < v1:
         raise ValueError("need v1 <= v2")
-    if r < 0.0 or r > history.grid.r_max:
+    if not history.grid.covers(r):
         raise ValueError("r outside grid")
-    return 0.0
-
-
-def outgoing_radiation(history: SliceHistory, v1: float, v2: float) -> float:
-    """Outgoing electromagnetic radiation on [v1, v2]; zero, as nirc_flux."""
-    if v2 < v1:
-        raise ValueError("need v1 <= v2")
     return 0.0

@@ -23,17 +23,14 @@ class ConfigError(ValueError):
 
 
 def _as_resolution(value):
-    if isinstance(value, (int, float)):
-        return (int(value),) * 3
-    if isinstance(value, (list, tuple)) and len(value) == 3:
-        return tuple(int(v) for v in value)
-    raise ConfigError("sampling.resolution must be an int or a 3-list")
-
-
-def _as_bool(value):
-    if isinstance(value, bool):
-        return value
-    raise ConfigError("expected a boolean")
+    """Particles per coordinate: whole numbers >= 2, not bools."""
+    counts = value if isinstance(value, (list, tuple)) else (value,) * 3
+    if len(counts) != 3 or not all(
+            (type(n) is int or type(n) is float and n.is_integer()) and n >= 2
+            for n in counts):
+        raise ConfigError("sampling.resolution must be a whole number >= 2 "
+                          f"or a 3-list of them, got {value!r}")
+    return tuple(int(n) for n in counts)
 
 
 def _same(value):
@@ -45,7 +42,15 @@ def _optional(parse):
 
 
 def _float_tuple(value):
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"expected a list of numbers, got {value!r}")
     return tuple(float(x) for x in value)
+
+
+def auto_r_max(datum, v_final: float, margin: float) -> float:
+    """Grid extent R0 + v_final / 2 + margin: no particle can travel past
+    this radius (outward characteristic speed is below 1/2)."""
+    return datum.R0 + 0.5 * v_final + max(margin, 0.05)
 
 
 def _entry(path, parse, default=None, dump=_same, factory=None):
@@ -73,7 +78,6 @@ class RunConfig:
     v_final: float = _entry("time.v_final", float, 5.0)
     scheme: str = _entry("solver.scheme", str, "rk4")
     picard_iters: int = _entry("solver.picard_iters", int, 2)
-    field_off: bool = _entry("solver.field_off", _as_bool, False)
     r_floor: float = _entry("solver.r_floor", float, 1e-10)
     output_directory: str | None = _entry("output.directory", _same)
     probe_radii: tuple | None = _entry("diagnostics.probe_radii",
@@ -93,12 +97,20 @@ class RunConfig:
             raise ConfigError(f"unknown solver.scheme {self.scheme!r}")
         try:
             datum = builtin_datum(self.datum_name, self.datum_params)
-        except (TypeError, ValueError, LookupError) as exc:
+        except (TypeError, ValueError, LookupError,
+                ArithmeticError) as exc:   # overflow in its support bounds
             raise ConfigError(f"invalid datum.name/datum.params: {exc}") from exc
         reach = datum.R0 + 0.5 * self.v_final   # outward speed is below 1/2
         if self.r_max is not None and self.r_max < reach:
             raise ConfigError(f"grid.r_max {self.r_max:g} is below the reach "
                               f"of the matter, R0 + v_final/2 = {reach:g}")
+        r_max = self.r_max or auto_r_max(datum, self.v_final, self.margin)
+        probes = self.probe_radii
+        if probes is not None and not (
+                len(probes) and all(0.0 <= r <= r_max for r in probes)):
+            raise ConfigError(f"diagnostics.probe_radii {list(probes)} must "
+                              f"be one or more radii in the shell grid "
+                              f"[0, {r_max:g}]")
 
     def to_dict(self) -> dict:
         return {section: {key: f.metadata["dump"](getattr(self, f.name))

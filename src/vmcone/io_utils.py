@@ -20,30 +20,22 @@ from .cone_evolver import SliceHistory
 
 # The run-directory layout that emit_history writes and load_history reads:
 # each CSV column and meta.json key with the SliceHistory field it holds.
-# A "{k}" column repeats once per probe; a None field marks a label column
-# (the slice's v, the node radius r) that leads the rows and is not read
-# back; particles.csv holds the ParticleSet fields of particles_final.
+# Only what the run records is persisted; the field, the past-cone mass and
+# the probe fluxes are derived from the moments.  A None field marks a label
+# column (the slice's v, the node radius r) that leads the rows and is not
+# read back; particles.csv holds the ParticleSet fields of particles_final.
 LAYOUT = {
-    "series.csv": {"v": "vs", "N_wedge": "N_wedge", "M_wedge": "M_wedge",
-                   "P_wedge": "P_wedge", "R_max": "R_slice_max",
-                   "R_min": "R_min_run"},
+    "series.csv": {"v": "vs", "M_wedge": "M_wedge", "P_wedge": "P_wedge",
+                   "R_max": "R_slice_max", "R_min": "R_min_run"},
     "profiles.csv": {"v": None, "r": None, "g_plus": "g_plus",
                      "g_minus": "g_minus", "h_plus": "h_plus",
-                     "h_minus": "h_minus", "E_r": "E"},
-    "fluxes.csv": {"v": None, "flux_j_r{k}": "flux_j",
-                   "flux_p_r{k}": "flux_p"},
+                     "h_minus": "h_minus"},
     "particles.csv": {c: c for c in ("r", "w", "q", "weight", "f_value")},
     "meta.json": {"r_max": "grid.r_max", "n_shells": "grid.n_shells",
                   **{k: k for k in ("R0", "F", "f_inf_norm", "dv",
                                     "probe_radii", "r_turn_violations",
                                     "min_dw")}},
 }
-
-
-def _columns(name, n_probes=0):
-    """(column, field) pairs of layout CSV ``name``, in file order."""
-    return [(col.format(k=k), field) for col, field in LAYOUT[name].items()
-            for k in (range(n_probes) if "{k}" in col else [0])]
 
 
 def _write_rows(fh, table):
@@ -55,16 +47,16 @@ def _write_rows(fh, table):
         fh.write(line * len(rows) % tuple(rows.ravel().tolist()))
 
 
-def _save_csv(directory, name, tables, n_probes=0):
+def _save_csv(directory, name, tables):
     """Layout CSV ``name``: its header, then the rows of every table."""
     with open(os.path.join(directory, name), "w", newline="\n") as fh:
-        fh.write(",".join(c for c, _ in _columns(name, n_probes)) + "\n")
+        fh.write(",".join(LAYOUT[name]) + "\n")
         for table in tables:
             _write_rows(fh, table)
 
 
 def emit_history(history: SliceHistory, directory) -> None:
-    """Write the full run record: profiles, series, probe fluxes, final
+    """Write the run record: the recorded profiles and series, the final
     particles and metadata."""
     os.makedirs(directory, exist_ok=True)
     fields = lambda name, obj=history: [
@@ -76,9 +68,6 @@ def emit_history(history: SliceHistory, directory) -> None:
         np.column_stack([np.full(edges.size, v), edges]
                         + [p[i] for p in profiles])
         for i, v in enumerate(history.vs)))
-    _save_csv(directory, "fluxes.csv",
-              [np.column_stack([history.vs] + fields("fluxes.csv"))],
-              history.probe_radii.size)
     if history.particles_final is not None:
         _save_csv(directory, "particles.csv", [np.column_stack(
             fields("particles.csv", history.particles_final))])
@@ -92,8 +81,8 @@ def emit_history(history: SliceHistory, directory) -> None:
 
 def _read_meta(path):
     """(meta.json, its ShellGrid).  Unless every LAYOUT key holds a number,
-    n_shells an int and probe_radii a list of numbers, a ValueError names
-    the file and the key."""
+    n_shells an int and probe_radii a non-empty list of radii in the grid,
+    a ValueError names the file and the key."""
     number = lambda x: type(x) in (int, float)
     try:
         with open(path) as fh:
@@ -108,25 +97,28 @@ def _read_meta(path):
             if not ok:
                 raise ValueError(f"{key} is {value!r}" if key in meta
                                  else f"no key {key!r}")
-        return meta, ShellGrid(r_max=meta["r_max"], n_shells=meta["n_shells"])
+        grid = ShellGrid(r_max=meta["r_max"], n_shells=meta["n_shells"])
+        probes = meta["probe_radii"]
+        if not (probes and all(map(grid.covers, probes))):
+            raise ValueError(f"probe_radii {probes} are not one or more "
+                             f"radii in the shell grid [0, {grid.r_max:g}]")
+        return meta, grid
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def _read_csv(directory, name, n_probes=0):
-    """({field: column, or (rows, n_probes) for a "{k}" column}, rows) of
-    layout CSV ``name``, each column picked by its header name; a missing
-    column or a malformed row raises a ValueError naming the file."""
+def _read_csv(directory, name):
+    """({field: column}, rows) of layout CSV ``name``, each column picked by
+    its header name; a missing column or a malformed row raises a
+    ValueError naming the file."""
     path = os.path.join(directory, name)
-    wanted = [c for c, f in _columns(name, n_probes) if f]
+    wanted = {c: f for c, f in LAYOUT[name].items() if f}
     try:
         with open(path) as fh:
             header = fh.readline().rstrip("\n").split(",")
             for c in wanted:
-                if c not in header:   # a "{k}" column counts meta.json probes
-                    probes = " (meta.json probe_radii)"
-                    raise ValueError(f"no column {c!r}"
-                                     + ("" if c in LAYOUT[name] else probes))
+                if c not in header:
+                    raise ValueError(f"no column {c!r}")
             cols = [header.index(c) for c in wanted]
             # with every column wanted the rows are read whole, so that a
             # row with more values than the header is an error too
@@ -140,19 +132,14 @@ def _read_csv(directory, name, n_probes=0):
                 data = data.reshape(-1, len(header))[:, cols]
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    out, j = {}, 0
-    for col, field in LAYOUT[name].items():
-        if field and "{k}" in col:
-            out[field], j = data[:, j:j + n_probes], j + n_probes
-        elif field:
-            out[field], j = data[:, j], j + 1
-    return out, data.shape[0]
+    return dict(zip(wanted.values(), data.T)), data.shape[0]
 
 
 def load_history(directory) -> SliceHistory:
     """Reconstruct a SliceHistory from an emitted run directory.  Columns
-    are read by header name, so directories whose series.csv still holds
-    the shifted series (N_vee, M_vee, N_slice, M_slice) load the same."""
+    are read by header name and other files are not read, so directories
+    that also hold derived data (the N_wedge and E_r columns, fluxes.csv,
+    the shifted series N_vee, M_vee, N_slice, M_slice) load the same."""
     join = lambda name: os.path.join(directory, name)
     meta, grid = _read_meta(join("meta.json"))
     fields = {f: meta[key] for key, f in LAYOUT["meta.json"].items()
@@ -166,12 +153,11 @@ def load_history(directory) -> SliceHistory:
         raise ValueError(f"{join('profiles.csv')}: {rows} rows are not a "
                          f"whole number of {n_nodes}-node slices ({shape})")
     fields.update({f: col.reshape(-1, n_nodes) for f, col in profiles.items()})
-    for name in ("series.csv", "fluxes.csv"):
-        cols, n = _read_csv(directory, name, len(meta["probe_radii"]))
-        if n != rows // n_nodes:
-            raise ValueError(f"{join(name)}: {n} rows for {rows // n_nodes} "
-                             f"slices in profiles.csv ({shape})")
-        fields.update(cols)
+    series, n = _read_csv(directory, "series.csv")
+    if n != rows // n_nodes:
+        raise ValueError(f"{join('series.csv')}: {n} rows for "
+                         f"{rows // n_nodes} slices in profiles.csv ({shape})")
+    fields.update(series)
 
     if os.path.exists(join("particles.csv")):
         cols, n = _read_csv(directory, "particles.csv")

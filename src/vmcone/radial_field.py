@@ -36,6 +36,11 @@ class ShellGrid:
     def edges(self) -> np.ndarray:
         return np.linspace(0.0, self.r_max, self.n_shells + 1)
 
+    def covers(self, r: float) -> bool:
+        """0 <= r <= r_max, up to rounding: a node snapped to the last one
+        (n_shells * dr) may exceed r_max by an ulp."""
+        return 0.0 <= r <= self.r_max + 1e-12
+
     @property
     def node_volumes(self) -> np.ndarray:
         """Control volume of each node; sums to the ball volume."""
@@ -72,9 +77,9 @@ class RadialFieldProfile:
 
     @property
     def E(self) -> np.ndarray:
-        """E_r(r_j) = I(r_j) / r_j^2, E_r(0) = 0."""
+        """E_r(r_j) = I(r_j) / r_j^2, E_r(0) = 0, along the last axis of I."""
         E = np.zeros_like(self.I)
-        E[1:] = self.I[1:] / self.grid.edges[1:] ** 2
+        E[..., 1:] = self.I[..., 1:] / self.grid.edges[1:] ** 2
         return E
 
 
@@ -119,11 +124,13 @@ def deposit(parts, grid: ShellGrid, source_only=False) -> MomentProfiles:
 
 
 def cumulative_source(grid: ShellGrid, g: np.ndarray) -> np.ndarray:
-    """Trapezoid cumulative integral I(r_j) = int_0^{r_j} g r'^2 dr'."""
+    """Trapezoid cumulative integral I(r_j) = int_0^{r_j} g r'^2 dr' along
+    the last axis of g."""
     edges = grid.edges
     integrand = g * edges**2
     I = np.zeros_like(integrand)
-    I[1:] = np.cumsum(0.5 * grid.dr * (integrand[:-1] + integrand[1:]))
+    I[..., 1:] = np.cumsum(
+        0.5 * grid.dr * (integrand[..., :-1] + integrand[..., 1:]), axis=-1)
     return I
 
 
@@ -131,7 +138,7 @@ def radial_integral(grid: ShellGrid, values: np.ndarray, r=None) -> float:
     """4 pi int_0^r values(r') r'^2 dr', trapezoid with a partial last cell;
     r = None integrates over the whole grid."""
     r = float(grid.r_max if r is None else r)
-    if r < 0.0 or r > grid.r_max + 1e-12:
+    if not grid.covers(r):
         raise ValueError("radius outside shell grid")
     edges = grid.edges
     integrand = values * edges**2

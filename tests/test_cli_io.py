@@ -46,6 +46,8 @@ def test_config_fail_closed(tmp_path):
         config_from_dict({"time": {"v_final": -1.0}})
     with pytest.raises(ConfigError, match="scheme"):
         config_from_dict({"solver": {"scheme": "verlet"}})
+    with pytest.raises(ConfigError, match=r"unknown key.*'field_off'"):
+        config_from_dict({"solver": {"field_off": True}})
     p = tmp_path / "broken.json"
     p.write_text("{not json")
     with pytest.raises(ConfigError, match="malformed JSON"):
@@ -88,8 +90,110 @@ def test_config_rejects_r_max_inside_the_reach_of_the_matter(tmp_path,
     assert not os.path.exists(tmp_path / "out")
 
 
+def test_cli_run_rejects_bad_resolution_and_probes_before_the_run(tmp_path,
+                                                                 capsys):
+    # the write_config datum at v_final 2 has the automatic r_max 1.85
+    for over, key in (({"sampling": {"resolution": [1, 1, 1]}},
+                       "sampling.resolution"),
+                      ({"sampling": {"resolution": True}},
+                       "sampling.resolution"),
+                      ({"sampling": {"resolution": 8.5}},
+                       "sampling.resolution"),
+                      ({"diagnostics": {"probe_radii": []}},
+                       "diagnostics.probe_radii [] must be"),
+                      ({"diagnostics": {"probe_radii": [-0.1, 0.5]}},
+                       "diagnostics.probe_radii [-0.1, 0.5] must be"),
+                      ({"diagnostics": {"probe_radii": [0.5, 1.9]}},
+                       "in the shell grid [0, 1.85]"),
+                      ({"diagnostics": {"probe_radii": [2.5]},
+                        "grid": {"n_shells": 128, "r_max": 2.0}},
+                       "in the shell grid [0, 2]"),
+                      ({"diagnostics": {"probe_radii": "12"}},
+                       "diagnostics.probe_radii")):
+        cfg_path = write_config(tmp_path / "cfg.json",
+                                output={"directory": str(tmp_path / "out")},
+                                **over)
+        assert main(["run", "--config", cfg_path, "--diagnose"]) == 2, over
+        captured = capsys.readouterr()
+        assert "configuration error" in captured.err, over
+        assert key in captured.err and "steps" not in captured.out, over
+        assert not os.path.exists(tmp_path / "out")
+    # a probe on the explicit r_max, and a whole float count, are accepted
+    cfg = config_from_dict({"grid": {"r_max": 2.0},
+                            "time": {"v_final": 2.0},
+                            "sampling": {"resolution": [8.0, 2, 3]},
+                            "diagnostics": {"probe_radii": [0.0, 2.0]}})
+    assert cfg.resolution == (8, 2, 3) and cfg.probe_radii == (0.0, 2.0)
+
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from vmcone import auto_r_max, builtin_datum
+from vmcone.config import _sections
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=3),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=3), children, max_size=3),
+    max_leaves=8)
+_NUMBER = st.integers(-2, 40) | st.floats(-1.0, 20.0)
+# JSON values of the shapes each key takes, in and out of its range, so
+# that many documents parse
+_NEAR = {
+    "datum.name": st.sampled_from(["zero", "shell_polynomial",
+                                   "shell_gaussian"]),
+    "datum.params": st.dictionaries(
+        st.sampled_from(["amplitude", "r_support", "w_max", "q_support",
+                         "sharpness"]),
+        _NUMBER | st.lists(_NUMBER, min_size=2, max_size=2), max_size=3),
+    "sampling.resolution": _NUMBER | st.booleans()
+    | st.lists(_NUMBER, min_size=2, max_size=4),
+    "grid.r_max": st.none() | _NUMBER,
+    "time.dv": st.none() | _NUMBER,
+    "solver.scheme": st.sampled_from(["rk4", "midpoint"]),
+    "diagnostics.probe_radii": st.none() | st.lists(_NUMBER, max_size=4),
+}
+
+
+@st.composite
+def _config_docs(draw):
+    """A document of the schema's sections and keys holding JSON values,
+    mostly of each key's shape; rarely a stray section or key, a section
+    that is not an object or a value that is any JSON."""
+    rarely = lambda: draw(st.integers(0, 19)) == 0
+    schema = {s: sorted(keys) for s, keys in _sections().items()}
+    doc = {}
+    for section in draw(st.lists(st.sampled_from(sorted(schema)),
+                                 unique=True)) + ["solvr"] * rarely():
+        if rarely():
+            doc[section] = draw(_JSON)
+            continue
+        doc[section] = {}
+        keys = schema.get(section, ["dt"])
+        for key in draw(st.lists(st.sampled_from(keys), unique=True)) + [
+                "dt"] * rarely():
+            near = _NEAR.get(f"{section}.{key}", _NUMBER)
+            doc[section][key] = draw(_JSON if rarely() else near)
+    return doc
+
+
+@given(doc=_config_docs())
+@settings(max_examples=500, deadline=None)
+def test_config_from_dict_fuzz(doc):
+    # any document either parses or raises a ConfigError; a parsed one has
+    # particle counts the sampler takes and probes inside its shell grid
+    try:
+        cfg = config_from_dict(doc)
+    except ConfigError:
+        return
+    assert all(type(n) is int and n >= 2 for n in cfg.resolution)
+    if cfg.probe_radii is not None:
+        datum = builtin_datum(cfg.datum_name, cfg.datum_params)
+        r_max = cfg.r_max or auto_r_max(datum, cfg.v_final, cfg.margin)
+        assert cfg.probe_radii
+        assert all(0.0 <= r <= r_max for r in cfg.probe_radii)
+    assert config_from_dict(cfg.to_dict()) == cfg
 
 
 @given(n_shells=st.integers(2, 4096),
@@ -146,7 +250,7 @@ def test_load_history_names_a_malformed_file(tmp_path, small_history):
                                              r"not a whole number of 257-node "
                                              r"slices"):
             load_history(str(d))
-    # the E_r column missing
+    # the h_minus column missing
     prof.write_text("".join(line.rsplit(",", 1)[0] + "\n" for line in lines))
     with pytest.raises(ValueError, match=r"profiles\.csv: "):
         load_history(str(d))
@@ -161,13 +265,6 @@ def test_load_history_names_a_malformed_file(tmp_path, small_history):
     with pytest.raises(ValueError, match=r"series\.csv: no column 'R_min'"):
         load_history(str(d))
     series.write_text("".join(rows))
-    fluxes = d / "fluxes.csv"
-    rows = fluxes.read_text().splitlines(keepends=True)
-    fluxes.write_text("".join(rows[:-1]))
-    with pytest.raises(ValueError, match=r"fluxes\.csv: \d+ rows for \d+ "
-                                         r"slices in profiles\.csv"):
-        load_history(str(d))
-    fluxes.write_text("".join(rows))
     # two particles merged into one row, and one row longer than the header
     parts = d / "particles.csv"
     rows = parts.read_text().splitlines(keepends=True)
@@ -184,6 +281,13 @@ def test_load_history_names_a_malformed_file(tmp_path, small_history):
                           "no key 'dv'"),
                          (dict(doc, n_shells=256.0), "n_shells is 256.0"),
                          (dict(doc, probe_radii=0.5), "probe_radii is 0.5"),
+                         (dict(doc, probe_radii=[]), r"probe_radii \[\] are "
+                                                     "not one or more radii"),
+                         (dict(doc, probe_radii=[-0.1]),
+                          r"probe_radii \[-0\.1\] are not"),
+                         (dict(doc, probe_radii=[0.5, 9.0]),
+                          r"probe_radii \[0\.5, 9\.0\] are not one or more "
+                          r"radii in the shell grid \[0, 2\.35\]"),
                          (dict(doc, r_max=0.0), "need r_max > 0")):
         meta.write_text(json.dumps(bad))
         with pytest.raises(ValueError, match=r"meta\.json: " + message):
@@ -209,15 +313,20 @@ def test_diagnose_report_survives_round_trip(tmp_path, small_history):
 
 
 def test_series_columns(tmp_path, small_history):
-    # only recorded series are persisted; the shifted ones are derived
+    # only recorded series and profiles are persisted; the shifted series,
+    # N_wedge, E and the probe fluxes are derived
     emit_history(small_history, str(tmp_path))
+    assert sorted(os.listdir(tmp_path)) == [
+        "meta.json", "particles.csv", "profiles.csv", "series.csv"]
     path = tmp_path / "series.csv"
     header = path.read_text().splitlines()[0]
-    assert header == "v,N_wedge,M_wedge,P_wedge,R_max,R_min"
+    assert header == "v,M_wedge,P_wedge,R_max,R_min"
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     h = small_history
     assert np.array_equal(data, np.column_stack(
-        (h.vs, h.N_wedge, h.M_wedge, h.P_wedge, h.R_slice_max, h.R_min_run)))
+        (h.vs, h.M_wedge, h.P_wedge, h.R_slice_max, h.R_min_run)))
+    header = (tmp_path / "profiles.csv").read_text().splitlines()[0]
+    assert header == "v,r,g_plus,g_minus,h_plus,h_minus"
 
 
 def _rewrite_columns(path, columns):
@@ -247,26 +356,21 @@ def _same_history(a, b):
 def test_load_history_reads_columns_by_name(tmp_path, small_history):
     d = tmp_path / "run"
     emit_history(small_history, str(d))
-    # the ten-column series.csv of older directories, with the shifted
-    # series between the recorded ones
+    # the layout of older directories: the ten-column series.csv with
+    # N_wedge and the shifted series, an E_r column and a fluxes.csv; the
+    # derived columns (here nan) and files are not read
     _rewrite_columns(d / "series.csv", [
         "v", "N_wedge", "M_wedge", "N_vee", "M_vee", "N_slice", "M_slice",
         "P_wedge", "R_max", "R_min"])
+    _rewrite_columns(d / "profiles.csv", [
+        "v", "r", "g_plus", "g_minus", "h_plus", "h_minus", "E_r"])
+    (d / "fluxes.csv").write_text("v,flux_j_r0,flux_p_r0\nnan,nan,nan\n")
     _same_history(load_history(str(d)), small_history)
     # any column order
     _rewrite_columns(d / "series.csv", [
-        "R_min", "M_wedge", "v", "R_max", "N_wedge", "P_wedge"])
+        "R_min", "M_wedge", "v", "R_max", "P_wedge"])
     _rewrite_columns(d / "particles.csv", ["f_value", "q", "r", "weight", "w"])
-    _rewrite_columns(d / "fluxes.csv", [
-        "flux_p_r2", "v", "flux_j_r2", "flux_j_r0", "flux_p_r0", "flux_j_r1",
-        "flux_p_r1"])
     _same_history(load_history(str(d)), small_history)
-    _rewrite_columns(d / "fluxes.csv", ["v", "flux_j_r0", "flux_j_r1",
-                                        "flux_p_r0", "flux_p_r1", "flux_p_r2"])
-    with pytest.raises(ValueError, match=r"fluxes\.csv: no column "
-                                         r"'flux_j_r2' \(meta\.json "
-                                         r"probe_radii\)"):
-        load_history(str(d))
 
 
 @pytest.fixture(scope="module")
@@ -304,15 +408,13 @@ def test_load_history_fuzz_truncated_or_overwritten(tiny_run, data):
 
 def test_determinism_byte_identical(tmp_path):
     cfg = small_config(resolution=(8, 8, 8), v_final=1.0, n_shells=64)
-    files = ("series.csv", "profiles.csv", "fluxes.csv", "particles.csv",
-             "meta.json")
-    dirs = []
-    for name in ("a", "b"):
-        d = tmp_path / name
+    a, b = tmp_path / "a", tmp_path / "b"
+    for d in (a, b):
         emit_history(run(cfg), str(d))
-        dirs.append(d)
+    files = sorted(os.listdir(a))
+    assert files == sorted(os.listdir(b))
     for f in files:
-        assert (dirs[0] / f).read_bytes() == (dirs[1] / f).read_bytes(), f
+        assert (a / f).read_bytes() == (b / f).read_bytes(), f
 
 
 def test_emit_report(tmp_path):
@@ -353,14 +455,14 @@ def test_cli_diagnose_fails_closed_on_bad_input(tmp_path, capsys,
     meta = json.loads((no_dv / "meta.json").read_text())
     del meta["dv"]
     (no_dv / "meta.json").write_text(json.dumps(meta))
-    no_e = tmp_path / "no_e"
-    shutil.copytree(good, no_e)
-    prof = no_e / "profiles.csv"
+    no_h = tmp_path / "no_h"
+    shutil.copytree(good, no_h)
+    prof = no_h / "profiles.csv"
     prof.write_text("".join(line.rsplit(",", 1)[0] + "\n"
                             for line in prof.read_text().splitlines()))
     for d, message in ((tmp_path / "missing", "No such file"),
                        (no_dv, "meta.json: no key 'dv'"),
-                       (no_e, "profiles.csv: no column 'E_r'")):
+                       (no_h, "profiles.csv: no column 'h_minus'")):
         assert main(["diagnose", "--history", str(d),
                      "--report", str(tmp_path / "diag.json")]) == 2
         captured = capsys.readouterr()
@@ -392,8 +494,12 @@ def test_cli_run_bad_config(tmp_path, capsys):
 
 
 def test_cli_run_rejects_bad_datum_before_the_run(tmp_path, capsys):
+    # a NaN, a typo, and parameters whose support radius overflows or
+    # divides by an underflowed r_lo^2
     for params in (dict(DESK_DATUM_PARAMS, amplitude=float("nan")),
-                   dict(DESK_DATUM_PARAMS, amplitdue=1.0)):
+                   dict(DESK_DATUM_PARAMS, amplitdue=1.0),
+                   dict(DESK_DATUM_PARAMS, w_max=1e200),
+                   dict(DESK_DATUM_PARAMS, r_support=[1e-200, 0.6])):
         cfg_path = write_config(tmp_path / "cfg.json",
                                 datum={"name": "shell_polynomial",
                                        "params": params})
