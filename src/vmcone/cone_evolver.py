@@ -177,7 +177,8 @@ def run(config: RunConfig, datum: InitialDatum | None = None) -> SliceHistory:
         datum = builtin_datum(config.datum_name, config.datum_params)
     parts0 = sample_particles(datum, config.resolution)
 
-    r_max = config.r_max or auto_r_max(datum, config.v_final, config.margin)
+    r_max = (auto_r_max(datum, config.v_final, config.margin)
+             if config.r_max is None else config.r_max)
     grid = ShellGrid(r_max=r_max, n_shells=config.n_shells)
     dv = config.dv
     if dv is None:

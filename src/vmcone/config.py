@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, fields
+from functools import partial
 
 from .phase_model import builtin_datum
 
@@ -22,15 +23,25 @@ class ConfigError(ValueError):
     pass
 
 
+def _number(value, whole=False):
+    """A JSON number as written, never a bool or a string; with ``whole`` a
+    whole one (3 or 3.0, not 300.9), returned as an int."""
+    if type(value) not in (int, float) or whole and value != int(value):
+        raise TypeError(f"expected a {'whole ' * whole}number, got {value!r}")
+    return int(value) if whole else float(value)
+
+
+_whole = partial(_number, whole=True)
+
+
 def _as_resolution(value):
-    """Particles per coordinate: whole numbers >= 2, not bools."""
+    """Particles per coordinate: whole numbers >= 2."""
     counts = value if isinstance(value, (list, tuple)) else (value,) * 3
-    if len(counts) != 3 or not all(
-            (type(n) is int or type(n) is float and n.is_integer()) and n >= 2
-            for n in counts):
+    counts = tuple(map(_whole, counts))
+    if len(counts) != 3 or min(counts) < 2:
         raise ConfigError("sampling.resolution must be a whole number >= 2 "
                           f"or a 3-list of them, got {value!r}")
-    return tuple(int(n) for n in counts)
+    return counts
 
 
 def _same(value):
@@ -44,7 +55,7 @@ def _optional(parse):
 def _float_tuple(value):
     if not isinstance(value, (list, tuple)):
         raise TypeError(f"expected a list of numbers, got {value!r}")
-    return tuple(float(x) for x in value)
+    return tuple(map(_number, value))
 
 
 def auto_r_max(datum, v_final: float, margin: float) -> float:
@@ -71,14 +82,14 @@ class RunConfig:
     datum_params: dict = _entry("datum.params", dict, factory=dict)
     resolution: tuple = _entry("sampling.resolution", _as_resolution,
                                (32, 32, 32), dump=list)
-    n_shells: int = _entry("grid.n_shells", int, 512)
-    r_max: float | None = _entry("grid.r_max", _optional(float))
-    margin: float = _entry("grid.margin", float, 0.25)
-    dv: float | None = _entry("time.dv", _optional(float))
-    v_final: float = _entry("time.v_final", float, 5.0)
+    n_shells: int = _entry("grid.n_shells", _whole, 512)
+    r_max: float | None = _entry("grid.r_max", _optional(_number))
+    margin: float = _entry("grid.margin", _number, 0.25)
+    dv: float | None = _entry("time.dv", _optional(_number))
+    v_final: float = _entry("time.v_final", _number, 5.0)
     scheme: str = _entry("solver.scheme", str, "rk4")
-    picard_iters: int = _entry("solver.picard_iters", int, 2)
-    r_floor: float = _entry("solver.r_floor", float, 1e-10)
+    picard_iters: int = _entry("solver.picard_iters", _whole, 2)
+    r_floor: float = _entry("solver.r_floor", _number, 1e-10)
     output_directory: str | None = _entry("output.directory", _same)
     probe_radii: tuple | None = _entry("diagnostics.probe_radii",
                                        _optional(_float_tuple),
@@ -101,10 +112,13 @@ class RunConfig:
                 ArithmeticError) as exc:   # overflow in its support bounds
             raise ConfigError(f"invalid datum.name/datum.params: {exc}") from exc
         reach = datum.R0 + 0.5 * self.v_final   # outward speed is below 1/2
+        if self.r_max is not None and self.r_max <= 0.0:
+            raise ConfigError(f"grid.r_max {self.r_max:g} must be positive")
         if self.r_max is not None and self.r_max < reach:
             raise ConfigError(f"grid.r_max {self.r_max:g} is below the reach "
                               f"of the matter, R0 + v_final/2 = {reach:g}")
-        r_max = self.r_max or auto_r_max(datum, self.v_final, self.margin)
+        r_max = (auto_r_max(datum, self.v_final, self.margin)
+                 if self.r_max is None else self.r_max)
         probes = self.probe_radii
         if probes is not None and not (
                 len(probes) and all(0.0 <= r <= r_max for r in probes)):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import warnings
 from operator import attrgetter
 
 import numpy as np
@@ -21,15 +22,13 @@ from .cone_evolver import SliceHistory
 # The run-directory layout that emit_history writes and load_history reads:
 # each CSV column and meta.json key with the SliceHistory field it holds.
 # Only what the run records is persisted; the field, the past-cone mass and
-# the probe fluxes are derived from the moments.  A None field marks a label
-# column (the slice's v, the node radius r) that leads the rows and is not
-# read back; particles.csv holds the ParticleSet fields of particles_final.
+# the probe fluxes are derived from the moments.  Row i * (n_shells + 1) + j
+# of profiles.csv holds slice i (v in series.csv) at node j (r = j * dr);
+# particles.csv holds the ParticleSet fields of particles_final.
 LAYOUT = {
     "series.csv": {"v": "vs", "M_wedge": "M_wedge", "P_wedge": "P_wedge",
                    "R_max": "R_slice_max", "R_min": "R_min_run"},
-    "profiles.csv": {"v": None, "r": None, "g_plus": "g_plus",
-                     "g_minus": "g_minus", "h_plus": "h_plus",
-                     "h_minus": "h_minus"},
+    "profiles.csv": {c: c for c in ("g_plus", "g_minus", "h_plus", "h_minus")},
     "particles.csv": {c: c for c in ("r", "w", "q", "weight", "f_value")},
     "meta.json": {"r_max": "grid.r_max", "n_shells": "grid.n_shells",
                   **{k: k for k in ("R0", "F", "f_inf_norm", "dv",
@@ -38,39 +37,29 @@ LAYOUT = {
 }
 
 
-def _write_rows(fh, table):
-    """Rows of a 2-D array as comma-separated %.17g lines, formatted with
+def _save_csv(directory, name, columns):
+    """Layout CSV ``name``: its header, then one row per entry of the equal
+    length 1-D ``columns`` as comma-separated %.17g values, formatted with
     one template per block of 1024 rows, which keeps memory use flat."""
-    line = ",".join(["%.17g"] * table.shape[1]) + "\n"
-    for i in range(0, len(table), 1024):
-        rows = table[i:i + 1024]
-        fh.write(line * len(rows) % tuple(rows.ravel().tolist()))
-
-
-def _save_csv(directory, name, tables):
-    """Layout CSV ``name``: its header, then the rows of every table."""
+    line = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(os.path.join(directory, name), "w", newline="\n") as fh:
         fh.write(",".join(LAYOUT[name]) + "\n")
-        for table in tables:
-            _write_rows(fh, table)
+        for i in range(0, len(columns[0]), 1024):
+            rows = np.column_stack([c[i:i + 1024] for c in columns])
+            fh.write(line * len(rows) % tuple(rows.ravel().tolist()))
 
 
 def emit_history(history: SliceHistory, directory) -> None:
     """Write the run record: the recorded profiles and series, the final
     particles and metadata."""
     os.makedirs(directory, exist_ok=True)
-    fields = lambda name, obj=history: [
-        attrgetter(f)(obj) for f in LAYOUT[name].values() if f]
-
-    _save_csv(directory, "series.csv", [np.column_stack(fields("series.csv"))])
-    edges, profiles = history.grid.edges, fields("profiles.csv")
-    _save_csv(directory, "profiles.csv", (
-        np.column_stack([np.full(edges.size, v), edges]
-                        + [p[i] for p in profiles])
-        for i, v in enumerate(history.vs)))
+    columns = lambda name, obj=history: [
+        attrgetter(f)(obj).ravel() for f in LAYOUT[name].values()]
+    for name in ("series.csv", "profiles.csv"):
+        _save_csv(directory, name, columns(name))
     if history.particles_final is not None:
-        _save_csv(directory, "particles.csv", [np.column_stack(
-            fields("particles.csv", history.particles_final))])
+        _save_csv(directory, "particles.csv",
+                  columns("particles.csv", history.particles_final))
 
     meta = {k: attrgetter(f)(history) for k, f in LAYOUT["meta.json"].items()}
     meta["probe_radii"] = [float(r) for r in meta["probe_radii"]]
@@ -111,8 +100,7 @@ def _read_csv(directory, name):
     """({field: column}, rows) of layout CSV ``name``, each column picked by
     its header name; a missing column or a malformed row raises a
     ValueError naming the file."""
-    path = os.path.join(directory, name)
-    wanted = {c: f for c, f in LAYOUT[name].items() if f}
+    path, wanted = os.path.join(directory, name), LAYOUT[name]
     try:
         with open(path) as fh:
             header = fh.readline().rstrip("\n").split(",")
@@ -123,8 +111,10 @@ def _read_csv(directory, name):
             # with every column wanted the rows are read whole, so that a
             # row with more values than the header is an error too
             whole = sorted(cols) == list(range(len(header)))
-            data = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None,
-                              usecols=None if whole else cols)
+            with warnings.catch_warnings():   # a header alone is 0 rows
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                data = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None,
+                                  usecols=None if whole else cols)
             if whole:
                 if data.size and data.shape[1] != len(header):
                     raise ValueError(f"rows of {data.shape[1]} values under "
@@ -138,8 +128,8 @@ def _read_csv(directory, name):
 def load_history(directory) -> SliceHistory:
     """Reconstruct a SliceHistory from an emitted run directory.  Columns
     are read by header name and other files are not read, so directories
-    that also hold derived data (the N_wedge and E_r columns, fluxes.csv,
-    the shifted series N_vee, M_vee, N_slice, M_slice) load the same."""
+    that also hold derived data (profiles.csv v, r and E_r, N_wedge,
+    fluxes.csv, the shifted series N_vee, M_vee, ...) load the same."""
     join = lambda name: os.path.join(directory, name)
     meta, grid = _read_meta(join("meta.json"))
     fields = {f: meta[key] for key, f in LAYOUT["meta.json"].items()

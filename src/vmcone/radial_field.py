@@ -13,6 +13,7 @@ conservative: the node masses sum exactly to the particle weights.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,22 +33,26 @@ class ShellGrid:
     def dr(self) -> float:
         return self.r_max / self.n_shells
 
-    @property
+    @cached_property
     def edges(self) -> np.ndarray:
-        return np.linspace(0.0, self.r_max, self.n_shells + 1)
+        """Node radii, built once and read-only like the grid itself."""
+        edges = np.linspace(0.0, self.r_max, self.n_shells + 1)
+        edges.flags.writeable = False
+        return edges
 
     def covers(self, r: float) -> bool:
         """0 <= r <= r_max, up to rounding: a node snapped to the last one
         (n_shells * dr) may exceed r_max by an ulp."""
         return 0.0 <= r <= self.r_max + 1e-12
 
-    @property
+    @cached_property
     def node_volumes(self) -> np.ndarray:
-        """Control volume of each node; sums to the ball volume."""
-        dr = self.dr
-        lo = np.maximum(self.edges - 0.5 * dr, 0.0)
-        hi = np.minimum(self.edges + 0.5 * dr, self.r_max)
-        return (4.0 * np.pi / 3.0) * (hi**3 - lo**3)
+        """Control volume of each node, read-only; sums to the ball volume."""
+        lo = np.maximum(self.edges - 0.5 * self.dr, 0.0)
+        hi = np.minimum(self.edges + 0.5 * self.dr, self.r_max)
+        volumes = (4.0 * np.pi / 3.0) * (hi**3 - lo**3)
+        volumes.flags.writeable = False
+        return volumes
 
 
 @dataclass(frozen=True)
@@ -126,8 +131,7 @@ def deposit(parts, grid: ShellGrid, source_only=False) -> MomentProfiles:
 def cumulative_source(grid: ShellGrid, g: np.ndarray) -> np.ndarray:
     """Trapezoid cumulative integral I(r_j) = int_0^{r_j} g r'^2 dr' along
     the last axis of g."""
-    edges = grid.edges
-    integrand = g * edges**2
+    integrand = g * grid.edges**2
     I = np.zeros_like(integrand)
     I[..., 1:] = np.cumsum(
         0.5 * grid.dr * (integrand[..., :-1] + integrand[..., 1:]), axis=-1)

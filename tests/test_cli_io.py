@@ -2,6 +2,7 @@ import json
 import os
 import shutil
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -67,6 +68,45 @@ def test_config_rejects_non_finite_numbers():
             config_from_dict(json.loads(text))
     with pytest.raises(ConfigError, match="grid.n_shells"):
         config_from_dict(json.loads('{"grid": {"n_shells": Infinity}}'))
+
+
+def test_config_rejects_coerced_numbers():
+    # a count that is not whole, a number written as a string and a bool
+    # for a float are errors naming the key, never truncated or coerced
+    for section, key, value in (("grid", "n_shells", 300.9),
+                                ("solver", "picard_iters", "3"),
+                                ("time", "v_final", "2.5"),
+                                ("solver", "picard_iters", True),
+                                ("grid", "margin", False),
+                                ("diagnostics", "probe_radii", [0.5, "1"])):
+        with pytest.raises(ConfigError, match=rf"{section}\.{key}: "):
+            config_from_dict({section: {key: value}})
+    cfg = config_from_dict({"grid": {"n_shells": 300.0},
+                            "solver": {"picard_iters": 3},
+                            "time": {"v_final": 2}})
+    assert (cfg.n_shells, cfg.picard_iters, cfg.v_final) == (300, 3, 2.0)
+    assert type(cfg.n_shells) is int and type(cfg.v_final) is float
+
+
+def test_config_rejects_a_non_positive_r_max(tmp_path, capsys):
+    # the zero datum at v_final 0 has reach 0, so only the positivity rule
+    # refuses r_max 0
+    doc = {"datum": {"name": "zero"}, "time": {"v_final": 0.0}}
+    for r_max in (0.0, -1.0):
+        with pytest.raises(ConfigError, match=r"grid\.r_max -?\d+ must be "
+                                              r"positive"):
+            config_from_dict(dict(doc, grid={"r_max": r_max}))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(
+        doc, grid={"r_max": 0.0}, output={"directory": str(tmp_path / "out")})))
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    captured = capsys.readouterr()
+    assert "configuration error" in captured.err
+    assert "grid.r_max" in captured.err and "steps" not in captured.out
+    assert not os.path.exists(tmp_path / "out")
+    # an explicit extent is used as given, never replaced by the automatic one
+    h = run(config_from_dict(dict(doc, grid={"r_max": 0.5, "n_shells": 8})))
+    assert h.grid.r_max == 0.5
 
 
 def test_config_rejects_r_max_inside_the_reach_of_the_matter(tmp_path,
@@ -243,12 +283,15 @@ def test_load_history_names_a_malformed_file(tmp_path, small_history):
     emit_history(small_history, str(d))
     prof = d / "profiles.csv"
     lines = prof.read_text().splitlines(keepends=True)
-    # one row short of whole slices, and no slice at all
+    # one row short of whole slices, and no slice at all (a header alone),
+    # each with the named error and no other warning or error
     for bad in (lines[:-1], lines[:1]):
         prof.write_text("".join(bad))
-        with pytest.raises(ValueError, match=r"profiles\.csv: \d+ rows are "
-                                             r"not a whole number of 257-node "
-                                             r"slices"):
+        with warnings.catch_warnings(), \
+                pytest.raises(ValueError, match=r"profiles\.csv: \d+ rows are "
+                                                r"not a whole number of "
+                                                r"257-node slices"):
+            warnings.simplefilter("error")
             load_history(str(d))
     # the h_minus column missing
     prof.write_text("".join(line.rsplit(",", 1)[0] + "\n" for line in lines))
@@ -326,7 +369,20 @@ def test_series_columns(tmp_path, small_history):
     assert np.array_equal(data, np.column_stack(
         (h.vs, h.M_wedge, h.P_wedge, h.R_slice_max, h.R_min_run)))
     header = (tmp_path / "profiles.csv").read_text().splitlines()[0]
-    assert header == "v,r,g_plus,g_minus,h_plus,h_minus"
+    assert header == "g_plus,g_minus,h_plus,h_minus"
+
+
+def test_profiles_rows_are_slice_major(tmp_path, small_history):
+    # row i * (n_shells + 1) + j holds slice i at node j; v is in
+    # series.csv and r = j * dr follows from meta.json
+    emit_history(small_history, str(tmp_path))
+    data = np.loadtxt(tmp_path / "profiles.csv", delimiter=",", skiprows=1)
+    h, n_nodes = small_history, small_history.grid.n_shells + 1
+    assert data.shape == (len(h.vs) * n_nodes, 4)
+    i, j = np.indices((len(h.vs), n_nodes))
+    row = i * n_nodes + j
+    for c, name in enumerate(("g_plus", "g_minus", "h_plus", "h_minus")):
+        assert np.array_equal(data[row, c], getattr(h, name)), name
 
 
 def _rewrite_columns(path, columns):

@@ -25,6 +25,21 @@ def test_grid_geometry():
         ShellGrid(r_max=1.0, n_shells=1)
 
 
+def test_grid_geometry_is_built_once_and_read_only():
+    grid = ShellGrid(r_max=2.0, n_shells=100)
+    for name in ("edges", "node_volumes"):
+        arr = getattr(grid, name)
+        assert getattr(grid, name) is arr, name
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+    assert np.array_equal(grid.edges, np.linspace(0.0, 2.0, 101))
+    # equality and hashing still see only r_max and n_shells, not the
+    # cached arrays
+    fresh = ShellGrid(r_max=2.0, n_shells=100)
+    assert fresh == grid and hash(fresh) == hash(grid)
+    assert ShellGrid(r_max=2.0, n_shells=101) != grid
+
+
 def test_deposit_conserves_mass_exactly():
     parts = sample_particles(builtin_datum("shell_polynomial"), 16)
     grid = ShellGrid(r_max=1.5, n_shells=128)
