@@ -29,8 +29,8 @@ EIGHT_PI_3 = 8.0 * np.pi / 3.0
 
 def _cone_integral(history, v, r, slope, plus, minus, field_energy=False):
     """Radial integral up to r of the slope-s weighting of the profiles
-    ``plus`` and ``minus``, plus E^2/2 if asked; only the nodes up to the
-    first one at or beyond r, and only profiles of nonzero weight, are read."""
+    ``plus`` and ``minus``, plus E^2/2 if asked, per label; only the nodes up
+    to the first one at or beyond r, and profiles of nonzero weight, are read."""
     grid = history.grid
     j_max = min(int(np.searchsorted(grid.edges, float(r), side="right")),
                 grid.n_shells)
@@ -39,28 +39,31 @@ def _cone_integral(history, v, r, slope, plus, minus, field_energy=False):
                                       (0.5 * slope, minus)) if weight)
     if field_energy:
         values = values + 0.5 * history.profile_at("E", v, slope, j_max) ** 2
-    padded = np.zeros(grid.n_shells + 1)
-    padded[:j_max + 1] = values
-    return radial_integral(grid, padded, r)
+    return radial_integral(grid, values, r)
 
 
-def cone_mass(history: SliceHistory, v: float, r: float,
-              slope: float = 0.0) -> float:
+def cone_mass(history: SliceHistory, v, r: float, slope: float = 0.0):
     """Mass inside radius r on the cone of slope s labelled v: the past cone
-    (s = 0), the slice t = v (s = 1) or the future cone (s = 2)."""
+    (s = 0), the slice t = v (s = 1) or the future cone (s = 2); v may be an
+    array of labels."""
     return _cone_integral(history, v, r, slope, "g_plus", "g_minus")
 
 
-def cone_energy(history: SliceHistory, v: float, r: float,
-                slope: float = 0.0) -> float:
+def cone_energy(history: SliceHistory, v, r: float, slope: float = 0.0):
     """Energy (kinetic moments plus E^2/2) inside radius r on the cone of
-    slope s labelled v."""
+    slope s labelled v, per label like cone_mass."""
     return _cone_integral(history, v, r, slope, "h_plus", "h_minus",
                           field_energy=True)
 
 
 # ---------------------------------------------------------------------------
 # evaluable windows and series
+
+def window_top(history: SliceHistory, slope: float, r: float) -> float:
+    """Largest label whose cone of slope s, read out to radius r and the
+    node beyond it (one shell of slack more), is recorded."""
+    return history.v_final - slope * (r + 2.0 * history.grid.dr)
+
 
 def evaluable_window(history: SliceHistory, slope: float):
     """Largest [0, v_max] on which slope-shifted functionals are complete.
@@ -74,9 +77,7 @@ def evaluable_window(history: SliceHistory, slope: float):
     if slope <= 0.0:
         raise ValueError("slope must be positive")
     r_eval = float(np.max(history.R_slice_max)) + 2.0 * history.grid.dr
-    # one extra shell of slack: the integral up to r_eval interpolates from
-    # the first node beyond it
-    v_max = history.v_final - slope * (r_eval + 2.0 * history.grid.dr)
+    v_max = window_top(history, slope, r_eval)
     if v_max < 0.0:
         raise ValueError(
             "history too short to complete any shifted functional; "
@@ -102,8 +103,7 @@ def functional_series(history: SliceHistory, which: str):
     fn, slope = SHIFTED_SERIES[which]
     v_max, r_eval = evaluable_window(history, slope)
     vs = history.vs[history.vs <= v_max + 1e-12]
-    values = np.array([fn(history, float(v), r_eval, slope) for v in vs])
-    return vs, values, r_eval
+    return vs, fn(history, vs, r_eval, slope), r_eval
 
 
 # ---------------------------------------------------------------------------
@@ -118,24 +118,27 @@ def _probe_index(history: SliceHistory, r_probe: float) -> int:
     return i
 
 
-def _flux_time_integral(history: SliceHistory, flux, col, v1, v2):
-    """int_v1^v2 of a recorded probe flux series, trapezoid in v."""
+def _flux_time_integral(history: SliceHistory, series, v1, v2):
+    """int_v1^v2 of a recorded probe flux series, linear between slices:
+    F(v2) - F(v1) of its one cumulative trapezoid F."""
     vs = history.vs
-    series = flux[:, col]
-    inner = (vs > v1) & (vs < v2)
-    ts = np.concatenate([[v1], vs[inner], [v2]])
-    ys = np.interp(ts, vs, series)
-    return float(np.trapezoid(ys, ts))
+    F = np.concatenate([[0.0], np.cumsum(
+        0.5 * np.diff(vs) * (series[:-1] + series[1:]))])
+    t = np.stack([v2, v1])
+    i = np.clip(np.searchsorted(vs, t, side="right") - 1, 0, len(vs) - 2)
+    F_t = F[i] + 0.5 * (t - vs[i]) * (series[i] + np.interp(t, vs, series))
+    return F_t[0] - F_t[1]
 
 
-def mass_identity_residual(history: SliceHistory, v: float, r_probe: float,
-                           slope: float = 1.0) -> float:
+def mass_identity_residual(history: SliceHistory, v, r_probe: float,
+                           slope: float = 1.0):
     """Mass identity between the cone of slope s and the past cone:
-    n_s(v,r) - n^(v,r) + int_v^{v+s r} flux (s = 1 slice, s = 2 future cone)."""
+    n_s(v,r) - n^(v,r) + int_v^{v+s r} flux (s = 1 slice, s = 2 future cone),
+    per label like cone_mass."""
     col = _probe_index(history, r_probe)
     r = float(history.probe_radii[col])
     return (cone_mass(history, v, r, slope) - cone_mass(history, v, r)
-            + _flux_time_integral(history, history.flux_j, col, v,
+            + _flux_time_integral(history, history.flux_j[:, col], v,
                                   v + slope * r))
 
 
@@ -152,22 +155,18 @@ def flux_derivative_checks(history: SliceHistory) -> dict:
     M0 = max(float(history.M_wedge[0]), 1e-300)
     stride = max(1, len(vs) // 64)
     idx = np.arange(stride, len(vs) - stride, stride)
-    res_n = 0.0
-    res_m = 0.0
-    for col, r_p in enumerate(history.probe_radii):
-        r_p = float(r_p)
-        for i in idx:
-            dt = vs[i + stride] - vs[i - stride]
-            dn = (cone_mass(history, vs[i + stride], r_p)
-                  - cone_mass(history, vs[i - stride], r_p)) / dt
-            dm = (cone_energy(history, vs[i + stride], r_p)
-                  - cone_energy(history, vs[i - stride], r_p)) / dt
-            res_n = max(res_n, abs(dn + history.flux_j[i, col]) / N0)
-            res_m = max(res_m, abs(dm + history.flux_p[i, col]) / M0)
+    ends = vs[np.stack([idx + stride, idx - stride])]   # rows: after, before
+
+    def residual(fn, flux, norm):
+        """max |d/dv fn + flux| / norm over the probes and the samples."""
+        d = np.array([np.subtract(*fn(history, ends, float(r)))
+                      for r in history.probe_radii]) / (ends[0] - ends[1])
+        return float(np.max(np.abs(d + flux[idx].T) / norm, initial=0.0))
+
     e_minus = history.h_minus + 0.5 * history.E**2
     return {
-        "mass_flux_residual": res_n,
-        "energy_flux_residual": res_m,
+        "mass_flux_residual": residual(cone_mass, history.flux_j, N0),
+        "energy_flux_residual": residual(cone_energy, history.flux_p, M0),
         "min_outgoing_integrand": float(np.min(e_minus)),
     }
 
@@ -175,8 +174,9 @@ def flux_derivative_checks(history: SliceHistory) -> dict:
 # ---------------------------------------------------------------------------
 # interpolation bound and momentum-support ceiling
 
-def l43_norm(grid, g) -> float:
-    """L^{4/3} norm of a radial node density over 3-space."""
+def l43_norm(grid, g):
+    """L^{4/3} norm of a radial node density over 3-space, along the last
+    axis of g."""
     return radial_integral(grid, np.abs(g) ** (4.0 / 3.0)) ** 0.75
 
 
@@ -262,9 +262,8 @@ def momentum_support_bound(history: SliceHistory) -> dict:
 def l43_bound_check(history: SliceHistory) -> dict:
     """Per-slice L^{4/3} norm of g_plus against the explicit constant."""
     K = l43_bound_constant(history.f_inf_norm, float(history.M_wedge[0]))
-    norms = np.array([l43_norm(history.grid, g) for g in history.g_plus])
-    worst = float(np.max(norms)) if norms.size else 0.0
-    return {"bound": K, "max_norm": worst}
+    norms = l43_norm(history.grid, history.g_plus)
+    return {"bound": K, "max_norm": float(np.max(norms))}
 
 
 # ---------------------------------------------------------------------------

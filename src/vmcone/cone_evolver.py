@@ -26,7 +26,7 @@ from .radial_field import (ShellGrid, RadialFieldProfile, deposit,
                            cumulative_source, solve_field, eval_field,
                            radial_integral)
 from .characteristics import IntegrationError, integrate_reduced
-from .config import RunConfig, DV_R0_FRACTION, auto_r_max
+from .config import RunConfig, auto_r_max, time_steps
 
 
 @dataclass
@@ -96,19 +96,21 @@ class SliceHistory:
         """(n_slices, n_probes) energy flux 4 pi r^2 pflux.k."""
         return self._probe_flux(self.h_plus, self.h_minus)
 
-    def profile_at(self, name: str, v: float, slope: float = 0.0,
+    def profile_at(self, name: str, v, slope: float = 0.0,
                    j_max: int | None = None) -> np.ndarray:
         """Node values of a stored profile at the times v + slope * r_j,
-        linear in time between recorded slices.
+        linear in time between recorded slices; one row per label of an
+        array v.
 
         slope = 0 reads the past cone, 1 the t = const slice, 2 the future
         cone; j_max keeps only the first j_max + 1 nodes.
         """
         arr = getattr(self, name)
         cols = np.arange(arr.shape[1] if j_max is None else j_max + 1)
-        t = v + slope * self.grid.edges[cols]
+        t = np.asarray(v, dtype=float)[..., None] + slope * self.grid.edges[cols]
         vs = self.vs
-        lo, hi = float(t.min()), float(t.max())
+        lo = float(np.min(t, initial=vs[0]))   # no labels: no times to check
+        hi = float(np.max(t, initial=vs[0]))
         # written so that a NaN time fails too
         if not (lo >= vs[0] - 1e-9 and hi <= vs[-1] + 1e-9):
             raise ValueError(
@@ -171,21 +173,15 @@ def default_probe_radii(datum: InitialDatum, grid: ShellGrid) -> np.ndarray:
     return np.array(snapped)
 
 
-def run(config: RunConfig, datum: InitialDatum | None = None) -> SliceHistory:
+def run(config: RunConfig) -> SliceHistory:
     """Execute the advanced-time loop from v = 0 to v_final."""
-    if datum is None:
-        datum = builtin_datum(config.datum_name, config.datum_params)
+    datum = builtin_datum(config.datum_name, config.datum_params)
     parts0 = sample_particles(datum, config.resolution)
 
     r_max = (auto_r_max(datum, config.v_final, config.margin)
              if config.r_max is None else config.r_max)
     grid = ShellGrid(r_max=r_max, n_shells=config.n_shells)
-    dv = config.dv
-    if dv is None:
-        dv = DV_R0_FRACTION * (datum.R0 if datum.R0 > 0 else 1.0)
-    n_steps = 0 if config.v_final == 0.0 else max(
-        1, int(round(config.v_final / dv)))
-    dv = config.v_final / n_steps if n_steps else dv
+    n_steps, dv = time_steps(config.v_final, config.dv, datum.R0)
 
     probes = (np.array(config.probe_radii, dtype=float)
               if config.probe_radii is not None

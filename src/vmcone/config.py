@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import sys
 from dataclasses import dataclass, field, fields
+from decimal import Decimal
 from functools import partial
 
 from .phase_model import builtin_datum
@@ -64,6 +67,20 @@ def auto_r_max(datum, v_final: float, margin: float) -> float:
     return datum.R0 + 0.5 * v_final + max(margin, 0.05)
 
 
+def time_steps(v_final: float, dv: float | None, R0: float):
+    """(n_steps, dv) of a run from v = 0 to v_final: dv defaults to
+    DV_R0_FRACTION * R0, and is then v_final / n_steps for the nearest
+    whole number of steps."""
+    dv = DV_R0_FRACTION * (R0 if R0 > 0 else 1.0) if dv is None else dv
+    n_steps = 0 if v_final == 0.0 else max(1, round(v_final / dv))
+    return n_steps, (v_final / n_steps if n_steps else dv)
+
+
+def physical_memory() -> int:
+    """Bytes of physical memory of this machine."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def _entry(path, parse, default=None, dump=_same, factory=None):
     """A RunConfig field with its "section.key" spelling in the JSON file,
     the parser of the JSON value and the JSON form written by to_dict."""
@@ -111,6 +128,22 @@ class RunConfig:
         except (TypeError, ValueError, LookupError,
                 ArithmeticError) as exc:   # overflow in its support bounds
             raise ConfigError(f"invalid datum.name/datum.params: {exc}") from exc
+        try:
+            n_steps = time_steps(self.v_final, self.dv, datum.R0)[0]
+        except OverflowError:   # v_final / dv overflows a float
+            n_steps = int(sys.float_info.max)
+        # the arrays of doubles whose size the configuration sets
+        memory = physical_memory()
+        for keys, what, size in (
+                ("sampling.resolution", "the n_r x n_w x n_q sampling grid",
+                 math.prod(self.resolution)),
+                ("grid.n_shells, time.v_final and time.dv", "the 4 recorded "
+                 "(v_final/dv + 1) x (n_shells + 1) profiles",
+                 4 * (n_steps + 1) * (self.n_shells + 1))):
+            if 8 * size > memory:
+                raise ConfigError(
+                    f"{keys}: {Decimal(8 * size):.3g} bytes for {what}, more "
+                    f"than the {Decimal(memory):.3g} bytes of physical memory")
         reach = datum.R0 + 0.5 * self.v_final   # outward speed is below 1/2
         if self.r_max is not None and self.r_max <= 0.0:
             raise ConfigError(f"grid.r_max {self.r_max:g} must be positive")

@@ -97,9 +97,10 @@ def _read_meta(path):
 
 
 def _read_csv(directory, name):
-    """({field: column}, rows) of layout CSV ``name``, each column picked by
-    its header name; a missing column or a malformed row raises a
-    ValueError naming the file."""
+    """({field: column}, rows) of layout CSV ``name``: whole rows are read,
+    each as wide as the header, and each column is then picked by its header
+    name; a missing column or a malformed row raises a ValueError naming
+    the file."""
     path, wanted = os.path.join(directory, name), LAYOUT[name]
     try:
         with open(path) as fh:
@@ -107,19 +108,14 @@ def _read_csv(directory, name):
             for c in wanted:
                 if c not in header:
                     raise ValueError(f"no column {c!r}")
-            cols = [header.index(c) for c in wanted]
-            # with every column wanted the rows are read whole, so that a
-            # row with more values than the header is an error too
-            whole = sorted(cols) == list(range(len(header)))
             with warnings.catch_warnings():   # a header alone is 0 rows
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                data = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None,
-                                  usecols=None if whole else cols)
-            if whole:
-                if data.size and data.shape[1] != len(header):
-                    raise ValueError(f"rows of {data.shape[1]} values under "
-                                     f"{len(header)} columns")
-                data = data.reshape(-1, len(header))[:, cols]
+                data = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
+        if data.size and data.shape[1] != len(header):
+            raise ValueError(f"rows of {data.shape[1]} values under "
+                             f"{len(header)} columns")
+        data = data.reshape(-1, len(header))[:, [header.index(c)
+                                                 for c in wanted]]
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
     return dict(zip(wanted.values(), data.T)), data.shape[0]

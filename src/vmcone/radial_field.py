@@ -138,20 +138,23 @@ def cumulative_source(grid: ShellGrid, g: np.ndarray) -> np.ndarray:
     return I
 
 
-def radial_integral(grid: ShellGrid, values: np.ndarray, r=None) -> float:
-    """4 pi int_0^r values(r') r'^2 dr', trapezoid with a partial last cell;
-    r = None integrates over the whole grid."""
+def radial_integral(grid: ShellGrid, values: np.ndarray, r=None):
+    """4 pi int_0^r values(r') r'^2 dr' along the last axis of values,
+    trapezoid with a partial last cell; r = None integrates over the whole
+    grid.  values may hold only the nodes up to the first one at or beyond r."""
     r = float(grid.r_max if r is None else r)
     if not grid.covers(r):
         raise ValueError("radius outside shell grid")
     edges = grid.edges
-    integrand = values * edges**2
+    integrand = values * edges[:values.shape[-1]] ** 2
     j = int(np.searchsorted(edges, r, side="right")) - 1
-    total = np.trapezoid(integrand[:j + 1], dx=grid.dr) if j >= 1 else 0.0
+    total = np.trapezoid(integrand[..., :j + 1], dx=grid.dr, axis=-1)
     if j < grid.n_shells and r > edges[j]:
-        v_r = np.interp(r, edges, values)
-        total += 0.5 * (r - edges[j]) * (integrand[j] + v_r * r**2)
-    return 4.0 * np.pi * float(total)
+        # np.interp(r, edges, values) on the cell [r_j, r_j+1]
+        lo, hi = values[..., j], values[..., j + 1]
+        v_r = (hi - lo) / (edges[j + 1] - edges[j]) * (r - edges[j]) + lo
+        total += 0.5 * (r - edges[j]) * (integrand[..., j] + v_r * r**2)
+    return 4.0 * np.pi * total
 
 
 def solve_field(profiles: MomentProfiles) -> RadialFieldProfile:

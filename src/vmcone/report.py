@@ -112,13 +112,12 @@ def diagnose_report(history: SliceHistory) -> dict:
                                    (2.0, "future", "nfuture")):
         worst, samples = 0.0, 0
         for r_p in history.probe_radii:
-            r_p = float(r_p)
-            v_top = history.v_final - slope * (r_p + 2.0 * dr)
+            v_top = diag.window_top(history, slope, float(r_p))
             if v_top >= 0.0:
-                for v in np.linspace(0.0, v_top, 9):
-                    worst = max(worst, abs(diag.mass_identity_residual(
-                        history, float(v), r_p, slope)))
-                    samples += 1
+                residuals = diag.mass_identity_residual(
+                    history, np.linspace(0.0, v_top, 9), float(r_p), slope)
+                worst = np.max(np.abs(residuals), initial=worst)
+                samples += residuals.size
         checks.append(dict(_check(
             f"{surface}_mass_flux_identity",
             f"max |{symbol}(v,r) - npast(v,r) + int flux| / N(0) over probes",

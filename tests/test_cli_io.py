@@ -166,6 +166,48 @@ def test_cli_run_rejects_bad_resolution_and_probes_before_the_run(tmp_path,
     assert cfg.resolution == (8, 2, 3) and cfg.probe_radii == (0.0, 2.0)
 
 
+def test_cli_run_refuses_arrays_larger_than_memory(tmp_path, capsys,
+                                                   monkeypatch):
+    # sizes no machine holds are a configuration error naming the keys,
+    # before anything is allocated
+    for over, key in (({"grid": {"n_shells": 1e300}}, "grid.n_shells"),
+                      ({"time": {"dv": 0.005, "v_final": 1e12}},
+                       "time.v_final"),
+                      ({"time": {"dv": 5e-324, "v_final": 1e300}},
+                       "time.dv"),
+                      ({"sampling": {"resolution": 100000}},
+                       "sampling.resolution")):
+        cfg_path = write_config(tmp_path / "cfg.json",
+                                output={"directory": str(tmp_path / "out")},
+                                **over)
+        assert main(["run", "--config", cfg_path]) == 2, over
+        captured = capsys.readouterr()
+        assert "configuration error" in captured.err, over
+        assert key in captured.err and "physical memory" in captured.err
+        assert "steps" not in captured.out, over
+        assert not os.path.exists(tmp_path / "out")
+    # the rule is the arrays' size against the measured physical memory:
+    # small_config records 4 profiles of 301 slices x 257 nodes and
+    # samples a 12^3 grid
+    import vmcone.config as config_module
+    memory = lambda n: monkeypatch.setattr(config_module, "physical_memory",
+                                           lambda: n)
+    profiles = 8 * 4 * 301 * 257
+    memory(profiles)
+    small_config()
+    memory(profiles - 1)
+    with pytest.raises(ConfigError, match=r"grid\.n_shells, time\.v_final and "
+                                          r"time\.dv: 2\.48e\+6 bytes for "):
+        small_config()
+    memory(8 * 100**3)
+    small_config(resolution=(100, 100, 100), v_final=0.0)
+    memory(8 * 100**3 - 1)
+    with pytest.raises(ConfigError, match=r"sampling\.resolution: 8\.00e\+6 "
+                                          r"bytes for .*, more than the "
+                                          r"8\.00e\+6 bytes of physical memory"):
+        small_config(resolution=(100, 100, 100), v_final=0.0)
+
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from vmcone import auto_r_max, builtin_datum
@@ -306,6 +348,17 @@ def test_load_history_names_a_malformed_file(tmp_path, small_history):
         load_history(str(d))
     series.write_text("".join(line.rsplit(",", 1)[0] + "\n" for line in rows))
     with pytest.raises(ValueError, match=r"series\.csv: no column 'R_min'"):
+        load_history(str(d))
+    # the older layout with an N_wedge column the load does not read, and
+    # one row longer than its header
+    series.write_text("".join(rows))
+    _rewrite_columns(series, ["v", "N_wedge", "M_wedge", "P_wedge", "R_max",
+                              "R_min"])
+    rows_old = series.read_text().splitlines(keepends=True)
+    _same_history(load_history(str(d)), small_history)
+    series.write_text("".join(rows_old[:5]) + rows_old[5].rstrip("\n")
+                      + ",1.5\n" + "".join(rows_old[6:]))
+    with pytest.raises(ValueError, match=r"series\.csv: "):
         load_history(str(d))
     series.write_text("".join(rows))
     # two particles merged into one row, and one row longer than the header

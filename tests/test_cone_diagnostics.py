@@ -231,3 +231,172 @@ def test_flux_identity_samples_and_skipped_checks(small_history):
                             "future_mass_flux_identity"}
     assert all(n > 0 for n in samples.values())
     assert full["skipped"] == []
+
+
+# ---------------------------------------------------------------------------
+# batched cone functionals against the per-label forms
+
+def _old_radial_integral(grid, values, r):
+    """The per-label quadrature: whole-grid values, np.interp in the
+    partial last cell."""
+    edges = grid.edges
+    integrand = values * edges**2
+    j = int(np.searchsorted(edges, r, side="right")) - 1
+    total = np.trapezoid(integrand[:j + 1], dx=grid.dr) if j >= 1 else 0.0
+    if j < grid.n_shells and r > edges[j]:
+        v_r = np.interp(r, edges, values)
+        total += 0.5 * (r - edges[j]) * (integrand[j] + v_r * r**2)
+    return 4.0 * np.pi * float(total)
+
+
+def test_batched_radial_integral_equals_the_per_row_calls(small_history):
+    grid = small_history.grid
+    rows = small_history.g_plus
+    for r in (0.0, 0.3 * grid.dr, 0.4137, 40 * grid.dr, grid.r_max):
+        batched = radial_integral(grid, rows, r)
+        assert batched.shape == rows.shape[:1]
+        per_row = [_old_radial_integral(grid, g, r) for g in rows]
+        assert np.array_equal(batched, per_row), r
+        assert np.array_equal(
+            radial_integral(grid, rows.reshape(-1, 7, rows.shape[1]), r),
+            np.reshape(per_row, (-1, 7))), r
+        # only the nodes up to the first one at or beyond r are needed
+        j_max = min(int(np.searchsorted(grid.edges, r, side="right")),
+                    grid.n_shells)
+        assert np.array_equal(radial_integral(grid, rows[:, :j_max + 1], r),
+                              batched), r
+        assert radial_integral(grid, rows[3], r) == per_row[3]
+    assert np.array_equal(radial_integral(grid, rows),
+                          radial_integral(grid, rows, grid.r_max))
+
+
+def test_batched_cone_functionals_equal_the_per_label_calls(small_history):
+    h = small_history
+    covered = set()
+    for slope in (0.0, 1.0, 2.0):
+        for r in (0.4137, h.grid.r_max):
+            top = diag.window_top(h, slope, r)
+            if top < 0.0:   # the future cone out to r_max is not recorded
+                continue
+            covered.add((slope, r))
+            vs = np.linspace(0.0, top, 12)
+            for fn in (diag.cone_mass, diag.cone_energy):
+                batched = fn(h, vs, r, slope)
+                assert batched.shape == vs.shape
+                assert np.array_equal(
+                    batched, [fn(h, float(v), r, slope) for v in vs])
+                assert np.array_equal(fn(h, vs.reshape(3, 4), r, slope),
+                                      batched.reshape(3, 4))
+            j_max = min(int(np.searchsorted(h.grid.edges, r, side="right")),
+                        h.grid.n_shells)
+            for name in ("g_plus", "h_minus", "E"):
+                rows = h.profile_at(name, vs.reshape(3, 4), slope, j_max)
+                assert rows.shape == (3, 4, j_max + 1)
+                assert np.array_equal(rows.reshape(12, -1), [
+                    h.profile_at(name, float(v), slope, j_max) for v in vs])
+    assert len(covered) == 5
+    # the range guard and its message hold for a batch as for one label
+    with pytest.raises(ValueError, match=r"g_plus needed at v=.*outside "
+                                         r"recorded history"):
+        h.profile_at("g_plus", np.array([0.0, h.v_final]), 1.0)
+    with pytest.raises(ValueError, match="outside recorded history"):
+        h.profile_at("g_plus", np.array([0.0, np.nan]))
+
+
+def _old_flux_time_integral(history, series, v1, v2):
+    """The per-label flux integral: trapezoid over v1, the slices between
+    and v2."""
+    vs = history.vs
+    inner = (vs > v1) & (vs < v2)
+    ts = np.concatenate([[v1], vs[inner], [v2]])
+    return float(np.trapezoid(np.interp(ts, vs, series), ts))
+
+
+def test_batched_checks_equal_their_per_label_loops(small_history):
+    h = small_history
+    vs, N0, M0 = h.vs, float(h.N_wedge[0]), float(h.M_wedge[0])
+    # flux_derivative_checks, one label pair at a time
+    stride = max(1, len(vs) // 64)
+    res_n = res_m = 0.0
+    for col, r_p in enumerate(h.probe_radii):
+        r_p = float(r_p)
+        for i in np.arange(stride, len(vs) - stride, stride):
+            dt = vs[i + stride] - vs[i - stride]
+            dn = (diag.cone_mass(h, vs[i + stride], r_p)
+                  - diag.cone_mass(h, vs[i - stride], r_p)) / dt
+            dm = (diag.cone_energy(h, vs[i + stride], r_p)
+                  - diag.cone_energy(h, vs[i - stride], r_p)) / dt
+            res_n = max(res_n, abs(dn + h.flux_j[i, col]) / N0)
+            res_m = max(res_m, abs(dm + h.flux_p[i, col]) / M0)
+    fd = diag.flux_derivative_checks(h)
+    assert fd["mass_flux_residual"] == res_n > 0.0
+    assert fd["energy_flux_residual"] == res_m > 0.0
+    # l43_bound_check, one slice at a time
+    norms = [diag.l43_norm(h.grid, g) for g in h.g_plus]
+    assert diag.l43_bound_check(h)["max_norm"] == max(norms)
+    # the mass flux identity, one label at a time; the cumulative flux
+    # integral reassociates the trapezoid sum, so it agrees to rounding
+    samples = 0
+    for slope in (1.0, 2.0):
+        for col, r_p in enumerate(h.probe_radii):
+            r_p = float(r_p)
+            top = diag.window_top(h, slope, r_p)
+            if top < 0.0:
+                continue
+            labels = np.linspace(0.0, top, 9)
+            batched = diag.mass_identity_residual(h, labels, r_p, slope)
+            for v, got in zip(labels, batched):
+                v = float(v)
+                old = (diag.cone_mass(h, v, r_p, slope)
+                       - diag.cone_mass(h, v, r_p)
+                       + _old_flux_time_integral(h, h.flux_j[:, col], v,
+                                                 v + slope * r_p))
+                assert abs(got - old) <= 1e-15 * N0, (slope, r_p, v)
+                assert diag.mass_identity_residual(h, v, r_p, slope) == got
+                samples += 1
+    assert samples > 9
+
+
+def test_profile_reads_per_report_do_not_grow_with_slices(small_history,
+                                                          monkeypatch):
+    from dataclasses import replace
+    from vmcone.cone_evolver import SliceHistory
+    from vmcone.report import diagnose_report
+
+    h = small_history
+    # the same run recorded at every other slice
+    half = replace(h, **{name: getattr(h, name)[::2] for name in (
+        "vs", "g_plus", "g_minus", "h_plus", "h_minus", "M_wedge", "P_wedge",
+        "R_slice_max", "R_min_run")})
+    assert 2 * len(half.vs) - 1 == len(h.vs)
+    calls = []
+    read = SliceHistory.profile_at
+    monkeypatch.setattr(SliceHistory, "profile_at",
+                        lambda self, *a, **k: calls.append(1) or read(
+                            self, *a, **k))
+    counts = []
+    for history in (half, h):
+        calls.clear()
+        doc = diagnose_report(history)
+        assert doc["skipped"] == []
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
+def test_a_nan_profile_fails_the_checks_that_read_it(small_history):
+    from dataclasses import replace
+    from vmcone.report import diagnose_report
+
+    # one slice of g_minus lost, one the flux derivative samples (every
+    # len // 64-th): every check that reads it fails with a NaN value,
+    # none drops the NaN label and passes on the others
+    g_minus = small_history.g_minus.copy()
+    stride = len(g_minus) // 64
+    g_minus[stride * (len(g_minus) // (4 * stride))] = np.nan
+    doc = diagnose_report(replace(small_history, g_minus=g_minus))
+    checks = {c["name"]: c for c in doc["checks"]}
+    for name in ("slice_mass_flux_identity", "future_mass_flux_identity",
+                 "mass_flux_derivative", "N_slice_constancy"):
+        assert np.isnan(checks[name]["value"]), name
+        assert not checks[name]["passed"], name
+    assert not doc["passed"]
