@@ -19,12 +19,12 @@ datum = builtin_datum("shell_polynomial",
                        "w_max": 0.06, "q_support": [0.0004, 0.0008]})
 parts = sample_particles(datum, 24)
 grid = ShellGrid(r_max=2.0, n_shells=400)
-profiles = deposit(parts, grid)
-field = solve_field(profiles)
+g_plus = deposit(parts.r, (parts.weight,), grid)[0]
+field = solve_field(grid, g_plus)
 
 N = parts.total_weight()
 print(f"particles {len(parts)}, total weight N = {N:.6e}")
-print(f"deposited node-volume sum = {np.sum(profiles.g_plus * grid.node_volumes):.6e} "
+print(f"deposited node-volume sum = {np.sum(g_plus * grid.node_volumes):.6e} "
       "(identical by construction)")
 
 r = grid.edges[1:]
@@ -38,7 +38,7 @@ M0 = float(np.sum(parts.weight * parts.gamma()))
 K = diag.l43_bound_constant(datum.f_inf_norm, M0)
 C_E = diag.field_bound_constant(datum.f_inf_norm, M0)
 P = float(np.sqrt(np.max(parts.momentum_sq())))
-print(f"L^(4/3) norm of g_plus = {diag.l43_norm(grid, profiles.g_plus):.4e} "
+print(f"L^(4/3) norm of g_plus = {diag.l43_norm(grid, g_plus):.4e} "
       f"<= K = {K:.4e}")
 print(f"field bound C_E P^(5/3) = {C_E * P ** (5.0 / 3.0):.3e} "
       f">= max E = {np.max(field.E):.3e}")

@@ -15,6 +15,7 @@ Exit status is 0 iff every check in the produced report passes.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import __version__
@@ -99,8 +100,14 @@ def cmd_audit(args) -> int:
 
 
 def cmd_jacobian(args) -> int:
-    if args.orbits < 1:
-        print("--orbits must be at least 1", file=sys.stderr)
+    bad = [msg for msg, ok in (
+        ("--orbits must be at least 1", args.orbits >= 1),
+        ("--duration must be finite", math.isfinite(args.duration)),
+        ("--step must be positive and finite", 0.0 < args.step < math.inf),
+        ("--h-fd must be positive and finite", 0.0 < args.h_fd < math.inf))
+        if not ok]
+    if bad:
+        print("\n".join(bad), file=sys.stderr)
         return 2
     doc = report_mod.jacobian_report(n_orbits=args.orbits,
                                      duration=args.duration,

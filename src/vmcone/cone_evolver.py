@@ -1,12 +1,12 @@
 """Self-consistent advanced-time loop: deposit, solve field, push particles.
 
-Each step freezes the radial field over [v, v + dv] and integrates the
-reduced characteristics with RK4; an optional Picard correction re-deposits
-the field source g_plus at the endpoint and re-pushes with the averaged
-field, giving second-order coupling.  Every step records the four moment
-profiles and the particle series into a SliceHistory; the field, the
-past-cone mass and the probe fluxes are functions of the moments and are
-derived from them.
+Each slice deposits the four moments, solves the radial field from g_plus
+and records both with the particle series into a SliceHistory; the field,
+the past-cone mass and the probe fluxes are functions of the moments and
+are derived from them.  Each step then integrates the reduced
+characteristics with RK4 in the field of the start of the step, and one
+Picard correction re-deposits the field source at the predicted endpoint
+and re-pushes in the averaged field, giving second-order coupling.
 
 The magnetic field is identically zero in spherical symmetry, so the
 incoming and outgoing radiation fluxes vanish structurally; see nirc_flux.
@@ -22,9 +22,9 @@ import numpy as np
 
 from .phase_model import (InitialDatum, ParticleSet, builtin_datum,
                           sample_particles, check_measure_positivity)
-from .radial_field import (ShellGrid, RadialFieldProfile, deposit,
-                           cumulative_source, solve_field, eval_field,
-                           radial_integral)
+from .radial_field import (MOMENTS, ShellGrid, RadialFieldProfile, deposit,
+                           moment_payloads, cumulative_source, solve_field,
+                           eval_field, radial_integral)
 from .characteristics import IntegrationError, integrate_reduced
 from .config import RunConfig, auto_r_max, time_steps
 
@@ -122,34 +122,23 @@ class SliceHistory:
         return (1.0 - theta) * arr[idx, cols] + theta * arr[idx + 1, cols]
 
 
-def step(parts: ParticleSet, grid: ShellGrid, dv: float, picard_iters: int = 2,
-         scheme: str = "rk4", r_floor: float = 1e-10):
-    """One advanced-time step; returns (pushed particles, profiles, field).
-
-    The returned profiles and field are the self-consistent ones at the
-    *start* of the step.
-    """
-    profiles0 = deposit(parts, grid)
-    field0 = solve_field(profiles0)
-    if len(parts) == 0 or dv == 0.0:
-        return parts.copy(), profiles0, field0
-
+def step(parts: ParticleSet, field: RadialFieldProfile, dv: float,
+         scheme: str = "rk4", r_floor: float = 1e-10) -> ParticleSet:
+    """Advance the particles over [v, v + dv] from the field at v: a push in
+    that field predicts the endpoint, then the push is redone in the average
+    of the start field and the field of the predicted endpoint."""
     def push(fieldprof):
         return integrate_reduced(parts.r, parts.w, parts.q,
                                  lambda v, r: eval_field(fieldprof, r),
                                  0.0, dv, dv, scheme=scheme, r_floor=r_floor)
 
-    r1, w1 = push(field0)
-    for _ in range(picard_iters - 1):
-        end = ParticleSet(r1, w1, parts.q, parts.weight, parts.f_value)
-        field1 = solve_field(deposit(end, grid, source_only=True))
-        avg = RadialFieldProfile(grid=grid, I=0.5 * (field0.I + field1.I))
-        r1, w1 = push(avg)
-
+    grid = field.grid
+    r_pred, _ = push(field)
+    end = solve_field(grid, deposit(r_pred, (parts.weight,), grid)[0])
+    r1, w1 = push(RadialFieldProfile(grid, 0.5 * (field.I + end.I)))
     if np.any(~np.isfinite(r1)) or np.any(~np.isfinite(w1)):
         raise FloatingPointError("non-finite particle state after push")
-    out = ParticleSet(r1, w1, parts.q, parts.weight, parts.f_value)
-    return out, profiles0, field0
+    return ParticleSet(r1, w1, parts.q, parts.weight, parts.f_value)
 
 
 @contextmanager
@@ -188,60 +177,46 @@ def run(config: RunConfig) -> SliceHistory:
               else default_probe_radii(datum, grid))
 
     n_slices = n_steps + 1
-    n_nodes = grid.n_shells + 1
-    prof_names = ("g_plus", "g_minus", "h_plus", "h_minus")
-    profs = {k: np.zeros((n_slices, n_nodes)) for k in prof_names}
+    moments = np.zeros((len(MOMENTS), n_slices, grid.n_shells + 1))
     series = {k: np.zeros(n_slices) for k in
               ("M_wedge", "P_wedge", "R_slice_max", "R_min_run")}
 
-    parts = parts0.copy()
+    parts = parts0
     p_run = 0.0
     r_run_min = np.inf
-    turned_out = None
+    turned_out = np.zeros(len(parts), dtype=bool)
     r_turn_violations = 0
     min_dw = 0.0
     vs = np.linspace(0.0, config.v_final, n_slices)
 
-    def record(n, state, profiles, fieldprof):
-        nonlocal p_run, r_run_min
-        for k in prof_names:
-            profs[k][n] = getattr(profiles, k)
-        if len(state):
-            kinetic = float(np.sum(state.weight * state.gamma()))
-            p_run = max(p_run, float(np.sqrt(np.max(state.momentum_sq()))))
-            r_run_min = min(r_run_min, float(np.min(state.r)))
-            series["R_slice_max"][n] = float(np.max(state.r))
-        else:
-            kinetic = 0.0
-        series["M_wedge"][n] = kinetic + radial_integral(
-            grid, 0.5 * fieldprof.E**2)
+    for n, v in enumerate(vs):
+        with _naming_step(n, v):
+            moments[:, n] = deposit(parts.r, moment_payloads(parts), grid)
+            field = solve_field(grid, moments[0, n])
+        kinetic = 0.0
+        if len(parts):
+            kinetic = float(np.sum(parts.weight * parts.gamma()))
+            p_run = max(p_run, float(np.sqrt(np.max(parts.momentum_sq()))))
+            r_run_min = min(r_run_min, float(np.min(parts.r)))
+            series["R_slice_max"][n] = float(np.max(parts.r))
+        series["M_wedge"][n] = kinetic + radial_integral(grid,
+                                                         0.5 * field.E**2)
         series["P_wedge"][n] = p_run
         series["R_min_run"][n] = r_run_min if np.isfinite(r_run_min) else 0.0
-
-    for n in range(n_steps):
-        before = parts
-        with _naming_step(n, vs[n]):
-            parts, profiles, fieldprof = step(
-                parts, grid, dv, config.picard_iters, config.scheme,
-                config.r_floor)
-        record(n, before, profiles, fieldprof)
-        if len(parts):
-            dr_sign = np.sign(parts.r - before.r)
-            if turned_out is None:
-                turned_out = np.zeros(len(parts), dtype=bool)
-            turning_in = (dr_sign < 0) & turned_out
-            r_turn_violations += int(np.count_nonzero(turning_in))
-            turned_out |= dr_sign > 0
-            min_dw = min(min_dw, float(np.min(parts.w - before.w)))
+        if n == n_steps:
+            break
+        with _naming_step(n, v):
+            pushed = step(parts, field, dv, config.scheme, config.r_floor)
+        dr_sign = np.sign(pushed.r - parts.r)
+        r_turn_violations += int(np.count_nonzero((dr_sign < 0) & turned_out))
+        turned_out |= dr_sign > 0
+        min_dw = min(min_dw, float(np.min(pushed.w - parts.w, initial=0.0)))
+        parts = pushed
         check_measure_positivity(parts)
 
-    with _naming_step(n_steps, vs[-1]):
-        final_profiles = deposit(parts, grid)
-        final_field = solve_field(final_profiles)
-    record(n_steps, parts, final_profiles, final_field)
-
     return SliceHistory(
-        grid=grid, vs=vs, **profs, **series, probe_radii=probes,
+        grid=grid, vs=vs, **dict(zip(MOMENTS, moments)), **series,
+        probe_radii=probes,
         R0=datum.R0, F=datum.F, f_inf_norm=datum.f_inf_norm, dv=dv,
         r_turn_violations=r_turn_violations, min_dw=min_dw,
         particles_initial=parts0, particles_final=parts,

@@ -105,7 +105,6 @@ class RunConfig:
     dv: float | None = _entry("time.dv", _optional(_number))
     v_final: float = _entry("time.v_final", _number, 5.0)
     scheme: str = _entry("solver.scheme", str, "rk4")
-    picard_iters: int = _entry("solver.picard_iters", _whole, 2)
     r_floor: float = _entry("solver.r_floor", _number, 1e-10)
     output_directory: str | None = _entry("output.directory", _same)
     probe_radii: tuple | None = _entry("diagnostics.probe_radii",
@@ -117,8 +116,6 @@ class RunConfig:
             raise ConfigError("time.v_final must be >= 0")
         if self.dv is not None and self.dv <= 0.0:
             raise ConfigError("time.dv must be positive")
-        if self.picard_iters < 1:
-            raise ConfigError("solver.picard_iters must be >= 1")
         if self.n_shells < 2:
             raise ConfigError("grid.n_shells must be >= 2")
         if self.scheme not in ("rk4", "midpoint"):

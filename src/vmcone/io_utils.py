@@ -15,7 +15,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .radial_field import ShellGrid
+from .radial_field import MOMENTS, ShellGrid
 from .phase_model import ParticleSet
 from .cone_evolver import SliceHistory
 
@@ -28,7 +28,7 @@ from .cone_evolver import SliceHistory
 LAYOUT = {
     "series.csv": {"v": "vs", "M_wedge": "M_wedge", "P_wedge": "P_wedge",
                    "R_max": "R_slice_max", "R_min": "R_min_run"},
-    "profiles.csv": {c: c for c in ("g_plus", "g_minus", "h_plus", "h_minus")},
+    "profiles.csv": {c: c for c in MOMENTS},
     "particles.csv": {c: c for c in ("r", "w", "q", "weight", "f_value")},
     "meta.json": {"r_max": "grid.r_max", "n_shells": "grid.n_shells",
                   **{k: k for k in ("R0", "F", "f_inf_norm", "dv",

@@ -56,23 +56,6 @@ class ShellGrid:
 
 
 @dataclass(frozen=True)
-class MomentProfiles:
-    """Node densities of the four scalar moments.
-
-    g_plus  = rho + j.k            (sources the field; non-negative)
-    g_minus = rho - j.k
-    h_plus  = kinetic part of e + p-flux.k  (the p0-moment; non-negative)
-    h_minus = kinetic part of e - p-flux.k
-    """
-
-    grid: ShellGrid
-    g_plus: np.ndarray
-    g_minus: np.ndarray | None = None
-    h_plus: np.ndarray | None = None
-    h_minus: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
 class RadialFieldProfile:
     """Cumulative source integral I(r) on the nodes; E_r = I / r^2 is
     derived from it."""
@@ -88,44 +71,45 @@ class RadialFieldProfile:
         return E
 
 
-def deposit(parts, grid: ShellGrid, source_only=False) -> MomentProfiles:
-    """Cloud-in-cell deposition of the four moments onto the shell grid.
+# the four scalar moments, in the row order of moment_payloads:
+#   g_plus  = rho + j.k            (sources the field; non-negative)
+#   g_minus = rho - j.k
+#   h_plus  = kinetic part of e + p-flux.k  (the p0-moment; non-negative)
+#   h_minus = kinetic part of e - p-flux.k
+MOMENTS = ("g_plus", "g_minus", "h_plus", "h_minus")
 
-    Per-particle node contributions (omega = weight):
-      g_plus  <- omega
-      g_minus <- omega (1 - phat.k) / (1 + phat.k)
-      h_plus  <- omega gamma
-      h_minus <- omega (gamma - w) / (1 + phat.k)
 
-    ``source_only`` deposits g_plus alone, all that solve_field reads; the
-    other three moments are then None.
+def moment_payloads(parts) -> tuple:
+    """Per-particle contributions to the MOMENTS (omega = weight):
+    omega, omega (1 - phat.k) / (1 + phat.k), omega gamma and
+    omega (gamma - w) / (1 + phat.k)."""
+    omega = parts.weight
+    gamma = parts.gamma()
+    one_plus = 1.0 + parts.w / gamma
+    one_minus = 1.0 - parts.w / gamma
+    return (omega, omega * one_minus / one_plus, omega * gamma,
+            omega * (gamma - parts.w) / one_plus)
+
+
+def deposit(r, payloads, grid: ShellGrid) -> np.ndarray:
+    """Cloud-in-cell deposition of particles at radii r onto the shell grid.
+
+    Returns the (len(payloads), n_shells + 1) node densities, one row per
+    per-particle payload; each row's node masses sum to its payload sum.
     """
-    names = ("g_plus",) if source_only else (
-        "g_plus", "g_minus", "h_plus", "h_minus")
-    sums = np.zeros((len(names), grid.n_shells + 1))
-    if len(parts) > 0:
-        r = parts.r
-        if np.any(r >= grid.r_max) or np.any(r < 0.0):
-            i = int(np.argmax((r >= grid.r_max) | (r < 0.0)))
-            raise ValueError(
-                f"particle {i} at r={r[i]:.6g} outside shell grid "
-                f"[0, {grid.r_max:g}); enlarge r_max")
-        omega = parts.weight
-        payloads = [omega]
-        if not source_only:
-            gamma = parts.gamma()
-            one_plus = 1.0 + parts.w / gamma
-            one_minus = 1.0 - parts.w / gamma
-            payloads += [omega * one_minus / one_plus, omega * gamma,
-                         omega * (gamma - parts.w) / one_plus]
-        s = r / grid.dr
-        j = np.minimum(s.astype(int), grid.n_shells - 1)
-        frac = s - j
-        for row, payload in enumerate(payloads):
-            np.add.at(sums[row], j, payload * (1.0 - frac))
-            np.add.at(sums[row], j + 1, payload * frac)
-
-    return MomentProfiles(grid, **dict(zip(names, sums / grid.node_volumes)))
+    if np.any(r >= grid.r_max) or np.any(r < 0.0):
+        i = int(np.argmax((r >= grid.r_max) | (r < 0.0)))
+        raise ValueError(
+            f"particle {i} at r={r[i]:.6g} outside shell grid "
+            f"[0, {grid.r_max:g}); enlarge r_max")
+    sums = np.zeros((len(payloads), grid.n_shells + 1))
+    s = r / grid.dr
+    j = np.minimum(s.astype(int), grid.n_shells - 1)
+    frac = s - j
+    for row, payload in zip(sums, payloads):
+        np.add.at(row, j, payload * (1.0 - frac))
+        np.add.at(row, j + 1, payload * frac)
+    return sums / grid.node_volumes
 
 
 def cumulative_source(grid: ShellGrid, g: np.ndarray) -> np.ndarray:
@@ -157,15 +141,14 @@ def radial_integral(grid: ShellGrid, values: np.ndarray, r=None):
     return 4.0 * np.pi * total
 
 
-def solve_field(profiles: MomentProfiles) -> RadialFieldProfile:
-    """Radial field from g_plus: E_r(r_j) = I(r_j) / r_j^2, E_r(0) = 0."""
-    grid = profiles.grid
-    g = profiles.g_plus
-    if np.any(~np.isfinite(g)):
+def solve_field(grid: ShellGrid, g_plus: np.ndarray) -> RadialFieldProfile:
+    """Radial field from the node densities of g_plus:
+    E_r(r_j) = I(r_j) / r_j^2, E_r(0) = 0."""
+    if np.any(~np.isfinite(g_plus)):
         raise ValueError("non-finite g_plus passed to field solve")
-    if np.any(g < -1e-12 * max(1.0, float(np.max(np.abs(g))))):
+    if np.any(g_plus < -1e-12 * max(1.0, float(np.max(np.abs(g_plus))))):
         raise ValueError("negative g_plus: moment invariant violated upstream")
-    return RadialFieldProfile(grid=grid, I=cumulative_source(grid, g))
+    return RadialFieldProfile(grid=grid, I=cumulative_source(grid, g_plus))
 
 
 def eval_field(profile: RadialFieldProfile, r) -> np.ndarray:

@@ -1,0 +1,95 @@
+"""The layer hooks of perfbench/run.py still find and measure what they wrap.
+
+A hook that names a function the program no longer has is skipped without
+an error, and a span whose work counter no longer fits the call records
+"unmeasured", so a refactor could zero a per-layer benchmark figure
+unnoticed.  This test installs the hooks as the benchmark does and drives
+one tiny run of every command through them.
+"""
+
+import importlib.util
+import json
+import os
+import sys
+from unittest import mock
+
+import pytest
+
+import vmcone
+import vmcone.cli
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "perfbench")
+
+
+@pytest.fixture
+def bench(monkeypatch):
+    """perfbench/run.py loaded as a module with its sibling modules
+    importable; the thread variables it pins on import are restored."""
+    monkeypatch.syspath_prepend(PERFBENCH)
+    with mock.patch.dict(os.environ):
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_run", os.path.join(PERFBENCH, "run.py"))
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_hooks_resolve_and_measure(bench, tmp_path, monkeypatch,
+                                             capsys):
+    tracing = sys.modules["tracing"]
+    missing, hooked = [], []
+    wrap, span, count = (tracing.Hooks.wrap, tracing.Tracer.span,
+                         tracing.Tracer.count)
+
+    def checked_wrap(self, module, attr, make):
+        if getattr(module, attr, None) is None:
+            missing.append(f"{module.__name__}.{attr}")
+        wrap(self, module, attr, make)
+
+    def named_span(self, module, attr, name, work=None):
+        hooked.append(name)
+        span(self, module, attr, name, work)
+
+    def named_count(self, module, attr, name):
+        hooked.append(name)
+        count(self, module, attr, name)
+
+    monkeypatch.setattr(tracing.Hooks, "wrap", checked_wrap)
+    monkeypatch.setattr(tracing.Tracer, "span", named_span)
+    monkeypatch.setattr(tracing.Tracer, "count", named_count)
+
+    capture, tracer = tracing.Capture(), tracing.Tracer()
+    tracer.op = 0
+    bench.install_capture(capture, vmcone)
+    bench.install_spans(tracer, vmcone)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(bench.wl.run_config(7.0, 6, 128, 0.1)))
+    out, vmgrid = str(tmp_path / "out"), str(tmp_path / "slice.vmgrid")
+    try:
+        for argv in (["run", "--config", str(cfg), "--output", out,
+                      "--diagnose"],
+                     ["diagnose", "--history", out],
+                     ["audit-constraints", "--from-history", out,
+                      "--nodes", "12"],
+                     ["jacobian-test", "--orbits", "2", "--duration", "0.02"]):
+            assert vmcone.cli.main(argv) in (0, 1), argv
+        # the benchmark's own .vmgrid round trip of the embedded slice
+        vmcone.io_utils.save_grid(capture.results["embed"], vmgrid)
+        vmcone.io_utils.load_grid(vmgrid)
+    finally:
+        tracer.hooks.restore()
+        capture.hooks.restore()
+
+    assert not missing
+    assert set(capture.results) == {"run", "load_history", "embed",
+                                    "jacobian"}
+    fired = {s[0] for s in tracer.spans} | {name for name, _ in tracer.counts}
+    assert set(hooked) <= fired, sorted(set(hooked) - fired)
+    unmeasured = sorted({s[0] for s in tracer.spans
+                         if s[5] and "unmeasured" in s[5]})
+    assert not unmeasured
+    n = len(capture.results["run"].particles_final)
+    deposits = [s[5] for s in tracer.spans if s[0] == "radial_field.deposit"]
+    assert n == 6**3 and deposits
+    assert all(work == {"particles": n} for work in deposits)

@@ -240,7 +240,8 @@ def _allocating_push(r, w, q, fld, dv, n, scheme):
 def desk_particles_in_field():
     parts = sample_particles(builtin_datum("shell_polynomial",
                                            DESK_DATUM_PARAMS), (32, 32, 32))
-    return parts, solve_field(deposit(parts, ShellGrid(1.2, 512)))
+    grid = ShellGrid(1.2, 512)
+    return parts, solve_field(grid, deposit(parts.r, (parts.weight,), grid)[0])
 
 
 @pytest.mark.parametrize("scheme", ["rk4", "midpoint"])

@@ -49,6 +49,11 @@ def test_config_fail_closed(tmp_path):
         config_from_dict({"solver": {"scheme": "verlet"}})
     with pytest.raises(ConfigError, match=r"unknown key.*'field_off'"):
         config_from_dict({"solver": {"field_off": True}})
+    with pytest.raises(ConfigError, match=r"unknown key.*'picard_iters'"):
+        config_from_dict({"solver": {"picard_iters": 2}})
+    cfg_path = write_config(tmp_path / "picard.json",
+                            solver={"picard_iters": 2})
+    assert main(["run", "--config", cfg_path]) == 2
     p = tmp_path / "broken.json"
     p.write_text("{not json")
     with pytest.raises(ConfigError, match="malformed JSON"):
@@ -74,17 +79,16 @@ def test_config_rejects_coerced_numbers():
     # a count that is not whole, a number written as a string and a bool
     # for a float are errors naming the key, never truncated or coerced
     for section, key, value in (("grid", "n_shells", 300.9),
-                                ("solver", "picard_iters", "3"),
+                                ("grid", "n_shells", "3"),
                                 ("time", "v_final", "2.5"),
-                                ("solver", "picard_iters", True),
+                                ("grid", "n_shells", True),
                                 ("grid", "margin", False),
                                 ("diagnostics", "probe_radii", [0.5, "1"])):
         with pytest.raises(ConfigError, match=rf"{section}\.{key}: "):
             config_from_dict({section: {key: value}})
     cfg = config_from_dict({"grid": {"n_shells": 300.0},
-                            "solver": {"picard_iters": 3},
                             "time": {"v_final": 2}})
-    assert (cfg.n_shells, cfg.picard_iters, cfg.v_final) == (300, 3, 2.0)
+    assert (cfg.n_shells, cfg.v_final) == (300, 2.0)
     assert type(cfg.n_shells) is int and type(cfg.v_final) is float
 
 
@@ -280,13 +284,11 @@ def test_config_from_dict_fuzz(doc):
 
 @given(n_shells=st.integers(2, 4096),
        v_final=st.floats(0.0, 100.0),
-       margin=st.floats(0.0, 2.0),
-       picard=st.integers(1, 5))
+       margin=st.floats(0.0, 2.0))
 @settings(max_examples=50, deadline=None)
-def test_config_dict_round_trip_property(n_shells, v_final, margin, picard):
+def test_config_dict_round_trip_property(n_shells, v_final, margin):
     doc = {"grid": {"n_shells": n_shells, "margin": margin},
-           "time": {"v_final": v_final},
-           "solver": {"picard_iters": picard}}
+           "time": {"v_final": v_final}}
     cfg = config_from_dict(doc)
     assert config_from_dict(cfg.to_dict()) == cfg
 
@@ -624,6 +626,18 @@ def test_jacobian_test_needs_an_orbit(capsys):
     assert main(["jacobian-test", "--orbits", "0"]) == 2
     captured = capsys.readouterr()
     assert "--orbits" in captured.err and "overall" not in captured.out
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--step", "0"), ("--step", "-0.01"), ("--step", "nan"), ("--step", "inf"),
+    ("--duration", "nan"), ("--duration", "inf"), ("--duration", "-inf"),
+    ("--h-fd", "0"), ("--h-fd", "-1e-4"), ("--h-fd", "nan"),
+    ("--h-fd", "inf")])
+def test_jacobian_test_rejects_bad_numbers(flag, value, capsys):
+    # exit 2 naming the flag, before any orbit is integrated
+    assert main(["jacobian-test", "--orbits", "1", f"{flag}={value}"]) == 2
+    captured = capsys.readouterr()
+    assert flag in captured.err and "overall" not in captured.out
 
 
 def test_cli_jacobian_test(tmp_path, capsys):

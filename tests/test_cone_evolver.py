@@ -3,8 +3,9 @@ import pytest
 
 from vmcone import (RunConfig, run, step, auto_r_max, IntegrationError,
                     default_probe_radii, nirc_flux, builtin_datum,
-                    sample_particles, ShellGrid, deposit, solve_field,
-                    eval_field, MomentProfiles, cone_evolver)
+                    sample_particles, ShellGrid, ParticleSet, deposit,
+                    moment_payloads, solve_field, eval_field,
+                    RadialFieldProfile, cone_evolver)
 from vmcone import cone_diagnostics as diag
 from vmcone.characteristics import char_rhs_reduced
 from conftest import small_config
@@ -45,9 +46,7 @@ def test_field_profile_recorded(small_history):
     assert np.all(h.E[:, 0] == 0.0)
     # the recorded field is the field solve of the recorded moments
     for n in range(len(h.vs)):
-        prof = MomentProfiles(h.grid, h.g_plus[n], h.g_minus[n],
-                              h.h_plus[n], h.h_minus[n])
-        assert np.array_equal(h.E[n], solve_field(prof).E)
+        assert np.array_equal(h.E[n], solve_field(h.grid, h.g_plus[n]).E)
 
 
 def test_derived_series_equal_the_per_slice_formulas(small_history):
@@ -63,23 +62,15 @@ def test_derived_series_equal_the_per_slice_formulas(small_history):
             assert np.array_equal(flux[n], 4.0 * np.pi * probes**2 * at)
 
 
-def test_step_zero_dv_is_identity():
-    parts = sample_particles(builtin_datum("shell_polynomial"), 8)
-    grid = ShellGrid(r_max=2.0, n_shells=64)
-    out, prof, fld = step(parts, grid, 0.0)
-    assert np.array_equal(out.r, parts.r)
-    assert np.array_equal(out.w, parts.w)
+def start_field(parts, grid):
+    """The field run() solves at the start of a step: from row 0 of the
+    moment deposit."""
+    return solve_field(grid, deposit(parts.r, moment_payloads(parts), grid)[0])
 
 
-def test_step_against_manual_push():
-    # one Picard iteration with a frozen field must equal a hand-rolled RK4
-    # on the reduced system using the same start-of-step field
-    parts = sample_particles(builtin_datum("shell_polynomial"), 6)
-    grid = ShellGrid(r_max=2.0, n_shells=128)
-    dv = 1e-3
-    pushed, prof, fld = step(parts, grid, dv, picard_iters=1)
-
-    r, w, q = parts.r.copy(), parts.w.copy(), parts.q
+def rk4(parts, fld, dv):
+    """One hand-rolled RK4 step of the reduced system in a frozen field."""
+    r, w, q = parts.r, parts.w, parts.q
 
     def rhs(rr, ww):
         return char_rhs_reduced(0.0, rr, ww, q, eval_field(fld, rr))
@@ -88,8 +79,36 @@ def test_step_against_manual_push():
     k2r, k2w = rhs(r + 0.5 * dv * k1r, w + 0.5 * dv * k1w)
     k3r, k3w = rhs(r + 0.5 * dv * k2r, w + 0.5 * dv * k2w)
     k4r, k4w = rhs(r + dv * k3r, w + dv * k3w)
-    r1 = r + dv / 6.0 * (k1r + 2 * k2r + 2 * k3r + k4r)
-    w1 = w + dv / 6.0 * (k1w + 2 * k2w + 2 * k3w + k4w)
+    return (r + dv / 6.0 * (k1r + 2 * k2r + 2 * k3r + k4r),
+            w + dv / 6.0 * (k1w + 2 * k2w + 2 * k3w + k4w))
+
+
+def predictor_corrector(parts, fld, dv):
+    """RK4 in the start field, a deposit of the weights at the predicted
+    end, then RK4 from the start in the averaged I."""
+    grid = fld.grid
+    r_pred, _ = rk4(parts, fld, dv)
+    end = solve_field(grid, deposit(r_pred, (parts.weight,), grid)[0])
+    return rk4(parts, RadialFieldProfile(grid, 0.5 * (fld.I + end.I)), dv)
+
+
+def test_step_zero_dv_is_identity():
+    parts = sample_particles(builtin_datum("shell_polynomial"), 8)
+    grid = ShellGrid(r_max=2.0, n_shells=64)
+    out = step(parts, start_field(parts, grid), 0.0)
+    assert np.array_equal(out.r, parts.r)
+    assert np.array_equal(out.w, parts.w)
+
+
+def test_step_against_manual_push():
+    # the step must equal a hand-rolled predictor-corrector built on the
+    # same start-of-step field
+    parts = sample_particles(builtin_datum("shell_polynomial"), 6)
+    grid = ShellGrid(r_max=2.0, n_shells=128)
+    dv = 1e-3
+    fld = start_field(parts, grid)
+    pushed = step(parts, fld, dv)
+    r1, w1 = predictor_corrector(parts, fld, dv)
     assert np.allclose(pushed.r, r1, rtol=1e-14, atol=0.0)
     assert np.allclose(pushed.w, w1, rtol=1e-14, atol=0.0)
 
@@ -97,8 +116,6 @@ def test_step_against_manual_push():
 def test_ten_step_hand_integration_single_particle():
     # a single macroparticle feels the field of its own deposited shell;
     # re-integrate by hand for 10 steps of 1e-3 and compare
-    from vmcone import ParticleSet
-
     grid = ShellGrid(r_max=2.0, n_shells=64)
     parts = ParticleSet(r=np.array([0.8]), w=np.array([0.1]),
                         q=np.array([0.02]), weight=np.array([0.5]),
@@ -107,19 +124,9 @@ def test_ten_step_hand_integration_single_particle():
     evolved = parts.copy()
     manual = parts.copy()
     for _ in range(10):
-        evolved, _, _ = step(evolved, grid, dv, picard_iters=1)
-        fld = solve_field(deposit(manual, grid))
-
-        def rhs(rr, ww):
-            return char_rhs_reduced(0.0, rr, ww, manual.q, eval_field(fld, rr))
-
-        r, w = manual.r, manual.w
-        k1r, k1w = rhs(r, w)
-        k2r, k2w = rhs(r + 0.5 * dv * k1r, w + 0.5 * dv * k1w)
-        k3r, k3w = rhs(r + 0.5 * dv * k2r, w + 0.5 * dv * k2w)
-        k4r, k4w = rhs(r + dv * k3r, w + dv * k3w)
-        manual.r = r + dv / 6.0 * (k1r + 2 * k2r + 2 * k3r + k4r)
-        manual.w = w + dv / 6.0 * (k1w + 2 * k2w + 2 * k3w + k4w)
+        evolved = step(evolved, start_field(evolved, grid), dv)
+        fld = solve_field(grid, deposit(manual.r, (manual.weight,), grid)[0])
+        manual.r, manual.w = predictor_corrector(manual, fld, dv)
     assert np.allclose(evolved.r, manual.r, rtol=1e-13)
     assert np.allclose(evolved.w, manual.w, rtol=1e-13)
 
@@ -138,7 +145,7 @@ def test_eval_field_extends_beyond_grid():
     # at r_max
     parts = sample_particles(builtin_datum("shell_polynomial"), 8)
     grid = ShellGrid(r_max=2.0, n_shells=64)
-    fld = solve_field(deposit(parts, grid))
+    fld = start_field(parts, grid)
     E = eval_field(fld, np.array([1.9, 2.0, 4.0]))
     assert E[0] == float(np.interp(1.9, grid.edges, fld.I)) / 1.9**2
     assert E[1] == fld.E[-1]

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from vmcone import (ShellGrid, ParticleSet, deposit, cumulative_source,
-                    solve_field, eval_field, builtin_datum, sample_particles)
-from vmcone.radial_field import MomentProfiles, RadialFieldProfile
+from vmcone import (ShellGrid, ParticleSet, MOMENTS, moment_payloads,
+                    deposit, cumulative_source, solve_field, eval_field,
+                    builtin_datum, sample_particles)
+from vmcone.radial_field import RadialFieldProfile
 
 
 def make_parts(r, w, q, weight):
@@ -12,6 +13,16 @@ def make_parts(r, w, q, weight):
                        q=np.asarray(q, dtype=float),
                        weight=np.asarray(weight, dtype=float),
                        f_value=np.ones_like(r))
+
+
+def moments(parts, grid):
+    """{name: node densities} of the four-moment deposit."""
+    return dict(zip(MOMENTS, deposit(parts.r, moment_payloads(parts), grid)))
+
+
+def source(parts, grid):
+    """g_plus alone: the deposit of the weights."""
+    return deposit(parts.r, (parts.weight,), grid)[0]
 
 
 def test_grid_geometry():
@@ -43,11 +54,11 @@ def test_grid_geometry_is_built_once_and_read_only():
 def test_deposit_conserves_mass_exactly():
     parts = sample_particles(builtin_datum("shell_polynomial"), 16)
     grid = ShellGrid(r_max=1.5, n_shells=128)
-    prof = deposit(parts, grid)
-    total = np.sum(prof.g_plus * grid.node_volumes)
+    prof = moments(parts, grid)
+    total = np.sum(prof["g_plus"] * grid.node_volumes)
     assert total == pytest.approx(parts.total_weight(), rel=1e-14)
     # kinetic moment conserves the gamma-weighted sum the same way
-    kin = np.sum(prof.h_plus * grid.node_volumes)
+    kin = np.sum(prof["h_plus"] * grid.node_volumes)
     assert kin == pytest.approx(float(np.sum(parts.weight * parts.gamma())),
                                 rel=1e-14)
 
@@ -59,22 +70,21 @@ def test_deposit_moment_factors_single_particle():
     parts = make_parts([r0], [0.2], [0.01], [3.0])
     gamma = float(parts.gamma()[0])
     one_plus = 1.0 + 0.2 / gamma
-    prof = deposit(parts, grid)
+    prof = moments(parts, grid)
     j = 5
     vol = grid.node_volumes[j]
-    assert prof.g_plus[j] * vol == pytest.approx(3.0)
-    assert prof.g_minus[j] * vol == pytest.approx(
+    assert prof["g_plus"][j] * vol == pytest.approx(3.0)
+    assert prof["g_minus"][j] * vol == pytest.approx(
         3.0 * (1.0 - 0.2 / gamma) / one_plus)
-    assert prof.h_plus[j] * vol == pytest.approx(3.0 * gamma)
-    assert prof.h_minus[j] * vol == pytest.approx(
+    assert prof["h_plus"][j] * vol == pytest.approx(3.0 * gamma)
+    assert prof["h_minus"][j] * vol == pytest.approx(
         3.0 * (gamma - 0.2) / one_plus)
 
 
 def test_deposit_cic_split():
     grid = ShellGrid(r_max=1.0, n_shells=10)
     parts = make_parts([0.53], [0.0], [0.01], [1.0])
-    prof = deposit(parts, grid)
-    m = prof.g_plus * grid.node_volumes
+    m = source(parts, grid) * grid.node_volumes
     assert m[5] == pytest.approx(0.7)
     assert m[6] == pytest.approx(0.3)
     assert np.sum(m) == pytest.approx(1.0)
@@ -83,24 +93,24 @@ def test_deposit_cic_split():
 def test_deposit_rejects_out_of_grid():
     grid = ShellGrid(r_max=1.0, n_shells=10)
     parts = make_parts([0.5, 1.2], [0.0, 0.0], [0.01, 0.01], [1.0, 1.0])
-    for source_only in (False, True):
+    for payloads in (moment_payloads(parts), (parts.weight,)):
         with pytest.raises(ValueError, match=r"^particle 1 at r=1\.2 outside "
                                              r"shell grid \[0, 1\); enlarge "
                                              r"r_max$"):
-            deposit(parts, grid, source_only=source_only)
+            deposit(parts.r, payloads, grid)
 
 
-def test_source_only_deposit_is_the_full_g_plus():
-    parts = sample_particles(builtin_datum("shell_polynomial"), 8)
+def test_weight_deposit_is_row_0_of_the_moments():
     grid = ShellGrid(r_max=2.0, n_shells=128)
-    full = deposit(parts, grid)
-    src = deposit(parts, grid, source_only=True)
-    assert np.array_equal(src.g_plus, full.g_plus)
-    assert (src.g_minus, src.h_plus, src.h_minus) == (None, None, None)
-    assert np.array_equal(solve_field(src).I, solve_field(full).I)
-    empty = make_parts([], [], [], [])
-    assert np.array_equal(deposit(empty, grid, source_only=True).g_plus,
-                          np.zeros(129))
+    for parts in (sample_particles(builtin_datum("shell_polynomial"), 8),
+                  make_parts([], [], [], [])):
+        full = deposit(parts.r, moment_payloads(parts), grid)
+        src = deposit(parts.r, (parts.weight,), grid)
+        assert full.shape == (4, 129) and src.shape == (1, 129)
+        assert np.array_equal(src[0], full[0])
+        assert np.array_equal(solve_field(grid, src[0]).I,
+                              solve_field(grid, full[0]).I)
+    assert np.array_equal(src, np.zeros((1, 129)))
 
 
 def test_field_of_uniform_source():
@@ -108,8 +118,7 @@ def test_field_of_uniform_source():
     grid = ShellGrid(r_max=1.0, n_shells=400)
     c = 2.5
     g = np.full(grid.n_shells + 1, c)
-    prof = MomentProfiles(grid=grid, g_plus=g, g_minus=g, h_plus=g, h_minus=g)
-    fld = solve_field(prof)
+    fld = solve_field(grid, g)
     r = grid.edges[1:]
     # trapezoid truncation of the source integral is exactly c dr^2/(6 r)
     bound = c * grid.dr**2 / (6.0 * r) * 1.05 + 1e-12
@@ -121,7 +130,7 @@ def test_field_outside_shell_is_coulomb():
     # all mass below r0: beyond it E = I_total / r^2 exactly
     grid = ShellGrid(r_max=2.0, n_shells=500)
     parts = sample_particles(builtin_datum("shell_polynomial"), 12)
-    fld = solve_field(deposit(parts, grid))
+    fld = solve_field(grid, source(parts, grid))
     N = parts.total_weight()
     r_out = grid.edges[-50:]
     assert np.allclose(fld.E[-50:], N / (4.0 * np.pi * r_out**2), rtol=1e-12)
@@ -130,7 +139,7 @@ def test_field_outside_shell_is_coulomb():
 def test_field_bound_by_mass_over_r_squared():
     grid = ShellGrid(r_max=2.0, n_shells=300)
     parts = sample_particles(builtin_datum("shell_polynomial"), 12)
-    fld = solve_field(deposit(parts, grid))
+    fld = solve_field(grid, source(parts, grid))
     N = parts.total_weight()
     r = grid.edges[1:]
     assert np.all(fld.E[1:] <= N / (4.0 * np.pi * r**2) * (1 + 1e-12))
@@ -143,17 +152,17 @@ def test_solve_field_input_validation():
     bad = g.copy()
     bad[3] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
-        solve_field(MomentProfiles(grid, bad, g, g, g))
+        solve_field(grid, bad)
     neg = g.copy()
     neg[3] = -1.0
     with pytest.raises(ValueError, match="negative g_plus"):
-        solve_field(MomentProfiles(grid, neg, g, g, g))
+        solve_field(grid, neg)
 
 
 def test_eval_field_interpolation_and_domain():
     grid = ShellGrid(r_max=1.0, n_shells=100)
     g = np.exp(-grid.edges)
-    fld = solve_field(MomentProfiles(grid, g, g, g, g))
+    fld = solve_field(grid, g)
     # node values reproduced
     assert eval_field(fld, 0.37) == pytest.approx(
         np.interp(0.37, grid.edges, fld.I) / 0.37**2)
