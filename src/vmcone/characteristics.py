@@ -88,8 +88,11 @@ def _integrate(rhs, y, v, v_to, step, scheme, after_step):
     association of the textbook formula, so the result is bit for bit that
     of the form that allocates every stage."""
     span = v_to - v
-    if span != 0.0 and step <= 0.0:
-        raise ValueError("step must be positive")
+    # written so that a NaN fails too
+    if not abs(span) < np.inf:
+        raise ValueError(f"span v={v:g} -> v_to={v_to:g} is not finite")
+    if span != 0.0 and not 0.0 < step < np.inf:
+        raise ValueError(f"step must be positive and finite, got {step:g}")
     n = max(1, int(np.ceil(abs(span) / step - 1e-12))) if span else 0
     dv = span / max(n, 1)
     if scheme not in ("rk4", "midpoint"):

@@ -1,16 +1,13 @@
-"""CSV / JSON / binary emission and reloading of run artifacts.
-
-All floats are written with %.17g so that re-reading reproduces the
-in-memory doubles bit-exactly; identical configurations therefore produce
-byte-identical output files.
-"""
+"""Emission and reloading of run artifacts: series as %.17g CSV, arrays as
+little-endian float64 .npy and grids as .vmgrid, so reloading is bit-exact
+and identical runs write byte-identical files."""
 
 from __future__ import annotations
 
 import json
 import math
 import os
-import warnings
+import tokenize
 from operator import attrgetter
 
 import numpy as np
@@ -20,52 +17,39 @@ from .phase_model import ParticleSet
 from .cone_evolver import SliceHistory
 
 # The run-directory layout that emit_history writes and load_history reads:
-# each CSV column and meta.json key with the SliceHistory field it holds.
-# Only what the run records is persisted; the field, the past-cone mass and
-# the probe fluxes are derived from the moments.  Row i * (n_shells + 1) + j
-# of profiles.csv holds slice i (v in series.csv) at node j (r = j * dr);
-# particles.csv holds the ParticleSet fields of particles_final.
+# each CSV column, .npy row and meta.json key with the SliceHistory field it
+# holds.  profiles.npy[k, i, j] is moment k of slice i (v in series.csv) at
+# node j (r = j * dr); particles.npy[k] is field k of particles_final.
 LAYOUT = {
     "series.csv": {"v": "vs", "M_wedge": "M_wedge", "P_wedge": "P_wedge",
                    "R_max": "R_slice_max", "R_min": "R_min_run"},
-    "profiles.csv": {c: c for c in MOMENTS},
-    "particles.csv": {c: c for c in ("r", "w", "q", "weight", "f_value")},
+    "profiles.npy": {c: c for c in MOMENTS},
+    "particles.npy": {c: c for c in ("r", "w", "q", "weight", "f_value")},
     "meta.json": {"r_max": "grid.r_max", "n_shells": "grid.n_shells",
                   **{k: k for k in ("R0", "F", "f_inf_norm", "dv",
                                     "probe_radii", "r_turn_violations",
                                     "min_dw")}},
 }
-
-
-def _save_csv(directory, name, columns):
-    """Layout CSV ``name``: its header, then one row per entry of the equal
-    length 1-D ``columns`` as comma-separated %.17g values, formatted with
-    one template per block of 1024 rows, which keeps memory use flat."""
-    line = ",".join(["%.17g"] * len(columns)) + "\n"
-    with open(os.path.join(directory, name), "w", newline="\n") as fh:
-        fh.write(",".join(LAYOUT[name]) + "\n")
-        for i in range(0, len(columns[0]), 1024):
-            rows = np.column_stack([c[i:i + 1024] for c in columns])
-            fh.write(line * len(rows) % tuple(rows.ravel().tolist()))
+NPY_HEADERS = {(1, 0): np.lib.format.read_array_header_1_0,
+               (2, 0): np.lib.format.read_array_header_2_0}
 
 
 def emit_history(history: SliceHistory, directory) -> None:
-    """Write the run record: the recorded profiles and series, the final
-    particles and metadata."""
+    """Write the run record: series, profiles, final particles, metadata."""
     os.makedirs(directory, exist_ok=True)
-    columns = lambda name, obj=history: [
-        attrgetter(f)(obj).ravel() for f in LAYOUT[name].values()]
-    for name in ("series.csv", "profiles.csv"):
-        _save_csv(directory, name, columns(name))
-    if history.particles_final is not None:
-        _save_csv(directory, "particles.csv",
-                  columns("particles.csv", history.particles_final))
-
+    path = lambda name: os.path.join(directory, name)
+    fields = lambda name, obj=history: [
+        attrgetter(f)(obj) for f in LAYOUT[name].values()]
+    np.savetxt(path("series.csv"), np.column_stack(fields("series.csv")),
+               fmt="%.17g", delimiter=",", comments="",
+               header=",".join(LAYOUT["series.csv"]))
+    for name, obj in (("profiles.npy", history),
+                      ("particles.npy", history.particles_final)):
+        if obj is not None:
+            np.save(path(name), np.stack(fields(name, obj), dtype="<f8"))
     meta = {k: attrgetter(f)(history) for k, f in LAYOUT["meta.json"].items()}
     meta["probe_radii"] = [float(r) for r in meta["probe_radii"]]
-    with open(os.path.join(directory, "meta.json"), "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    emit_report(meta, path("meta.json"))
 
 
 def _read_meta(path):
@@ -97,62 +81,84 @@ def _read_meta(path):
 
 
 def _read_csv(directory, name):
-    """({field: column}, rows) of layout CSV ``name``: whole rows are read,
-    each as wide as the header, and each column is then picked by its header
-    name; a missing column or a malformed row raises a ValueError naming
-    the file."""
+    """({field: column}, rows) of layout CSV ``name``, each column picked by
+    header name from rows as wide as the header; a missing column, a
+    malformed row or no row at all raises a ValueError naming the file."""
     path, wanted = os.path.join(directory, name), LAYOUT[name]
     try:
         with open(path) as fh:
             header = fh.readline().rstrip("\n").split(",")
-            for c in wanted:
-                if c not in header:
-                    raise ValueError(f"no column {c!r}")
-            with warnings.catch_warnings():   # a header alone is 0 rows
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                data = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
-        if data.size and data.shape[1] != len(header):
+            lines = fh.read().splitlines()
+        if missing := [c for c in wanted if c not in header]:
+            raise ValueError(f"no column {missing[0]!r}")
+        if not lines:
+            raise ValueError("no rows")
+        data = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None)
+        if data.shape[1] != len(header):
             raise ValueError(f"rows of {data.shape[1]} values under "
                              f"{len(header)} columns")
-        data = data.reshape(-1, len(header))[:, [header.index(c)
-                                                 for c in wanted]]
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    return dict(zip(wanted.values(), data.T)), data.shape[0]
+    return {f: data[:, header.index(c)] for c, f in wanted.items()}, len(data)
+
+
+def _read_body(fh, shapes):
+    """The <f8 arrays of ``shapes`` that fill the rest of ``fh`` exactly."""
+    body = 8 * sum(math.prod(s) for s in shapes)
+    size = os.fstat(fh.fileno()).st_size - fh.tell()
+    if size != body:
+        raise ValueError(f"body is {size} bytes, expected {body}")
+    return [np.fromfile(fh, "<f8", math.prod(s)).reshape(s) for s in shapes]
+
+
+def _read_npy(directory, name, shape, why=""):
+    """{field: row} of layout file ``name``, read without pickle.  Unless it
+    is a C-order little-endian float64 array of ``shape`` (None: any extent;
+    ``why`` names its source) of exactly that size, a ValueError names it."""
+    path = os.path.join(directory, name)
+    try:
+        with open(path, "rb") as fh:
+            try:   # numpy raises these on garbled headers (Warning: -W error)
+                got, fortran, dtype = NPY_HEADERS[
+                    np.lib.format.read_magic(fh)](fh)
+            except (ValueError, KeyError, SyntaxError, TypeError, Warning,
+                    tokenize.TokenError) as exc:
+                raise ValueError(f"bad .npy header: {exc!r}") from exc
+            if ((dtype.str, fortran, len(got)) != ("<f8", False, len(shape))
+                    or any(s not in (None, g) for s, g in zip(shape, got))):
+                raise ValueError(f"{dtype.str} {got}, fortran_order {fortran},"
+                                 f" expected <f8 {shape}, C order{why}")
+            [rows] = _read_body(fh, [got])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    return dict(zip(LAYOUT[name].values(), rows))
 
 
 def load_history(directory) -> SliceHistory:
     """Reconstruct a SliceHistory from an emitted run directory.  Columns
-    are read by header name and other files are not read, so directories
-    that also hold derived data (profiles.csv v, r and E_r, N_wedge,
-    fluxes.csv, the shifted series N_vee, M_vee, ...) load the same."""
+    are read by header name and other files are not read, so a series.csv
+    that also holds derived series (N_wedge, N_vee, ...) loads the same."""
     join = lambda name: os.path.join(directory, name)
     meta, grid = _read_meta(join("meta.json"))
     fields = {f: meta[key] for key, f in LAYOUT["meta.json"].items()
               if not f.startswith("grid.")}
     fields["probe_radii"] = np.array(meta["probe_radii"])
-
-    # the shapes meta.json sets are named with it
-    n_nodes, shape = grid.n_shells + 1, f"meta.json n_shells {grid.n_shells}"
-    profiles, rows = _read_csv(directory, "profiles.csv")
-    if not rows or rows % n_nodes:
-        raise ValueError(f"{join('profiles.csv')}: {rows} rows are not a "
-                         f"whole number of {n_nodes}-node slices ({shape})")
-    fields.update({f: col.reshape(-1, n_nodes) for f, col in profiles.items()})
     series, n = _read_csv(directory, "series.csv")
-    if n != rows // n_nodes:
-        raise ValueError(f"{join('series.csv')}: {n} rows for "
-                         f"{rows // n_nodes} slices in profiles.csv ({shape})")
     fields.update(series)
-
-    if os.path.exists(join("particles.csv")):
-        cols, n = _read_csv(directory, "particles.csv")
-        fields["particles_final"] = ParticleSet(**cols) if n else None
+    if not os.path.exists(join("profiles.npy")):
+        raise ValueError(f"{join('profiles.npy')}: missing; re-run `vmcone "
+                         f"run` (older versions wrote profiles.csv)")
+    fields.update(_read_npy(directory, "profiles.npy",
+                            (len(MOMENTS), n, grid.n_shells + 1),
+                            f" ({n} rows in series.csv, meta.json n_shells)"))
+    if os.path.exists(join("particles.npy")):
+        fields["particles_final"] = ParticleSet(
+            **_read_npy(directory, "particles.npy", (5, None)))
     return SliceHistory(grid=grid, **fields)
 
 
 def emit_report(report: dict, path) -> None:
-    """Structured report: one record per check plus a summary line."""
+    """A JSON document (a report, meta.json), indented with sorted keys."""
     with open(path, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -202,14 +208,8 @@ def load_grid(path):
                 if type(header.get(key)) not in (int, float):
                     raise ValueError(f"header {key} is {header.get(key)!r}, "
                                      f"expected a number")
-            shapes = [(n, n, n, 3), (n, n, n, 3), (n, n, n), (n, n, n, 3)]
-            body = 8 * sum(math.prod(s) for s in shapes)
-            size = os.fstat(fh.fileno()).st_size - fh.tell()
-            if size != body:
-                raise ValueError(f"body is {size} bytes, expected {body} "
-                                 f"for n = {n}")
-            arrays = {name: np.fromfile(fh, "<f8", math.prod(s)).reshape(s)
-                      for name, s in zip(GRID_LAYOUT["arrays"], shapes)}
+            shapes = [(n, n, n, 3)] * 2 + [(n, n, n), (n, n, n, 3)]
+            arrays = dict(zip(GRID_LAYOUT["arrays"], _read_body(fh, shapes)))
         return GriddedFieldSet(n=n, extent=float(header["extent"]),
                                r_cut=float(header["r_cut"]), **arrays)
     except ValueError as exc:

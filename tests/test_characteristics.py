@@ -187,6 +187,26 @@ def test_integrator_schemes_and_order():
         integrate_reduced(r0, w0, q0, fn, 0.0, 1.0, -0.1)
 
 
+@pytest.mark.parametrize("step", [float("nan"), float("inf"), 0.0, -0.1])
+def test_bad_step_names_the_step(step):
+    fn = radial_field_reduced()
+    with pytest.raises(ValueError, match="step must be positive and finite"):
+        integrate_reduced(0.5, 0.1, 0.01, fn, 0.0, 1.0, step)
+    with pytest.raises(ValueError, match="step must be positive and finite"):
+        jacobian_report(n_orbits=2, step=step)
+
+
+@pytest.mark.parametrize("v_to", [float("nan"), float("inf")])
+def test_non_finite_span_names_the_span(v_to):
+    fn = radial_field_reduced()
+    with pytest.raises(ValueError, match=r"span v=0 -> v_to=(nan|inf) is "
+                                         r"not finite"):
+        integrate_reduced(0.5, 0.1, 0.01, fn, 0.0, v_to, 0.1)
+    with pytest.raises(ValueError, match=r"span v=0 -> v_to=(nan|inf) is "
+                                         r"not finite"):
+        jacobian_report(n_orbits=2, duration=v_to)
+
+
 def test_zero_span_is_identity():
     r1, w1 = integrate_reduced(0.5, 0.1, 0.01, radial_field_reduced(),
                                1.0, 1.0, 0.1)

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import shutil
@@ -322,32 +323,67 @@ def test_history_round_trip(tmp_path, small_history):
     assert np.array_equal(pf.weight, small_history.particles_final.weight)
 
 
+def _npy(array):
+    """The bytes np.save writes for ``array``."""
+    buf = io.BytesIO()
+    np.save(buf, array)
+    return buf.getvalue()
+
+
 def test_load_history_names_a_malformed_file(tmp_path, small_history):
     d = tmp_path / "run"
     emit_history(small_history, str(d))
-    prof = d / "profiles.csv"
-    lines = prof.read_text().splitlines(keepends=True)
-    # one row short of whole slices, and no slice at all (a header alone),
-    # each with the named error and no other warning or error
-    for bad in (lines[:-1], lines[:1]):
-        prof.write_text("".join(bad))
+
+    def refused(path, body, match):
+        # the named error and no other warning or error
+        path.write_bytes(body)
         with warnings.catch_warnings(), \
-                pytest.raises(ValueError, match=r"profiles\.csv: \d+ rows are "
-                                                r"not a whole number of "
-                                                r"257-node slices"):
+                pytest.raises(ValueError, match=path.name.replace(".", r"\.")
+                              + ": .*" + match):
             warnings.simplefilter("error")
             load_history(str(d))
-    # the h_minus column missing
-    prof.write_text("".join(line.rsplit(",", 1)[0] + "\n" for line in lines))
-    with pytest.raises(ValueError, match=r"profiles\.csv: "):
-        load_history(str(d))
-    prof.write_text("".join(lines))
+
+    h, n = small_history, len(small_history.vs)
+    prof, parts = d / "profiles.npy", d / "particles.npy"
+    good = {prof: prof.read_bytes(), parts: parts.read_bytes()}
+    arrays = {prof: np.stack([h.g_plus, h.g_minus, h.h_plus, h.h_minus]),
+              parts: np.stack([getattr(h.particles_final, f) for f in
+                               ("r", "w", "q", "weight", "f_value")])}
+    for path, body in good.items():
+        a = arrays[path]
+        header = len(body) - a.nbytes
+        for bad, match in (
+                (body[:-8], "body is"),                       # truncated body
+                (body[:header - 1], "bad .npy header"),      # truncated header
+                (body[:5], "bad .npy header"),               # truncated magic
+                (b"", "bad .npy header"),                    # empty file
+                (b"\x93NUMPY\x03" + body[7:], "bad .npy header"),  # version
+                (body + b"\0", "body is"),                    # trailing bytes
+                (_npy(a.astype("<i8")), "<i8"),
+                (_npy(a.astype(">f8")), ">f8"),
+                (_npy(np.asfortranarray(a)), "fortran_order True"),
+                (_npy(a[:-1]), "expected <f8"),              # a field missing
+                (_npy(a[None]), "expected <f8"),
+                # a dtype alias that numpy deprecates warns; the warning is
+                # an error inside refused()
+                (body.replace(b"'<f8'", b"'a'  ", 1), "bad .npy header")):
+            refused(path, bad, match)
+        path.write_bytes(body)
+    # a shape that disagrees with meta.json n_shells, and a slice count
+    # that disagrees with series.csv
+    for bad in (arrays[prof][:, :, :-1], arrays[prof][:, :-1]):
+        refused(prof, _npy(bad), rf"<f8 \(4, \d+, \d+\), fortran_order False, "
+                                 rf"expected <f8 \(4, {n}, 257\), C order "
+                                 rf"\({n} rows in series\.csv, meta\.json")
+    prof.write_bytes(good[prof])
     series = d / "series.csv"
     rows = series.read_text().splitlines(keepends=True)
     series.write_text("".join(rows[:-1]))
-    with pytest.raises(ValueError, match=r"series\.csv: \d+ rows for \d+ "
-                                         r"slices in profiles\.csv"):
+    with pytest.raises(ValueError, match=rf"profiles\.npy: .* expected <f8 "
+                                         rf"\(4, {n - 1}, 257\)"):
         load_history(str(d))
+    # no slice at all (a header alone)
+    refused(series, rows[0].encode(), "no rows")
     series.write_text("".join(line.rsplit(",", 1)[0] + "\n" for line in rows))
     with pytest.raises(ValueError, match=r"series\.csv: no column 'R_min'"):
         load_history(str(d))
@@ -363,15 +399,6 @@ def test_load_history_names_a_malformed_file(tmp_path, small_history):
     with pytest.raises(ValueError, match=r"series\.csv: "):
         load_history(str(d))
     series.write_text("".join(rows))
-    # two particles merged into one row, and one row longer than the header
-    parts = d / "particles.csv"
-    rows = parts.read_text().splitlines(keepends=True)
-    merged = "".join(rows[:3]) + rows[3].rstrip("\n") + "," + "".join(rows[4:])
-    for bad in (merged, rows[0] + rows[1].rstrip("\n") + ",1.5\n"):
-        parts.write_text(bad)
-        with pytest.raises(ValueError, match=r"particles\.csv: "):
-            load_history(str(d))
-    parts.write_text("".join(rows))
     meta = d / "meta.json"
     doc = json.loads(meta.read_text())
     for bad, message in (([], "not a JSON object"),
@@ -415,7 +442,7 @@ def test_series_columns(tmp_path, small_history):
     # N_wedge, E and the probe fluxes are derived
     emit_history(small_history, str(tmp_path))
     assert sorted(os.listdir(tmp_path)) == [
-        "meta.json", "particles.csv", "profiles.csv", "series.csv"]
+        "meta.json", "particles.npy", "profiles.npy", "series.csv"]
     path = tmp_path / "series.csv"
     header = path.read_text().splitlines()[0]
     assert header == "v,M_wedge,P_wedge,R_max,R_min"
@@ -423,21 +450,24 @@ def test_series_columns(tmp_path, small_history):
     h = small_history
     assert np.array_equal(data, np.column_stack(
         (h.vs, h.M_wedge, h.P_wedge, h.R_slice_max, h.R_min_run)))
-    header = (tmp_path / "profiles.csv").read_text().splitlines()[0]
-    assert header == "g_plus,g_minus,h_plus,h_minus"
 
 
-def test_profiles_rows_are_slice_major(tmp_path, small_history):
-    # row i * (n_shells + 1) + j holds slice i at node j; v is in
-    # series.csv and r = j * dr follows from meta.json
+def test_profiles_and_particles_are_npy_arrays(tmp_path, small_history):
+    # profiles.npy[k, i, j] holds moment k of slice i at node j; v is in
+    # series.csv and r = j * dr follows from meta.json; particles.npy[k]
+    # holds ParticleSet field k; both are little-endian float64 in C order
     emit_history(small_history, str(tmp_path))
-    data = np.loadtxt(tmp_path / "profiles.csv", delimiter=",", skiprows=1)
     h, n_nodes = small_history, small_history.grid.n_shells + 1
-    assert data.shape == (len(h.vs) * n_nodes, 4)
-    i, j = np.indices((len(h.vs), n_nodes))
-    row = i * n_nodes + j
-    for c, name in enumerate(("g_plus", "g_minus", "h_plus", "h_minus")):
-        assert np.array_equal(data[row, c], getattr(h, name)), name
+    prof = np.load(tmp_path / "profiles.npy", allow_pickle=False)
+    assert prof.dtype.str == "<f8" and prof.flags.c_contiguous
+    assert prof.shape == (4, len(h.vs), n_nodes)
+    for k, name in enumerate(("g_plus", "g_minus", "h_plus", "h_minus")):
+        assert np.array_equal(prof[k], getattr(h, name)), name
+    parts = np.load(tmp_path / "particles.npy", allow_pickle=False)
+    assert parts.dtype.str == "<f8" and parts.flags.c_contiguous
+    assert parts.shape == (5, len(h.particles_final))
+    for k, name in enumerate(("r", "w", "q", "weight", "f_value")):
+        assert np.array_equal(parts[k], getattr(h.particles_final, name)), name
 
 
 def _rewrite_columns(path, columns):
@@ -467,21 +497,56 @@ def _same_history(a, b):
 def test_load_history_reads_columns_by_name(tmp_path, small_history):
     d = tmp_path / "run"
     emit_history(small_history, str(d))
-    # the layout of older directories: the ten-column series.csv with
-    # N_wedge and the shifted series, an E_r column and a fluxes.csv; the
-    # derived columns (here nan) and files are not read
+    # the series.csv of older directories: ten columns with N_wedge and the
+    # shifted series, and a fluxes.csv; the derived columns (here nan) and
+    # files are not read
     _rewrite_columns(d / "series.csv", [
         "v", "N_wedge", "M_wedge", "N_vee", "M_vee", "N_slice", "M_slice",
         "P_wedge", "R_max", "R_min"])
-    _rewrite_columns(d / "profiles.csv", [
-        "v", "r", "g_plus", "g_minus", "h_plus", "h_minus", "E_r"])
     (d / "fluxes.csv").write_text("v,flux_j_r0,flux_p_r0\nnan,nan,nan\n")
     _same_history(load_history(str(d)), small_history)
     # any column order
     _rewrite_columns(d / "series.csv", [
         "R_min", "M_wedge", "v", "R_max", "P_wedge"])
-    _rewrite_columns(d / "particles.csv", ["f_value", "q", "r", "weight", "w"])
     _same_history(load_history(str(d)), small_history)
+
+
+def _csv_era(directory, history):
+    """Turn an emitted run directory into the CSV layout of older versions:
+    profiles.csv (v, r, the four moments, E_r) and particles.csv in place
+    of the .npy files."""
+    h = history
+    i, j = np.indices(h.g_plus.shape)
+    cols = [h.vs[i], h.grid.edges[j], h.g_plus, h.g_minus, h.h_plus,
+            h.h_minus, h.E]
+    np.savetxt(directory / "profiles.csv",
+               np.column_stack([c.ravel() for c in cols]), fmt="%.17g",
+               delimiter=",", comments="",
+               header="v,r,g_plus,g_minus,h_plus,h_minus,E_r")
+    p = h.particles_final
+    np.savetxt(directory / "particles.csv",
+               np.column_stack([p.r, p.w, p.q, p.weight, p.f_value]),
+               fmt="%.17g", delimiter=",", comments="",
+               header="r,w,q,weight,f_value")
+    os.remove(directory / "profiles.npy")
+    os.remove(directory / "particles.npy")
+
+
+def test_csv_era_directory_is_refused(tmp_path, small_history, capsys):
+    # the CSV profiles of older versions are no longer read: the load
+    # names the missing profiles.npy and says to re-run
+    d = tmp_path / "run"
+    emit_history(small_history, str(d))
+    _csv_era(d, small_history)
+    message = r"profiles\.npy: missing; re-run `vmcone run`"
+    with pytest.raises(ValueError, match=message):
+        load_history(str(d))
+    assert main(["diagnose", "--history", str(d),
+                 "--report", str(tmp_path / "diag.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("history input error: ") and "profiles.npy" in err
+    assert "re-run `vmcone run`" in err and len(err.splitlines()) == 1
+    assert not os.path.exists(tmp_path / "diag.json")
 
 
 @pytest.fixture(scope="module")
@@ -568,12 +633,11 @@ def test_cli_diagnose_fails_closed_on_bad_input(tmp_path, capsys,
     (no_dv / "meta.json").write_text(json.dumps(meta))
     no_h = tmp_path / "no_h"
     shutil.copytree(good, no_h)
-    prof = no_h / "profiles.csv"
-    prof.write_text("".join(line.rsplit(",", 1)[0] + "\n"
-                            for line in prof.read_text().splitlines()))
+    prof = no_h / "profiles.npy"
+    np.save(prof, np.load(prof, allow_pickle=False)[:3])
     for d, message in ((tmp_path / "missing", "No such file"),
                        (no_dv, "meta.json: no key 'dv'"),
-                       (no_h, "profiles.csv: no column 'h_minus'")):
+                       (no_h, "profiles.npy: <f8 (3, ")):
         assert main(["diagnose", "--history", str(d),
                      "--report", str(tmp_path / "diag.json")]) == 2
         captured = capsys.readouterr()

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,31 @@ def test_derived_series_equal_the_per_slice_formulas(small_history):
                                   (h.flux_p, h.h_plus, h.h_minus)):
             at = 0.5 * np.interp(probes, edges, plus[n] - minus[n])
             assert np.array_equal(flux[n], 4.0 * np.pi * probes**2 * at)
+
+
+def test_batched_probe_flux_equals_per_slice_interp(small_history):
+    # probes at the first node, between nodes, at an inner node, at r_max
+    # and one rounding step past it: every slice equals np.interp
+    h, edges = small_history, small_history.grid.edges
+    probes = np.array([0.0, 0.5 * (edges[3] + edges[4]), 0.3 * edges[7]
+                       + 0.7 * edges[8], edges[100], h.grid.r_max,
+                       h.grid.r_max + 1e-13])
+    # the run's moments vanish at r_max, so random ones also test the
+    # last-node branch and the one past it; an infinite value at the node
+    # after the probe at edges[100] tests the exact-node branch
+    rng = np.random.default_rng(3)
+    noise = {k: rng.uniform(-1.0, 1.0, h.g_plus.shape)
+             for k in ("g_plus", "g_minus", "h_plus", "h_minus")}
+    noise["g_plus"][:, 101] = np.inf
+    for g in (dataclasses.replace(h, probe_radii=probes),
+              dataclasses.replace(h, probe_radii=probes, **noise)):
+        with np.errstate(invalid="ignore"):   # the unused inf * 0 branch
+            fluxes = g.flux_j, g.flux_p
+        for flux, plus, minus in ((fluxes[0], g.g_plus, g.g_minus),
+                                  (fluxes[1], g.h_plus, g.h_minus)):
+            at = np.array([np.interp(probes, edges, p - m)
+                           for p, m in zip(plus, minus)])
+            assert np.array_equal(flux, 4.0 * np.pi * probes**2 * (0.5 * at))
 
 
 def start_field(parts, grid):
