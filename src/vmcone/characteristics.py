@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
+CHUNK_ROWS = 4096  # rows integrate_cartesian advances together
+
 
 class IntegrationError(RuntimeError):
     """Raised when a trajectory leaves the admissible domain (r <= r_floor)."""
@@ -36,19 +38,34 @@ def _kinematics(x, p, what):
     return x, p, r, x / r[..., None], np.sqrt(1.0 + np.vecdot(p, p))
 
 
-def char_rhs_cartesian(v, x, p, field):
+def _cross(a, b):
+    """np.cross(a, b) over the last axis: its arithmetic, component by
+    component, without its moveaxis and astype copies."""
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        np.subtract(a[..., j] * b[..., k], a[..., k] * b[..., j],
+                    out=out[..., i])
+    return out
+
+
+def char_rhs_cartesian(v, x, p, field, out=None):
     """Right-hand side of xdot = p/p0, pdot = (gamma E + p x B)/p0.
 
     ``field(v, x) -> (E, B)``, all of shape ``(..., 3)`` like the states of
     every function here; each row is computed as for one ``(3,)`` point.
+    Returns (dx, dp), the columns :3 and 3: of ``out`` (shape (..., 6))
+    when it is given.
     """
     x, p, _, k, gamma = _kinematics(x, p, "Cartesian characteristic RHS")
     p0 = (gamma + np.vecdot(p, k))[..., None]
     E, B = field(v, x)
-    E = np.asarray(E, dtype=float)
-    B = np.asarray(B, dtype=float)
-    dx = p / p0
-    dp = (gamma[..., None] * E + np.cross(p, B)) / p0
+    if out is None:
+        out = np.empty(np.broadcast_shapes(x.shape, p.shape)[:-1] + (6,))
+    dx, dp = out[..., :3], out[..., 3:]
+    np.divide(p, p0, out=dx)
+    np.multiply(gamma[..., None], E, out=dp)
+    dp += _cross(p, np.asarray(B, dtype=float))
+    dp /= p0
     return dx, dp
 
 
@@ -151,21 +168,24 @@ def integrate_reduced(r, w, q, field_fn, v_from, v_to, step,
 
 def integrate_cartesian(x, p, field, v_from, v_to, step, scheme="rk4",
                         r_floor=1e-10):
-    """Integrate the 6D Cartesian system for phase points ``(..., 3)``."""
+    """Integrate the 6D Cartesian system for phase points ``(..., 3)``, in
+    chunks of CHUNK_ROWS independent rows that bound every temporary."""
     def rhs(v, y, out):
-        out[..., :3], out[..., 3:] = char_rhs_cartesian(
-            v, y[..., :3], y[..., 3:], field)
+        char_rhs_cartesian(v, y[:, :3], y[:, 3:], field, out)
 
     def after_step(v, y):
-        r = _norm(y[..., :3]).reshape(-1)
+        r = _norm(y[:, :3])
         if np.any(r <= r_floor):
             i = int(np.argmax(r <= r_floor))
             raise IntegrationError(
-                f"trajectory {i} (of {r.size}) reached r={r[i]:g} <= "
-                f"r_floor={r_floor:g} at v={v:g}")
+                f"trajectory {start + i} (of {len(rows)}) reached "
+                f"r={r[i]:g} <= r_floor={r_floor:g} at v={v:g}")
 
     y = np.concatenate([np.asarray(x, float), np.asarray(p, float)], axis=-1)
-    _integrate(rhs, y, v_from, v_to, step, scheme, after_step)
+    rows = y.reshape(-1, 6)
+    for start in range(0, max(len(rows), 1), CHUNK_ROWS):  # 0 rows: check step
+        _integrate(rhs, rows[start:start + CHUNK_ROWS], v_from, v_to, step,
+                   scheme, after_step)
     return y[..., :3], y[..., 3:]
 
 
@@ -195,7 +215,7 @@ def phase_divergence(v, x, p, field):
     phat = p / gamma[..., None]
     c = np.vecdot(phat, k)
     E, B = field(v, x)
-    cross = np.cross(phat, k)
+    cross = _cross(phat, k)
     term = (np.vecdot(cross, cross) / r
             + (np.vecdot(E, k - c[..., None] * phat)
                - np.vecdot(cross, B)) / gamma)

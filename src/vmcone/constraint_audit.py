@@ -25,6 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .characteristics import _cross
+
 
 def _cube(n, extent):
     """Nodes x (n, n, n, 3) of the cube [-extent, extent]^3, their radii r
@@ -138,11 +140,11 @@ def constraint_fields(grid: GriddedFieldSet) -> dict:
     rho, j = grid.rho, grid.j
     s1 = div_B - _dot(k, curl_E)
     s2 = _dot(k, curl_B) + div_E - (rho + _dot(j, k))
-    W1 = (np.cross(k, curl_B) - k * div_B[..., None] + curl_E
-          - np.cross(k, j))
-    W2 = (curl_B + k * div_E[..., None] - np.cross(k, curl_E)
+    W1 = (_cross(k, curl_B) - k * div_B[..., None] + curl_E
+          - _cross(k, j))
+    W2 = (curl_B + k * div_E[..., None] - _cross(k, curl_E)
           - rho[..., None] * k - j)
-    kxW1, kxW2 = np.cross(k, W1), np.cross(k, W2)
+    kxW1, kxW2 = _cross(k, W1), _cross(k, W2)
     return {"W1": W1, "W2": W2, "scalar1": s1, "scalar2": s2,
             "kxW1": kxW1, "kxW2": kxW2,
             "identity1": W1 - (kxW2 + k * (-s1)[..., None]),

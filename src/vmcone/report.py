@@ -198,8 +198,9 @@ def _test_field(amplitude=0.4, b_amplitude=0.3):
         x = np.asarray(x, dtype=float)
         env = np.exp(-np.vecdot(x, x))[..., None]
         E = amplitude * (1.0 + 0.3 * np.sin(1.7 * v)) * x * env
-        B = b_amplitude * np.stack(
-            [-x[..., 1], x[..., 0], np.full(x.shape[:-1], 0.5)], axis=-1) * env
+        B = x[..., [1, 0, 0]] * [-b_amplitude, b_amplitude, 0.0]
+        B[..., 2] = b_amplitude * 0.5
+        B *= env
         return E, B
 
     return field

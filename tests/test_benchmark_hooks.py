@@ -13,6 +13,7 @@ import os
 import sys
 from unittest import mock
 
+import numpy as np
 import pytest
 
 import vmcone
@@ -89,6 +90,12 @@ def test_benchmark_hooks_resolve_and_measure(bench, tmp_path, monkeypatch,
     unmeasured = sorted({s[0] for s in tracer.spans
                          if s[5] and "unmeasured" in s[5]})
     assert not unmeasured
+    # 4 RK4 stages a step and one call from phase_divergence_fd, all
+    # through the module attribute the benchmark counts
+    doc = capture.results["jacobian"]
+    n_steps = int(np.ceil(doc["duration"] / doc["step"] - 1e-12))
+    assert tracer.counts[("characteristics.char_rhs_cartesian", 0)] == (
+        4 * n_steps + 1)
     n = len(capture.results["run"].particles_final)
     deposits = [s[5] for s in tracer.spans if s[0] == "radial_field.deposit"]
     assert n == 6**3 and deposits

@@ -5,7 +5,9 @@ from vmcone import (IntegrationError, integrate_reduced, integrate_cartesian,
                     trajectory_reduced, phase_divergence, phase_divergence_fd,
                     flow_jacobian_det, embed_reduced_state,
                     one_plus_phat_k)
-from vmcone.characteristics import char_rhs_cartesian, char_rhs_reduced
+from vmcone import characteristics
+from vmcone.characteristics import (char_rhs_cartesian, char_rhs_reduced,
+                                     _cross)
 from vmcone import (report, builtin_datum, sample_particles, ShellGrid,
                     deposit, solve_field, eval_field)
 from vmcone.report import jacobian_report, random_states
@@ -62,6 +64,67 @@ def test_batched_r_floor_abort_names_row_v_and_r():
                        match=r"trajectory 1 \(of 3\) reached r=0\.0\d+ "
                              r"<= r_floor=0\.05 at v=0\.\d+"):
         integrate_cartesian(x, p, zero, 0.0, 1.0, 0.01, r_floor=0.05)
+
+
+def test_later_chunk_abort_names_the_global_row(monkeypatch):
+    # with two rows a chunk, the failing row 4 sits in the third chunk
+    monkeypatch.setattr(characteristics, "CHUNK_ROWS", 2)
+    zero = lambda v, x: (np.zeros_like(x), np.zeros_like(x))
+    x = np.tile([1.0, 0.0, 0.0], (6, 1))
+    p = np.tile([0.1, 0.2, 0.0], (6, 1))
+    x[4], p[4] = [0.2, 0.0, 0.0], [-0.3, 0.0, 0.0]
+    with pytest.raises(IntegrationError,
+                       match=r"trajectory 4 \(of 6\) reached r=0\.0\d+ "
+                             r"<= r_floor=0\.05 at v=0\.\d+"):
+        integrate_cartesian(x, p, zero, 0.0, 1.0, 0.01, r_floor=0.05)
+
+
+def test_results_do_not_depend_on_the_chunk_size(monkeypatch):
+    states = random_states(50, seed=7)
+    x = np.array([s[0] for s in states])
+    p = np.array([s[1] for s in states])
+    runs = []
+    for rows in (1, 7, characteristics.CHUNK_ROWS):
+        monkeypatch.setattr(characteristics, "CHUNK_ROWS", rows)
+        runs.append(flow_jacobian_det(x, p, general_field, 0.0, 0.1, 0.01))
+    for det, exact in runs[:-1]:
+        assert np.array_equal(det, runs[-1][0])
+        assert np.array_equal(exact, runs[-1][1])
+
+
+def test_cross_is_np_cross_bit_for_bit():
+    states = random_states(50, seed=7)
+    x = np.array([s[0] for s in states])
+    p = np.array([s[1] for s in states])
+    rng = np.random.default_rng(11)
+    a, b = rng.normal(size=(2, 17, 17, 17, 3))
+    c = rng.normal(size=3)
+    for u, w in ((x, p), (p, x), (a, b), (c, a), (a, c), (c, x)):
+        got, want = _cross(u, w), np.cross(u, w)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def _old_test_field(amplitude=0.4, b_amplitude=0.3):
+    """report._test_field as written with np.stack and np.full."""
+    def field(v, x):
+        x = np.asarray(x, dtype=float)
+        env = np.exp(-np.vecdot(x, x))[..., None]
+        E = amplitude * (1.0 + 0.3 * np.sin(1.7 * v)) * x * env
+        B = b_amplitude * np.stack(
+            [-x[..., 1], x[..., 0], np.full(x.shape[:-1], 0.5)], axis=-1) * env
+        return E, B
+    return field
+
+
+def test_test_field_is_the_stacked_field_bit_for_bit():
+    rng = np.random.default_rng(2)
+    new, old = report._test_field(), _old_test_field()
+    for x in (rng.normal(size=(40, 13, 3)), rng.normal(size=3)):
+        for v in (0.0, 0.37, 1.5, -2.0):
+            for got, want in zip(new(v, x), old(v, x)):
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
 
 
 def test_batched_calls_equal_row_by_row_calls():

@@ -223,6 +223,17 @@ def test_constraint_fields_match_reference_on_embedded_slice(small_history):
         embed_symmetric_solution(small_history, 1.0, 33, 0.6, r_cut=0.15))
 
 
+def test_embedded_audit_report_is_the_np_cross_report(small_history,
+                                                       monkeypatch):
+    import vmcone.constraint_audit as ca
+    from vmcone.report import audit_report
+
+    g = embed_symmetric_solution(small_history, 1.0, 33, 0.6, r_cut=0.15)
+    doc = audit_report(g)
+    monkeypatch.setattr(ca, "_cross", np.cross)
+    assert doc == audit_report(g)
+
+
 def test_consistent_ball_satisfies_constraints():
     E_fn, B_fn, rho_fn, j_fn = smooth_ball_fields()
     g = grid_from_functions(33, 1.0, 0.25, E_fn, B_fn, rho_fn, j_fn)
