@@ -114,8 +114,11 @@ class SliceHistory:
         cone; j_max keeps only the first j_max + 1 nodes.
         """
         arr = getattr(self, name)
-        cols = np.arange(arr.shape[1] if j_max is None else j_max + 1)
-        t = np.asarray(v, dtype=float)[..., None] + slope * self.grid.edges[cols]
+        n = arr.shape[1] if j_max is None else j_max + 1
+        if not 0 <= n <= arr.shape[1]:
+            raise ValueError(f"j_max {j_max} outside the {arr.shape[1]} nodes")
+        width = 1 if slope == 0.0 else n   # past cone: one time per label
+        t = np.asarray(v, dtype=float)[..., None] + slope * self.grid.edges[:width]
         vs = self.vs
         lo = float(np.min(t, initial=vs[0]))   # no labels: no times to check
         hi = float(np.max(t, initial=vs[0]))
@@ -127,7 +130,9 @@ class SliceHistory:
                 f"extend time.v_final")
         idx = np.clip(np.searchsorted(vs, t) - 1, 0, len(vs) - 2)
         theta = np.clip((t - vs[idx]) / (vs[idx + 1] - vs[idx]), 0.0, 1.0)
-        return (1.0 - theta) * arr[idx, cols] + theta * arr[idx + 1, cols]
+        rows, cols = ((idx[..., 0], slice(n)) if width == 1
+                      else (idx, np.arange(n)))
+        return (1.0 - theta) * arr[rows, cols] + theta * arr[rows + 1, cols]
 
 
 def step(parts: ParticleSet, field: RadialFieldProfile, dv: float,

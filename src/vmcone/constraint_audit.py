@@ -28,12 +28,20 @@ import numpy as np
 from .characteristics import _cross
 
 
+BLOCK_PLANES = 4   # planes per block of the pointwise algebra, sized for cache
+
+
+def _radii(ax):
+    """|x| at the nodes of the cube on the axis values ax, as (n, n, n)."""
+    return np.sqrt(ax[:, None, None]**2 + ax[None, :, None]**2 + ax**2)
+
+
 def _cube(n, extent):
     """Nodes x (n, n, n, 3) of the cube [-extent, extent]^3, their radii r
     and unit radial vectors k (k = 0 at the origin)."""
     ax = np.linspace(-extent, extent, n)
     x = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1)
-    r = np.sqrt(x[..., 0]**2 + x[..., 1]**2 + x[..., 2]**2)
+    r = _radii(ax)
     return x, r, x / np.where(r > 0.0, r, 1.0)[..., None]
 
 
@@ -96,7 +104,7 @@ class GriddedFieldSet:
         """Nodes where stencils are valid: one-node margin and r >= r_cut."""
         mask = np.zeros((self.n,) * 3, dtype=bool)
         mask[1:-1, 1:-1, 1:-1] = True
-        return mask & (_cube(self.n, self.extent)[1] >= self.r_cut)
+        return mask & (_radii(self.axes) >= self.r_cut)
 
 
 def grid_from_functions(n, extent, r_cut, E_fn, B_fn, rho_fn, j_fn):
@@ -134,21 +142,28 @@ def constraint_fields(grid: GriddedFieldSet) -> dict:
     identities.  These are exact algebraic consequences of the shared
     derivative fields, so they sit at machine precision for any data.
     """
-    k = _cube(grid.n, grid.extent)[2]
-    curl_E, div_E = _curl_div(grid.E, grid.h)
-    curl_B, div_B = _curl_div(grid.B, grid.h)
-    rho, j = grid.rho, grid.j
-    s1 = div_B - _dot(k, curl_E)
-    s2 = _dot(k, curl_B) + div_E - (rho + _dot(j, k))
-    W1 = (_cross(k, curl_B) - k * div_B[..., None] + curl_E
-          - _cross(k, j))
-    W2 = (curl_B + k * div_E[..., None] - _cross(k, curl_E)
-          - rho[..., None] * k - j)
-    kxW1, kxW2 = _cross(k, W1), _cross(k, W2)
-    return {"W1": W1, "W2": W2, "scalar1": s1, "scalar2": s2,
-            "kxW1": kxW1, "kxW2": kxW2,
-            "identity1": W1 - (kxW2 + k * (-s1)[..., None]),
-            "identity2": W2 - (-kxW1 + k * s2[..., None])}
+    inputs = (_cube(grid.n, grid.extent)[2], *_curl_div(grid.E, grid.h),
+              *_curl_div(grid.B, grid.h), grid.rho, grid.j)
+    for a in range(0, grid.n, BLOCK_PLANES):
+        planes = slice(a, a + BLOCK_PLANES)
+        k, curl_E, div_E, curl_B, div_B, rho, j = (f[planes] for f in inputs)
+        s1 = div_B - _dot(k, curl_E)
+        s2 = _dot(k, curl_B) + div_E - (rho + _dot(j, k))
+        W1 = (_cross(k, curl_B) - k * div_B[..., None] + curl_E
+              - _cross(k, j))
+        W2 = (curl_B + k * div_E[..., None] - _cross(k, curl_E)
+              - rho[..., None] * k - j)
+        kxW1, kxW2 = _cross(k, W1), _cross(k, W2)
+        block = {"W1": W1, "W2": W2, "scalar1": s1, "scalar2": s2,
+                 "kxW1": kxW1, "kxW2": kxW2,
+                 "identity1": W1 - (kxW2 + k * (-s1)[..., None]),
+                 "identity2": W2 - (-kxW1 + k * s2[..., None])}
+        if a == 0:
+            out = {name: np.empty((grid.n,) + f.shape[1:])
+                   for name, f in block.items()}
+        for name, f in block.items():
+            out[name][planes] = f
+    return out
 
 
 def audit(grid: GriddedFieldSet) -> dict:
@@ -190,10 +205,9 @@ def check_equivalence(grid: GriddedFieldSet, tol: float) -> dict:
     res = audit(grid)
     tol2 = EQUIVALENCE_FACTOR * tol
     set_a = res["W1_max"] <= tol and res["W2_max"] <= tol
-    set_b = (res["scalar1_max"] <= tol2 and res["scalar2_max"] <= tol2
-             and res["kxW1_max"] <= tol2)
-    set_c = (res["scalar1_max"] <= tol2 and res["scalar2_max"] <= tol2
-             and res["kxW2_max"] <= tol2)
+    scalars = res["scalar1_max"] <= tol2 and res["scalar2_max"] <= tol2
+    set_b = scalars and res["kxW1_max"] <= tol2
+    set_c = scalars and res["kxW2_max"] <= tol2
     verdict = {
         "tol": tol, "tol_derived": tol2, "factor": EQUIVALENCE_FACTOR,
         "set_full": set_a, "set_kxW1": set_b, "set_kxW2": set_c,
@@ -228,30 +242,25 @@ def embed_symmetric_solution(history, v: float, n: int, extent: float,
     from .radial_field import cumulative_source
 
     grid_r = history.grid
-    g_plus = history.profile_at("g_plus", v)
-    g_minus = history.profile_at("g_minus", v)
-    I_plus = cumulative_source(grid_r, g_plus)
-    I_minus = cumulative_source(grid_r, g_minus)
     if extent * np.sqrt(3.0) > grid_r.r_max:
         raise ValueError("embedding cube corner exceeds the shell grid")
     if knot_spacing is None:
         knot_spacing = max(20.0 * grid_r.dr, grid_r.r_max / 24.0)
     knots = np.arange(knot_spacing, grid_r.r_max - knot_spacing,
                       knot_spacing)
-    sp_p = LSQUnivariateSpline(grid_r.edges, I_plus, knots, k=5)
-    sp_m = LSQUnivariateSpline(grid_r.edges, I_minus, knots, k=5)
+    sp_p, sp_m = (LSQUnivariateSpline(
+        grid_r.edges, cumulative_source(grid_r, history.profile_at(name, v)),
+        knots, k=5) for name in ("g_plus", "g_minus"))
 
     _, r, k = _cube(n, extent)
-    r_safe = np.where(r > 0.0, r, 1.0)
-
-    def ev(spline, rr):
-        return spline(rr.ravel()).reshape(rr.shape)
-
-    E_r = np.where(r > 0.0, ev(sp_p, r) / r_safe**2, 0.0)
-    gp = ev(sp_p.derivative(), r) / r_safe**2
-    gm = ev(sp_m.derivative(), r) / r_safe**2
-    rho = 0.5 * (gp + gm)
-    j_r = 0.5 * (gp - gm)
+    # E_r, rho, j_r depend on r alone: evaluate once per distinct radius
+    radii, at = np.unique(r, return_inverse=True)
+    r_safe = np.where(radii > 0.0, radii, 1.0)
+    E_r = np.where(radii > 0.0, sp_p(radii) / r_safe**2, 0.0)[at]
+    gp = sp_p.derivative()(radii) / r_safe**2
+    gm = sp_m.derivative()(radii) / r_safe**2
+    rho = (0.5 * (gp + gm))[at]
+    j_r = (0.5 * (gp - gm))[at]
 
     E = E_r[..., None] * k
     return GriddedFieldSet(n=n, extent=extent, r_cut=r_cut,

@@ -11,6 +11,7 @@ import importlib.util
 import json
 import os
 import sys
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -61,19 +62,21 @@ def test_benchmark_hooks_resolve_and_measure(bench, tmp_path, monkeypatch,
     monkeypatch.setattr(tracing.Tracer, "count", named_count)
 
     capture, tracer = tracing.Capture(), tracing.Tracer()
-    tracer.op = 0
     bench.install_capture(capture, vmcone)
     bench.install_spans(tracer, vmcone)
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(bench.wl.run_config(7.0, 6, 128, 0.1)))
     out, vmgrid = str(tmp_path / "out"), str(tmp_path / "slice.vmgrid")
+    commands = {"run": ["run", "--config", str(cfg), "--output", out,
+                        "--diagnose"],
+                "diagnose": ["diagnose", "--history", out],
+                "audit": ["audit-constraints", "--from-history", out,
+                          "--nodes", "12"],
+                "jacobian": ["jacobian-test", "--orbits", "2",
+                             "--duration", "0.02"]}
     try:
-        for argv in (["run", "--config", str(cfg), "--output", out,
-                      "--diagnose"],
-                     ["diagnose", "--history", out],
-                     ["audit-constraints", "--from-history", out,
-                      "--nodes", "12"],
-                     ["jacobian-test", "--orbits", "2", "--duration", "0.02"]):
+        for op, argv in commands.items():
+            tracer.op = op   # tags the spans of each command
             assert vmcone.cli.main(argv) in (0, 1), argv
         # the benchmark's own .vmgrid round trip of the embedded slice
         vmcone.io_utils.save_grid(capture.results["embed"], vmgrid)
@@ -94,8 +97,15 @@ def test_benchmark_hooks_resolve_and_measure(bench, tmp_path, monkeypatch,
     # through the module attribute the benchmark counts
     doc = capture.results["jacobian"]
     n_steps = int(np.ceil(doc["duration"] / doc["step"] - 1e-12))
-    assert tracer.counts[("characteristics.char_rhs_cartesian", 0)] == (
-        4 * n_steps + 1)
+    assert tracer.counts[("characteristics.char_rhs_cartesian",
+                          "jacobian")] == 4 * n_steps + 1
+    # the read side calls each layer the benchmark times through its module
+    # attribute, as often as its exact counts assume: one embedding and one
+    # audit per audit command, one series per shifted functional
+    calls = Counter((s[4], s[0]) for s in tracer.spans)
+    assert calls["audit", "constraint_audit.embed_symmetric_solution"] == 1
+    assert calls["audit", "constraint_audit.audit"] == 1
+    assert calls["diagnose", "cone_diagnostics.functional_series"] == 4
     n = len(capture.results["run"].particles_final)
     deposits = [s[5] for s in tracer.spans if s[0] == "radial_field.deposit"]
     assert n == 6**3 and deposits

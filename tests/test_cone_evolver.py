@@ -247,3 +247,64 @@ def test_history_time_interpolation(small_history):
         h.profile_at("g_plus", h.v_final + 1.0)
     with pytest.raises(ValueError, match="outside recorded history"):
         h.profile_at("g_minus", h.v_final, 2.0)
+
+
+def _profile_at_per_node(h, name, v, slope=0.0, j_max=None):
+    """profile_at as it read every cone, the past cone included: one time,
+    one search and two gathers per (label, node) pair."""
+    arr = getattr(h, name)
+    cols = np.arange(arr.shape[1] if j_max is None else j_max + 1)
+    t = np.asarray(v, dtype=float)[..., None] + slope * h.grid.edges[cols]
+    vs = h.vs
+    lo = float(np.min(t, initial=vs[0]))
+    hi = float(np.max(t, initial=vs[0]))
+    if not (lo >= vs[0] - 1e-9 and hi <= vs[-1] + 1e-9):
+        raise ValueError(
+            f"{name} needed at v={hi if hi > vs[-1] else lo:g}, outside "
+            f"recorded history [{vs[0]:g}, {vs[-1]:g}]; "
+            f"extend time.v_final")
+    idx = np.clip(np.searchsorted(vs, t) - 1, 0, len(vs) - 2)
+    theta = np.clip((t - vs[idx]) / (vs[idx + 1] - vs[idx]), 0.0, 1.0)
+    return (1.0 - theta) * arr[idx, cols] + theta * arr[idx + 1, cols]
+
+
+def test_past_cone_rows_equal_the_per_node_read(small_history):
+    # slope 0 searches once per label and interpolates whole rows; every
+    # value must be the per-node formula's, for every label shape, with and
+    # without j_max, on slice times and between them
+    h = small_history
+    on = h.vs[[0, 7, len(h.vs) // 2, -1]]
+    between = 0.5 * (h.vs[3:7] + h.vs[4:8])
+    labels = [float(on[1]), float(between[0]), 0.0, h.v_final, on, between,
+              np.stack([on, between]), np.empty(0), np.empty((2, 0))]
+    for slope in (0.0, 1.0, 2.0):
+        # the slices and future cones reach later times: keep to the labels
+        # whose cone the history covers
+        top = h.v_final - slope * h.grid.edges[40]
+        for v in labels:
+            v = np.minimum(v, top) if slope else v
+            for name in ("g_plus", "E"):
+                for j_max in ((None, 0, 40) if slope == 0.0 else (0, 40)):
+                    got = h.profile_at(name, v, slope, j_max)
+                    want = _profile_at_per_node(h, name, v, slope, j_max)
+                    assert got.shape == want.shape, (slope, v, j_max)
+                    assert np.array_equal(got, want), (slope, v, j_max)
+    for v in (h.v_final + 1.0, -1.0, np.nan, np.array([0.0, np.nan]),
+              np.array([[0.5, h.v_final + 0.1]])):
+        for j_max in (None, 10):
+            with pytest.raises(ValueError) as got:
+                h.profile_at("g_minus", v, 0.0, j_max)
+            with pytest.raises(ValueError) as want:
+                _profile_at_per_node(h, "g_minus", v, 0.0, j_max)
+            assert str(got.value) == str(want.value)
+    # a j_max past the last node, or below -1 (no node at all), is refused
+    # on every surface: the past cone's row slice would quietly cut it
+    n_nodes = h.g_plus.shape[1]
+    for slope in (0.0, 1.0):
+        assert h.profile_at("g_plus", 0.1, slope, -1).shape == (0,)
+        assert h.profile_at("g_plus", 0.1, slope, n_nodes - 1).shape == (
+            n_nodes,)
+        for j_max in (-2, -5, n_nodes, n_nodes + 3):
+            with pytest.raises(ValueError, match=rf"j_max {j_max} outside "
+                                                 rf"the {n_nodes} nodes"):
+                h.profile_at("g_plus", 0.1, slope, j_max)

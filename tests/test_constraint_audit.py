@@ -449,3 +449,94 @@ def test_audit_report_runs_the_audit_once(monkeypatch):
     assert len(calls) == 1
     assert doc["residuals"] == real(g)
     assert doc["equivalence"]["tol"] == 10.0 * g.h**2 + 1e-8
+
+
+def _embedding_per_node(history, v, n, extent):
+    """The embedded E, rho and j with the splines evaluated at every node."""
+    from scipy.interpolate import LSQUnivariateSpline
+    from vmcone.radial_field import cumulative_source
+
+    grid_r = history.grid
+    spacing = max(20.0 * grid_r.dr, grid_r.r_max / 24.0)
+    knots = np.arange(spacing, grid_r.r_max - spacing, spacing)
+    sp_p, sp_m = (LSQUnivariateSpline(
+        grid_r.edges, cumulative_source(grid_r, history.profile_at(name, v)),
+        knots, k=5) for name in ("g_plus", "g_minus"))
+    ax = np.linspace(-extent, extent, n)
+    X, Y, Z = np.meshgrid(ax, ax, ax, indexing="ij")
+    r = np.sqrt(X**2 + Y**2 + Z**2)
+    r_safe = np.where(r > 0.0, r, 1.0)
+    k = np.stack([X / r_safe, Y / r_safe, Z / r_safe], axis=-1)
+
+    def ev(spline):
+        return spline(r.ravel()).reshape(r.shape)
+
+    E_r = np.where(r > 0.0, ev(sp_p) / r_safe**2, 0.0)
+    gp = ev(sp_p.derivative()) / r_safe**2
+    gm = ev(sp_m.derivative()) / r_safe**2
+    return (E_r[..., None] * k, 0.5 * (gp + gm),
+            (0.5 * (gp - gm))[..., None] * k, np.unique(r).size)
+
+
+@pytest.mark.parametrize("n", [33, 64])
+def test_embedding_evaluates_each_distinct_radius_once(small_history, n,
+                                                       monkeypatch):
+    # n = 33 has a node at r = 0 (the E_r = 0 branch), n = 64 has none
+    from scipy.interpolate import UnivariateSpline
+
+    E, rho, j, n_radii = _embedding_per_node(small_history, 1.0, n, 0.6)
+    seen = []
+    call = UnivariateSpline.__call__
+
+    def counted(self, x, *args, **kwargs):
+        seen.append(np.size(x))
+        return call(self, x, *args, **kwargs)
+
+    monkeypatch.setattr(UnivariateSpline, "__call__", counted)
+    g = embed_symmetric_solution(small_history, 1.0, n, 0.6, r_cut=0.15)
+    assert (n_radii < n**3) and seen == [n_radii] * 3
+    assert np.any(np.all(g.points() == 0.0, axis=-1)) == (n == 33)
+    assert np.array_equal(g.E, E)
+    assert np.array_equal(g.rho, rho)
+    assert np.array_equal(g.j, j)
+    assert np.array_equal(g.B, np.zeros_like(E))
+    assert (g.n, g.extent, g.r_cut) == (n, 0.6, 0.15)
+
+
+def test_embedding_refuses_the_corner_before_reading_the_history(
+        small_history, monkeypatch):
+    from vmcone.cone_evolver import SliceHistory
+
+    def unread(*args, **kwargs):
+        raise AssertionError("profiles read before the corner check")
+
+    monkeypatch.setattr(SliceHistory, "profile_at", unread)
+    with pytest.raises(ValueError,
+                       match="embedding cube corner exceeds the shell grid"):
+        embed_symmetric_solution(small_history, 1.0, 17,
+                                 small_history.grid.r_max, r_cut=0.3)
+
+
+@pytest.mark.parametrize("n", [3, 5, 6, 33])
+def test_constraint_fields_blocks_match_reference(n):
+    # planes are processed BLOCK_PLANES at a time: fewer planes than one
+    # block (3), a last block of one plane (5, 33) and of two (6).  n = 3
+    # and 5 have no node outside any valid r_cut, so the set is built
+    # without GriddedFieldSet's checks; constraint_fields reads only the
+    # arrays and the geometry
+    import vmcone.constraint_audit as ca
+
+    assert ca.BLOCK_PLANES == 4
+    rng = np.random.default_rng(n)
+    g = object.__new__(GriddedFieldSet)
+    vars(g).update(n=n, extent=1.0, r_cut=0.0,
+                   E=rng.normal(size=(n, n, n, 3)),
+                   B=rng.normal(size=(n, n, n, 3)),
+                   rho=rng.normal(size=(n, n, n)),
+                   j=rng.normal(size=(n, n, n, 3)))
+    fields, _ = _reference_fields(g)
+    got = constraint_fields(g)
+    assert got.keys() == fields.keys()
+    for name in fields:
+        assert got[name].shape == fields[name].shape, name
+        assert np.array_equal(got[name], fields[name]), name
