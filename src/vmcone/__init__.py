@@ -9,13 +9,12 @@ from .phase_model import (InitialDatum, ParticleSet, builtin_datum,
                           sample_particles, check_measure_positivity,
                           ANGULAR_FACTOR)
 from .characteristics import (IntegrationError, integrate_reduced,
-                              integrate_cartesian, trajectory_reduced,
-                              phase_divergence, phase_divergence_fd,
-                              flow_jacobian_det, embed_reduced_state,
-                              one_plus_phat_k)
-from .radial_field import (ShellGrid, RadialFieldProfile, MOMENTS,
-                           moment_payloads, deposit, cumulative_source,
-                           solve_field, eval_field, radial_integral)
+                              integrate_cartesian, phase_divergence,
+                              phase_divergence_fd, flow_jacobian_det,
+                              embed_reduced_state, one_plus_phat_k)
+from .radial_field import (ShellGrid, MOMENTS, moment_payloads, deposit,
+                           cumulative_source, solve_field, node_field,
+                           eval_field, radial_integral)
 from .config import (RunConfig, ConfigError, config_from_dict, parse_config,
                      emit_config)
 from .cone_evolver import (SliceHistory, run, step, auto_r_max,

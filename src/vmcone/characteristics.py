@@ -139,13 +139,13 @@ def _integrate(rhs, y, v, v_to, step, scheme, after_step):
 
 
 def integrate_reduced(r, w, q, field_fn, v_from, v_to, step,
-                      scheme="rk4", r_floor=1e-10, record=None):
+                      scheme="rk4", r_floor=1e-10):
     """Integrate the reduced system with fixed steps; vectorized over arrays.
 
     ``field_fn(v, r) -> E_r``; the arrays it returns are only read.
     Reaching ``r <= r_floor`` aborts: with a positive angular-momentum floor
     no admissible orbit approaches the axis, so this signals invalid data or
-    a bug, not physics.  ``record(v, y)`` sees y = (r, w) after every step.
+    a bug, not physics.
     """
     y = np.stack([np.atleast_1d(np.asarray(r, dtype=float)),
                   np.atleast_1d(np.asarray(w, dtype=float))])
@@ -159,8 +159,6 @@ def integrate_reduced(r, w, q, field_fn, v_from, v_to, step,
             raise IntegrationError(
                 f"trajectory reached r <= r_floor={r_floor:g} at v={v:g}; "
                 "the axis bound sqrt(F)/P is violated")
-        if record is not None:
-            record(v, y)
 
     _integrate(rhs, y, v_from, v_to, step, scheme, after_step)
     return y[0], y[1]
@@ -187,22 +185,6 @@ def integrate_cartesian(x, p, field, v_from, v_to, step, scheme="rk4",
         _integrate(rhs, rows[start:start + CHUNK_ROWS], v_from, v_to, step,
                    scheme, after_step)
     return y[..., :3], y[..., 3:]
-
-
-def trajectory_reduced(r, w, q, field_fn, v_from, v_to, step, scheme="rk4",
-                       r_floor=1e-10):
-    """As integrate_reduced for a single orbit, returning dense samples.
-
-    Returns arrays (v, r, w, E_r) at the start and after every step, all
-    from one integration.
-    """
-    samples = [(v_from, float(r), float(w))]
-    integrate_reduced(r, w, q, field_fn, v_from, v_to, step, scheme, r_floor,
-                      lambda v, y: samples.append((v, y[0, 0], y[1, 0])))
-    vs, rs, ws = np.array(samples).T
-    Es = np.array([float(np.asarray(field_fn(v, np.array([rr])))[0])
-                   for v, rr in zip(vs, rs)])
-    return vs, rs, ws, Es
 
 
 def phase_divergence(v, x, p, field):

@@ -43,6 +43,9 @@ def _report(doc: dict, path) -> int:
 
 
 def cmd_run(args) -> int:
+    if args.report and not args.diagnose:
+        print("--report needs --diagnose", file=sys.stderr)
+        return 2
     try:
         cfg = parse_config(args.config)
     except ConfigError as exc:

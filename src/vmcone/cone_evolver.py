@@ -22,8 +22,8 @@ import numpy as np
 
 from .phase_model import (InitialDatum, ParticleSet, builtin_datum,
                           sample_particles, check_measure_positivity)
-from .radial_field import (MOMENTS, ShellGrid, RadialFieldProfile, deposit,
-                           moment_payloads, cumulative_source, solve_field,
+from .radial_field import (MOMENTS, ShellGrid, deposit, moment_payloads,
+                           cumulative_source, solve_field, node_field,
                            eval_field, radial_integral)
 from .characteristics import IntegrationError, integrate_reduced
 from .config import RunConfig, auto_r_max, time_steps
@@ -71,8 +71,7 @@ class SliceHistory:
     @cached_property
     def E(self) -> np.ndarray:
         """E_r on the nodes of every slice: the field solve of g_plus."""
-        return RadialFieldProfile(self.grid, cumulative_source(
-            self.grid, self.g_plus)).E
+        return node_field(self.grid, cumulative_source(self.grid, self.g_plus))
 
     @cached_property
     def N_wedge(self) -> np.ndarray:
@@ -81,18 +80,9 @@ class SliceHistory:
         return np.sum(self.g_plus * self.grid.node_volumes, axis=-1)
 
     def _probe_flux(self, plus, minus):
-        """4 pi r^2 (plus - minus) / 2 at the probe radii r, every slice at
-        once: the node value at a node or past the end nodes, else
-        np.interp's own slope formula in the probe's cell, so each slice
-        equals np.interp bit for bit."""
-        r, xp, d = self.probe_radii, self.grid.edges, plus - minus
-        x = np.clip(r, xp[0], xp[-1])
-        j = np.clip(np.searchsorted(xp, x, side="right") - 1, 0, len(xp) - 2)
-        lo, hi = d[:, j], d[:, j + 1]
-        slope = (hi - lo) / (xp[j + 1] - xp[j])
-        at = np.where(x == xp[j], lo,
-                      np.where(x == xp[j + 1], hi, slope * (x - xp[j]) + lo))
-        return 4.0 * np.pi * r**2 * (0.5 * at)
+        """4 pi r^2 (plus - minus) / 2 at the probe radii r, every slice."""
+        r = self.probe_radii
+        return 4.0 * np.pi * r**2 * (0.5 * self.grid.interp(plus - minus, r))
 
     @cached_property
     def flux_j(self) -> np.ndarray:
@@ -128,6 +118,8 @@ class SliceHistory:
                 f"{name} needed at v={hi if hi > vs[-1] else lo:g}, outside "
                 f"recorded history [{vs[0]:g}, {vs[-1]:g}]; "
                 f"extend time.v_final")
+        if len(vs) == 1:   # one recorded slice: every admitted time reads it
+            return np.broadcast_to(arr[0, :n], t.shape[:-1] + (n,)).copy()
         idx = np.clip(np.searchsorted(vs, t) - 1, 0, len(vs) - 2)
         theta = np.clip((t - vs[idx]) / (vs[idx + 1] - vs[idx]), 0.0, 1.0)
         rows, cols = ((idx[..., 0], slice(n)) if width == 1
@@ -135,20 +127,19 @@ class SliceHistory:
         return (1.0 - theta) * arr[rows, cols] + theta * arr[rows + 1, cols]
 
 
-def step(parts: ParticleSet, field: RadialFieldProfile, dv: float,
+def step(parts: ParticleSet, grid: ShellGrid, I: np.ndarray, dv: float,
          scheme: str = "rk4", r_floor: float = 1e-10) -> ParticleSet:
-    """Advance the particles over [v, v + dv] from the field at v: a push in
-    that field predicts the endpoint, then the push is redone in the average
-    of the start field and the field of the predicted endpoint."""
-    def push(fieldprof):
+    """Advance the particles over [v, v + dv] from the cumulative source I
+    at v: a push in its field predicts the endpoint, then the push is redone
+    in the field of the average of I and the I of the predicted endpoint."""
+    def push(I):
         return integrate_reduced(parts.r, parts.w, parts.q,
-                                 lambda v, r: eval_field(fieldprof, r),
+                                 lambda v, r: eval_field(grid, I, r),
                                  0.0, dv, dv, scheme=scheme, r_floor=r_floor)
 
-    grid = field.grid
-    r_pred, _ = push(field)
-    end = solve_field(grid, deposit(r_pred, (parts.weight,), grid)[0])
-    r1, w1 = push(RadialFieldProfile(grid, 0.5 * (field.I + end.I)))
+    r_pred, _ = push(I)
+    I_end = solve_field(grid, deposit(r_pred, (parts.weight,), grid)[0])
+    r1, w1 = push(0.5 * (I + I_end))
     if np.any(~np.isfinite(r1)) or np.any(~np.isfinite(w1)):
         raise FloatingPointError("non-finite particle state after push")
     return ParticleSet(r1, w1, parts.q, parts.weight, parts.f_value)
@@ -205,21 +196,21 @@ def run(config: RunConfig) -> SliceHistory:
     for n, v in enumerate(vs):
         with _naming_step(n, v):
             moments[:, n] = deposit(parts.r, moment_payloads(parts), grid)
-            field = solve_field(grid, moments[0, n])
+            I = solve_field(grid, moments[0, n])
         kinetic = 0.0
         if len(parts):
             kinetic = float(np.sum(parts.weight * parts.gamma()))
             p_run = max(p_run, float(np.sqrt(np.max(parts.momentum_sq()))))
             r_run_min = min(r_run_min, float(np.min(parts.r)))
             series["R_slice_max"][n] = float(np.max(parts.r))
-        series["M_wedge"][n] = kinetic + radial_integral(grid,
-                                                         0.5 * field.E**2)
+        series["M_wedge"][n] = kinetic + radial_integral(
+            grid, 0.5 * node_field(grid, I)**2)
         series["P_wedge"][n] = p_run
         series["R_min_run"][n] = r_run_min if np.isfinite(r_run_min) else 0.0
         if n == n_steps:
             break
         with _naming_step(n, v):
-            pushed = step(parts, field, dv, config.scheme, config.r_floor)
+            pushed = step(parts, grid, I, dv, config.scheme, config.r_floor)
         dr_sign = np.sign(pushed.r - parts.r)
         r_turn_violations += int(np.count_nonzero((dr_sign < 0) & turned_out))
         turned_out |= dr_sign > 0

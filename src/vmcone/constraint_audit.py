@@ -37,12 +37,15 @@ def _radii(ax):
 
 
 def _cube(n, extent):
-    """Nodes x (n, n, n, 3) of the cube [-extent, extent]^3, their radii r
-    and unit radial vectors k (k = 0 at the origin)."""
+    """Radii r (n, n, n) of the nodes of the cube [-extent, extent]^3 and
+    their unit radial vectors k (n, n, n, 3), k = 0 at the origin."""
     ax = np.linspace(-extent, extent, n)
-    x = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1)
     r = _radii(ax)
-    return x, r, x / np.where(r > 0.0, r, 1.0)[..., None]
+    r_safe = np.where(r > 0.0, r, 1.0)
+    k = np.empty(r.shape + (3,))
+    for i, shape in enumerate(((n, 1, 1), (1, n, 1), (1, 1, n))):
+        np.divide(ax.reshape(shape), r_safe, out=k[..., i])
+    return r, k
 
 
 @dataclass
@@ -96,10 +99,6 @@ class GriddedFieldSet:
     def axes(self) -> np.ndarray:
         return np.linspace(-self.extent, self.extent, self.n)
 
-    def points(self) -> np.ndarray:
-        """Node coordinates, shape (n, n, n, 3)."""
-        return _cube(self.n, self.extent)[0]
-
     def interior_mask(self) -> np.ndarray:
         """Nodes where stencils are valid: one-node margin and r >= r_cut."""
         mask = np.zeros((self.n,) * 3, dtype=bool)
@@ -110,7 +109,8 @@ class GriddedFieldSet:
 def grid_from_functions(n, extent, r_cut, E_fn, B_fn, rho_fn, j_fn):
     """Sample callables E(x), B(x), rho(x), j(x) on the cube grid; each
     callable takes stacked coordinates of shape (..., 3)."""
-    pts = _cube(n, extent)[0]
+    ax = np.linspace(-extent, extent, n)
+    pts = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1)
     return GriddedFieldSet(n=n, extent=extent, r_cut=r_cut,
                            E=np.asarray(E_fn(pts), dtype=float),
                            B=np.asarray(B_fn(pts), dtype=float),
@@ -142,7 +142,7 @@ def constraint_fields(grid: GriddedFieldSet) -> dict:
     identities.  These are exact algebraic consequences of the shared
     derivative fields, so they sit at machine precision for any data.
     """
-    inputs = (_cube(grid.n, grid.extent)[2], *_curl_div(grid.E, grid.h),
+    inputs = (_cube(grid.n, grid.extent)[1], *_curl_div(grid.E, grid.h),
               *_curl_div(grid.B, grid.h), grid.rho, grid.j)
     for a in range(0, grid.n, BLOCK_PLANES):
         planes = slice(a, a + BLOCK_PLANES)
@@ -252,7 +252,7 @@ def embed_symmetric_solution(history, v: float, n: int, extent: float,
         grid_r.edges, cumulative_source(grid_r, history.profile_at(name, v)),
         knots, k=5) for name in ("g_plus", "g_minus"))
 
-    _, r, k = _cube(n, extent)
+    r, k = _cube(n, extent)
     # E_r, rho, j_r depend on r alone: evaluate once per distinct radius
     radii, at = np.unique(r, return_inverse=True)
     r_safe = np.where(radii > 0.0, radii, 1.0)

@@ -70,10 +70,6 @@ class ParticleSet:
     def __len__(self):
         return self.r.size
 
-    def copy(self) -> "ParticleSet":
-        return ParticleSet(self.r.copy(), self.w.copy(), self.q.copy(),
-                           self.weight.copy(), self.f_value.copy())
-
     def momentum_sq(self) -> np.ndarray:
         """|p|^2 = w^2 + q / r^2."""
         return self.w**2 + self.q / self.r**2
@@ -85,9 +81,6 @@ class ParticleSet:
     def one_plus_phat_k(self) -> np.ndarray:
         """1 + phat.k = 1 + w / sqrt(1 + |p|^2); strictly positive."""
         return 1.0 + self.w / self.gamma()
-
-    def total_weight(self) -> float:
-        return float(np.sum(self.weight))
 
 
 def _zero_datum() -> InitialDatum:

@@ -54,21 +54,18 @@ class ShellGrid:
         volumes.flags.writeable = False
         return volumes
 
-
-@dataclass(frozen=True)
-class RadialFieldProfile:
-    """Cumulative source integral I(r) on the nodes; E_r = I / r^2 is
-    derived from it."""
-
-    grid: ShellGrid
-    I: np.ndarray
-
-    @property
-    def E(self) -> np.ndarray:
-        """E_r(r_j) = I(r_j) / r_j^2, E_r(0) = 0, along the last axis of I."""
-        E = np.zeros_like(self.I)
-        E[..., 1:] = self.I[..., 1:] / self.grid.edges[1:] ** 2
-        return E
+    def interp(self, values, r):
+        """np.interp(r, edges, row) for every row of values along the last
+        axis, bit for bit: the node value at a node or past the end nodes,
+        else np.interp's own slope formula in r's cell.  values may stop at
+        any node past r."""
+        xp = self.edges[:values.shape[-1]]
+        x = np.clip(r, xp[0], xp[-1])
+        j = np.clip(np.searchsorted(xp, x, side="right") - 1, 0, len(xp) - 2)
+        lo, hi = values[..., j], values[..., j + 1]
+        slope = (hi - lo) / (xp[j + 1] - xp[j])
+        return np.where(x == xp[j], lo,
+                        np.where(x == xp[j + 1], hi, slope * (x - xp[j]) + lo))
 
 
 # the four scalar moments, in the row order of moment_payloads:
@@ -134,24 +131,30 @@ def radial_integral(grid: ShellGrid, values: np.ndarray, r=None):
     j = int(np.searchsorted(edges, r, side="right")) - 1
     total = np.trapezoid(integrand[..., :j + 1], dx=grid.dr, axis=-1)
     if j < grid.n_shells and r > edges[j]:
-        # np.interp(r, edges, values) on the cell [r_j, r_j+1]
-        lo, hi = values[..., j], values[..., j + 1]
-        v_r = (hi - lo) / (edges[j + 1] - edges[j]) * (r - edges[j]) + lo
-        total += 0.5 * (r - edges[j]) * (integrand[..., j] + v_r * r**2)
+        total += 0.5 * (r - edges[j]) * (integrand[..., j]
+                                         + grid.interp(values, r) * r**2)
     return 4.0 * np.pi * total
 
 
-def solve_field(grid: ShellGrid, g_plus: np.ndarray) -> RadialFieldProfile:
-    """Radial field from the node densities of g_plus:
-    E_r(r_j) = I(r_j) / r_j^2, E_r(0) = 0."""
+def solve_field(grid: ShellGrid, g_plus: np.ndarray) -> np.ndarray:
+    """The cumulative source I of the node densities of g_plus, after
+    checking that they are finite and non-negative; node_field gives E_r."""
     if np.any(~np.isfinite(g_plus)):
         raise ValueError("non-finite g_plus passed to field solve")
     if np.any(g_plus < -1e-12 * max(1.0, float(np.max(np.abs(g_plus))))):
         raise ValueError("negative g_plus: moment invariant violated upstream")
-    return RadialFieldProfile(grid=grid, I=cumulative_source(grid, g_plus))
+    return cumulative_source(grid, g_plus)
 
 
-def eval_field(profile: RadialFieldProfile, r) -> np.ndarray:
+def node_field(grid: ShellGrid, I: np.ndarray) -> np.ndarray:
+    """E_r(r_j) = I(r_j) / r_j^2 on the nodes, E_r(0) = 0, along the last
+    axis of I."""
+    E = np.zeros_like(I)
+    E[..., 1:] = I[..., 1:] / grid.edges[1:] ** 2
+    return E
+
+
+def eval_field(grid: ShellGrid, I: np.ndarray, r) -> np.ndarray:
     """E_r at radii r >= 0: linear interpolation of I(r), then / r^2.
 
     Returns 0 at r = 0.  Beyond r_max the source is exhausted and E_r
@@ -165,6 +168,5 @@ def eval_field(profile: RadialFieldProfile, r) -> np.ndarray:
         raise ValueError("field evaluation outside r >= 0")
     # the masked divide leaves r^2 = 0 in place at r = 0
     E = np.multiply(r, r)
-    np.divide(np.interp(r, profile.grid.edges, profile.I), E, out=E,
-              where=r > 0.0)
+    np.divide(np.interp(r, grid.edges, I), E, out=E, where=r > 0.0)
     return float(E[0]) if scalar else E

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from vmcone import (IntegrationError, integrate_reduced, integrate_cartesian,
-                    trajectory_reduced, phase_divergence, phase_divergence_fd,
-                    flow_jacobian_det, embed_reduced_state,
-                    one_plus_phat_k)
+                    phase_divergence, phase_divergence_fd, flow_jacobian_det,
+                    embed_reduced_state, one_plus_phat_k)
 from vmcone import characteristics
 from vmcone.characteristics import (char_rhs_cartesian, char_rhs_reduced,
                                      _cross)
@@ -221,10 +220,18 @@ def test_angular_momentum_conserved_in_radial_field():
 
 def test_kinetic_energy_identity_along_trajectory():
     # d/dv gamma = (w/p0) E_r along reduced characteristics; quadrature of
-    # the right side over the stored trajectory reproduces Delta gamma
+    # the right side over the trajectory, sampled one step at a time,
+    # reproduces Delta gamma
     r0, w0, q0 = 0.6, 0.2, 0.01
     fn = radial_field_reduced(0.5)
-    vs, rs, ws, Es = trajectory_reduced(r0, w0, q0, fn, 0.0, 1.0, 1e-3)
+    vs = np.linspace(0.0, 1.0, 1001)
+    rs, ws = np.empty_like(vs), np.empty_like(vs)
+    rs[0], ws[0] = r0, w0
+    for i in range(1000):
+        r1, w1 = integrate_reduced(rs[i], ws[i], q0, fn, vs[i], vs[i + 1],
+                                   1e-3)
+        rs[i + 1], ws[i + 1] = r1[0], w1[0]
+    Es = fn(vs, rs)
     gamma = np.sqrt(1.0 + ws**2 + q0 / rs**2)
     p0 = gamma + ws
     integrand = ws / p0 * Es
@@ -287,7 +294,7 @@ def test_r_floor_abort():
                           r_floor=0.05)
 
 
-def _allocating_push(r, w, q, fld, dv, n, scheme):
+def _allocating_push(r, w, q, grid, I, dv, n, scheme):
     """The push as written before the fused stepper: a stacked state, a
     field lookup that fills zeros through a boolean index, the reduced RHS
     in its textbook form and a generic RK step that allocates every
@@ -295,8 +302,8 @@ def _allocating_push(r, w, q, fld, dv, n, scheme):
     def E_of(r):
         out = np.zeros_like(r)
         pos = r > 0.0
-        I = np.interp(r, fld.grid.edges, fld.I)
-        out[pos] = I[pos] / r[pos] ** 2
+        I_r = np.interp(r, grid.edges, I)
+        out[pos] = I_r[pos] / r[pos] ** 2
         return out
 
     def rhs(v, y):
@@ -324,26 +331,28 @@ def desk_particles_in_field():
     parts = sample_particles(builtin_datum("shell_polynomial",
                                            DESK_DATUM_PARAMS), (32, 32, 32))
     grid = ShellGrid(1.2, 512)
-    return parts, solve_field(grid, deposit(parts.r, (parts.weight,), grid)[0])
+    return parts, grid, solve_field(grid, deposit(parts.r, (parts.weight,),
+                                                  grid)[0])
 
 
 @pytest.mark.parametrize("scheme", ["rk4", "midpoint"])
 def test_fused_push_equals_allocating_push(desk_particles_in_field, scheme):
-    parts, fld = desk_particles_in_field
+    parts, grid, I = desk_particles_in_field
     r1, w1 = integrate_reduced(parts.r, parts.w, parts.q,
-                               lambda v, r: eval_field(fld, r), 0.0, 0.02,
+                               lambda v, r: eval_field(grid, I, r), 0.0, 0.02,
                                0.005, scheme=scheme)
-    ref = _allocating_push(parts.r, parts.w, parts.q, fld, 0.005, 4, scheme)
+    ref = _allocating_push(parts.r, parts.w, parts.q, grid, I, 0.005, 4,
+                           scheme)
     assert len(parts) > 10000
     assert np.array_equal(r1, ref[0]) and np.array_equal(w1, ref[1])
 
 
 def test_push_only_reads_the_field_arrays(desk_particles_in_field):
-    parts, fld = desk_particles_in_field
+    parts, grid, I = desk_particles_in_field
     returned = []
 
     def field_fn(v, r):
-        E = eval_field(fld, r)
+        E = eval_field(grid, I, r)
         returned.append((E, E.copy()))
         return E
 
@@ -352,19 +361,6 @@ def test_push_only_reads_the_field_arrays(desk_particles_in_field):
     assert len(returned) == 8
     assert all(np.array_equal(E, kept) for E, kept in returned)
     assert np.array_equal(parts.r, r0) and np.array_equal(parts.w, w0)
-
-
-def test_trajectory_is_one_integration():
-    # the recorded end point is the integrate_reduced end point, bit for bit
-    r0, w0, q0 = 0.6, 0.2, 0.01
-    fn = radial_field_reduced(0.5)
-    vs, rs, ws, Es = trajectory_reduced(r0, w0, q0, fn, 0.0, 0.3, 0.01,
-                                        scheme="midpoint")
-    r1, w1 = integrate_reduced(r0, w0, q0, fn, 0.0, 0.3, 0.01,
-                               scheme="midpoint")
-    assert vs.shape == rs.shape == ws.shape == Es.shape == (31,)
-    assert (rs[0], ws[0]) == (r0, w0)
-    assert rs[-1] == r1[0] and ws[-1] == w1[0]
 
 
 def test_phase_divergence_matches_fd():

@@ -661,6 +661,40 @@ def test_cli_prints_the_skipped_checks(tmp_path, capsys):
     assert skips[0].startswith("[SKIP] N_slice_constancy: history too short")
 
 
+def test_cli_run_report_needs_diagnose(tmp_path, capsys):
+    # a run alone writes no report: refused in one line before the run
+    out, rep = tmp_path / "out", tmp_path / "diag.json"
+    cfg_path = write_config(tmp_path / "cfg.json",
+                            output={"directory": str(out)})
+    assert main(["run", "--config", cfg_path, "--report", str(rep)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "--report needs --diagnose\n"
+    assert captured.out == ""
+    assert not out.exists() and not rep.exists()
+
+
+def test_cli_audit_of_a_single_slice_history(tmp_path, capsys):
+    # time.v_final 0 records one slice: the audit embeds it and passes with
+    # finite residuals, and a later slice is still refused
+    out, rep = str(tmp_path / "out"), tmp_path / "audit.json"
+    cfg_path = write_config(tmp_path / "cfg.json",
+                            time={"dv": 0.02, "v_final": 0.0},
+                            output={"directory": out})
+    assert main(["run", "--config", cfg_path, "--diagnose"]) == 0
+    for nodes in ("24", "64"):
+        assert main(["audit-constraints", "--from-history", out, "--v", "0",
+                     "--nodes", nodes, "--report", str(rep)]) == 0
+        checks = json.loads(rep.read_text())["checks"]
+        assert len(checks) == 7
+        assert all(np.isfinite(c["value"]) and c["passed"] for c in checks)
+    capsys.readouterr()
+    assert main(["audit-constraints", "--from-history", out,
+                 "--v", "0.1"]) == 2
+    assert capsys.readouterr().err == (
+        "audit input error: g_plus needed at v=0.1, outside recorded "
+        "history [0, 0]; extend time.v_final\n")
+
+
 def test_cli_run_bad_config(tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps({"tme": {}}))

@@ -6,8 +6,8 @@ import pytest
 from vmcone import (RunConfig, run, step, auto_r_max, IntegrationError,
                     default_probe_radii, nirc_flux, builtin_datum,
                     sample_particles, ShellGrid, ParticleSet, deposit,
-                    moment_payloads, solve_field, eval_field,
-                    RadialFieldProfile, cone_evolver)
+                    moment_payloads, solve_field, node_field, eval_field,
+                    MOMENTS, cone_evolver)
 from vmcone import cone_diagnostics as diag
 from vmcone.characteristics import char_rhs_reduced
 from conftest import small_config
@@ -48,7 +48,8 @@ def test_field_profile_recorded(small_history):
     assert np.all(h.E[:, 0] == 0.0)
     # the recorded field is the field solve of the recorded moments
     for n in range(len(h.vs)):
-        assert np.array_equal(h.E[n], solve_field(h.grid, h.g_plus[n]).E)
+        I = solve_field(h.grid, h.g_plus[n])
+        assert np.array_equal(h.E[n], node_field(h.grid, I))
 
 
 def test_derived_series_equal_the_per_slice_formulas(small_history):
@@ -89,18 +90,42 @@ def test_batched_probe_flux_equals_per_slice_interp(small_history):
             assert np.array_equal(flux, 4.0 * np.pi * probes**2 * (0.5 * at))
 
 
+def test_profile_at_reads_the_one_slice_of_a_single_slice_history(
+        small_history):
+    # v_final 0 records one slice: every admitted time reads its row, and a
+    # time past it is refused with the usual message
+    h = small_history
+    one = dataclasses.replace(h, vs=h.vs[:1], **{
+        name: getattr(h, name)[:1] for name in MOMENTS})
+    row = h.g_plus[0]
+    assert np.array_equal(one.profile_at("g_plus", 0.0), row)
+    assert np.array_equal(one.profile_at("g_plus", np.zeros(3)),
+                          np.tile(row, (3, 1)))
+    assert np.array_equal(one.profile_at("g_plus", 0.0, j_max=5), row[:6])
+    assert np.array_equal(one.profile_at("E", 0.0), h.E[0])
+    assert np.array_equal(one.profile_at("h_minus", 0.0, slope=2.0, j_max=0),
+                          h.h_minus[0, :1])
+    assert one.profile_at("g_plus", np.empty(0)).shape == (0, len(row))
+    with np.errstate(all="raise"):
+        one.profile_at("g_minus", np.zeros((2, 2)), slope=1.0, j_max=0)
+    for v, slope in ((0.1, 0.0), (0.0, 1.0)):
+        with pytest.raises(ValueError, match=r"outside recorded history "
+                                             r"\[0, 0\]; extend time"):
+            one.profile_at("g_plus", v, slope)
+
+
 def start_field(parts, grid):
-    """The field run() solves at the start of a step: from row 0 of the
-    moment deposit."""
+    """The cumulative source run() solves at the start of a step: from row 0
+    of the moment deposit."""
     return solve_field(grid, deposit(parts.r, moment_payloads(parts), grid)[0])
 
 
-def rk4(parts, fld, dv):
+def rk4(parts, grid, I, dv):
     """One hand-rolled RK4 step of the reduced system in a frozen field."""
     r, w, q = parts.r, parts.w, parts.q
 
     def rhs(rr, ww):
-        return char_rhs_reduced(0.0, rr, ww, q, eval_field(fld, rr))
+        return char_rhs_reduced(0.0, rr, ww, q, eval_field(grid, I, rr))
 
     k1r, k1w = rhs(r, w)
     k2r, k2w = rhs(r + 0.5 * dv * k1r, w + 0.5 * dv * k1w)
@@ -110,19 +135,18 @@ def rk4(parts, fld, dv):
             w + dv / 6.0 * (k1w + 2 * k2w + 2 * k3w + k4w))
 
 
-def predictor_corrector(parts, fld, dv):
+def predictor_corrector(parts, grid, I, dv):
     """RK4 in the start field, a deposit of the weights at the predicted
     end, then RK4 from the start in the averaged I."""
-    grid = fld.grid
-    r_pred, _ = rk4(parts, fld, dv)
-    end = solve_field(grid, deposit(r_pred, (parts.weight,), grid)[0])
-    return rk4(parts, RadialFieldProfile(grid, 0.5 * (fld.I + end.I)), dv)
+    r_pred, _ = rk4(parts, grid, I, dv)
+    I_end = solve_field(grid, deposit(r_pred, (parts.weight,), grid)[0])
+    return rk4(parts, grid, 0.5 * (I + I_end), dv)
 
 
 def test_step_zero_dv_is_identity():
     parts = sample_particles(builtin_datum("shell_polynomial"), 8)
     grid = ShellGrid(r_max=2.0, n_shells=64)
-    out = step(parts, start_field(parts, grid), 0.0)
+    out = step(parts, grid, start_field(parts, grid), 0.0)
     assert np.array_equal(out.r, parts.r)
     assert np.array_equal(out.w, parts.w)
 
@@ -133,9 +157,9 @@ def test_step_against_manual_push():
     parts = sample_particles(builtin_datum("shell_polynomial"), 6)
     grid = ShellGrid(r_max=2.0, n_shells=128)
     dv = 1e-3
-    fld = start_field(parts, grid)
-    pushed = step(parts, fld, dv)
-    r1, w1 = predictor_corrector(parts, fld, dv)
+    I = start_field(parts, grid)
+    pushed = step(parts, grid, I, dv)
+    r1, w1 = predictor_corrector(parts, grid, I, dv)
     assert np.allclose(pushed.r, r1, rtol=1e-14, atol=0.0)
     assert np.allclose(pushed.w, w1, rtol=1e-14, atol=0.0)
 
@@ -148,12 +172,12 @@ def test_ten_step_hand_integration_single_particle():
                         q=np.array([0.02]), weight=np.array([0.5]),
                         f_value=np.array([1.0]))
     dv = 1e-3
-    evolved = parts.copy()
-    manual = parts.copy()
+    evolved = parts
+    manual = dataclasses.replace(parts)
     for _ in range(10):
-        evolved = step(evolved, start_field(evolved, grid), dv)
-        fld = solve_field(grid, deposit(manual.r, (manual.weight,), grid)[0])
-        manual.r, manual.w = predictor_corrector(manual, fld, dv)
+        evolved = step(evolved, grid, start_field(evolved, grid), dv)
+        I = solve_field(grid, deposit(manual.r, (manual.weight,), grid)[0])
+        manual.r, manual.w = predictor_corrector(manual, grid, I, dv)
     assert np.allclose(evolved.r, manual.r, rtol=1e-13)
     assert np.allclose(evolved.w, manual.w, rtol=1e-13)
 
@@ -161,7 +185,7 @@ def test_ten_step_hand_integration_single_particle():
 def test_field_off_run_is_free_streaming(monkeypatch):
     # the push sees no field
     monkeypatch.setattr(cone_evolver, "eval_field",
-                        lambda profile, r: np.zeros_like(r))
+                        lambda grid, I, r: np.zeros_like(r))
     h = run(small_config(v_final=1.0, resolution=(6, 6, 6)))
     # momentum support cannot grow without a field
     assert h.P_wedge[-1] == pytest.approx(h.P_wedge[0], rel=1e-12)
@@ -172,11 +196,11 @@ def test_eval_field_extends_beyond_grid():
     # at r_max
     parts = sample_particles(builtin_datum("shell_polynomial"), 8)
     grid = ShellGrid(r_max=2.0, n_shells=64)
-    fld = start_field(parts, grid)
-    E = eval_field(fld, np.array([1.9, 2.0, 4.0]))
-    assert E[0] == float(np.interp(1.9, grid.edges, fld.I)) / 1.9**2
-    assert E[1] == fld.E[-1]
-    assert E[2] == float(fld.I[-1]) / 16.0
+    I = start_field(parts, grid)
+    E = eval_field(grid, I, np.array([1.9, 2.0, 4.0]))
+    assert E[0] == float(np.interp(1.9, grid.edges, I)) / 1.9**2
+    assert E[1] == node_field(grid, I)[-1]
+    assert E[2] == float(I[-1]) / 16.0
 
 
 def test_run_aborts_name_step_and_v():

@@ -73,7 +73,7 @@ def _zero_fields(n):
 def test_grid_geometry_and_validation():
     g = random_field_set(n=17)
     assert g.h == pytest.approx(0.125)
-    pts = g.points()
+    pts = np.stack(np.meshgrid(g.axes, g.axes, g.axes, indexing="ij"), axis=-1)
     assert pts.shape == (17, 17, 17, 3)
     assert np.array_equal(pts[3, 5, 7], g.axes[[3, 5, 7]])
     mask = g.interior_mask()
@@ -495,7 +495,7 @@ def test_embedding_evaluates_each_distinct_radius_once(small_history, n,
     monkeypatch.setattr(UnivariateSpline, "__call__", counted)
     g = embed_symmetric_solution(small_history, 1.0, n, 0.6, r_cut=0.15)
     assert (n_radii < n**3) and seen == [n_radii] * 3
-    assert np.any(np.all(g.points() == 0.0, axis=-1)) == (n == 33)
+    assert np.any(g.axes == 0.0) == (n == 33)   # the origin is a node
     assert np.array_equal(g.E, E)
     assert np.array_equal(g.rho, rho)
     assert np.array_equal(g.j, j)

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from vmcone import (ShellGrid, ParticleSet, MOMENTS, moment_payloads,
-                    deposit, cumulative_source, solve_field, eval_field,
-                    builtin_datum, sample_particles)
-from vmcone.radial_field import RadialFieldProfile
+                    deposit, cumulative_source, solve_field, node_field,
+                    eval_field, radial_integral, builtin_datum,
+                    sample_particles)
 
 
 def make_parts(r, w, q, weight):
@@ -56,7 +56,7 @@ def test_deposit_conserves_mass_exactly():
     grid = ShellGrid(r_max=1.5, n_shells=128)
     prof = moments(parts, grid)
     total = np.sum(prof["g_plus"] * grid.node_volumes)
-    assert total == pytest.approx(parts.total_weight(), rel=1e-14)
+    assert total == pytest.approx(np.sum(parts.weight), rel=1e-14)
     # kinetic moment conserves the gamma-weighted sum the same way
     kin = np.sum(prof["h_plus"] * grid.node_volumes)
     assert kin == pytest.approx(float(np.sum(parts.weight * parts.gamma())),
@@ -108,8 +108,8 @@ def test_weight_deposit_is_row_0_of_the_moments():
         src = deposit(parts.r, (parts.weight,), grid)
         assert full.shape == (4, 129) and src.shape == (1, 129)
         assert np.array_equal(src[0], full[0])
-        assert np.array_equal(solve_field(grid, src[0]).I,
-                              solve_field(grid, full[0]).I)
+        assert np.array_equal(solve_field(grid, src[0]),
+                              solve_field(grid, full[0]))
     assert np.array_equal(src, np.zeros((1, 129)))
 
 
@@ -118,32 +118,33 @@ def test_field_of_uniform_source():
     grid = ShellGrid(r_max=1.0, n_shells=400)
     c = 2.5
     g = np.full(grid.n_shells + 1, c)
-    fld = solve_field(grid, g)
+    I = solve_field(grid, g)
+    E = node_field(grid, I)
     r = grid.edges[1:]
     # trapezoid truncation of the source integral is exactly c dr^2/(6 r)
     bound = c * grid.dr**2 / (6.0 * r) * 1.05 + 1e-12
-    assert np.all(np.abs(fld.E[1:] - c * r / 3.0) <= bound)
-    assert np.allclose(fld.I, c * grid.edges**3 / 3.0, atol=1e-5)
+    assert np.all(np.abs(E[1:] - c * r / 3.0) <= bound)
+    assert np.allclose(I, c * grid.edges**3 / 3.0, atol=1e-5)
 
 
 def test_field_outside_shell_is_coulomb():
     # all mass below r0: beyond it E = I_total / r^2 exactly
     grid = ShellGrid(r_max=2.0, n_shells=500)
     parts = sample_particles(builtin_datum("shell_polynomial"), 12)
-    fld = solve_field(grid, source(parts, grid))
-    N = parts.total_weight()
+    E = node_field(grid, solve_field(grid, source(parts, grid)))
+    N = np.sum(parts.weight)
     r_out = grid.edges[-50:]
-    assert np.allclose(fld.E[-50:], N / (4.0 * np.pi * r_out**2), rtol=1e-12)
+    assert np.allclose(E[-50:], N / (4.0 * np.pi * r_out**2), rtol=1e-12)
 
 
 def test_field_bound_by_mass_over_r_squared():
     grid = ShellGrid(r_max=2.0, n_shells=300)
     parts = sample_particles(builtin_datum("shell_polynomial"), 12)
-    fld = solve_field(grid, source(parts, grid))
-    N = parts.total_weight()
+    E = node_field(grid, solve_field(grid, source(parts, grid)))
+    N = np.sum(parts.weight)
     r = grid.edges[1:]
-    assert np.all(fld.E[1:] <= N / (4.0 * np.pi * r**2) * (1 + 1e-12))
-    assert np.all(fld.E >= 0.0)
+    assert np.all(E[1:] <= N / (4.0 * np.pi * r**2) * (1 + 1e-12))
+    assert np.all(E >= 0.0)
 
 
 def test_solve_field_input_validation():
@@ -162,30 +163,92 @@ def test_solve_field_input_validation():
 def test_eval_field_interpolation_and_domain():
     grid = ShellGrid(r_max=1.0, n_shells=100)
     g = np.exp(-grid.edges)
-    fld = solve_field(grid, g)
+    I = solve_field(grid, g)
     # node values reproduced
-    assert eval_field(fld, 0.37) == pytest.approx(
-        np.interp(0.37, grid.edges, fld.I) / 0.37**2)
-    assert eval_field(fld, 0.0) == 0.0
-    vec = eval_field(fld, np.array([0.0, 0.5, 1.0]))
+    assert eval_field(grid, I, 0.37) == pytest.approx(
+        np.interp(0.37, grid.edges, I) / 0.37**2)
+    assert eval_field(grid, I, 0.0) == 0.0
+    vec = eval_field(grid, I, np.array([0.0, 0.5, 1.0]))
     assert vec.shape == (3,)
     # beyond r_max the enclosed source stays I(r_max)
-    assert eval_field(fld, 1.5) == float(fld.I[-1]) / 1.5**2
+    assert eval_field(grid, I, 1.5) == float(I[-1]) / 1.5**2
     with pytest.raises(ValueError, match="outside"):
-        eval_field(fld, -0.1)
+        eval_field(grid, I, -0.1)
 
 
 def test_eval_field_is_zero_on_the_axis_whatever_I0():
     # a hand-built profile with I(0) != 0: r = 0 still gives E = 0, and
     # r > 0 gives the interpolated I / r^2
     grid = ShellGrid(r_max=1.0, n_shells=4)
-    fld = RadialFieldProfile(grid, np.array([0.5, 0.7, 1.0, 1.2, 1.3]))
+    I = np.array([0.5, 0.7, 1.0, 1.2, 1.3])
     r = np.array([0.0, 0.1, 0.25, 0.0, 0.9, 2.0])
-    E = eval_field(fld, r)
-    assert E[0] == 0.0 and E[3] == 0.0 and eval_field(fld, 0.0) == 0.0
+    E = eval_field(grid, I, r)
+    assert E[0] == 0.0 and E[3] == 0.0 and eval_field(grid, I, 0.0) == 0.0
     pos = r > 0.0
-    assert np.array_equal(E[pos], np.interp(r[pos], grid.edges, fld.I)
+    assert np.array_equal(E[pos], np.interp(r[pos], grid.edges, I)
                           / r[pos] ** 2)
+
+
+def test_push_field_at_the_nodes_is_the_recorded_field():
+    # eval_field (the push) and node_field (the recorded E) agree bit for
+    # bit on the nodes, for a solved I and for rows of a random one
+    grid = ShellGrid(r_max=2.0, n_shells=128)
+    parts = sample_particles(builtin_datum("shell_polynomial"), 12)
+    I = solve_field(grid, source(parts, grid))
+    assert np.array_equal(eval_field(grid, I, grid.edges), node_field(grid, I))
+    rows = np.random.default_rng(5).uniform(0.0, 3.0, (3, grid.n_shells + 1))
+    for row, E in zip(rows, node_field(grid, rows)):
+        assert np.array_equal(eval_field(grid, row, grid.edges), E)
+
+
+def test_grid_interp_is_np_interp_row_by_row():
+    # radii on nodes, between nodes, at 0, at r_max and past it; values
+    # that hold every node, and values that stop at the first node past r
+    # values over 17 decades, so that the slope formula misses the end
+    # nodes; an infinite value after the node edges[3] tests the exact-node
+    # branch
+    grid = ShellGrid(r_max=1.0, n_shells=10)
+    edges = grid.edges
+    rng = np.random.default_rng(7)
+    shape = (3, 2, grid.n_shells + 1)
+    values = rng.uniform(-2.0, 2.0, shape) * 10.0 ** rng.integers(-8, 9, shape)
+    values[1, 0, 4] = np.inf
+    r = np.array([0.0, edges[3], 0.5 * (edges[3] + edges[4]),
+                  0.3 * edges[7] + 0.7 * edges[8], 1e-13, edges[-2],
+                  1.0, 1.0 + 1e-13, 2.5])
+    with np.errstate(invalid="ignore"):   # the unused inf * 0 branch
+        got = grid.interp(values, r)
+        assert got.shape == (3, 2, len(r))
+        for idx in np.ndindex(values.shape[:-1]):
+            assert np.array_equal(got[idx], np.interp(r, edges, values[idx]))
+        for x in r[r < 1.0]:
+            j = int(np.searchsorted(edges, x, side="right"))
+            short = values[..., :j + 1]
+            got = grid.interp(short, x)
+            for idx in np.ndindex(values.shape[:-1]):
+                assert got[idx] == np.interp(x, edges[:j + 1], short[idx])
+                assert got[idx] == np.interp(x, edges, values[idx])
+
+
+def test_radial_integral_partial_cell_is_np_interp():
+    # the partial last cell closes the trapezoid at np.interp's value at r,
+    # from whole profiles and from ones cut at the first node past r
+    grid = ShellGrid(r_max=1.0, n_shells=10)
+    values = np.random.default_rng(11).uniform(0.0, 2.0, (2, 11))
+    for r in (0.0, 0.3, 0.37, 0.999, 1.0):
+        j = int(np.searchsorted(grid.edges, r, side="right")) - 1
+        nodes = grid.edges[:j + 1]
+        for row in values:
+            ref = np.trapezoid(row[:j + 1] * nodes**2, dx=grid.dr)
+            if r > nodes[-1]:
+                v_r = np.interp(r, grid.edges, row)
+                ref += 0.5 * (r - nodes[-1]) * (row[j] * nodes[-1]**2
+                                                + v_r * r**2)
+            assert radial_integral(grid, row, r) == 4.0 * np.pi * ref
+            assert radial_integral(grid, row[:j + 2], r) == 4.0 * np.pi * ref
+        assert np.array_equal(radial_integral(grid, values, r),
+                              [radial_integral(grid, row, r)
+                               for row in values])
 
 
 def test_cumulative_source_matches_quadrature():
