@@ -15,14 +15,13 @@ from .characteristics import (IntegrationError, integrate_reduced,
 from .radial_field import (ShellGrid, MOMENTS, moment_payloads, deposit,
                            cumulative_source, solve_field, node_field,
                            eval_field, radial_integral)
-from .config import (RunConfig, ConfigError, config_from_dict, parse_config,
-                     emit_config)
+from .config import RunConfig, ConfigError, config_from_dict, parse_config
 from .cone_evolver import (SliceHistory, run, step, auto_r_max,
                            default_probe_radii, nirc_flux)
 from . import cone_diagnostics
-from .constraint_audit import (GriddedFieldSet, grid_from_functions,
-                               constraint_fields, audit, check_equivalence,
-                               embed_symmetric_solution, EQUIVALENCE_FACTOR)
+from .constraint_audit import (GriddedFieldSet, grid_from_functions, audit,
+                               check_equivalence, embed_symmetric_solution,
+                               EQUIVALENCE_FACTOR)
 from .io_utils import (emit_history, load_history, emit_report, save_grid,
                        load_grid)
 from .report import diagnose_report, jacobian_report, audit_report

@@ -19,7 +19,7 @@ import math
 import sys
 
 from . import __version__
-from .config import parse_config, emit_config, ConfigError
+from .config import parse_config, ConfigError
 from . import cone_evolver
 from . import io_utils
 from . import report as report_mod
@@ -56,7 +56,8 @@ def cmd_run(args) -> int:
     history = cone_evolver.run(cfg)
     if cfg.output_directory:
         io_utils.emit_history(history, cfg.output_directory)
-        emit_config(cfg, f"{cfg.output_directory}/config_echo.json")
+        io_utils.emit_report(cfg.to_dict(),
+                             f"{cfg.output_directory}/config_echo.json")
         print(f"run artifacts written to {cfg.output_directory}")
     print(f"steps: {len(history.vs) - 1}, dv: {history.dv:g}, "
           f"particles: {0 if history.particles_final is None else len(history.particles_final)}")
@@ -144,8 +145,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("audit-constraints",
                        help="finite-difference constraint audit on 3D data")
     p.add_argument("--input", help="binary grid file with E, B, rho, j")
-    p.add_argument("--from-history",
-                   help="embed a recorded run slice instead of reading a grid file")
+    p.add_argument("--from-history", help="embed a recorded run slice; "
+                   "this checks the embedding and the stencils, not the run")
     p.add_argument("--v", type=float, default=0.0,
                    help="slice label when embedding from a history")
     p.add_argument("--nodes", type=int, default=48,

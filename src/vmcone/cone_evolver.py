@@ -150,7 +150,8 @@ def _naming_step(n: int, v: float):
     """Re-raise an abort of step n with the step and its v, same type."""
     try:
         yield
-    except (FloatingPointError, ValueError, IntegrationError) as exc:
+    except (FloatingPointError, ValueError, IntegrationError,
+            AssertionError) as exc:
         raise type(exc)(f"step {n} (v={v:g}): {exc}") from exc
 
 
@@ -211,12 +212,12 @@ def run(config: RunConfig) -> SliceHistory:
             break
         with _naming_step(n, v):
             pushed = step(parts, grid, I, dv, config.scheme, config.r_floor)
+            check_measure_positivity(pushed)
         dr_sign = np.sign(pushed.r - parts.r)
         r_turn_violations += int(np.count_nonzero((dr_sign < 0) & turned_out))
         turned_out |= dr_sign > 0
         min_dw = min(min_dw, float(np.min(pushed.w - parts.w, initial=0.0)))
         parts = pushed
-        check_measure_positivity(parts)
 
     return SliceHistory(
         grid=grid, vs=vs, **dict(zip(MOMENTS, moments)), **series,

@@ -213,10 +213,3 @@ def parse_config(path) -> RunConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed JSON in {path}: {exc}")
     return config_from_dict(doc)
-
-
-def emit_config(cfg: RunConfig, path):
-    """Write the configuration echo; re-parsing reproduces the RunConfig."""
-    with open(path, "w") as fh:
-        json.dump(cfg.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")

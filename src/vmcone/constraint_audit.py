@@ -132,18 +132,21 @@ def _dot(a, b):
     return np.einsum("...i,...i->...", a, b)
 
 
-def constraint_fields(grid: GriddedFieldSet) -> dict:
-    """Residual fields of every constraint formulation at every node.
+def audit(grid: GriddedFieldSet) -> dict:
+    """Norms of the constraint residuals over the interior nodes.
 
-    W1 and W2 (vectors), scalar1 = div B - k.curl E and
-    scalar2 = k.curl B + div E - (rho + j.k), the projections kxW1 and
-    kxW2, and the residuals identity1 = W1 - (k x W2 - k scalar1) and
-    identity2 = W2 - (-k x W1 + k scalar2) of the recombination
-    identities.  These are exact algebraic consequences of the shared
-    derivative fields, so they sit at machine precision for any data.
+    Max and L2 of W1, W2 (vectors), scalar1 = div B - k.curl E,
+    scalar2 = k.curl B + div E - (rho + j.k) and the projections kxW1,
+    kxW2; max alone, and relative to the larger of max|W1|, max|W2|, of
+    the recombination identity residuals identity1 = W1 - (k x W2 -
+    k scalar1) and identity2 = W2 - (-k x W1 + k scalar2); and the interior
+    node of the largest |W1|.  Each block of planes is reduced to its
+    interior magnitudes as it is computed.
     """
+    mask = grid.interior_mask()
     inputs = (_cube(grid.n, grid.extent)[1], *_curl_div(grid.E, grid.h),
               *_curl_div(grid.B, grid.h), grid.rho, grid.j)
+    pieces = {}
     for a in range(0, grid.n, BLOCK_PLANES):
         planes = slice(a, a + BLOCK_PLANES)
         k, curl_E, div_E, curl_B, div_B, rho, j = (f[planes] for f in inputs)
@@ -158,21 +161,11 @@ def constraint_fields(grid: GriddedFieldSet) -> dict:
                  "kxW1": kxW1, "kxW2": kxW2,
                  "identity1": W1 - (kxW2 + k * (-s1)[..., None]),
                  "identity2": W2 - (-kxW1 + k * s2[..., None])}
-        if a == 0:
-            out = {name: np.empty((grid.n,) + f.shape[1:])
-                   for name, f in block.items()}
         for name, f in block.items():
-            out[name][planes] = f
-    return out
-
-
-def audit(grid: GriddedFieldSet) -> dict:
-    """All residual norms of one field set (max and L2 over interior nodes;
-    max alone, and relative to the larger of max|W1|, max|W2|, for the
-    identities), and the interior node of the largest |W1|."""
-    mask = grid.interior_mask()
-    vals = {name: (np.sqrt(_dot(f, f)) if f.ndim == 4 else np.abs(f))[mask]
-            for name, f in constraint_fields(grid).items()}
+            mag = np.sqrt(_dot(f, f)) if f.ndim == 4 else np.abs(f)
+            pieces.setdefault(name, []).append(mag[mask[planes]])
+    # boolean indexing walks axis 0 slowest: the blocks in order are mag[mask]
+    vals = {name: np.concatenate(pieces.pop(name)) for name in list(pieces)}
     out = {}
     for name in ("W1", "W2", "scalar1", "scalar2", "kxW1", "kxW2"):
         out[name + "_max"] = float(np.max(vals[name]))

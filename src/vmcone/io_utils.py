@@ -53,10 +53,11 @@ def emit_history(history: SliceHistory, directory) -> None:
 
 
 def _read_meta(path):
-    """(meta.json, its ShellGrid).  Unless every LAYOUT key holds a number,
-    n_shells an int and probe_radii a non-empty list of radii in the grid,
-    a ValueError names the file and the key."""
-    number = lambda x: type(x) in (int, float)
+    """(meta.json, its ShellGrid).  Unless every LAYOUT key holds a finite
+    number, n_shells and r_turn_violations an int and probe_radii a
+    non-empty list of radii in the grid, a ValueError names the file and
+    the key."""
+    number = lambda x: type(x) in (int, float) and math.isfinite(x)
     try:
         with open(path) as fh:
             meta = json.load(fh)
@@ -65,8 +66,9 @@ def _read_meta(path):
         for key in LAYOUT["meta.json"]:
             value = meta.get(key)
             ok = (type(value) is list and all(map(number, value))
-                  if key == "probe_radii" else
-                  type(value) is int if key == "n_shells" else number(value))
+                  if key == "probe_radii" else type(value) is int
+                  if key in ("n_shells", "r_turn_violations")
+                  else number(value))
             if not ok:
                 raise ValueError(f"{key} is {value!r}" if key in meta
                                  else f"no key {key!r}")

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from vmcone import (RunConfig, ConfigError, config_from_dict, parse_config,
-                    emit_config, run, emit_history, load_history, emit_report)
+                    run, emit_history, load_history, emit_report)
 from vmcone.report import diagnose_report
 from vmcone.cli import main
 from conftest import small_config, DESK_DATUM_PARAMS
@@ -35,7 +35,7 @@ def test_config_round_trip(tmp_path):
     cfg = small_config(output_directory=str(tmp_path / "out"),
                        probe_radii=(0.5, 1.0))
     path = tmp_path / "cfg.json"
-    emit_config(cfg, path)
+    emit_report(cfg.to_dict(), path)
     assert parse_config(path) == cfg
 
 
@@ -413,7 +413,16 @@ def test_load_history_names_a_malformed_file(tmp_path, small_history):
                          (dict(doc, probe_radii=[0.5, 9.0]),
                           r"probe_radii \[0\.5, 9\.0\] are not one or more "
                           r"radii in the shell grid \[0, 2\.35\]"),
-                         (dict(doc, r_max=0.0), "need r_max > 0")):
+                         (dict(doc, r_max=0.0), "need r_max > 0"),
+                         # json reads NaN and Infinity; a count is an int
+                         (dict(doc, r_max=np.inf), "r_max is inf"),
+                         (dict(doc, f_inf_norm=np.inf), "f_inf_norm is inf"),
+                         (dict(doc, dv=np.nan), "dv is nan"),
+                         (dict(doc, min_dw=-np.inf), "min_dw is -inf"),
+                         (dict(doc, probe_radii=[0.5, np.nan]),
+                          r"probe_radii is \[0\.5, nan\]"),
+                         (dict(doc, r_turn_violations=1.5),
+                          "r_turn_violations is 1.5")):
         meta.write_text(json.dumps(bad))
         with pytest.raises(ValueError, match=r"meta\.json: " + message):
             load_history(str(d))
@@ -626,17 +635,20 @@ def test_cli_diagnose_fails_closed_on_bad_input(tmp_path, capsys,
                                                small_history):
     good = tmp_path / "good"
     emit_history(small_history, str(good))
-    no_dv = tmp_path / "no_dv"
-    shutil.copytree(good, no_dv)
-    meta = json.loads((no_dv / "meta.json").read_text())
-    del meta["dv"]
-    (no_dv / "meta.json").write_text(json.dumps(meta))
+    meta = json.loads((good / "meta.json").read_text())
+    no_dv, inf_r_max = tmp_path / "no_dv", tmp_path / "inf_r_max"
+    for d, doc in ((no_dv, {k: v for k, v in meta.items() if k != "dv"}),
+                   (inf_r_max, dict(meta, r_max=np.inf))):
+        shutil.copytree(good, d)
+        (d / "meta.json").write_text(json.dumps(doc))
     no_h = tmp_path / "no_h"
     shutil.copytree(good, no_h)
     prof = no_h / "profiles.npy"
     np.save(prof, np.load(prof, allow_pickle=False)[:3])
     for d, message in ((tmp_path / "missing", "No such file"),
                        (no_dv, "meta.json: no key 'dv'"),
+                       # an uncaught error deep in the checks if accepted
+                       (inf_r_max, "meta.json: r_max is inf"),
                        (no_h, "profiles.npy: <f8 (3, ")):
         assert main(["diagnose", "--history", str(d),
                      "--report", str(tmp_path / "diag.json")]) == 2
@@ -649,6 +661,7 @@ def test_cli_diagnose_fails_closed_on_bad_input(tmp_path, capsys,
     captured = capsys.readouterr()
     assert "meta.json: no key 'dv'" in captured.err
     assert "overall" not in captured.out
+
 
 
 def test_cli_prints_the_skipped_checks(tmp_path, capsys):

@@ -217,6 +217,25 @@ def test_run_aborts_name_step_and_v():
         run(cfg)
 
 
+def test_measure_positivity_abort_names_step_and_v(monkeypatch):
+    # a corrupt momentum after step 2 fails the positivity bound
+    real, steps = cone_evolver.step, []
+
+    def corrupting(parts, *args):
+        pushed = real(parts, *args)
+        steps.append(pushed)
+        if len(steps) == 3:
+            pushed.w[0] = -1e9
+        return pushed
+
+    monkeypatch.setattr(cone_evolver, "step", corrupting)
+    with pytest.raises(AssertionError, match=r"^step 2 \(v=0\.0[0-9]*\): "
+                                             r"measure positivity violated "
+                                             r"at particle 0: "):
+        run(small_config(resolution=(6, 6, 6), v_final=0.1))
+    assert len(steps) == 3
+
+
 def test_default_probes_are_grid_nodes():
     d = builtin_datum("shell_polynomial")
     grid = ShellGrid(r_max=3.0, n_shells=300)

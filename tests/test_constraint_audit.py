@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from vmcone import (GriddedFieldSet, grid_from_functions, constraint_fields,
-                    audit, check_equivalence, embed_symmetric_solution,
+from vmcone import (GriddedFieldSet, grid_from_functions, audit,
+                    check_equivalence, embed_symmetric_solution,
                     EQUIVALENCE_FACTOR, save_grid, load_grid)
 
 
@@ -128,9 +128,9 @@ def test_grid_rejects_misshapen_arrays(name, shape):
         GriddedFieldSet(n=9, extent=1.0, r_cut=0.5, **fields)
 
 
-# The constraint formulas as they were written before constraint_fields
-# shared one derivative pass: the reference the fused code must match bit
-# for bit.
+# The constraint formulas as they were written before the audit shared one
+# derivative pass, over whole-cube fields: the reference whose norms the
+# blocked audit must match bit for bit.
 def _reference_fields(g):
     ax = np.linspace(-g.extent, g.extent, g.n)
     X, Y, Z = np.meshgrid(ax, ax, ax, indexing="ij")
@@ -200,12 +200,7 @@ def _reference_audit(g):
 
 
 def _assert_matches_reference(g):
-    fields, mask = _reference_fields(g)
-    got = constraint_fields(g)
-    assert got.keys() == fields.keys()
-    for name in fields:
-        assert np.array_equal(got[name], fields[name]), name
-    assert np.array_equal(g.interior_mask(), mask)
+    assert np.array_equal(g.interior_mask(), _reference_fields(g)[1])
     res, ref = audit(g), _reference_audit(g)
     assert res.keys() == ref.keys()
     for key in ref:
@@ -288,15 +283,15 @@ def test_incoherent_verdict_names_the_worst_node(monkeypatch):
     tol = max(res[k] for k in ("scalar1_max", "scalar2_max", "kxW1_max",
                                "kxW2_max")) / EQUIVALENCE_FACTOR
     assert max(res["W1_max"], res["W2_max"]) > tol
-    W1_mag = np.linalg.norm(constraint_fields(g)["W1"], axis=-1)
+    W1_mag = np.linalg.norm(_reference_fields(g)[0]["W1"], axis=-1)
     built = []
-    real = ca.constraint_fields
+    real = ca.audit
 
     def counted(grid):
         built.append(grid)
         return real(grid)
 
-    monkeypatch.setattr(ca, "constraint_fields", counted)
+    monkeypatch.setattr(ca, "audit", counted)
     verdict = check_equivalence(g, tol)
     assert not verdict["coherent"]
     assert len(built) == 1
@@ -522,8 +517,8 @@ def test_constraint_fields_blocks_match_reference(n):
     # planes are processed BLOCK_PLANES at a time: fewer planes than one
     # block (3), a last block of one plane (5, 33) and of two (6).  n = 3
     # and 5 have no node outside any valid r_cut, so the set is built
-    # without GriddedFieldSet's checks; constraint_fields reads only the
-    # arrays and the geometry
+    # without GriddedFieldSet's checks; audit reads only the arrays and the
+    # geometry
     import vmcone.constraint_audit as ca
 
     assert ca.BLOCK_PLANES == 4
@@ -534,9 +529,21 @@ def test_constraint_fields_blocks_match_reference(n):
                    B=rng.normal(size=(n, n, n, 3)),
                    rho=rng.normal(size=(n, n, n)),
                    j=rng.normal(size=(n, n, n, 3)))
-    fields, _ = _reference_fields(g)
-    got = constraint_fields(g)
-    assert got.keys() == fields.keys()
-    for name in fields:
-        assert got[name].shape == fields[name].shape, name
-        assert np.array_equal(got[name], fields[name]), name
+    _assert_matches_reference(g)
+
+
+def test_audit_peak_memory_stays_below_three_input_sizes():
+    # the residuals are reduced block by block: no residual field is held
+    # over the whole cube, only the derivative fields and the interior
+    # magnitudes
+    import tracemalloc
+
+    g = random_field_set(n=48)
+    inputs = g.E.nbytes + g.B.nbytes + g.rho.nbytes + g.j.nbytes
+    tracemalloc.start()
+    try:
+        audit(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.0 * inputs, peak / inputs
