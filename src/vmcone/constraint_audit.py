@@ -17,6 +17,13 @@ every expression, so the recombination identities linking W1 and W2 hold
 to machine precision regardless of truncation error.  A ball around the
 origin is excluded (k is discontinuous at x = 0) along with a one-node
 boundary margin.
+
+The audit streams the cube in blocks of BLOCK_PLANES planes of axis 0: each
+block's derivatives, geometry and residuals are computed and reduced before
+the next block, so beyond its input the audit holds only the interior mask
+and the interior-length magnitude vectors.  The derivatives along axis 0
+read a one-plane halo; np.gradient's stencils act element by element, so
+every value is the one a whole-cube pass gives.
 """
 
 from __future__ import annotations
@@ -28,23 +35,24 @@ import numpy as np
 from .characteristics import _cross
 
 
-BLOCK_PLANES = 4   # planes per block of the pointwise algebra, sized for cache
+BLOCK_PLANES = 4   # planes per block of the streamed audit, sized for cache
 
 
-def _radii(ax):
-    """|x| at the nodes of the cube on the axis values ax, as (n, n, n)."""
-    return np.sqrt(ax[:, None, None]**2 + ax[None, :, None]**2 + ax**2)
+def _radii(ax, planes=slice(None)):
+    """|x| at the nodes of the planes `planes` (of axis 0) of the cube on the
+    axis values ax, as (p, n, n)."""
+    return np.sqrt(ax[planes, None, None]**2 + ax[None, :, None]**2 + ax**2)
 
 
-def _cube(n, extent):
-    """Radii r (n, n, n) of the nodes of the cube [-extent, extent]^3 and
-    their unit radial vectors k (n, n, n, 3), k = 0 at the origin."""
-    ax = np.linspace(-extent, extent, n)
-    r = _radii(ax)
+def _cube(ax, planes=slice(None)):
+    """Radii r (p, n, n) of the nodes of the planes `planes` of the cube on
+    the axis values ax, and their unit radial vectors k (p, n, n, 3), k = 0
+    at the origin."""
+    r = _radii(ax, planes)
     r_safe = np.where(r > 0.0, r, 1.0)
     k = np.empty(r.shape + (3,))
-    for i, shape in enumerate(((n, 1, 1), (1, n, 1), (1, 1, n))):
-        np.divide(ax.reshape(shape), r_safe, out=k[..., i])
+    for i, a in enumerate((ax[planes, None, None], ax[:, None], ax)):
+        np.divide(a, r_safe, out=k[..., i])
     return r, k
 
 
@@ -118,10 +126,22 @@ def grid_from_functions(n, extent, r_cut, E_fn, B_fn, rho_fn, j_fn):
                            j=np.asarray(j_fn(pts), dtype=float))
 
 
-def _curl_div(F, h):
-    """Curl and divergence of a (n, n, n, 3) field, central differences."""
-    # d[i][..., j] = dF_j / dx_i
-    d = np.gradient(F, h, axis=(0, 1, 2), edge_order=2)
+def _partials(F, h, a, b):
+    """d[i][..., j] = dF_j / dx_i of a (n, n, n, 3) field on the planes a:b
+    of axis 0: np.gradient(F, h, axis=i, edge_order=2)[a:b], bit for bit.
+    Along axis 0 the slab adds a one-plane halo on each side, clipped to the
+    cube and at least 3 planes deep, so a block plane is a face of the slab
+    only where it is one of the cube."""
+    lo = max(min(a - 1, len(F) - 3), 0)
+    hi = min(max(b + 1, lo + 3), len(F))
+    return (np.gradient(F[lo:hi], h, axis=0, edge_order=2)[a - lo:b - lo],
+            *np.gradient(F[a:b], h, axis=(1, 2), edge_order=2))
+
+
+def _curl_div(F, h, a, b):
+    """Curl and divergence of a (n, n, n, 3) field on the planes a:b of
+    axis 0, central differences."""
+    d = _partials(F, h, a, b)
     curl = np.stack([d[1][..., 2] - d[2][..., 1],
                      d[2][..., 0] - d[0][..., 2],
                      d[0][..., 1] - d[1][..., 0]], axis=-1)
@@ -141,15 +161,22 @@ def audit(grid: GriddedFieldSet) -> dict:
     the recombination identity residuals identity1 = W1 - (k x W2 -
     k scalar1) and identity2 = W2 - (-k x W1 + k scalar2); and the interior
     node of the largest |W1|.  Each block of planes is reduced to its
-    interior magnitudes as it is computed.
+    interior magnitudes as it is computed: the six normed residuals fill
+    their slices of interior-length vectors (an L2 of the whole vector keeps
+    its bits, a running sum of squares would not), and the identities keep
+    a running max.
     """
     mask = grid.interior_mask()
-    inputs = (_cube(grid.n, grid.extent)[1], *_curl_div(grid.E, grid.h),
-              *_curl_div(grid.B, grid.h), grid.rho, grid.j)
-    pieces = {}
+    mags = {name: np.empty(np.count_nonzero(mask))
+            for name in ("W1", "W2", "scalar1", "scalar2", "kxW1", "kxW2")}
+    peaks = dict.fromkeys(("identity1", "identity2"), -np.inf)
+    ax, h, at = grid.axes, grid.h, 0
     for a in range(0, grid.n, BLOCK_PLANES):
-        planes = slice(a, a + BLOCK_PLANES)
-        k, curl_E, div_E, curl_B, div_B, rho, j = (f[planes] for f in inputs)
+        b = min(a + BLOCK_PLANES, grid.n)
+        k = _cube(ax, slice(a, b))[1]
+        curl_E, div_E = _curl_div(grid.E, h, a, b)
+        curl_B, div_B = _curl_div(grid.B, h, a, b)
+        rho, j = grid.rho[a:b], grid.j[a:b]
         s1 = div_B - _dot(k, curl_E)
         s2 = _dot(k, curl_B) + div_E - (rho + _dot(j, k))
         W1 = (_cross(k, curl_B) - k * div_B[..., None] + curl_E
@@ -161,24 +188,31 @@ def audit(grid: GriddedFieldSet) -> dict:
                  "kxW1": kxW1, "kxW2": kxW2,
                  "identity1": W1 - (kxW2 + k * (-s1)[..., None]),
                  "identity2": W2 - (-kxW1 + k * s2[..., None])}
+        inner = mask[a:b]
+        # boolean indexing walks axis 0 slowest: the blocks in order fill
+        # each vector with mag[mask]
+        end = at + int(np.count_nonzero(inner))
         for name, f in block.items():
-            mag = np.sqrt(_dot(f, f)) if f.ndim == 4 else np.abs(f)
-            pieces.setdefault(name, []).append(mag[mask[planes]])
-    # boolean indexing walks axis 0 slowest: the blocks in order are mag[mask]
-    vals = {name: np.concatenate(pieces.pop(name)) for name in list(pieces)}
+            mag = (np.sqrt(_dot(f, f)) if f.ndim == 4 else np.abs(f))[inner]
+            if name in mags:
+                mags[name][at:end] = mag
+            else:   # np.maximum propagates a NaN as np.max does
+                peaks[name] = np.maximum(peaks[name],
+                                         np.max(mag, initial=-np.inf))
+        at = end
     out = {}
-    for name in ("W1", "W2", "scalar1", "scalar2", "kxW1", "kxW2"):
-        out[name + "_max"] = float(np.max(vals[name]))
-        out[name + "_l2"] = float(np.sqrt(np.mean(vals[name]**2)))
-    node = np.flatnonzero(mask)[np.argmax(vals["W1"])]
+    for name, v in mags.items():
+        out[name + "_max"] = float(np.max(v))
+        out[name + "_l2"] = float(np.sqrt(np.mean(v**2)))
+    node = np.flatnonzero(mask)[np.argmax(mags["W1"])]
     out["W1_max_node"] = [int(i) for i in np.unravel_index(node, mask.shape)]
     scale = max(out["W1_max"], out["W2_max"], 1e-300)
-    for name in ("identity1", "identity2"):
-        out[name + "_max"] = float(np.max(vals[name]))
+    for name, peak in peaks.items():
+        out[name + "_max"] = float(peak)
         out[name + "_rel"] = out[name + "_max"] / scale
     out["scale"] = scale
     out["h"] = grid.h
-    out["nodes_checked"] = int(vals["W1"].size)
+    out["nodes_checked"] = at
     return out
 
 
@@ -245,17 +279,18 @@ def embed_symmetric_solution(history, v: float, n: int, extent: float,
         grid_r.edges, cumulative_source(grid_r, history.profile_at(name, v)),
         knots, k=5) for name in ("g_plus", "g_minus"))
 
-    r, k = _cube(n, extent)
+    r, k = _cube(np.linspace(-extent, extent, n))
     # E_r, rho, j_r depend on r alone: evaluate once per distinct radius
     radii, at = np.unique(r, return_inverse=True)
+    del r   # the node arrays below are built without it
     r_safe = np.where(radii > 0.0, radii, 1.0)
-    E_r = np.where(radii > 0.0, sp_p(radii) / r_safe**2, 0.0)[at]
+    E_r = np.where(radii > 0.0, sp_p(radii) / r_safe**2, 0.0)
     gp = sp_p.derivative()(radii) / r_safe**2
     gm = sp_m.derivative()(radii) / r_safe**2
-    rho = (0.5 * (gp + gm))[at]
-    j_r = (0.5 * (gp - gm))[at]
 
-    E = E_r[..., None] * k
+    E = E_r[at][..., None] * k
+    rho = (0.5 * (gp + gm))[at]
+    k *= (0.5 * (gp - gm))[at][..., None]    # j = j_r k, in k's buffer
+    del at  # before B is allocated
     return GriddedFieldSet(n=n, extent=extent, r_cut=r_cut,
-                           E=E, B=np.zeros_like(E), rho=rho,
-                           j=j_r[..., None] * k)
+                           E=E, B=np.zeros_like(E), rho=rho, j=k)

@@ -184,7 +184,7 @@ def save_grid(grid, path) -> None:
         fh.write((json.dumps(header, sort_keys=True) + "\n").encode())
         for name in GRID_LAYOUT["arrays"]:
             arr = np.ascontiguousarray(getattr(grid, name), dtype="<f8")
-            fh.write(arr.tobytes())
+            fh.write(memoryview(arr).cast("B"))   # no transient bytes copy
 
 
 def load_grid(path):

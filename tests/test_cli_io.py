@@ -773,6 +773,10 @@ def test_cli_audit_from_history(tmp_path, capsys):
     report = json.loads((tmp_path / "audit.json").read_text())
     assert report["passed"]
     assert report["equivalence"]["coherent"]
+    # a fixed statement, no path or timing: the embedding satisfies the
+    # constraints by construction, so the run itself is not audited
+    assert report["scope"] == ("checks the embedding and the stencils, "
+                               "not the run")
     capsys.readouterr()
     # a grid that checks no node, too few nodes, a slice outside the
     # history and a cube past the shell grid are input errors, never a PASS
@@ -801,7 +805,10 @@ def test_cli_audit_from_grid_file(tmp_path, capsys):
     g = grid_from_functions(25, 1.0, 0.25, E_fn, B_fn, rho_fn, j_fn)
     path = tmp_path / "fields.vmgrid"
     save_grid(g, path)
-    assert main(["audit-constraints", "--input", str(path)]) == 0
+    rep = tmp_path / "audit.json"
+    assert main(["audit-constraints", "--input", str(path),
+                 "--report", str(rep)]) == 0
+    assert "scope" not in json.loads(rep.read_text())
     # requiring exactly one input source
     assert main(["audit-constraints"]) == 2
     assert main(["audit-constraints", "--input", str(path),

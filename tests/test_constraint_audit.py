@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -338,6 +340,14 @@ def test_grid_file_round_trip(tmp_path):
     assert g2.n == g.n and g2.extent == g.extent and g2.r_cut == g.r_cut
     for name in ("E", "B", "rho", "j"):
         assert np.array_equal(getattr(g2, name), getattr(g, name))
+    # the body is the arrays' bytes, as a concatenation of copies gives it
+    import json
+    from vmcone.io_utils import GRID_LAYOUT, GRID_MAGIC
+    header = {"n": g.n, "extent": g.extent, "r_cut": g.r_cut, **GRID_LAYOUT}
+    assert path.read_bytes() == b"".join(
+        [GRID_MAGIC, (json.dumps(header, sort_keys=True) + "\n").encode()]
+        + [np.ascontiguousarray(getattr(g, name), dtype="<f8").tobytes()
+           for name in ("E", "B", "rho", "j")])
     bad = tmp_path / "bad.vmgrid"
     bad.write_bytes(b"not a grid file at all")
     with pytest.raises(ValueError, match="not a vmcone grid"):
@@ -512,16 +522,10 @@ def test_embedding_refuses_the_corner_before_reading_the_history(
                                  small_history.grid.r_max, r_cut=0.3)
 
 
-@pytest.mark.parametrize("n", [3, 5, 6, 33])
-def test_constraint_fields_blocks_match_reference(n):
-    # planes are processed BLOCK_PLANES at a time: fewer planes than one
-    # block (3), a last block of one plane (5, 33) and of two (6).  n = 3
-    # and 5 have no node outside any valid r_cut, so the set is built
-    # without GriddedFieldSet's checks; audit reads only the arrays and the
-    # geometry
-    import vmcone.constraint_audit as ca
-
-    assert ca.BLOCK_PLANES == 4
+def _raw_field_set(n):
+    """Random normal fields on n^3 nodes with r_cut 0.  Small n has no node
+    outside any valid r_cut, so the set is built without GriddedFieldSet's
+    checks; audit reads only the arrays and the geometry."""
     rng = np.random.default_rng(n)
     g = object.__new__(GriddedFieldSet)
     vars(g).update(n=n, extent=1.0, r_cut=0.0,
@@ -529,13 +533,45 @@ def test_constraint_fields_blocks_match_reference(n):
                    B=rng.normal(size=(n, n, n, 3)),
                    rho=rng.normal(size=(n, n, n)),
                    j=rng.normal(size=(n, n, n, 3)))
-    _assert_matches_reference(g)
+    return g
+
+
+# planes are processed BLOCK_PLANES at a time: fewer planes than one block
+# (3), exactly one block (4), a last block of one plane (5, 9, 33, 65), of
+# two (6) and of three (7); the derivative halo then reaches a true face
+# from a block of 1-3 planes
+BLOCK_SIZES = [3, 4, 5, 6, 7, 9, 33, 65]
+
+
+@pytest.mark.parametrize("n", BLOCK_SIZES)
+def test_constraint_fields_blocks_match_reference(n):
+    import vmcone.constraint_audit as ca
+
+    assert ca.BLOCK_PLANES == 4
+    _assert_matches_reference(_raw_field_set(n))
+
+
+@pytest.mark.parametrize("n", BLOCK_SIZES)
+def test_block_partials_are_whole_cube_gradients(n):
+    # each block's derivatives, stacked in plane order, are np.gradient of
+    # the whole cube bit for bit at every plane, true faces included, for
+    # blocks as thin as one plane
+    import vmcone.constraint_audit as ca
+
+    g = _raw_field_set(n)
+    for F, planes in itertools.product((g.E, g.B), (1, 2, ca.BLOCK_PLANES)):
+        blocks = [ca._partials(F, g.h, a, min(a + planes, n))
+                  for a in range(0, n, planes)]
+        for i in range(3):
+            whole = np.gradient(F, g.h, axis=i, edge_order=2)
+            stacked = np.concatenate([d[i] for d in blocks])
+            assert stacked.shape == whole.shape
+            assert stacked.tobytes() == whole.tobytes(), (planes, i)
 
 
 def test_audit_peak_memory_stays_below_three_input_sizes():
     # the residuals are reduced block by block: no residual field is held
-    # over the whole cube, only the derivative fields and the interior
-    # magnitudes
+    # over the whole cube
     import tracemalloc
 
     g = random_field_set(n=48)
@@ -547,3 +583,50 @@ def test_audit_peak_memory_stays_below_three_input_sizes():
     finally:
         tracemalloc.stop()
     assert peak < 3.0 * inputs, peak / inputs
+
+
+@pytest.mark.parametrize("plane", [1, 4, 7])
+def test_a_nan_node_reaches_every_max(plane):
+    # a NaN in any block is carried into every max, the streamed identity
+    # maxima included, and the report fails
+    from vmcone.report import audit_report
+
+    g = _raw_field_set(9)
+    g.E[plane, 4, 4, 0] = np.nan
+    res = audit(g)
+    assert all(np.isnan(res[key]) for key in res if key.endswith("_max"))
+    assert not audit_report(g, tol=1.0)["passed"]
+
+
+def _traced_peak(fn):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_audit_peak_memory_stays_below_1_2_input_sizes():
+    # derivatives, geometry and residuals are all taken per block of
+    # planes: beyond its input the audit holds the six interior-length
+    # magnitude vectors that feed the L2 norms and one block's temporaries
+    g = random_field_set(n=48)
+    inputs = g.E.nbytes + g.B.nbytes + g.rho.nbytes + g.j.nbytes
+    peak = _traced_peak(lambda: audit(g))
+    assert peak <= 1.2 * inputs, peak / inputs
+
+
+def test_embedding_peak_memory_stays_below_1_15_output_sizes(small_history):
+    # the embedding builds E and j in their final arrays (j in the buffer
+    # of k) and drops the node radii once their distinct values are known
+    def embed():
+        return embed_symmetric_solution(small_history, 1.0, 48, 0.6,
+                                        r_cut=0.15)
+
+    g = embed()   # the first call imports scipy, whose objects are traced
+    outputs = g.E.nbytes + g.B.nbytes + g.rho.nbytes + g.j.nbytes
+    peak = _traced_peak(embed)
+    assert peak <= 1.15 * outputs, peak / outputs
