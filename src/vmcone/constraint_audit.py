@@ -33,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .characteristics import _cross
+from .radial_field import cumulative_source
 
 
 BLOCK_PLANES = 4   # planes per block of the streamed audit, sized for cache
@@ -249,13 +250,82 @@ def check_equivalence(grid: GriddedFieldSet, tol: float) -> dict:
     return verdict
 
 
+QUINTIC = 5   # degree of the embedding's least-squares splines
+
+
+def _bspline_basis(t, x):
+    """Cox-de Boor recursion for the quintic B-splines on the knots t.
+
+    Returns the span index mu of each x (t[mu] <= x < t[mu + 1], the last
+    nonempty span for x = t[-1]) and the nonzero B-splines at x of degree 4
+    and 5, as lists of 5 and 6 arrays: entry i of degree d is
+    B_{mu - d + i, d}(x).  Every value is computed pointwise.
+    """
+    mu = np.clip(np.searchsorted(t, x, side="right") - 1,
+                 QUINTIC, len(t) - QUINTIC - 2)
+    b = [np.ones_like(x)]
+    for d in range(1, QUINTIC + 1):
+        lower, b, carry = b, [], 0.0
+        for i, value in enumerate(lower):
+            t_lo, t_hi = t[mu + i + 1 - d], t[mu + i + 1]
+            w = value / (t_hi - t_lo)
+            b.append(carry + (t_hi - x) * w)
+            carry = (x - t_lo) * w
+        b.append(carry)
+        if d == QUINTIC - 1:
+            quartic = b
+    return mu, quartic, b
+
+
+def _eval_quintic(t, c, x):
+    """S(x) and S'(x) of the quintic splines with knots t and coefficient
+    columns c, each (len(x), columns).  S' takes the degree-4 stage of the
+    one basis evaluation and the differenced coefficients."""
+    mu, quartic, quintic = _bspline_basis(t, x)
+    dc = (QUINTIC * (c[1:] - c[:-1])
+          / (t[QUINTIC + 1:len(c) + QUINTIC] - t[1:len(c)])[:, None])
+    s = sum(c[mu - QUINTIC + i] * value[:, None]
+            for i, value in enumerate(quintic))
+    ds = sum(dc[mu - QUINTIC + i] * value[:, None]
+             for i, value in enumerate(quartic))
+    return s, ds
+
+
+def _fit_cumulative_sources(history, v: float):
+    """Knots t and coefficients (m, 2) of the least-squares quintic splines
+    of the cumulative g_plus and g_minus sources at the node radii, unit
+    weights, interior knots max(20 dr, r_max / 24) apart.  A system of rank
+    below m is refused: lstsq alone would return a minimum-norm fit."""
+    grid_r = history.grid
+    edges = grid_r.edges
+    spacing = max(20.0 * grid_r.dr, grid_r.r_max / 24.0)
+    t = np.concatenate([np.full(QUINTIC + 1, edges[0]),
+                        np.arange(spacing, grid_r.r_max - spacing, spacing),
+                        np.full(QUINTIC + 1, edges[-1])])
+    m = len(t) - QUINTIC - 1
+    mu, _, b = _bspline_basis(t, edges)
+    design = np.zeros((len(edges), m))
+    rows = np.arange(len(edges))
+    for i, value in enumerate(b):
+        design[rows, mu - QUINTIC + i] = value
+    y = np.stack([cumulative_source(grid_r, history.profile_at(name, v))
+                  for name in ("g_plus", "g_minus")], axis=-1)
+    c, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
+    if rank < m:
+        raise ValueError(f"{len(edges)} nodes do not determine the {m} "
+                         f"coefficients of the quintic spline fit "
+                         f"(rank {rank}); refine grid.n_shells")
+    return t, c
+
+
 def embed_symmetric_solution(history, v: float, n: int, extent: float,
-                             r_cut: float,
-                             knot_spacing: float | None = None) -> GriddedFieldSet:
+                             r_cut: float) -> GriddedFieldSet:
     """Embed a recorded solver slice into 3D for auditing.
 
     The radial cumulative source integrals are fitted with wide-knot
-    least-squares quintic splines S(r), and the embedded fields are
+    least-squares quintic splines S(r) (a Cox-de Boor B-spline basis at the
+    node radii and one numpy least-squares solve for both sources; a fit
+    the nodes do not determine is refused), and the embedded fields are
 
         E = (S_+ / r^2) k,  rho + j.k = S_+' / r^2,  B = 0,
 
@@ -265,28 +335,19 @@ def embed_symmetric_solution(history, v: float, n: int, extent: float,
     as purely radial; its tangential part is unobservable in every
     spherically reduced formula.
     """
-    from scipy.interpolate import LSQUnivariateSpline
-    from .radial_field import cumulative_source
-
-    grid_r = history.grid
-    if extent * np.sqrt(3.0) > grid_r.r_max:
+    if extent * np.sqrt(3.0) > history.grid.r_max:
         raise ValueError("embedding cube corner exceeds the shell grid")
-    if knot_spacing is None:
-        knot_spacing = max(20.0 * grid_r.dr, grid_r.r_max / 24.0)
-    knots = np.arange(knot_spacing, grid_r.r_max - knot_spacing,
-                      knot_spacing)
-    sp_p, sp_m = (LSQUnivariateSpline(
-        grid_r.edges, cumulative_source(grid_r, history.profile_at(name, v)),
-        knots, k=5) for name in ("g_plus", "g_minus"))
+    t, c = _fit_cumulative_sources(history, v)
 
     r, k = _cube(np.linspace(-extent, extent, n))
     # E_r, rho, j_r depend on r alone: evaluate once per distinct radius
     radii, at = np.unique(r, return_inverse=True)
     del r   # the node arrays below are built without it
     r_safe = np.where(radii > 0.0, radii, 1.0)
-    E_r = np.where(radii > 0.0, sp_p(radii) / r_safe**2, 0.0)
-    gp = sp_p.derivative()(radii) / r_safe**2
-    gm = sp_m.derivative()(radii) / r_safe**2
+    s, ds = _eval_quintic(t, c, radii)
+    E_r = np.where(radii > 0.0, s[:, 0] / r_safe**2, 0.0)
+    gp = ds[:, 0] / r_safe**2
+    gm = ds[:, 1] / r_safe**2
 
     E = E_r[at][..., None] * k
     rho = (0.5 * (gp + gm))[at]

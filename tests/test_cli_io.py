@@ -796,6 +796,55 @@ def test_cli_audit_from_history(tmp_path, capsys):
         assert "overall" not in captured.out, extra
 
 
+def test_cli_audit_refuses_a_history_too_coarse_for_the_fit(tmp_path,
+                                                             capsys):
+    # 4 shells give 5 nodes for the 6 coefficients of the quintic fit: an
+    # input error naming both counts, never a minimum-norm fit that passes
+    out = str(tmp_path / "out")
+    cfg_path = write_config(tmp_path / "cfg.json", grid={"n_shells": 4},
+                            time={"dv": 0.02, "v_final": 0.2},
+                            output={"directory": out})
+    assert main(["run", "--config", cfg_path]) == 0
+    capsys.readouterr()
+    assert main(["audit-constraints", "--from-history", out,
+                 "--v", "0.1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "audit input error: 5 nodes do not determine the 6 coefficients of "
+        "the quintic spline fit (rank 5); refine grid.n_shells\n")
+    assert "overall" not in captured.out
+
+
+def test_cli_audit_from_history_runs_without_scipy(tmp_path):
+    # the embedding's spline fit is numpy alone: a history audit in a fresh
+    # interpreter ends with no scipy module loaded
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    out = str(tmp_path / "out")
+    cfg_path = write_config(tmp_path / "cfg.json",
+                            time={"dv": 0.02, "v_final": 0.4},
+                            output={"directory": out})
+    assert main(["run", "--config", cfg_path]) == 0
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    code = ("import sys\n"
+            "from vmcone.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.partition('.')[0] == 'scipy'))\n"
+            "sys.exit(code)\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "audit-constraints", "--from-history",
+         out, "--v", "0.2", "--nodes", "25"],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 def test_cli_audit_from_grid_file(tmp_path, capsys):
     from vmcone import save_grid
     from test_constraint_audit import smooth_ball_fields

@@ -458,27 +458,19 @@ def test_audit_report_runs_the_audit_once(monkeypatch):
 
 def _embedding_per_node(history, v, n, extent):
     """The embedded E, rho and j with the splines evaluated at every node."""
-    from scipy.interpolate import LSQUnivariateSpline
-    from vmcone.radial_field import cumulative_source
+    import vmcone.constraint_audit as ca
 
-    grid_r = history.grid
-    spacing = max(20.0 * grid_r.dr, grid_r.r_max / 24.0)
-    knots = np.arange(spacing, grid_r.r_max - spacing, spacing)
-    sp_p, sp_m = (LSQUnivariateSpline(
-        grid_r.edges, cumulative_source(grid_r, history.profile_at(name, v)),
-        knots, k=5) for name in ("g_plus", "g_minus"))
+    t, c = ca._fit_cumulative_sources(history, v)
     ax = np.linspace(-extent, extent, n)
     X, Y, Z = np.meshgrid(ax, ax, ax, indexing="ij")
     r = np.sqrt(X**2 + Y**2 + Z**2)
     r_safe = np.where(r > 0.0, r, 1.0)
     k = np.stack([X / r_safe, Y / r_safe, Z / r_safe], axis=-1)
-
-    def ev(spline):
-        return spline(r.ravel()).reshape(r.shape)
-
-    E_r = np.where(r > 0.0, ev(sp_p) / r_safe**2, 0.0)
-    gp = ev(sp_p.derivative()) / r_safe**2
-    gm = ev(sp_m.derivative()) / r_safe**2
+    s, ds = (f.reshape(r.shape + (2,)) for f in ca._eval_quintic(t, c,
+                                                                  r.ravel()))
+    E_r = np.where(r > 0.0, s[..., 0] / r_safe**2, 0.0)
+    gp = ds[..., 0] / r_safe**2
+    gm = ds[..., 1] / r_safe**2
     return (E_r[..., None] * k, 0.5 * (gp + gm),
             (0.5 * (gp - gm))[..., None] * k, np.unique(r).size)
 
@@ -486,26 +478,55 @@ def _embedding_per_node(history, v, n, extent):
 @pytest.mark.parametrize("n", [33, 64])
 def test_embedding_evaluates_each_distinct_radius_once(small_history, n,
                                                        monkeypatch):
-    # n = 33 has a node at r = 0 (the E_r = 0 branch), n = 64 has none
-    from scipy.interpolate import UnivariateSpline
+    # n = 33 has a node at r = 0 (the E_r = 0 branch), n = 64 has none; the
+    # basis is evaluated once at the shell nodes for the fit and once at
+    # the distinct radii, and its values are pointwise, so the gathered
+    # fields are the per-node evaluation bit for bit
+    import vmcone.constraint_audit as ca
 
     E, rho, j, n_radii = _embedding_per_node(small_history, 1.0, n, 0.6)
     seen = []
-    call = UnivariateSpline.__call__
+    basis = ca._bspline_basis
 
-    def counted(self, x, *args, **kwargs):
+    def counted(t, x):
         seen.append(np.size(x))
-        return call(self, x, *args, **kwargs)
+        return basis(t, x)
 
-    monkeypatch.setattr(UnivariateSpline, "__call__", counted)
+    monkeypatch.setattr(ca, "_bspline_basis", counted)
     g = embed_symmetric_solution(small_history, 1.0, n, 0.6, r_cut=0.15)
-    assert (n_radii < n**3) and seen == [n_radii] * 3
+    assert (n_radii < n**3) and seen == [small_history.grid.n_shells + 1,
+                                         n_radii]
     assert np.any(g.axes == 0.0) == (n == 33)   # the origin is a node
     assert np.array_equal(g.E, E)
     assert np.array_equal(g.rho, rho)
     assert np.array_equal(g.j, j)
     assert np.array_equal(g.B, np.zeros_like(E))
     assert (g.n, g.extent, g.r_cut) == (n, 0.6, 0.15)
+
+
+@pytest.mark.parametrize("v", [0.0, 0.5, 1.0, 1.5])
+def test_embedding_splines_match_fitpack(small_history, v):
+    # the numpy fit solves FITPACK's problem (same knots, nodes and unit
+    # weights): S and S' agree with scipy's LSQUnivariateSpline to round-off
+    from scipy.interpolate import LSQUnivariateSpline
+    import vmcone.constraint_audit as ca
+    from vmcone.radial_field import cumulative_source
+
+    grid_r = small_history.grid
+    t, c = ca._fit_cumulative_sources(small_history, v)
+    x = np.unique(np.concatenate([grid_r.edges,
+                                  np.linspace(0.0, grid_r.r_max, 2001)]))
+    s, ds = ca._eval_quintic(t, c, x)
+    for col, name in enumerate(("g_plus", "g_minus")):
+        oracle = LSQUnivariateSpline(
+            grid_r.edges,
+            cumulative_source(grid_r, small_history.profile_at(name, v)),
+            t[ca.QUINTIC + 1:-ca.QUINTIC - 1], k=ca.QUINTIC)
+        want, dwant = oracle(x), oracle.derivative()(x)
+        assert np.max(np.abs(s[:, col] - want)) <= 1e-12 * np.max(
+            np.abs(want)), name
+        assert np.max(np.abs(ds[:, col] - dwant)) <= 1e-12 * np.max(
+            np.abs(dwant)), name
 
 
 def test_embedding_refuses_the_corner_before_reading_the_history(
@@ -626,7 +647,7 @@ def test_embedding_peak_memory_stays_below_1_15_output_sizes(small_history):
         return embed_symmetric_solution(small_history, 1.0, 48, 0.6,
                                         r_cut=0.15)
 
-    g = embed()   # the first call imports scipy, whose objects are traced
+    g = embed()   # untraced: gives the output sizes
     outputs = g.E.nbytes + g.B.nbytes + g.rho.nbytes + g.j.nbytes
     peak = _traced_peak(embed)
     assert peak <= 1.15 * outputs, peak / outputs
