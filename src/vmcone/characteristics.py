@@ -75,7 +75,8 @@ def char_rhs_reduced(v, r, w, q, E_r, out=None):
     q is a constant of the motion and never integrated.  Vectorized over
     particle arrays; E_r is the radial field value(s) at r and is only
     read.  Returns (dr, dw), the rows of ``out`` (shape (2, n)) when it is
-    given; they also hold the intermediates, so only q/r^3 is allocated.
+    given; they also hold the intermediates, so only q/r^2 is allocated,
+    and q/r^3 is taken from it as (q/r^2)/r.
     """
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0.0):
@@ -86,13 +87,14 @@ def char_rhs_reduced(v, r, w, q, E_r, out=None):
         out = np.empty((2,) + np.broadcast_shapes(r.shape, w.shape, q.shape))
     dr, dw = out[0, ...], out[1, ...]
     # gamma = sqrt(1 + w^2 + q/r^2) and then p0 = gamma + w live in dr,
-    # q/r^2 and then gamma E_r + q/r^3 in dw
-    np.divide(q, np.multiply(r, r, out=dw), out=dw)
+    # gamma E_r + q/r^3 in dw, and q/r^2 and then q/r^3 in q_r2
+    q_r2 = np.multiply(r, r)
+    np.divide(q, q_r2, out=q_r2)
     np.add(1.0, np.multiply(w, w, out=dr), out=dr)
-    np.sqrt(np.add(dr, dw, out=dr), out=dr)
+    np.sqrt(np.add(dr, q_r2, out=dr), out=dr)
     np.multiply(dr, E_r, out=dw)
     np.add(dr, w, out=dr)
-    dw += q / r**3
+    dw += np.divide(q_r2, r, out=q_r2)
     dw /= dr
     np.divide(w, dr, out=dr)
     return dr, dw

@@ -76,12 +76,12 @@ class ShellGrid:
 MOMENTS = ("g_plus", "g_minus", "h_plus", "h_minus")
 
 
-def moment_payloads(parts) -> tuple:
+def moment_payloads(parts, gamma=None) -> tuple:
     """Per-particle contributions to the MOMENTS (omega = weight):
     omega, omega (1 - phat.k) / (1 + phat.k), omega gamma and
-    omega (gamma - w) / (1 + phat.k)."""
+    omega (gamma - w) / (1 + phat.k); gamma is parts.gamma() if not given."""
     omega = parts.weight
-    gamma = parts.gamma()
+    gamma = parts.gamma() if gamma is None else gamma
     one_plus = 1.0 + parts.w / gamma
     one_minus = 1.0 - parts.w / gamma
     return (omega, omega * one_minus / one_plus, omega * gamma,
@@ -103,8 +103,9 @@ def deposit(r, payloads, grid: ShellGrid) -> np.ndarray:
     s = r / grid.dr
     j = np.minimum(s.astype(int), grid.n_shells - 1)
     frac = s - j
+    rest = 1.0 - frac
     for row, payload in zip(sums, payloads):
-        np.add.at(row, j, payload * (1.0 - frac))
+        np.add.at(row, j, payload * rest)
         np.add.at(row, j + 1, payload * frac)
     return sums / grid.node_volumes
 
@@ -164,9 +165,13 @@ def eval_field(grid: ShellGrid, I: np.ndarray, r) -> np.ndarray:
     r = np.asarray(r, dtype=float)
     scalar = (r.ndim == 0)
     r = np.atleast_1d(r)
-    if np.any(r < 0.0):
-        raise ValueError("field evaluation outside r >= 0")
-    # the masked divide leaves r^2 = 0 in place at r = 0
-    E = np.multiply(r, r)
-    np.divide(np.interp(r, grid.edges, I), E, out=E, where=r > 0.0)
+    if np.min(r, initial=np.inf) > 0.0:   # no r = 0, no NaN: divide in place
+        E = np.interp(r, grid.edges, I)
+        E /= np.multiply(r, r)
+    else:
+        if np.any(r < 0.0):
+            raise ValueError("field evaluation outside r >= 0")
+        # the masked divide leaves r^2 = 0 in place at r = 0
+        E = np.multiply(r, r)
+        np.divide(np.interp(r, grid.edges, I), E, out=E, where=r > 0.0)
     return float(E[0]) if scalar else E

@@ -310,7 +310,7 @@ def _allocating_push(r, w, q, grid, I, dv, n, scheme):
         r, w = y[0], y[1]
         gamma = np.sqrt(1.0 + w**2 + q / r**2)
         p0 = gamma + w
-        return np.stack([w / p0, (gamma * E_of(r) + q / r**3) / p0])
+        return np.stack([w / p0, (gamma * E_of(r) + (q / r**2) / r) / p0])
 
     y, v = np.stack([r, w]), 0.0
     for _ in range(n):

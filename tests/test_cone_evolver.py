@@ -1,4 +1,7 @@
 import dataclasses
+import os
+import signal
+import sys
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from vmcone import (RunConfig, run, step, auto_r_max, IntegrationError,
                     MOMENTS, cone_evolver)
 from vmcone import cone_diagnostics as diag
 from vmcone.characteristics import char_rhs_reduced
+from vmcone.io_utils import emit_history
 from conftest import small_config
 
 
@@ -234,6 +238,111 @@ def test_measure_positivity_abort_names_step_and_v(monkeypatch):
                                              r"at particle 0: "):
         run(small_config(resolution=(6, 6, 6), v_final=0.1))
     assert len(steps) == 3
+
+
+def push_worker(monkeypatch, on):
+    """Push half of every run's particles in a worker whatever the particle
+    and CPU counts (on), or never; returns the list of forks made."""
+    if on and not hasattr(os, "fork"):
+        pytest.skip("no fork on this platform")
+    monkeypatch.setattr(cone_evolver, "PUSH_WORKER_MIN",
+                        0 if on else sys.maxsize)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    forks, real = [], os.fork
+    if on:
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real())
+    return forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_worker_push_gives_the_serial_bytes(monkeypatch, tmp_path):
+    # an odd particle count, so the halves differ in size
+    cfg = small_config(resolution=(11, 11, 11), v_final=0.5)
+    files, finals = {}, {}
+    for on in (False, True):
+        forks = push_worker(monkeypatch, on)
+        h = run(cfg)
+        assert len(forks) == on
+        assert_no_child_left()
+        emit_history(h, tmp_path / str(on))
+        files[on] = {f.name: f.read_bytes()
+                     for f in (tmp_path / str(on)).iterdir()}
+        finals[on] = h.particles_final
+    assert len(finals[True]) % 2 == 1 and len(files[True]) > 1
+    assert files[True] == files[False]
+    for name in ("r", "w", "q", "weight", "f_value"):
+        assert np.array_equal(getattr(finals[True], name),
+                              getattr(finals[False], name))
+
+
+@pytest.mark.parametrize("inner_half", ["lower", "upper"])
+def test_worker_abort_is_the_serial_abort(monkeypatch, inner_half):
+    # r_floor 0.4 lies inside the support, whose radii grow with the index;
+    # reversed, the particles that cross it are the worker's upper half
+    real = cone_evolver.sample_particles
+
+    def ordered(*args):
+        parts = real(*args)
+        if inner_half == "upper":
+            parts = ParticleSet(*(a[::-1].copy() for a in (
+                parts.r, parts.w, parts.q, parts.weight, parts.f_value)))
+        half = len(parts) // 2
+        outer = parts.r[half:] if inner_half == "lower" else parts.r[:half]
+        assert np.min(outer) > 0.44
+        return parts
+
+    monkeypatch.setattr(cone_evolver, "sample_particles", ordered)
+    cfg = small_config(r_floor=0.4, v_final=0.5, resolution=(6, 6, 6))
+    errors = {}
+    for on in (False, True):
+        forks = push_worker(monkeypatch, on)
+        with pytest.raises(IntegrationError) as errors[on]:
+            run(cfg)
+        assert len(forks) == on
+        assert_no_child_left()
+    assert errors[True].type is errors[False].type
+    assert str(errors[True].value) == str(errors[False].value)
+    assert str(errors[True].value).startswith(
+        "step 0 (v=0): trajectory reached r <= r_floor=0.4 at v=0.01")
+
+
+@pytest.mark.parametrize("signum, code", [(signal.SIGKILL, -signal.SIGKILL),
+                                          (signal.SIGINT, 0)])
+def test_a_worker_ending_mid_run_raises(monkeypatch, capfd, signum, code):
+    # the worker ends itself at its 20th field lookup, in step 2; the run
+    # must raise, not wait forever (the alarm turns a hang into a failure)
+    push_worker(monkeypatch, True)
+    parent, real, calls = os.getpid(), cone_evolver.eval_field, []
+
+    def ending(grid, I, r):
+        if os.getpid() != parent:
+            calls.append(1)
+            if len(calls) == 20:
+                os.kill(os.getpid(), signum)
+        return real(grid, I, r)
+
+    def hung(*_):
+        raise TimeoutError("run waited on a worker that had ended")
+
+    monkeypatch.setattr(cone_evolver, "eval_field", ending)
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        with pytest.raises(RuntimeError, match=rf"^step 2 \(v=0\.02\): the "
+                                               rf"push worker \(pid \d+\) "
+                                               rf"ended during a push with "
+                                               rf"exit code {code}$"):
+            run(small_config(resolution=(6, 6, 6), v_final=0.1))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert_no_child_left()
+    assert capfd.readouterr().err == ""   # the worker leaves quietly
 
 
 def test_default_probes_are_grid_nodes():
