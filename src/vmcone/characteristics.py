@@ -100,12 +100,12 @@ def char_rhs_reduced(v, r, w, q, E_r, out=None):
     return dr, dw
 
 
-def _integrate(rhs, y, v, v_to, step, scheme, after_step):
-    """Fixed-step rk4 or midpoint of dy/dv = rhs(v, y, out), advancing y in
-    place from v to v_to and calling after_step(v, y) after every step.
-    The stage buffers are allocated once; each combination keeps the
-    association of the textbook formula, so the result is bit for bit that
-    of the form that allocates every stage."""
+def _integrate(rhs, y, v, v_to, step, after_step):
+    """Fixed-step RK4 of dy/dv = rhs(v, y, out), advancing y in place from v
+    to v_to and calling after_step(v, y) after every step.  The four stage
+    buffers are allocated once; each combination keeps the association of
+    the textbook formula, so the result is bit for bit that of the form
+    that allocates every stage."""
     span = v_to - v
     # written so that a NaN fails too
     if not abs(span) < np.inf:
@@ -114,27 +114,22 @@ def _integrate(rhs, y, v, v_to, step, scheme, after_step):
         raise ValueError(f"step must be positive and finite, got {step:g}")
     n = max(1, int(np.ceil(abs(span) / step - 1e-12))) if span else 0
     dv = span / max(n, 1)
-    if scheme not in ("rk4", "midpoint"):
-        raise ValueError(f"unknown scheme {scheme!r}")
-    k = np.empty((4 if scheme == "rk4" else 2,) + y.shape)
+    k = np.empty((4,) + y.shape)
     ys = np.empty_like(y)
     half = 0.5 * dv
     for _ in range(n):
         rhs(v, y, k[0])
         np.add(y, np.multiply(k[0], half, out=ys), out=ys)
         rhs(v + half, ys, k[1])
-        if scheme == "rk4":
-            np.add(y, np.multiply(k[1], half, out=ys), out=ys)
-            rhs(v + half, ys, k[2])
-            np.add(y, np.multiply(k[2], dv, out=ys), out=ys)
-            rhs(v + dv, ys, k[3])
-            # (dv/6) (((k1 + 2 k2) + 2 k3) + k4)
-            np.add(k[0], np.multiply(k[1], 2.0, out=k[1]), out=k[1])
-            k[1] += np.multiply(k[2], 2.0, out=k[2])
-            k[1] += k[3]
-            k[1] *= dv / 6.0
-        else:
-            k[1] *= dv
+        np.add(y, np.multiply(k[1], half, out=ys), out=ys)
+        rhs(v + half, ys, k[2])
+        np.add(y, np.multiply(k[2], dv, out=ys), out=ys)
+        rhs(v + dv, ys, k[3])
+        # (dv/6) (((k1 + 2 k2) + 2 k3) + k4)
+        np.add(k[0], np.multiply(k[1], 2.0, out=k[1]), out=k[1])
+        k[1] += np.multiply(k[2], 2.0, out=k[2])
+        k[1] += k[3]
+        k[1] *= dv / 6.0
         y += k[1]
         v += dv
         after_step(v, y)
@@ -142,13 +137,18 @@ def _integrate(rhs, y, v, v_to, step, scheme, after_step):
 
 def integrate_reduced(r, w, q, field_fn, v_from, v_to, step,
                       scheme="rk4", r_floor=1e-10):
-    """Integrate the reduced system with fixed steps; vectorized over arrays.
+    """Integrate the reduced system in fixed RK4 steps; vectorized over
+    arrays.
 
     ``field_fn(v, r) -> E_r``; the arrays it returns are only read.
     Reaching ``r <= r_floor`` aborts: with a positive angular-momentum floor
     no admissible orbit approaches the axis, so this signals invalid data or
-    a bug, not physics.
+    a bug, not physics.  ``scheme`` must be "rk4"; it stays because
+    ``particle_stages`` in perfbench/run.py binds this signature and reads
+    it, and its span records "unmeasured" without it.
     """
+    if scheme != "rk4":
+        raise ValueError(f"unknown scheme {scheme!r}")
     y = np.stack([np.atleast_1d(np.asarray(r, dtype=float)),
                   np.atleast_1d(np.asarray(w, dtype=float))])
     q = np.atleast_1d(np.asarray(q, dtype=float))
@@ -162,12 +162,11 @@ def integrate_reduced(r, w, q, field_fn, v_from, v_to, step,
                 f"trajectory reached r <= r_floor={r_floor:g} at v={v:g}; "
                 "the axis bound sqrt(F)/P is violated")
 
-    _integrate(rhs, y, v_from, v_to, step, scheme, after_step)
+    _integrate(rhs, y, v_from, v_to, step, after_step)
     return y[0], y[1]
 
 
-def integrate_cartesian(x, p, field, v_from, v_to, step, scheme="rk4",
-                        r_floor=1e-10):
+def integrate_cartesian(x, p, field, v_from, v_to, step, r_floor=1e-10):
     """Integrate the 6D Cartesian system for phase points ``(..., 3)``, in
     chunks of CHUNK_ROWS independent rows that bound every temporary."""
     def rhs(v, y, out):
@@ -185,7 +184,7 @@ def integrate_cartesian(x, p, field, v_from, v_to, step, scheme="rk4",
     rows = y.reshape(-1, 6)
     for start in range(0, max(len(rows), 1), CHUNK_ROWS):  # 0 rows: check step
         _integrate(rhs, rows[start:start + CHUNK_ROWS], v_from, v_to, step,
-                   scheme, after_step)
+                   after_step)
     return y[..., :3], y[..., 3:]
 
 
@@ -206,10 +205,10 @@ def phase_divergence(v, x, p, field):
     return -term / np.square(1.0 + c)
 
 
-def phase_divergence_fd(v, x, p, field, h=1e-5):
-    """Central finite-difference divergence of the Cartesian RHS (oracle);
-    the 12 stencil points of every state go through one RHS call."""
-    xs, ps = [], []
+def phase_divergence_fd(v, x, p, field):
+    """Central 1e-5 finite-difference divergence of the Cartesian RHS
+    (oracle); the 12 stencil points of every state go through one RHS call."""
+    h, xs, ps = 1e-5, [], []
     for e in h * np.eye(3):
         xs += [x + e, x - e, x, x]
         ps += [p, p, p + e, p - e]
@@ -227,8 +226,7 @@ def one_plus_phat_k(x, p):
     return 1.0 + np.vecdot(p, k) / gamma
 
 
-def flow_jacobian_det(x, p, field, v_from, v_to, step, h_fd=1e-4,
-                      scheme="rk4"):
+def flow_jacobian_det(x, p, field, v_from, v_to, step, h_fd=1e-4):
     """(det, exact): the 6x6 finite-difference Jacobian determinant of the
     flow map and its exact value (1 + phat.k)(start) / (1 + Phat.K)(end),
     which holds for any field, from one integration of 13 stacked rows per
@@ -242,7 +240,7 @@ def flow_jacobian_det(x, p, field, v_from, v_to, step, h_fd=1e-4,
     z[..., 2 * j, j] += h
     z[..., 2 * j + 1, j] -= h
     x1, p1 = integrate_cartesian(z[..., :3], z[..., 3:], field, v_from, v_to,
-                                 step, scheme)
+                                 step)
     z1 = np.concatenate([x1, p1], axis=-1)
     J = (z1[..., 0:12:2, :] - z1[..., 1:12:2, :]) / (2.0 * h[..., None])
     det = np.linalg.det(np.swapaxes(J, -1, -2))

@@ -19,7 +19,7 @@ import math
 import sys
 
 from . import __version__
-from .config import parse_config, ConfigError
+from .config import parse_config, check_fits_memory, ConfigError
 from . import cone_evolver
 from . import io_utils
 from . import report as report_mod
@@ -84,6 +84,8 @@ def _audit_grid(args):
     """The grid to audit: read from --input or embedded from a history."""
     if args.input:
         return io_utils.load_grid(args.input)
+    check_fits_memory("--nodes", f"the {args.nodes}^3 input grid of E, B, "
+                      "rho and j", 80 * args.nodes**3)   # 10 doubles a node
     history = io_utils.load_history(args.from_history)
     extent = (history.grid.r_max / 2.0 if args.extent is None
               else args.extent)

@@ -9,13 +9,13 @@ Picard correction re-deposits the field source at the predicted endpoint
 and re-pushes in the averaged field, giving second-order coupling.
 
 A push holds its field frozen, so each particle's push is independent of
-the others.  A run of at least PUSH_WORKER_MIN particles, in a process
-whose CPU affinity mask holds at least two CPUs and on a platform with
-fork, therefore forks one worker process that pushes the upper half of
-the particles while the run pushes the lower half; everything else,
-the deposits included, stays in the run's process.  Every push operation
-is elementwise, so the result is bit for bit the serial push.  Elsewhere
-the serial push runs.
+the others.  A run of at least PUSH_WORKER_MIN particles and
+PUSH_WORKER_MIN_STEPS steps, in a process whose CPU affinity mask holds at
+least two CPUs and on a platform with fork, therefore forks one worker
+process that pushes the upper half of the particles while the run pushes
+the lower half; everything else, the deposits included, stays in the
+run's process.  Every push operation is elementwise, so the result is bit
+for bit the serial push.  Elsewhere the serial push runs.
 
 The magnetic field is identically zero in spherical symmetry, so the
 incoming and outgoing radiation fluxes vanish structurally; see nirc_flux.
@@ -39,10 +39,13 @@ from .radial_field import (MOMENTS, ShellGrid, deposit, moment_payloads,
 from .characteristics import integrate_reduced
 from .config import RunConfig, auto_r_max, time_steps
 
-# particle count from which run pushes half of the particles in a forked
-# worker: in 100-step desk-datum runs on 2 CPUs the worker took 1.06 times
-# the serial time at 6,859 particles and 0.93 times at 8,000
+# particle and step counts from which run pushes half of the particles in
+# a forked worker: on 2 CPUs it took 1.06 and 0.93 times the serial time at
+# 6,859 and 8,000 particles (100-step desk-datum runs), and 1.00-1.07 and
+# 0.88-0.96 times at 4 and 8 steps (32^3 desk-datum runs), as the fork and
+# reap cost a few ms
 PUSH_WORKER_MIN = 8192
+PUSH_WORKER_MIN_STEPS = 8
 
 
 @dataclass
@@ -143,17 +146,16 @@ class SliceHistory:
         return (1.0 - theta) * arr[rows, cols] + theta * arr[rows + 1, cols]
 
 
-def _push(r, w, q, I, grid, dv, scheme, r_floor):
+def _push(r, w, q, I, grid, dv, r_floor):
     """(r, w) after one step of the particles (r, w, q) over [0, dv] in the
     field of the cumulative source I, frozen over the step."""
     return integrate_reduced(r, w, q, lambda v, r: eval_field(grid, I, r),
-                             0.0, dv, dv, scheme=scheme, r_floor=r_floor)
+                             0.0, dv, dv, r_floor=r_floor)
 
 
 class _PushWorker:
     """A forked process that pushes the upper half of the particles while
-    the calling process pushes the lower half, in one grid, dv, scheme and
-    r_floor.
+    the calling process pushes the lower half, in one grid, dv and r_floor.
 
     The worker's r, w and q, the field source I and its output (r, w) live
     in one anonymous shared mmap made before the fork, so no array is
@@ -169,14 +171,14 @@ class _PushWorker:
     worker must then be measured again, and deleted if it no longer pays.
     """
 
-    def __init__(self, q, grid, dv, scheme, r_floor):
+    def __init__(self, q, grid, dv, r_floor):
         self.split = len(q) // 2
         n, n_nodes = len(q) - self.split, grid.n_shells + 1
         shared = np.frombuffer(mmap.mmap(-1, 8 * (5 * n + n_nodes)))
         self.state = shared[:5 * n].reshape(5, n)   # r, w, q in; r, w out
         self.state[2] = q[self.split:]
         self.I = shared[5 * n:]
-        self.args = (grid, dv, scheme, r_floor)
+        self.args = (grid, dv, r_floor)
         command, self.command = os.pipe()
         self.reply, reply = os.pipe()
         try:
@@ -248,26 +250,18 @@ class _PushWorker:
             os.waitpid(self.pid, 0)
 
 
-def _forks_push_worker(n_particles: int) -> bool:
-    """Whether run pushes half of n_particles in a _PushWorker: enough
-    particles, fork, and two CPUs in this process's affinity mask."""
-    return (n_particles >= PUSH_WORKER_MIN and hasattr(os, "fork")
-            and hasattr(os, "sched_getaffinity")
-            and len(os.sched_getaffinity(0)) >= 2)
-
-
 def step(parts: ParticleSet, grid: ShellGrid, I: np.ndarray, dv: float,
-         scheme: str = "rk4", r_floor: float = 1e-10,
+         r_floor: float = 1e-10,
          worker: _PushWorker | None = None) -> ParticleSet:
     """Advance the particles over [v, v + dv] from the cumulative source I
     at v: a push in its field predicts the endpoint, then the push is redone
     in the field of the average of I and the I of the predicted endpoint.
-    A worker of the same grid, dv, scheme and r_floor pushes half of each
-    push; the result is the same bits."""
+    A worker of the same grid, dv and r_floor pushes half of each push; the
+    result is the same bits."""
     def push(I):
         if worker is not None:
             return worker.push(parts.r, parts.w, parts.q, I)
-        return _push(parts.r, parts.w, parts.q, I, grid, dv, scheme, r_floor)
+        return _push(parts.r, parts.w, parts.q, I, grid, dv, r_floor)
 
     r_pred, _ = push(I)
     I_end = solve_field(grid, deposit(r_pred, (parts.weight,), grid)[0])
@@ -330,8 +324,11 @@ def run(config: RunConfig) -> SliceHistory:
     min_dw = 0.0
     vs = np.linspace(0.0, config.v_final, n_slices)
 
-    with (_PushWorker(parts.q, grid, dv, config.scheme, config.r_floor)
-          if _forks_push_worker(len(parts)) else nullcontext()) as worker:
+    forks = (len(parts) >= PUSH_WORKER_MIN and n_steps >= PUSH_WORKER_MIN_STEPS
+             and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+             and len(os.sched_getaffinity(0)) >= 2)
+    with (_PushWorker(parts.q, grid, dv, config.r_floor) if forks
+          else nullcontext()) as worker:
         for n, v in enumerate(vs):
             with _naming_step(n, v):
                 moments[:, n] = deposit(parts.r, moment_payloads(parts, gamma),
@@ -351,8 +348,7 @@ def run(config: RunConfig) -> SliceHistory:
             if n == n_steps:
                 break
             with _naming_step(n, v):
-                pushed = step(parts, grid, I, dv, config.scheme,
-                              config.r_floor, worker)
+                pushed = step(parts, grid, I, dv, config.r_floor, worker)
                 p_sq = pushed.momentum_sq()
                 gamma = np.sqrt(1.0 + p_sq)
                 check_measure_positivity(pushed, p_sq, gamma)

@@ -81,6 +81,14 @@ def physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
+def check_fits_memory(keys: str, what: str, n_bytes: int) -> None:
+    """Refuse an array of n_bytes, sized by keys, beyond the physical memory."""
+    if n_bytes > (memory := physical_memory()):
+        raise ConfigError(f"{keys}: {Decimal(n_bytes):.3g} bytes for {what}, "
+                          f"more than the {Decimal(memory):.3g} bytes of "
+                          "physical memory")
+
+
 def _entry(path, parse, default=None, dump=_same, factory=None):
     """A RunConfig field with its "section.key" spelling in the JSON file,
     the parser of the JSON value and the JSON form written by to_dict."""
@@ -104,7 +112,6 @@ class RunConfig:
     margin: float = _entry("grid.margin", _number, 0.25)
     dv: float | None = _entry("time.dv", _optional(_number))
     v_final: float = _entry("time.v_final", _number, 5.0)
-    scheme: str = _entry("solver.scheme", str, "rk4")
     r_floor: float = _entry("solver.r_floor", _number, 1e-10)
     output_directory: str | None = _entry("output.directory", _same)
     probe_radii: tuple | None = _entry("diagnostics.probe_radii",
@@ -118,8 +125,6 @@ class RunConfig:
             raise ConfigError("time.dv must be positive")
         if self.n_shells < 2:
             raise ConfigError("grid.n_shells must be >= 2")
-        if self.scheme not in ("rk4", "midpoint"):
-            raise ConfigError(f"unknown solver.scheme {self.scheme!r}")
         try:
             datum = builtin_datum(self.datum_name, self.datum_params)
         except (TypeError, ValueError, LookupError,
@@ -130,17 +135,13 @@ class RunConfig:
         except OverflowError:   # v_final / dv overflows a float
             n_steps = int(sys.float_info.max)
         # the arrays of doubles whose size the configuration sets
-        memory = physical_memory()
-        for keys, what, size in (
-                ("sampling.resolution", "the n_r x n_w x n_q sampling grid",
-                 math.prod(self.resolution)),
-                ("grid.n_shells, time.v_final and time.dv", "the 4 recorded "
-                 "(v_final/dv + 1) x (n_shells + 1) profiles",
-                 4 * (n_steps + 1) * (self.n_shells + 1))):
-            if 8 * size > memory:
-                raise ConfigError(
-                    f"{keys}: {Decimal(8 * size):.3g} bytes for {what}, more "
-                    f"than the {Decimal(memory):.3g} bytes of physical memory")
+        check_fits_memory("sampling.resolution",
+                          "the n_r x n_w x n_q sampling grid",
+                          8 * math.prod(self.resolution))
+        check_fits_memory("grid.n_shells, time.v_final and time.dv",
+                          "the 4 recorded (v_final/dv + 1) x (n_shells + 1) "
+                          "profiles",
+                          8 * 4 * (n_steps + 1) * (self.n_shells + 1))
         reach = datum.R0 + 0.5 * self.v_final   # outward speed is below 1/2
         if self.r_max is not None and self.r_max <= 0.0:
             raise ConfigError(f"grid.r_max {self.r_max:g} must be positive")

@@ -190,31 +190,31 @@ def diagnose_report(history: SliceHistory) -> dict:
 # jacobian / divergence test suite on random orbits in a smooth test field
 
 
-def _test_field(amplitude=0.4, b_amplitude=0.3):
+def _test_field():
     """Smooth compactly concentrated test field with nonzero curl E x B
     structure: radial-ish electric part, solenoidal magnetic part."""
 
     def field(v, x):
         x = np.asarray(x, dtype=float)
         env = np.exp(-np.vecdot(x, x))[..., None]
-        E = amplitude * (1.0 + 0.3 * np.sin(1.7 * v)) * x * env
-        B = x[..., [1, 0, 0]] * [-b_amplitude, b_amplitude, 0.0]
-        B[..., 2] = b_amplitude * 0.5
+        E = 0.4 * (1.0 + 0.3 * np.sin(1.7 * v)) * x * env
+        B = x[..., [1, 0, 0]] * [-0.3, 0.3, 0.0]
+        B[..., 2] = 0.15
         B *= env
         return E, B
 
     return field
 
 
-def random_states(n, seed=1234, r_lo=0.4, r_hi=1.6, p_scale=0.6):
+def random_states(n, seed=1234):
     """Random phase-space states away from the spatial origin."""
     rng = np.random.default_rng(seed)
     states = []
     for _ in range(n):
         u = rng.normal(size=3)
         u /= np.linalg.norm(u)
-        x = u * rng.uniform(r_lo, r_hi)
-        p = rng.normal(scale=p_scale, size=3)
+        x = u * rng.uniform(0.4, 1.6)
+        p = rng.normal(scale=0.6, size=3)
         states.append((x, p))
     return states
 

@@ -241,18 +241,20 @@ def test_kinetic_energy_identity_along_trajectory():
 
 
 def test_integrator_schemes_and_order():
+    # RK4 is the one scheme: fourth order on the reduced system, and every
+    # other scheme name is refused
     r0, w0, q0 = 0.7, 0.1, 0.02
     fn = radial_field_reduced()
-    ref, _ = integrate_reduced(r0, w0, q0, fn, 0.0, 1.0, 1e-4)
+    ref, _ = integrate_reduced(r0, w0, q0, fn, 0.0, 1.0, 1e-3)
     errs = {}
     for step in (0.1, 0.05):
-        out, _ = integrate_reduced(r0, w0, q0, fn, 0.0, 1.0, step,
-                                   scheme="midpoint")
+        out, _ = integrate_reduced(r0, w0, q0, fn, 0.0, 1.0, step)
         errs[step] = abs(out[0] - ref[0])
     order = np.log2(errs[0.1] / errs[0.05])
-    assert 1.6 < order < 2.6
-    with pytest.raises(ValueError, match="unknown scheme"):
-        integrate_reduced(r0, w0, q0, fn, 0.0, 1.0, 0.1, scheme="euler")
+    assert 3.5 < order < 4.5
+    for scheme in ("midpoint", "euler"):
+        with pytest.raises(ValueError, match="unknown scheme"):
+            integrate_reduced(r0, w0, q0, fn, 0.0, 1.0, 0.1, scheme=scheme)
     with pytest.raises(ValueError, match="step must be positive"):
         integrate_reduced(r0, w0, q0, fn, 0.0, 1.0, -0.1)
 
@@ -294,11 +296,10 @@ def test_r_floor_abort():
                           r_floor=0.05)
 
 
-def _allocating_push(r, w, q, grid, I, dv, n, scheme):
+def _allocating_push(r, w, q, grid, I, dv, n):
     """The push as written before the fused stepper: a stacked state, a
     field lookup that fills zeros through a boolean index, the reduced RHS
-    in its textbook form and a generic RK step that allocates every
-    stage."""
+    in its textbook form and an RK4 step that allocates every stage."""
     def E_of(r):
         out = np.zeros_like(r)
         pos = r > 0.0
@@ -316,12 +317,9 @@ def _allocating_push(r, w, q, grid, I, dv, n, scheme):
     for _ in range(n):
         k1 = rhs(v, y)
         k2 = rhs(v + 0.5 * dv, y + 0.5 * dv * k1)
-        if scheme == "rk4":
-            k3 = rhs(v + 0.5 * dv, y + 0.5 * dv * k2)
-            k4 = rhs(v + dv, y + dv * k3)
-            y = y + (dv / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        else:
-            y = y + dv * k2
+        k3 = rhs(v + 0.5 * dv, y + 0.5 * dv * k2)
+        k4 = rhs(v + dv, y + dv * k3)
+        y = y + (dv / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         v += dv
     return y
 
@@ -335,14 +333,12 @@ def desk_particles_in_field():
                                                   grid)[0])
 
 
-@pytest.mark.parametrize("scheme", ["rk4", "midpoint"])
-def test_fused_push_equals_allocating_push(desk_particles_in_field, scheme):
+def test_fused_push_equals_allocating_push(desk_particles_in_field):
     parts, grid, I = desk_particles_in_field
     r1, w1 = integrate_reduced(parts.r, parts.w, parts.q,
                                lambda v, r: eval_field(grid, I, r), 0.0, 0.02,
-                               0.005, scheme=scheme)
-    ref = _allocating_push(parts.r, parts.w, parts.q, grid, I, 0.005, 4,
-                           scheme)
+                               0.005)
+    ref = _allocating_push(parts.r, parts.w, parts.q, grid, I, 0.005, 4)
     assert len(parts) > 10000
     assert np.array_equal(r1, ref[0]) and np.array_equal(w1, ref[1])
 

@@ -46,15 +46,17 @@ def test_config_fail_closed(tmp_path):
         config_from_dict({"time": {"dt": 0.1}})
     with pytest.raises(ConfigError, match="must be >= 0"):
         config_from_dict({"time": {"v_final": -1.0}})
-    with pytest.raises(ConfigError, match="scheme"):
-        config_from_dict({"solver": {"scheme": "verlet"}})
+    # solver.scheme is gone: RK4 is the one integrator
+    for scheme in ("rk4", "verlet"):
+        with pytest.raises(ConfigError, match=r"unknown key.*'scheme'"):
+            config_from_dict({"solver": {"scheme": scheme}})
     with pytest.raises(ConfigError, match=r"unknown key.*'field_off'"):
         config_from_dict({"solver": {"field_off": True}})
     with pytest.raises(ConfigError, match=r"unknown key.*'picard_iters'"):
         config_from_dict({"solver": {"picard_iters": 2}})
-    cfg_path = write_config(tmp_path / "picard.json",
-                            solver={"picard_iters": 2})
-    assert main(["run", "--config", cfg_path]) == 2
+    for solver in ({"picard_iters": 2}, {"scheme": "rk4"}):
+        cfg_path = write_config(tmp_path / "solver.json", solver=solver)
+        assert main(["run", "--config", cfg_path]) == 2, solver
     p = tmp_path / "broken.json"
     p.write_text("{not json")
     with pytest.raises(ConfigError, match="malformed JSON"):
@@ -238,7 +240,6 @@ _NEAR = {
     | st.lists(_NUMBER, min_size=2, max_size=4),
     "grid.r_max": st.none() | _NUMBER,
     "time.dv": st.none() | _NUMBER,
-    "solver.scheme": st.sampled_from(["rk4", "midpoint"]),
     "diagnostics.probe_radii": st.none() | st.lists(_NUMBER, max_size=4),
 }
 
@@ -298,7 +299,6 @@ def test_config_defaults():
     cfg = config_from_dict({})
     assert cfg.n_shells == 512
     assert cfg.v_final == 5.0
-    assert cfg.scheme == "rk4"
     assert cfg.dv is None and cfg.r_max is None
 
 
@@ -783,6 +783,9 @@ def test_cli_audit_from_history(tmp_path, capsys):
     for extra, message in ((["--r-cut", "100"], "no node would be checked"),
                            (["--nodes", "2"], "at least 3 nodes"),
                            (["--nodes", "1"], "at least 3 nodes"),
+                           (["--nodes", "100000"], "--nodes: 8.00e+16 bytes "
+                            "for the 100000^3 input grid of E, B, rho and j, "
+                            "more than the "),
                            (["--extent", "0"], "extent must be positive"),
                            (["--r-cut", "0"], "at least 2 grid spacings"),
                            (["--v", "50"], "outside recorded history"),

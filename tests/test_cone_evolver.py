@@ -280,6 +280,25 @@ def test_worker_push_gives_the_serial_bytes(monkeypatch, tmp_path):
                               getattr(finals[False], name))
 
 
+def test_a_short_run_forks_no_worker(monkeypatch, tmp_path):
+    # below PUSH_WORKER_MIN_STEPS the fork and reap cost more than the
+    # worker saves: a run forced onto the worker path forks only from that
+    # step count, and the short run writes the serial bytes
+    n = cone_evolver.PUSH_WORKER_MIN_STEPS
+    files = {}
+    for on, steps in ((False, n - 1), (True, n - 1), (True, n)):
+        forks = push_worker(monkeypatch, on)
+        h = run(small_config(resolution=(11, 11, 11), v_final=0.01 * steps))
+        assert len(h.vs) == steps + 1
+        assert len(forks) == (on and steps >= n)
+        assert_no_child_left()
+        if steps < n:
+            emit_history(h, tmp_path / str(on))
+            files[on] = {f.name: f.read_bytes()
+                         for f in (tmp_path / str(on)).iterdir()}
+    assert len(files[True]) > 1 and files[True] == files[False]
+
+
 @pytest.mark.parametrize("inner_half", ["lower", "upper"])
 def test_worker_abort_is_the_serial_abort(monkeypatch, inner_half):
     # r_floor 0.4 lies inside the support, whose radii grow with the index;
