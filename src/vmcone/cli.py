@@ -9,7 +9,8 @@ Subcommands:
   jacobian-test      closed-form vs finite-difference flow jacobian and
                      phase-divergence comparison on random orbits
 
-Exit status is 0 iff every check in the produced report passes.
+Exit status: 0 if every check passes (or a run completes without one), 1 if
+a check fails, 2 on a bad argument or input file, 3 if a run aborts.
 """
 
 from __future__ import annotations
@@ -53,14 +54,18 @@ def cmd_run(args) -> int:
         return 2
     if args.output:
         cfg.output_directory = args.output
-    history = cone_evolver.run(cfg)
+    try:
+        history = cone_evolver.run(cfg)
+    except cone_evolver.RunAborted as exc:
+        print(f"run aborted: {exc}", file=sys.stderr)
+        return 3
     if cfg.output_directory:
         io_utils.emit_history(history, cfg.output_directory)
         io_utils.emit_report(cfg.to_dict(),
                              f"{cfg.output_directory}/config_echo.json")
         print(f"run artifacts written to {cfg.output_directory}")
     print(f"steps: {len(history.vs) - 1}, dv: {history.dv:g}, "
-          f"particles: {0 if history.particles_final is None else len(history.particles_final)}")
+          f"particles: {len(history.particles_final)}")
     if args.diagnose:
         return _report(report_mod.diagnose_report(history), args.report)
     return 0

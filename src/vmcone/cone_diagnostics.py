@@ -200,23 +200,25 @@ def field_bound_constant(f_inf_norm: float, M0: float) -> float:
             * 3.0 ** (-2.0 / 3.0))
 
 
-def momentum_ceiling(P0: float, N0: float, C_E: float) -> float:
-    """Largest P with sqrt(1+P^2) <= sqrt(1+P0^2) + 2 sqrt(N0 C_E) P^{5/6},
-    found by bisection.  Every momentum the flow can reach sits below it."""
+def _momentum_excess(P, P0: float, N0: float, C_E: float):
+    """sqrt(1+P^2) - sqrt(1+P0^2) - 2 sqrt(N0 C_E) P^{5/6}, elementwise:
+    every momentum P the flow can reach has a non-positive excess."""
     A = 2.0 * np.sqrt(max(N0 * C_E, 0.0))
+    return np.sqrt(1.0 + P**2) - np.sqrt(1.0 + P0**2) - A * P ** (5.0 / 6.0)
 
-    def phi(P):
-        return np.sqrt(1.0 + P**2) - np.sqrt(1.0 + P0**2) - A * P ** (5.0 / 6.0)
 
+def momentum_ceiling(P0: float, N0: float, C_E: float) -> float:
+    """Largest P with a non-positive _momentum_excess, found by bisection.
+    Every momentum the flow can reach sits below it."""
     hi = max(P0, 1.0)
-    while phi(hi) <= 0.0:
+    while _momentum_excess(hi, P0, N0, C_E) <= 0.0:
         hi *= 2.0
         if hi > 1e12:
             raise RuntimeError("momentum ceiling bracket failed")
     lo = 0.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if phi(mid) <= 0.0:
+        if _momentum_excess(mid, P0, N0, C_E) <= 0.0:
             lo = mid
         else:
             hi = mid
@@ -232,30 +234,23 @@ def momentum_support_bound(history: SliceHistory) -> dict:
     support; and the bisection ceiling with the measured final support,
     which the report compares.
     """
-    N0 = float(history.N_wedge[0])
+    P = history.P_wedge
+    P0, N0 = float(P[0]), float(history.N_wedge[0])
     M0 = float(history.M_wedge[0])
     f_inf = history.f_inf_norm
     C_E = field_bound_constant(f_inf, M0) if f_inf > 0 else 0.0
-    P0 = float(history.P_wedge[0])
-
-    P = history.P_wedge
     bound = np.minimum(N0 / history.grid.edges[1:] ** 2,
                        C_E * P[:, None] ** (5.0 / 3.0))
     max_margin = float(np.max(np.abs(history.E[:, 1:]) - bound))
-    A = 2.0 * np.sqrt(max(N0 * C_E, 0.0))
-    ineq_ok = not np.any(np.sqrt(1.0 + P**2)
-                         > np.sqrt(1.0 + P0**2) + A * P ** (5.0 / 6.0) + 1e-12)
-
-    ceiling = momentum_ceiling(P0, N0, C_E) if len(history.P_wedge) else 0.0
-    measured = float(history.P_wedge[-1])
+    ineq_ok = not np.any(_momentum_excess(P, P0, N0, C_E) > 1e-12)
     return {
         "N0": N0, "M0": M0, "f_inf_norm": f_inf,
         "l43_constant": l43_bound_constant(f_inf, M0),
         "field_constant": C_E,
         "field_bound_max_margin": max_margin,
         "self_consistency_ok": ineq_ok,
-        "momentum_ceiling": ceiling,
-        "measured_P_final": measured,
+        "momentum_ceiling": momentum_ceiling(P0, N0, C_E),
+        "measured_P_final": float(P[-1]),
     }
 
 

@@ -2,8 +2,8 @@
 
 Each slice deposits the four moments, solves the radial field from g_plus
 and records both with the particle series into a SliceHistory; the field,
-the past-cone mass and the probe fluxes are functions of the moments and
-are derived from them.  Each step then integrates the reduced
+the past-cone mass and energy and the probe fluxes are functions of the
+moments and are derived from them.  Each step then integrates the reduced
 characteristics with RK4 in the field of the start of the step, and one
 Picard correction re-deposits the field source at the predicted endpoint
 and re-pushes in the averaged field, giving second-order coupling.
@@ -55,7 +55,8 @@ class SliceHistory:
     Profile arrays have shape (n_slices, n_nodes); series arrays (n_slices,).
     P_wedge is the running momentum-support radius (non-decreasing by
     construction); R_min_run the running minimum particle radius.  E,
-    N_wedge, flux_j and flux_p are derived from the moment profiles.
+    N_wedge, M_wedge, flux_j and flux_p are derived from the moment
+    profiles.
     """
 
     grid: ShellGrid
@@ -65,7 +66,6 @@ class SliceHistory:
     h_plus: np.ndarray
     h_minus: np.ndarray
     # scalar series
-    M_wedge: np.ndarray        # particle kinetic sum + field energy
     P_wedge: np.ndarray
     R_slice_max: np.ndarray
     R_min_run: np.ndarray
@@ -97,6 +97,13 @@ class SliceHistory:
         """Past-cone mass per slice: the node-volume sum of g_plus, equal to
         the sum of the particle weights (the deposit is conservative)."""
         return np.sum(self.g_plus * self.grid.node_volumes, axis=-1)
+
+    @cached_property
+    def M_wedge(self) -> np.ndarray:
+        """Past-cone energy per slice: the node-volume sum of h_plus, equal
+        to the particle sum of weight * gamma, plus the field energy."""
+        return (np.sum(self.h_plus * self.grid.node_volumes, axis=-1)
+                + radial_integral(self.grid, 0.5 * self.E**2))
 
     def _probe_flux(self, plus, minus):
         """4 pi r^2 (plus - minus) / 2 at the probe radii r, every slice."""
@@ -271,15 +278,19 @@ def step(parts: ParticleSet, grid: ShellGrid, I: np.ndarray, dv: float,
     return ParticleSet(r1, w1, parts.q, parts.weight, parts.f_value)
 
 
+class RunAborted(RuntimeError):
+    """A run's abort at a step, naming it and its v; __cause__ is the abort."""
+
+
 @contextmanager
 def _naming_step(n: int, v: float):
-    """Re-raise an abort of step n with the step and its v, same type; a
-    RuntimeError covers an IntegrationError and a push worker's end."""
+    """Raise an abort of step n as a RunAborted from it; a RuntimeError
+    covers an IntegrationError and a push worker's end."""
     try:
         yield
     except (FloatingPointError, ValueError, RuntimeError,
             AssertionError) as exc:
-        raise type(exc)(f"step {n} (v={v:g}): {exc}") from exc
+        raise RunAborted(f"step {n} (v={v:g}): {exc}") from exc
 
 
 def default_probe_radii(datum: InitialDatum, grid: ShellGrid) -> np.ndarray:
@@ -311,7 +322,7 @@ def run(config: RunConfig) -> SliceHistory:
     n_slices = n_steps + 1
     moments = np.zeros((len(MOMENTS), n_slices, grid.n_shells + 1))
     series = {k: np.zeros(n_slices) for k in
-              ("M_wedge", "P_wedge", "R_slice_max", "R_min_run")}
+              ("P_wedge", "R_slice_max", "R_min_run")}
 
     parts = parts0
     # one |p|^2 and one gamma per slice, shared by every reader
@@ -334,14 +345,9 @@ def run(config: RunConfig) -> SliceHistory:
                 moments[:, n] = deposit(parts.r, moment_payloads(parts, gamma),
                                         grid)
                 I = solve_field(grid, moments[0, n])
-            kinetic = 0.0
-            if len(parts):
-                kinetic = float(np.sum(parts.weight * gamma))
-                p_run = max(p_run, float(np.sqrt(np.max(p_sq))))
-                r_run_min = min(r_run_min, float(np.min(parts.r)))
-                series["R_slice_max"][n] = float(np.max(parts.r))
-            series["M_wedge"][n] = kinetic + radial_integral(
-                grid, 0.5 * node_field(grid, I)**2)
+            p_run = max(p_run, float(np.sqrt(np.max(p_sq, initial=0.0))))
+            r_run_min = min(r_run_min, float(np.min(parts.r, initial=np.inf)))
+            series["R_slice_max"][n] = float(np.max(parts.r, initial=0.0))
             series["P_wedge"][n] = p_run
             series["R_min_run"][n] = (r_run_min if np.isfinite(r_run_min)
                                       else 0.0)

@@ -21,8 +21,8 @@ from .cone_evolver import SliceHistory
 # holds.  profiles.npy[k, i, j] is moment k of slice i (v in series.csv) at
 # node j (r = j * dr); particles.npy[k] is field k of particles_final.
 LAYOUT = {
-    "series.csv": {"v": "vs", "M_wedge": "M_wedge", "P_wedge": "P_wedge",
-                   "R_max": "R_slice_max", "R_min": "R_min_run"},
+    "series.csv": {"v": "vs", "P_wedge": "P_wedge", "R_max": "R_slice_max",
+                   "R_min": "R_min_run"},
     "profiles.npy": {c: c for c in MOMENTS},
     "particles.npy": {c: c for c in ("r", "w", "q", "weight", "f_value")},
     "meta.json": {"r_max": "grid.r_max", "n_shells": "grid.n_shells",
@@ -139,7 +139,7 @@ def _read_npy(directory, name, shape, why=""):
 def load_history(directory) -> SliceHistory:
     """Reconstruct a SliceHistory from an emitted run directory.  Columns
     are read by header name and other files are not read, so a series.csv
-    that also holds derived series (N_wedge, N_vee, ...) loads the same."""
+    that also holds derived series (M_wedge, N_wedge, ...) loads the same."""
     join = lambda name: os.path.join(directory, name)
     meta, grid = _read_meta(join("meta.json"))
     fields = {f: meta[key] for key, f in LAYOUT["meta.json"].items()

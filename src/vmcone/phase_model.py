@@ -10,7 +10,7 @@ motion, as are the carried density values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -44,7 +44,7 @@ class InitialDatum:
     F: float
     f_inf_norm: float
     # exact bounding box of the support in (r, w, q), used by the sampler
-    support_box: tuple = field(default=None)
+    support_box: tuple
 
     def __post_init__(self):
         if self.F <= 0.0:

@@ -76,12 +76,11 @@ class ShellGrid:
 MOMENTS = ("g_plus", "g_minus", "h_plus", "h_minus")
 
 
-def moment_payloads(parts, gamma=None) -> tuple:
+def moment_payloads(parts, gamma) -> tuple:
     """Per-particle contributions to the MOMENTS (omega = weight):
     omega, omega (1 - phat.k) / (1 + phat.k), omega gamma and
-    omega (gamma - w) / (1 + phat.k); gamma is parts.gamma() if not given."""
+    omega (gamma - w) / (1 + phat.k); gamma is parts.gamma()."""
     omega = parts.weight
-    gamma = parts.gamma() if gamma is None else gamma
     one_plus = 1.0 + parts.w / gamma
     one_minus = 1.0 - parts.w / gamma
     return (omega, omega * one_minus / one_plus, omega * gamma,
@@ -162,16 +161,11 @@ def eval_field(grid: ShellGrid, I: np.ndarray, r) -> np.ndarray:
     continues as I(r_max) / r^2.  Satisfies |E_r(r)| <= N / r^2 with
     N = 4 pi I(r_max) the past-cone mass.
     """
-    r = np.asarray(r, dtype=float)
-    scalar = (r.ndim == 0)
-    r = np.atleast_1d(r)
-    if np.min(r, initial=np.inf) > 0.0:   # no r = 0, no NaN: divide in place
-        E = np.interp(r, grid.edges, I)
-        E /= np.multiply(r, r)
-    else:
-        if np.any(r < 0.0):
-            raise ValueError("field evaluation outside r >= 0")
-        # the masked divide leaves r^2 = 0 in place at r = 0
-        E = np.multiply(r, r)
-        np.divide(np.interp(r, grid.edges, I), E, out=E, where=r > 0.0)
+    scalar = np.ndim(r) == 0
+    r = np.atleast_1d(np.asarray(r, dtype=float))
+    if np.any(r < 0.0):
+        raise ValueError("field evaluation outside r >= 0")
+    # the masked divide leaves r^2 = 0 in place at r = 0
+    E = np.multiply(r, r)
+    np.divide(np.interp(r, grid.edges, I), E, out=E, where=r > 0.0)
     return float(E[0]) if scalar else E

@@ -172,8 +172,7 @@ def diagnose_report(history: SliceHistory) -> dict:
         abs(nirc_flux(history, 0.0, history.v_final,
                       float(history.probe_radii[-1]))), 0.0))
 
-    if (history.particles_initial is not None
-            and history.particles_final is not None):
+    if history.particles_initial is not None:   # an in-memory run
         for q_exp in (1.0, 2.0):
             a = diag.lq_invariant(history.particles_initial, q_exp)
             b = diag.lq_invariant(history.particles_final, q_exp)

@@ -11,6 +11,7 @@ import importlib.util
 import json
 import os
 import sys
+import types
 from collections import Counter
 from unittest import mock
 
@@ -110,3 +111,29 @@ def test_benchmark_hooks_resolve_and_measure(bench, tmp_path, monkeypatch,
     deposits = [s[5] for s in tracer.spans if s[0] == "radial_field.deposit"]
     assert n == 6**3 and deposits
     assert all(work == {"particles": n} for work in deposits)
+
+
+@pytest.mark.parametrize("name", ["desk_run", "artifact_roundtrip",
+                                  "jacobian_orbits"])
+def test_seed_0_passes_the_reference_gate(bench, tmp_path, name):
+    # one operation of the workload at seed 0, as the benchmark runs it but
+    # in tmp_path: the gate finds no failure, and every report value agrees
+    # with perfbench/reference.json to its relative tolerance
+    with open(os.path.join(PERFBENCH, "reference.json")) as fh:
+        reference = json.load(fh)
+    capture = bench.Capture()
+    bench.install_capture(capture, vmcone)
+    clock = types.SimpleNamespace(split=lambda: None, speeds=[])
+    op = bench.wl.Operation(vmcone.cli, vmcone.io_utils, capture, None,
+                            str(tmp_path), clock)
+    try:
+        bench.wl.WORKLOADS[name].run_op(op, bench.wl.seed_inputs(0))
+    finally:
+        capture.hooks.restore()
+    assert op.failures == []
+    want = reference["seeds"][name]["0"]
+    assert set(op.reports) == set(want)
+    for kind, values in want.items():
+        assert bench.wl.reference_mismatches(
+            bench.wl.report_values(op.reports[kind]), values,
+            reference["rel_tol"]) == [], kind

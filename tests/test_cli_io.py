@@ -448,17 +448,17 @@ def test_diagnose_report_survives_round_trip(tmp_path, small_history):
 
 def test_series_columns(tmp_path, small_history):
     # only recorded series and profiles are persisted; the shifted series,
-    # N_wedge, E and the probe fluxes are derived
+    # N_wedge, M_wedge, E and the probe fluxes are derived
     emit_history(small_history, str(tmp_path))
     assert sorted(os.listdir(tmp_path)) == [
         "meta.json", "particles.npy", "profiles.npy", "series.csv"]
     path = tmp_path / "series.csv"
     header = path.read_text().splitlines()[0]
-    assert header == "v,M_wedge,P_wedge,R_max,R_min"
+    assert header == "v,P_wedge,R_max,R_min"
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     h = small_history
     assert np.array_equal(data, np.column_stack(
-        (h.vs, h.M_wedge, h.P_wedge, h.R_slice_max, h.R_min_run)))
+        (h.vs, h.P_wedge, h.R_slice_max, h.R_min_run)))
 
 
 def test_profiles_and_particles_are_npy_arrays(tmp_path, small_history):
@@ -517,6 +517,15 @@ def test_load_history_reads_columns_by_name(tmp_path, small_history):
     # any column order
     _rewrite_columns(d / "series.csv", [
         "R_min", "M_wedge", "v", "R_max", "P_wedge"])
+    _same_history(load_history(str(d)), small_history)
+    # the series.csv of the last layout that stored M_wedge, with its
+    # values: the column is not read, and M_wedge is derived as before
+    emit_history(small_history, str(d))
+    h = small_history
+    np.savetxt(d / "series.csv", np.column_stack(
+        (h.vs, h.M_wedge, h.P_wedge, h.R_slice_max, h.R_min_run)),
+        fmt="%.17g", delimiter=",", comments="",
+        header="v,M_wedge,P_wedge,R_max,R_min")
     _same_history(load_history(str(d)), small_history)
 
 
@@ -713,6 +722,23 @@ def test_cli_run_bad_config(tmp_path, capsys):
     p.write_text(json.dumps({"tme": {}}))
     assert main(["run", "--config", str(p)]) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+def test_cli_run_abort_is_one_line_and_exit_status_3(tmp_path, capsys):
+    # a floor above the inner edge of the support: the first push crosses
+    # it, which is neither a failed check (1) nor a bad input (2)
+    out = tmp_path / "out"
+    cfg_path = write_config(tmp_path / "cfg.json",
+                            sampling={"resolution": [6, 6, 6]},
+                            solver={"r_floor": 0.4},
+                            time={"dv": 0.01, "v_final": 0.5})
+    assert main(["run", "--config", cfg_path, "--output", str(out),
+                 "--diagnose"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("run aborted: step 0 (v=0): trajectory "
+                                   "reached r <= r_floor=0.4 at v=0.01")
+    assert len(captured.err.splitlines()) == 1
+    assert captured.out == "" and not out.exists()
 
 
 def test_cli_run_rejects_bad_datum_before_the_run(tmp_path, capsys):

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from vmcone import (RunConfig, run, step, auto_r_max, IntegrationError,
-                    default_probe_radii, nirc_flux, builtin_datum,
-                    sample_particles, ShellGrid, ParticleSet, deposit,
-                    moment_payloads, solve_field, node_field, eval_field,
-                    MOMENTS, cone_evolver)
+                    RunAborted, default_probe_radii, nirc_flux,
+                    builtin_datum, sample_particles, ShellGrid, ParticleSet,
+                    deposit, moment_payloads, solve_field, node_field,
+                    eval_field, radial_integral, MOMENTS, cone_evolver)
 from vmcone import cone_diagnostics as diag
 from vmcone.characteristics import char_rhs_reduced
 from vmcone.io_utils import emit_history
@@ -56,7 +56,8 @@ def test_field_profile_recorded(small_history):
         assert np.array_equal(h.E[n], node_field(h.grid, I))
 
 
-def test_derived_series_equal_the_per_slice_formulas(small_history):
+def test_derived_series_equal_the_per_slice_formulas(small_history,
+                                                      monkeypatch):
     # the past-cone mass and the probe fluxes are functions of the recorded
     # moments, bit for bit the per-slice formulas
     h = small_history
@@ -67,6 +68,22 @@ def test_derived_series_equal_the_per_slice_formulas(small_history):
                                   (h.flux_p, h.h_plus, h.h_minus)):
             at = 0.5 * np.interp(probes, edges, plus[n] - minus[n])
             assert np.array_equal(flux[n], 4.0 * np.pi * probes**2 * at)
+    # the past-cone energy is the particle sum of weight * gamma at each
+    # slice, which the conservative deposit of h_plus holds up to rounding,
+    # plus the field energy of the slice
+    kinetic, real = [], cone_evolver.moment_payloads
+
+    def recording(parts, gamma):
+        kinetic.append(float(np.sum(parts.weight * parts.gamma())))
+        return real(parts, gamma)
+
+    monkeypatch.setattr(cone_evolver, "moment_payloads", recording)
+    h = run(small_config(v_final=0.5))
+    assert len(kinetic) == len(h.vs) > 1
+    for n, particles in enumerate(kinetic):
+        E = node_field(h.grid, solve_field(h.grid, h.g_plus[n]))
+        want = particles + radial_integral(h.grid, 0.5 * E**2)
+        assert abs(h.M_wedge[n] - want) <= 1e-15 * want
 
 
 def test_batched_probe_flux_equals_per_slice_interp(small_history):
@@ -121,7 +138,8 @@ def test_profile_at_reads_the_one_slice_of_a_single_slice_history(
 def start_field(parts, grid):
     """The cumulative source run() solves at the start of a step: from row 0
     of the moment deposit."""
-    return solve_field(grid, deposit(parts.r, moment_payloads(parts), grid)[0])
+    payloads = moment_payloads(parts, parts.gamma())
+    return solve_field(grid, deposit(parts.r, payloads, grid)[0])
 
 
 def rk4(parts, grid, I, dv):
@@ -212,13 +230,17 @@ def test_run_aborts_name_step_and_v():
     # check: the deposit after the first particle leaves the grid fails
     cfg = small_config(v_final=0.5, resolution=(6, 6, 6))
     cfg.r_max = 0.59
-    with pytest.raises(ValueError,
-                       match=r"^step \d+ \(v=[0-9.]+\): particle \d+ at r="):
+    with pytest.raises(RunAborted,
+                       match=r"^step \d+ \(v=[0-9.]+\): particle \d+ at r="
+                       ) as abort:
         run(cfg)
+    assert type(abort.value.__cause__) is ValueError
     # a floor above the inner edge of the support: the first push crosses it
     cfg = small_config(r_floor=0.4, v_final=0.5, resolution=(6, 6, 6))
-    with pytest.raises(IntegrationError, match=r"^step 0 \(v=0\): trajectory"):
+    with pytest.raises(RunAborted,
+                       match=r"^step 0 \(v=0\): trajectory") as abort:
         run(cfg)
+    assert type(abort.value.__cause__) is IntegrationError
 
 
 def test_measure_positivity_abort_names_step_and_v(monkeypatch):
@@ -233,10 +255,11 @@ def test_measure_positivity_abort_names_step_and_v(monkeypatch):
         return pushed
 
     monkeypatch.setattr(cone_evolver, "step", corrupting)
-    with pytest.raises(AssertionError, match=r"^step 2 \(v=0\.0[0-9]*\): "
-                                             r"measure positivity violated "
-                                             r"at particle 0: "):
+    with pytest.raises(RunAborted, match=r"^step 2 \(v=0\.0[0-9]*\): "
+                                         r"measure positivity violated "
+                                         r"at particle 0: ") as abort:
         run(small_config(resolution=(6, 6, 6), v_final=0.1))
+    assert type(abort.value.__cause__) is AssertionError
     assert len(steps) == 3
 
 
@@ -320,11 +343,11 @@ def test_worker_abort_is_the_serial_abort(monkeypatch, inner_half):
     errors = {}
     for on in (False, True):
         forks = push_worker(monkeypatch, on)
-        with pytest.raises(IntegrationError) as errors[on]:
+        with pytest.raises(RunAborted) as errors[on]:
             run(cfg)
         assert len(forks) == on
         assert_no_child_left()
-    assert errors[True].type is errors[False].type
+        assert type(errors[on].value.__cause__) is IntegrationError
     assert str(errors[True].value) == str(errors[False].value)
     assert str(errors[True].value).startswith(
         "step 0 (v=0): trajectory reached r <= r_floor=0.4 at v=0.01")
@@ -352,11 +375,12 @@ def test_a_worker_ending_mid_run_raises(monkeypatch, capfd, signum, code):
     previous = signal.signal(signal.SIGALRM, hung)
     signal.alarm(60)
     try:
-        with pytest.raises(RuntimeError, match=rf"^step 2 \(v=0\.02\): the "
-                                               rf"push worker \(pid \d+\) "
-                                               rf"ended during a push with "
-                                               rf"exit code {code}$"):
+        with pytest.raises(RunAborted, match=rf"^step 2 \(v=0\.02\): the "
+                                             rf"push worker \(pid \d+\) "
+                                             rf"ended during a push with "
+                                             rf"exit code {code}$") as abort:
             run(small_config(resolution=(6, 6, 6), v_final=0.1))
+        assert type(abort.value.__cause__) is RuntimeError
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)

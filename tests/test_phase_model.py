@@ -46,7 +46,8 @@ def test_zero_datum_samples_empty():
 def test_angular_momentum_floor_required():
     with pytest.raises(ValueError, match="F must be positive"):
         InitialDatum(density=lambda r, w, q: 0.0 * r, R0=1.0, P0=1.0,
-                     F=0.0, f_inf_norm=1.0)
+                     F=0.0, f_inf_norm=1.0,
+                     support_box=((0.5, 1.0), (-1.0, 1.0), (0.0, 0.1)))
     with pytest.raises(ValueError, match="q_support lower bound"):
         builtin_datum("shell_polynomial", {"q_support": [0.0, 0.01]})
 

@@ -17,7 +17,8 @@ def make_parts(r, w, q, weight):
 
 def moments(parts, grid):
     """{name: node densities} of the four-moment deposit."""
-    return dict(zip(MOMENTS, deposit(parts.r, moment_payloads(parts), grid)))
+    payloads = moment_payloads(parts, parts.gamma())
+    return dict(zip(MOMENTS, deposit(parts.r, payloads, grid)))
 
 
 def source(parts, grid):
@@ -93,7 +94,7 @@ def test_deposit_cic_split():
 def test_deposit_rejects_out_of_grid():
     grid = ShellGrid(r_max=1.0, n_shells=10)
     parts = make_parts([0.5, 1.2], [0.0, 0.0], [0.01, 0.01], [1.0, 1.0])
-    for payloads in (moment_payloads(parts), (parts.weight,)):
+    for payloads in (moment_payloads(parts, parts.gamma()), (parts.weight,)):
         with pytest.raises(ValueError, match=r"^particle 1 at r=1\.2 outside "
                                              r"shell grid \[0, 1\); enlarge "
                                              r"r_max$"):
@@ -104,7 +105,7 @@ def test_weight_deposit_is_row_0_of_the_moments():
     grid = ShellGrid(r_max=2.0, n_shells=128)
     for parts in (sample_particles(builtin_datum("shell_polynomial"), 8),
                   make_parts([], [], [], [])):
-        full = deposit(parts.r, moment_payloads(parts), grid)
+        full = deposit(parts.r, moment_payloads(parts, parts.gamma()), grid)
         src = deposit(parts.r, (parts.weight,), grid)
         assert full.shape == (4, 129) and src.shape == (1, 129)
         assert np.array_equal(src[0], full[0])
