@@ -16,6 +16,7 @@ a check fails, 2 on a bad argument or input file, 3 if a run aborts.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 
@@ -49,11 +50,11 @@ def cmd_run(args) -> int:
         return 2
     try:
         cfg = parse_config(args.config)
+        if args.output:
+            cfg = dataclasses.replace(cfg, output_directory=args.output)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    if args.output:
-        cfg.output_directory = args.output
     try:
         history = cone_evolver.run(cfg)
     except cone_evolver.RunAborted as exc:

@@ -31,21 +31,24 @@ from functools import cached_property
 
 import numpy as np
 
-from .phase_model import (InitialDatum, ParticleSet, builtin_datum,
-                          sample_particles, check_measure_positivity)
+from .phase_model import (ParticleSet, sample_particles,
+                          check_measure_positivity)
 from .radial_field import (MOMENTS, ShellGrid, deposit, moment_payloads,
                            cumulative_source, solve_field, node_field,
                            eval_field, radial_integral)
 from .characteristics import integrate_reduced
-from .config import RunConfig, auto_r_max, time_steps
+# auto_r_max and default_probe_radii are read here by perfbench's set-up
+from .config import RunConfig, auto_r_max, default_probe_radii  # noqa: F401
 
 # particle and step counts from which run pushes half of the particles in
-# a forked worker: on 2 CPUs it took 1.06 and 0.93 times the serial time at
-# 6,859 and 8,000 particles (100-step desk-datum runs), and 1.00-1.07 and
-# 0.88-0.96 times at 4 and 8 steps (32^3 desk-datum runs), as the fork and
-# reap cost a few ms
-PUSH_WORKER_MIN = 8192
-PUSH_WORKER_MIN_STEPS = 8
+# a forked worker.  Median worker/serial time ratios on 2 CPUs (desk datum,
+# 512 shells, dv 0.005, alternating fresh-process pairs): 0.72-0.94 from
+# 13,824 particles and 10 steps on; 1.03-1.08 at 5 steps and 13,824 or
+# 19,683 particles; 1.04-1.20 at 10 steps and 9,261-12,167 particles.  The
+# fork, the reap and two syncs a step cost more than a short or small push
+# saves.
+PUSH_WORKER_MIN = 13000
+PUSH_WORKER_MIN_STEPS = 10
 
 
 @dataclass
@@ -70,6 +73,7 @@ class SliceHistory:
     R_slice_max: np.ndarray
     R_min_run: np.ndarray
     probe_radii: np.ndarray    # spheres of the probe fluxes
+    particles_final: ParticleSet
     # metadata
     R0: float = 0.0
     F: float = 1.0
@@ -79,9 +83,8 @@ class SliceHistory:
     # w is non-decreasing while E.k >= 0)
     r_turn_violations: int = 0
     min_dw: float = 0.0
-    # particle snapshots (in-memory only)
+    # the sampled particles (in-memory only)
     particles_initial: ParticleSet | None = None
-    particles_final: ParticleSet | None = None
 
     @property
     def v_final(self) -> float:
@@ -293,31 +296,12 @@ def _naming_step(n: int, v: float):
         raise RunAborted(f"step {n} (v={v:g}): {exc}") from exc
 
 
-def default_probe_radii(datum: InitialDatum, grid: ShellGrid) -> np.ndarray:
-    """Probes inside, at the edge of and far beyond the initial support,
-    snapped to grid nodes."""
-    if datum.R0 > 0.0:
-        raw = [datum.R0, 2.0 * datum.R0, 0.9 * grid.r_max]
-    else:
-        raw = [0.25 * grid.r_max, 0.5 * grid.r_max, 0.9 * grid.r_max]
-    snapped = sorted({min(round(r / grid.dr), grid.n_shells) * grid.dr
-                      for r in raw})
-    return np.array(snapped)
-
-
 def run(config: RunConfig) -> SliceHistory:
-    """Execute the advanced-time loop from v = 0 to v_final."""
-    datum = builtin_datum(config.datum_name, config.datum_params)
+    """Execute the advanced-time loop from v = 0 to v_final, on the datum,
+    grid, steps and probes that the config resolves."""
+    datum, grid = config.datum, config.grid
+    n_steps, dv = config.steps
     parts0 = sample_particles(datum, config.resolution)
-
-    r_max = (auto_r_max(datum, config.v_final, config.margin)
-             if config.r_max is None else config.r_max)
-    grid = ShellGrid(r_max=r_max, n_shells=config.n_shells)
-    n_steps, dv = time_steps(config.v_final, config.dv, datum.R0)
-
-    probes = (np.array(config.probe_radii, dtype=float)
-              if config.probe_radii is not None
-              else default_probe_radii(datum, grid))
 
     n_slices = n_steps + 1
     moments = np.zeros((len(MOMENTS), n_slices, grid.n_shells + 1))
@@ -368,7 +352,7 @@ def run(config: RunConfig) -> SliceHistory:
 
     return SliceHistory(
         grid=grid, vs=vs, **dict(zip(MOMENTS, moments)), **series,
-        probe_radii=probes,
+        probe_radii=config.probes,
         R0=datum.R0, F=datum.F, f_inf_norm=datum.f_inf_norm, dv=dv,
         r_turn_violations=r_turn_violations, min_dw=min_dw,
         particles_initial=parts0, particles_final=parts,

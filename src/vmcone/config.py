@@ -1,4 +1,4 @@
-"""Run configuration: schema, defaults, fail-closed parsing.
+"""Run configuration: schema, defaults, fail-closed checks, run inputs.
 
 The configuration file is JSON with seven sections (datum, sampling, grid,
 time, solver, output, diagnostics).  Unknown keys anywhere are errors: a
@@ -16,7 +16,10 @@ from dataclasses import dataclass, field, fields
 from decimal import Decimal
 from functools import partial
 
-from .phase_model import builtin_datum
+import numpy as np
+
+from .phase_model import InitialDatum, builtin_datum
+from .radial_field import ShellGrid
 
 # dv default is 0.01 * R0 (resolves the outward characteristic speed <= 1/2)
 DV_R0_FRACTION = 0.01
@@ -51,6 +54,13 @@ def _same(value):
     return value
 
 
+def _instance(kind, value):
+    """value as it is, if it is a kind (never coerced to one)."""
+    if not isinstance(value, kind):
+        raise TypeError(f"expected a {kind.__name__}, got {value!r}")
+    return value
+
+
 def _optional(parse):
     return lambda value: None if value is None else parse(value)
 
@@ -67,13 +77,16 @@ def auto_r_max(datum, v_final: float, margin: float) -> float:
     return datum.R0 + 0.5 * v_final + max(margin, 0.05)
 
 
-def time_steps(v_final: float, dv: float | None, R0: float):
-    """(n_steps, dv) of a run from v = 0 to v_final: dv defaults to
-    DV_R0_FRACTION * R0, and is then v_final / n_steps for the nearest
-    whole number of steps."""
-    dv = DV_R0_FRACTION * (R0 if R0 > 0 else 1.0) if dv is None else dv
-    n_steps = 0 if v_final == 0.0 else max(1, round(v_final / dv))
-    return n_steps, (v_final / n_steps if n_steps else dv)
+def default_probe_radii(datum: InitialDatum, grid: ShellGrid) -> np.ndarray:
+    """Probes inside, at the edge of and far beyond the initial support,
+    snapped to grid nodes."""
+    if datum.R0 > 0.0:
+        raw = [datum.R0, 2.0 * datum.R0, 0.9 * grid.r_max]
+    else:
+        raw = [0.25 * grid.r_max, 0.5 * grid.r_max, 0.9 * grid.r_max]
+    snapped = sorted({min(round(r / grid.dr), grid.n_shells) * grid.dr
+                      for r in raw})
+    return np.array(snapped)
 
 
 def physical_memory() -> int:
@@ -101,10 +114,14 @@ def _entry(path, parse, default=None, dump=_same, factory=None):
 @dataclass
 class RunConfig:
     """Run configuration; each field names its JSON section and key, so the
-    file schema, the parser and to_dict all derive from this class."""
+    file schema, the parser and to_dict all derive from this class.  A
+    RunConfig however built parses and checks every value, and its
+    properties resolve the run's inputs from the fields at each read."""
 
-    datum_name: str = _entry("datum.name", str, "shell_polynomial")
-    datum_params: dict = _entry("datum.params", dict, factory=dict)
+    datum_name: str = _entry("datum.name", partial(_instance, str),
+                             "shell_polynomial")
+    datum_params: dict = _entry("datum.params", partial(_instance, dict),
+                                factory=dict)
     resolution: tuple = _entry("sampling.resolution", _as_resolution,
                                (32, 32, 32), dump=list)
     n_shells: int = _entry("grid.n_shells", _whole, 512)
@@ -113,12 +130,27 @@ class RunConfig:
     dv: float | None = _entry("time.dv", _optional(_number))
     v_final: float = _entry("time.v_final", _number, 5.0)
     r_floor: float = _entry("solver.r_floor", _number, 1e-10)
-    output_directory: str | None = _entry("output.directory", _same)
+    output_directory: str | None = _entry(
+        "output.directory", _optional(partial(_instance, str)))
     probe_radii: tuple | None = _entry("diagnostics.probe_radii",
                                        _optional(_float_tuple),
                                        dump=_optional(list))
 
     def __post_init__(self):
+        for f in fields(self):
+            key = f.metadata["key"]
+            try:
+                value = f.metadata["parse"](getattr(self, f.name))
+            except ConfigError:
+                raise
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ConfigError(f"malformed configuration value for "
+                                  f"{key}: {exc}") from exc
+            numbers = value if isinstance(value, tuple) else (value,)
+            if not all(math.isfinite(x) for x in numbers
+                       if isinstance(x, float)):
+                raise ConfigError(f"{key} must be finite")
+            setattr(self, f.name, value)
         if self.v_final < 0.0:
             raise ConfigError("time.v_final must be >= 0")
         if self.dv is not None and self.dv <= 0.0:
@@ -126,12 +158,12 @@ class RunConfig:
         if self.n_shells < 2:
             raise ConfigError("grid.n_shells must be >= 2")
         try:
-            datum = builtin_datum(self.datum_name, self.datum_params)
+            datum = self.datum
         except (TypeError, ValueError, LookupError,
                 ArithmeticError) as exc:   # overflow in its support bounds
             raise ConfigError(f"invalid datum.name/datum.params: {exc}") from exc
         try:
-            n_steps = time_steps(self.v_final, self.dv, datum.R0)[0]
+            n_steps = self.steps[0]
         except OverflowError:   # v_final / dv overflows a float
             n_steps = int(sys.float_info.max)
         # the arrays of doubles whose size the configuration sets
@@ -148,14 +180,42 @@ class RunConfig:
         if self.r_max is not None and self.r_max < reach:
             raise ConfigError(f"grid.r_max {self.r_max:g} is below the reach "
                               f"of the matter, R0 + v_final/2 = {reach:g}")
-        r_max = (auto_r_max(datum, self.v_final, self.margin)
-                 if self.r_max is None else self.r_max)
-        probes = self.probe_radii
+        r_max, probes = self.grid.r_max, self.probe_radii
         if probes is not None and not (
                 len(probes) and all(0.0 <= r <= r_max for r in probes)):
             raise ConfigError(f"diagnostics.probe_radii {list(probes)} must "
                               f"be one or more radii in the shell grid "
                               f"[0, {r_max:g}]")
+
+    @property
+    def datum(self) -> InitialDatum:
+        """The built-in datum of datum.name and datum.params."""
+        return builtin_datum(self.datum_name, self.datum_params)
+
+    @property
+    def steps(self) -> tuple:
+        """(n_steps, dv) from v = 0 to v_final: dv defaults to
+        DV_R0_FRACTION * R0, then is v_final / n_steps for the nearest
+        whole number of steps."""
+        R0, dv = self.datum.R0, self.dv
+        if dv is None:
+            dv = DV_R0_FRACTION * (R0 if R0 > 0 else 1.0)
+        n_steps = 0 if self.v_final == 0.0 else max(1, round(self.v_final / dv))
+        return n_steps, (self.v_final / n_steps if n_steps else dv)
+
+    @property
+    def grid(self) -> ShellGrid:
+        """The shell grid out to r_max, or auto_r_max if r_max is None."""
+        r_max = (auto_r_max(self.datum, self.v_final, self.margin)
+                 if self.r_max is None else self.r_max)
+        return ShellGrid(r_max=r_max, n_shells=self.n_shells)
+
+    @property
+    def probes(self) -> np.ndarray:
+        """probe_radii, or default_probe_radii if it is None."""
+        if self.probe_radii is None:
+            return default_probe_radii(self.datum, self.grid)
+        return np.array(self.probe_radii, dtype=float)
 
     def to_dict(self) -> dict:
         return {section: {key: f.metadata["dump"](getattr(self, f.name))
@@ -187,20 +247,7 @@ def config_from_dict(doc: dict) -> RunConfig:
         bad = set(sub) - set(keys)
         if bad:
             raise ConfigError(f"unknown key(s) in section {section!r}: {sorted(bad)}")
-        for key, value in sub.items():
-            f = keys[key]
-            try:
-                parsed = f.metadata["parse"](value)
-            except ConfigError:
-                raise
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ConfigError(f"malformed configuration value for "
-                                  f"{section}.{key}: {exc}") from exc
-            numbers = parsed if isinstance(parsed, tuple) else (parsed,)
-            if not all(math.isfinite(x) for x in numbers
-                       if isinstance(x, float)):
-                raise ConfigError(f"{section}.{key} must be finite")
-            kwargs[f.name] = parsed
+        kwargs.update((keys[key].name, value) for key, value in sub.items())
     return RunConfig(**kwargs)
 
 

@@ -45,8 +45,7 @@ def emit_history(history: SliceHistory, directory) -> None:
                header=",".join(LAYOUT["series.csv"]))
     for name, obj in (("profiles.npy", history),
                       ("particles.npy", history.particles_final)):
-        if obj is not None:
-            np.save(path(name), np.stack(fields(name, obj), dtype="<f8"))
+        np.save(path(name), np.stack(fields(name, obj), dtype="<f8"))
     meta = {k: attrgetter(f)(history) for k, f in LAYOUT["meta.json"].items()}
     meta["probe_radii"] = [float(r) for r in meta["probe_radii"]]
     emit_report(meta, path("meta.json"))
@@ -115,8 +114,9 @@ def _read_body(fh, shapes):
 
 def _read_npy(directory, name, shape, why=""):
     """{field: row} of layout file ``name``, read without pickle.  Unless it
-    is a C-order little-endian float64 array of ``shape`` (None: any extent;
-    ``why`` names its source) of exactly that size, a ValueError names it."""
+    exists and is a C-order little-endian float64 array of ``shape`` (None:
+    any extent; ``why`` names its source) of exactly that size, a ValueError
+    names it."""
     path = os.path.join(directory, name)
     try:
         with open(path, "rb") as fh:
@@ -131,6 +131,9 @@ def _read_npy(directory, name, shape, why=""):
                 raise ValueError(f"{dtype.str} {got}, fortran_order {fortran},"
                                  f" expected <f8 {shape}, C order{why}")
             [rows] = _read_body(fh, [got])
+    except FileNotFoundError:
+        raise ValueError(f"{path}: missing; re-run `vmcone run` (older "
+                         f"versions wrote CSV files)") from None
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
     return dict(zip(LAYOUT[name].values(), rows))
@@ -140,22 +143,17 @@ def load_history(directory) -> SliceHistory:
     """Reconstruct a SliceHistory from an emitted run directory.  Columns
     are read by header name and other files are not read, so a series.csv
     that also holds derived series (M_wedge, N_wedge, ...) loads the same."""
-    join = lambda name: os.path.join(directory, name)
-    meta, grid = _read_meta(join("meta.json"))
+    meta, grid = _read_meta(os.path.join(directory, "meta.json"))
     fields = {f: meta[key] for key, f in LAYOUT["meta.json"].items()
               if not f.startswith("grid.")}
     fields["probe_radii"] = np.array(meta["probe_radii"])
     series, n = _read_csv(directory, "series.csv")
     fields.update(series)
-    if not os.path.exists(join("profiles.npy")):
-        raise ValueError(f"{join('profiles.npy')}: missing; re-run `vmcone "
-                         f"run` (older versions wrote profiles.csv)")
     fields.update(_read_npy(directory, "profiles.npy",
                             (len(MOMENTS), n, grid.n_shells + 1),
                             f" ({n} rows in series.csv, meta.json n_shells)"))
-    if os.path.exists(join("particles.npy")):
-        fields["particles_final"] = ParticleSet(
-            **_read_npy(directory, "particles.npy", (5, None)))
+    fields["particles_final"] = ParticleSet(
+        **_read_npy(directory, "particles.npy", (5, None)))
     return SliceHistory(grid=grid, **fields)
 
 

@@ -54,6 +54,13 @@ def test_config_fail_closed(tmp_path):
         config_from_dict({"solver": {"field_off": True}})
     with pytest.raises(ConfigError, match=r"unknown key.*'picard_iters'"):
         config_from_dict({"solver": {"picard_iters": 2}})
+    # a name or directory that is not a string, and params that are not an
+    # object, are refused, never coerced
+    for section, key, value in (("datum", "name", 5),
+                                ("datum", "params", [["amplitude", 5.0]]),
+                                ("output", "directory", 5)):
+        with pytest.raises(ConfigError, match=rf"{section}\.{key}: "):
+            config_from_dict({section: {key: value}})
     for solver in ({"picard_iters": 2}, {"scheme": "rk4"}):
         cfg_path = write_config(tmp_path / "solver.json", solver=solver)
         assert main(["run", "--config", cfg_path]) == 2, solver
@@ -217,7 +224,7 @@ def test_cli_run_refuses_arrays_larger_than_memory(tmp_path, capsys,
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from vmcone import auto_r_max, builtin_datum
+from vmcone import auto_r_max, builtin_datum, default_probe_radii
 from vmcone.config import _sections
 
 _JSON = st.recursive(
@@ -266,22 +273,71 @@ def _config_docs(draw):
     return doc
 
 
+def _direct(doc):
+    """RunConfig called with the keys of a document of the file's shape, or
+    None for a document of another shape."""
+    sections = _sections()
+    if not (isinstance(doc, dict) and set(doc) <= set(sections)
+            and all(isinstance(sub, dict) and set(sub) <= set(sections[s])
+                    for s, sub in doc.items())):
+        return None
+    return lambda: RunConfig(**{sections[s][k].name: v
+                                for s, sub in doc.items()
+                                for k, v in sub.items()})
+
+
 @given(doc=_config_docs())
 @settings(max_examples=500, deadline=None)
 def test_config_from_dict_fuzz(doc):
     # any document either parses or raises a ConfigError; a parsed one has
-    # particle counts the sampler takes and probes inside its shell grid
+    # particle counts the sampler takes and probes inside its shell grid.
+    # RunConfig called with the same keys gives the same config or the
+    # same refusal
+    direct = _direct(doc)
     try:
         cfg = config_from_dict(doc)
     except ConfigError:
+        if direct is not None:
+            with pytest.raises(ConfigError):
+                direct()
         return
+    assert direct() == cfg
     assert all(type(n) is int and n >= 2 for n in cfg.resolution)
     if cfg.probe_radii is not None:
-        datum = builtin_datum(cfg.datum_name, cfg.datum_params)
-        r_max = cfg.r_max or auto_r_max(datum, cfg.v_final, cfg.margin)
         assert cfg.probe_radii
-        assert all(0.0 <= r <= r_max for r in cfg.probe_radii)
+        assert all(0.0 <= r <= cfg.grid.r_max for r in cfg.probe_radii)
+        assert list(cfg.probes) == list(cfg.probe_radii)
     assert config_from_dict(cfg.to_dict()) == cfg
+
+
+def test_a_config_built_in_python_is_checked_at_construction():
+    # each value is refused at construction, naming its key, as in a file
+    desk = dict(datum_name="shell_polynomial",
+                datum_params=dict(DESK_DATUM_PARAMS), resolution=(4, 4, 4),
+                n_shells=32, dv=0.01, v_final=0.05)
+    for key, over in (("grid.n_shells", {"n_shells": 300.9}),
+                      ("sampling.resolution", {"resolution": (4, 4)}),
+                      ("sampling.resolution", {"resolution": (1, 1, 1)}),
+                      ("grid.margin", {"margin": np.nan}),
+                      ("grid.r_max", {"r_max": np.inf}),
+                      ("time.dv", {"dv": np.inf}),
+                      ("solver.r_floor", {"r_floor": np.nan}),
+                      ("time.v_final", {"v_final": "2.5"}),
+                      ("time.v_final", {"v_final": np.nan}),
+                      ("datum.name", {"datum_name": 5}),
+                      ("datum.params", {"datum_params": [["amplitude", 5.0]]}),
+                      ("output.directory", {"output_directory": 5})):
+        with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
+            RunConfig(**dict(desk, **over))
+    # the resolved inputs of the run
+    cfg = RunConfig(**desk)
+    support = lambda d: (d.R0, d.P0, d.F, d.f_inf_norm, d.support_box)
+    assert support(cfg.datum) == support(
+        builtin_datum("shell_polynomial", DESK_DATUM_PARAMS))
+    assert cfg.steps == (5, 0.01)
+    assert cfg.grid.r_max == auto_r_max(cfg.datum, 0.05, 0.25)
+    assert cfg.grid.n_shells == 32
+    assert list(cfg.probes) == list(default_probe_radii(cfg.datum, cfg.grid))
 
 
 @given(n_shells=st.integers(2, 4096),
@@ -369,6 +425,11 @@ def test_load_history_names_a_malformed_file(tmp_path, small_history):
                 (body.replace(b"'<f8'", b"'a'  ", 1), "bad .npy header")):
             refused(path, bad, match)
         path.write_bytes(body)
+    # a missing particles.npy is named, never loaded as no particles
+    parts.unlink()
+    with pytest.raises(ValueError, match=r"particles\.npy: missing"):
+        load_history(str(d))
+    parts.write_bytes(good[parts])
     # a shape that disagrees with meta.json n_shells, and a slice count
     # that disagrees with series.csv
     for bad in (arrays[prof][:, :, :-1], arrays[prof][:, :-1]):
