@@ -62,8 +62,6 @@ def cmd_run(args) -> int:
         return 3
     if cfg.output_directory:
         io_utils.emit_history(history, cfg.output_directory)
-        io_utils.emit_report(cfg.to_dict(),
-                             f"{cfg.output_directory}/config_echo.json")
         print(f"run artifacts written to {cfg.output_directory}")
     print(f"steps: {len(history.vs) - 1}, dv: {history.dv:g}, "
           f"particles: {len(history.particles_final)}")
@@ -95,18 +93,23 @@ def _audit_grid(args):
     history = io_utils.load_history(args.from_history)
     extent = (history.grid.r_max / 2.0 if args.extent is None
               else args.extent)
-    # two grid spacings, or a tenth of the cube; a node count below 2 is
-    # left for GriddedFieldSet to name
-    r_cut = (max(4.0 * extent / max(args.nodes - 1, 1), 0.1 * extent)
+    # two grid spacings, or a tenth of the cube
+    r_cut = (max(4.0 * extent / (args.nodes - 1), 0.1 * extent)
              if args.r_cut is None else args.r_cut)
     return constraint_audit.embed_symmetric_solution(
         history, args.v, args.nodes, extent, r_cut)
 
 
 def cmd_audit(args) -> int:
-    if bool(args.input) == bool(args.from_history):
-        print("give exactly one of --input or --from-history",
-              file=sys.stderr)
+    bad = [msg for msg, ok in (
+        ("give exactly one of --input or --from-history",
+         bool(args.input) != bool(args.from_history)),
+        ("--tol must be positive and finite",
+         args.tol is None or 0.0 < args.tol < math.inf),
+        ("--nodes must give at least 3 nodes per axis", args.nodes >= 3))
+        if not ok]
+    if bad:
+        print("\n".join(bad), file=sys.stderr)
         return 2
     try:
         grid = _audit_grid(args)

@@ -23,6 +23,7 @@ incoming and outgoing radiation fluxes vanish structurally; see nirc_flux.
 
 from __future__ import annotations
 
+import copy
 import mmap
 import os
 from contextlib import contextmanager, nullcontext, suppress
@@ -53,16 +54,17 @@ PUSH_WORKER_MIN_STEPS = 10
 
 @dataclass
 class SliceHistory:
-    """Per-step radial profiles and scalar series of one run.
+    """Per-step radial profiles and scalar series of one run of config.
 
     Profile arrays have shape (n_slices, n_nodes); series arrays (n_slices,).
     P_wedge is the running momentum-support radius (non-decreasing by
-    construction); R_min_run the running minimum particle radius.  E,
-    N_wedge, M_wedge, flux_j and flux_p are derived from the moment
-    profiles.
+    construction); R_min_run the running minimum particle radius.  The
+    grid, the probe spheres, the datum's constants, dv and the sampled
+    particles are fixed by the config and derived from it; E, N_wedge,
+    M_wedge, flux_j and flux_p are derived from the moment profiles.
     """
 
-    grid: ShellGrid
+    config: RunConfig
     vs: np.ndarray
     g_plus: np.ndarray
     g_minus: np.ndarray
@@ -72,19 +74,22 @@ class SliceHistory:
     P_wedge: np.ndarray
     R_slice_max: np.ndarray
     R_min_run: np.ndarray
-    probe_radii: np.ndarray    # spheres of the probe fluxes
     particles_final: ParticleSet
-    # metadata
-    R0: float = 0.0
-    F: float = 1.0
-    f_inf_norm: float = 0.0
-    dv: float = 0.0
     # flow-monotonicity counters (claim: r has at most one local minimum,
     # w is non-decreasing while E.k >= 0)
-    r_turn_violations: int = 0
-    min_dw: float = 0.0
-    # the sampled particles (in-memory only)
-    particles_initial: ParticleSet | None = None
+    r_turn_violations: int
+    min_dw: float
+
+    # fixed by the config, and derived from it
+    grid = cached_property(lambda self: self.config.grid)
+    probe_radii = cached_property(lambda self: self.config.probes)
+    R0 = property(lambda self: self.config.datum.R0)
+    F = property(lambda self: self.config.datum.F)
+    f_inf_norm = property(lambda self: self.config.datum.f_inf_norm)
+    dv = property(lambda self: self.config.steps[1])
+    particles_initial = cached_property(   # sampled again
+        lambda self: sample_particles(self.config.datum,
+                                      self.config.resolution))
 
     @property
     def v_final(self) -> float:
@@ -298,17 +303,18 @@ def _naming_step(n: int, v: float):
 
 def run(config: RunConfig) -> SliceHistory:
     """Execute the advanced-time loop from v = 0 to v_final, on the datum,
-    grid, steps and probes that the config resolves."""
-    datum, grid = config.datum, config.grid
+    grid and steps that the config resolves; the history holds a copy of
+    the config, which later edits of the caller's config do not reach."""
+    config = copy.deepcopy(config)
+    grid = config.grid
     n_steps, dv = config.steps
-    parts0 = sample_particles(datum, config.resolution)
 
     n_slices = n_steps + 1
     moments = np.zeros((len(MOMENTS), n_slices, grid.n_shells + 1))
     series = {k: np.zeros(n_slices) for k in
               ("P_wedge", "R_slice_max", "R_min_run")}
 
-    parts = parts0
+    parts = sample_particles(config.datum, config.resolution)
     # one |p|^2 and one gamma per slice, shared by every reader
     p_sq = parts.momentum_sq()
     gamma = np.sqrt(1.0 + p_sq)
@@ -351,12 +357,9 @@ def run(config: RunConfig) -> SliceHistory:
             parts = pushed
 
     return SliceHistory(
-        grid=grid, vs=vs, **dict(zip(MOMENTS, moments)), **series,
-        probe_radii=config.probes,
-        R0=datum.R0, F=datum.F, f_inf_norm=datum.f_inf_norm, dv=dv,
-        r_turn_violations=r_turn_violations, min_dw=min_dw,
-        particles_initial=parts0, particles_final=parts,
-    )
+        config=config, vs=vs, **dict(zip(MOMENTS, moments)), **series,
+        particles_final=parts, r_turn_violations=r_turn_violations,
+        min_dw=min_dw)
 
 
 def nirc_flux(history: SliceHistory, v1: float, v2: float, r: float) -> float:

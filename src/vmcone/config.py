@@ -120,8 +120,9 @@ class RunConfig:
 
     datum_name: str = _entry("datum.name", partial(_instance, str),
                              "shell_polynomial")
-    datum_params: dict = _entry("datum.params", partial(_instance, dict),
-                                factory=dict)
+    # as meta.json holds it: json.dumps refuses a value such as a float32
+    datum_params: dict = _entry("datum.params", lambda v: json.loads(
+        json.dumps(_instance(dict, v))), factory=dict)
     resolution: tuple = _entry("sampling.resolution", _as_resolution,
                                (32, 32, 32), dump=list)
     n_shells: int = _entry("grid.n_shells", _whole, 512)

@@ -12,23 +12,22 @@ from operator import attrgetter
 
 import numpy as np
 
-from .radial_field import MOMENTS, ShellGrid
+from .config import config_from_dict
+from .radial_field import MOMENTS
 from .phase_model import ParticleSet
 from .cone_evolver import SliceHistory
 
 # The run-directory layout that emit_history writes and load_history reads:
 # each CSV column, .npy row and meta.json key with the SliceHistory field it
 # holds.  profiles.npy[k, i, j] is moment k of slice i (v in series.csv) at
-# node j (r = j * dr); particles.npy[k] is field k of particles_final.
+# node j (r = j * dr); particles.npy[k] is field k of particles_final;
+# meta.json holds the config as to_dict writes it, with no output directory.
 LAYOUT = {
     "series.csv": {"v": "vs", "P_wedge": "P_wedge", "R_max": "R_slice_max",
                    "R_min": "R_min_run"},
     "profiles.npy": {c: c for c in MOMENTS},
     "particles.npy": {c: c for c in ("r", "w", "q", "weight", "f_value")},
-    "meta.json": {"r_max": "grid.r_max", "n_shells": "grid.n_shells",
-                  **{k: k for k in ("R0", "F", "f_inf_norm", "dv",
-                                    "probe_radii", "r_turn_violations",
-                                    "min_dw")}},
+    "meta.json": {c: c for c in ("config", "r_turn_violations", "min_dw")},
 }
 NPY_HEADERS = {(1, 0): np.lib.format.read_array_header_1_0,
                (2, 0): np.lib.format.read_array_header_2_0}
@@ -46,37 +45,32 @@ def emit_history(history: SliceHistory, directory) -> None:
     for name, obj in (("profiles.npy", history),
                       ("particles.npy", history.particles_final)):
         np.save(path(name), np.stack(fields(name, obj), dtype="<f8"))
-    meta = {k: attrgetter(f)(history) for k, f in LAYOUT["meta.json"].items()}
-    meta["probe_radii"] = [float(r) for r in meta["probe_radii"]]
+    meta = dict(zip(LAYOUT["meta.json"], fields("meta.json")))
+    meta["config"] = meta["config"].to_dict()
+    meta["config"]["output"]["directory"] = None
     emit_report(meta, path("meta.json"))
 
 
 def _read_meta(path):
-    """(meta.json, its ShellGrid).  Unless every LAYOUT key holds a finite
-    number, n_shells and r_turn_violations an int and probe_radii a
-    non-empty list of radii in the grid, a ValueError names the file and
-    the key."""
-    number = lambda x: type(x) in (int, float) and math.isfinite(x)
+    """{SliceHistory field: value} of meta.json, its config built by
+    config_from_dict.  Unless the config is valid, r_turn_violations an int
+    and min_dw a finite number, a ValueError names the file and the key."""
     try:
         with open(path) as fh:
             meta = json.load(fh)
         if not isinstance(meta, dict):
             raise ValueError("not a JSON object")
-        for key in LAYOUT["meta.json"]:
-            value = meta.get(key)
-            ok = (type(value) is list and all(map(number, value))
-                  if key == "probe_radii" else type(value) is int
-                  if key in ("n_shells", "r_turn_violations")
-                  else number(value))
-            if not ok:
+        if "config" not in meta:
+            raise ValueError("no key 'config'; re-run `vmcone run` (older "
+                             "versions wrote no config to meta.json)")
+        for key, ok in (("r_turn_violations", lambda x: type(x) is int),
+                        ("min_dw", lambda x: type(x) in (int, float)
+                         and math.isfinite(x))):
+            if not ok(value := meta.get(key)):
                 raise ValueError(f"{key} is {value!r}" if key in meta
                                  else f"no key {key!r}")
-        grid = ShellGrid(r_max=meta["r_max"], n_shells=meta["n_shells"])
-        probes = meta["probe_radii"]
-        if not (probes and all(map(grid.covers, probes))):
-            raise ValueError(f"probe_radii {probes} are not one or more "
-                             f"radii in the shell grid [0, {grid.r_max:g}]")
-        return meta, grid
+        return {f: config_from_dict(meta[k]) if k == "config" else meta[k]
+                for k, f in LAYOUT["meta.json"].items()}
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
@@ -143,18 +137,16 @@ def load_history(directory) -> SliceHistory:
     """Reconstruct a SliceHistory from an emitted run directory.  Columns
     are read by header name and other files are not read, so a series.csv
     that also holds derived series (M_wedge, N_wedge, ...) loads the same."""
-    meta, grid = _read_meta(os.path.join(directory, "meta.json"))
-    fields = {f: meta[key] for key, f in LAYOUT["meta.json"].items()
-              if not f.startswith("grid.")}
-    fields["probe_radii"] = np.array(meta["probe_radii"])
+    fields = _read_meta(os.path.join(directory, "meta.json"))
     series, n = _read_csv(directory, "series.csv")
     fields.update(series)
     fields.update(_read_npy(directory, "profiles.npy",
-                            (len(MOMENTS), n, grid.n_shells + 1),
-                            f" ({n} rows in series.csv, meta.json n_shells)"))
+                            (len(MOMENTS), n, fields["config"].n_shells + 1),
+                            f" ({n} rows in series.csv, meta.json "
+                            f"grid.n_shells)"))
     fields["particles_final"] = ParticleSet(
         **_read_npy(directory, "particles.npy", (5, None)))
-    return SliceHistory(grid=grid, **fields)
+    return SliceHistory(**fields)
 
 
 def emit_report(report: dict, path) -> None:

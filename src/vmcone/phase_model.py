@@ -168,18 +168,19 @@ def sample_particles(datum: InitialDatum, resolution) -> ParticleSet:
     """Deterministic midpoint tensor-grid sampling of an initial datum.
 
     ``resolution`` is one count applied per coordinate or a (n_r, n_w, n_q)
-    triple; every count must be >= 2.  Each kept particle carries
+    triple; every count must be a whole number >= 2 (3 or 3.0, not 8.9).
+    Each kept particle carries
 
         weight = f * (1 + w / sqrt(1 + w^2 + q/r^2)) * 4 pi^2 dr dw dq,
 
     so that sum(weight) converges to the past-cone mass of the datum.
     Cells whose density is below 1e-14 of the sup norm are pruned.
     """
-    if np.isscalar(resolution):
-        resolution = (int(resolution),) * 3
-    n_r, n_w, n_q = (int(n) for n in resolution)
-    if min(n_r, n_w, n_q) < 2:
-        raise ValueError("resolution must be >= 2 per coordinate")
+    counts = (resolution,) * 3 if np.isscalar(resolution) else resolution
+    if not all(float(n).is_integer() and n >= 2 for n in counts):
+        raise ValueError(f"resolution {resolution!r} must be whole numbers "
+                         ">= 2 per coordinate")
+    n_r, n_w, n_q = map(int, counts)
 
     (r_lo, r_hi), (w_lo, w_hi), (q_lo, q_hi) = datum.support_box
     empty = ParticleSet(*(np.empty(0) for _ in range(5)))

@@ -172,14 +172,13 @@ def diagnose_report(history: SliceHistory) -> dict:
         abs(nirc_flux(history, 0.0, history.v_final,
                       float(history.probe_radii[-1]))), 0.0))
 
-    if history.particles_initial is not None:   # an in-memory run
-        for q_exp in (1.0, 2.0):
-            a = diag.lq_invariant(history.particles_initial, q_exp)
-            b = diag.lq_invariant(history.particles_final, q_exp)
-            checks.append(_check(
-                f"lq_invariant_q{q_exp:g}",
-                f"relative drift of the particle L^{q_exp:g} density invariant",
-                abs(b - a) / max(abs(a), 1e-300), 1e-14))
+    for q_exp in (1.0, 2.0):
+        a = diag.lq_invariant(history.particles_initial, q_exp)
+        b = diag.lq_invariant(history.particles_final, q_exp)
+        checks.append(_check(
+            f"lq_invariant_q{q_exp:g}",
+            f"relative drift of the particle L^{q_exp:g} density invariant",
+            abs(b - a) / max(abs(a), 1e-300), 1e-14))
 
     return _finish(checks, {"skipped": skipped,
                             "momentum_bound_detail": mom})

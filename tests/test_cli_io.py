@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import functools
 import io
 import json
 import os
@@ -326,6 +329,9 @@ def test_a_config_built_in_python_is_checked_at_construction():
                       ("time.v_final", {"v_final": np.nan}),
                       ("datum.name", {"datum_name": 5}),
                       ("datum.params", {"datum_params": [["amplitude", 5.0]]}),
+                      # meta.json could not hold it
+                      ("datum.params", {"datum_params": dict(
+                          DESK_DATUM_PARAMS, amplitude=np.float32(5.0))}),
                       ("output.directory", {"output_directory": 5})):
         with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
             RunConfig(**dict(desk, **over))
@@ -462,31 +468,52 @@ def test_load_history_names_a_malformed_file(tmp_path, small_history):
     series.write_text("".join(rows))
     meta = d / "meta.json"
     doc = json.loads(meta.read_text())
+    # the meta.json of older versions: the grid, the datum constants, dv
+    # and the probes in place of the config
+    older = {"r_max": h.grid.r_max, "n_shells": h.grid.n_shells, "R0": h.R0,
+             "F": h.F, "f_inf_norm": h.f_inf_norm, "dv": h.dv,
+             "probe_radii": list(h.probe_radii), "r_turn_violations": 0,
+             "min_dw": h.min_dw}
     for bad, message in (([], "not a JSON object"),
-                         ({k: v for k, v in doc.items() if k != "dv"},
-                          "no key 'dv'"),
-                         (dict(doc, n_shells=256.0), "n_shells is 256.0"),
-                         (dict(doc, probe_radii=0.5), "probe_radii is 0.5"),
-                         (dict(doc, probe_radii=[]), r"probe_radii \[\] are "
-                                                     "not one or more radii"),
-                         (dict(doc, probe_radii=[-0.1]),
-                          r"probe_radii \[-0\.1\] are not"),
-                         (dict(doc, probe_radii=[0.5, 9.0]),
-                          r"probe_radii \[0\.5, 9\.0\] are not one or more "
-                          r"radii in the shell grid \[0, 2\.35\]"),
-                         (dict(doc, r_max=0.0), "need r_max > 0"),
+                         (older, r"no key 'config'; re-run `vmcone run`"),
+                         ({k: v for k, v in doc.items() if k != "min_dw"},
+                          "no key 'min_dw'"),
                          # json reads NaN and Infinity; a count is an int
-                         (dict(doc, r_max=np.inf), "r_max is inf"),
-                         (dict(doc, f_inf_norm=np.inf), "f_inf_norm is inf"),
-                         (dict(doc, dv=np.nan), "dv is nan"),
                          (dict(doc, min_dw=-np.inf), "min_dw is -inf"),
-                         (dict(doc, probe_radii=[0.5, np.nan]),
-                          r"probe_radii is \[0\.5, nan\]"),
                          (dict(doc, r_turn_violations=1.5),
                           "r_turn_violations is 1.5")):
         meta.write_text(json.dumps(bad))
         with pytest.raises(ValueError, match=r"meta\.json: " + message):
             load_history(str(d))
+    # a fault in the config raises the config's own message, prefixed by
+    # the file
+    for where, value, message in (
+            (("grid", "n_shells"), 256.5, "grid.n_shells: expected a whole"),
+            (("grid", "r_max"), 0.0, "grid.r_max 0 must be positive"),
+            (("grid", "r_max"), np.inf, "grid.r_max must be finite"),
+            (("diagnostics", "probe_radii"), 0.5,
+             "diagnostics.probe_radii: expected a list of numbers"),
+            (("diagnostics", "probe_radii"), [],
+             r"diagnostics.probe_radii \[\] must be one or more radii"),
+            (("diagnostics", "probe_radii"), [-0.1],
+             r"diagnostics.probe_radii \[-0\.1\] must be"),
+            (("diagnostics", "probe_radii"), [0.5, 9.0],
+             r"diagnostics.probe_radii \[0\.5, 9\.0\] must be one or more "
+             r"radii in the shell grid \[0, 2\.35\]"),
+            (("diagnostics", "probe_radii"), [0.5, np.nan],
+             "diagnostics.probe_radii must be finite"),
+            (("time", "dv"), np.nan, "time.dv must be finite"),
+            # the datum's f_inf_norm is its amplitude
+            (("datum", "params", "amplitude"), np.inf,
+             "datum.params: shell profile parameters must be finite")):
+        config = copy.deepcopy(doc["config"])
+        functools.reduce(dict.get, where[:-1], config)[where[-1]] = value
+        with pytest.raises(ConfigError, match=message) as want:
+            config_from_dict(config)
+        meta.write_text(json.dumps(dict(doc, config=config)))
+        with pytest.raises(ValueError) as got:
+            load_history(str(d))
+        assert str(got.value) == f"{meta}: {want.value}"
     meta.write_text("{")
     with pytest.raises(ValueError, match=r"meta\.json: Expecting"):
         load_history(str(d))
@@ -499,12 +526,28 @@ def test_diagnose_report_survives_round_trip(tmp_path, small_history):
     b = diagnose_report(load_history(d))
     names_a = {c["name"]: c for c in a["checks"]}
     names_b = {c["name"]: c for c in b["checks"]}
-    # particle-pair invariants need the in-memory initial set
-    dropped = {n for n in names_a if n.startswith("lq_invariant")}
-    assert set(names_b) == set(names_a) - dropped
+    # the reload derives the initial particles from the config, so the
+    # particle invariants are checked too
+    assert list(names_b) == list(names_a)
     for n, cb in names_b.items():
         assert cb["value"] == pytest.approx(names_a[n]["value"],
                                             rel=1e-12, abs=1e-300)
+
+
+def test_a_reloaded_config_reruns_the_same_directory(tmp_path):
+    # meta.json holds the config that ran, so a run of the reloaded config
+    # writes the same bytes; the output directory is not part of it
+    d, d2 = tmp_path / "a", tmp_path / "b"
+    cfg = small_config(resolution=(6, 6, 6), n_shells=32, dv=0.02,
+                       v_final=0.4, output_directory=str(d))
+    emit_history(run(cfg), str(d))
+    config = load_history(str(d)).config
+    assert config == dataclasses.replace(cfg, output_directory=None)
+    emit_history(run(config), str(d2))
+    files = sorted(os.listdir(d))
+    assert files == sorted(os.listdir(d2))
+    for f in files:
+        assert (d / f).read_bytes() == (d2 / f).read_bytes(), f
 
 
 def test_series_columns(tmp_path, small_history):
@@ -689,7 +732,12 @@ def test_cli_run_and_diagnose(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "steps" in out
     assert os.path.exists(tmp_path / "out" / "series.csv")
-    assert os.path.exists(tmp_path / "out" / "config_echo.json")
+    # meta.json holds the config that ran, without its output directory,
+    # and no other file repeats it
+    meta = json.loads((tmp_path / "out" / "meta.json").read_text())
+    assert config_from_dict(meta["config"]) == dataclasses.replace(
+        parse_config(cfg_path), output_directory=None)
+    assert not os.path.exists(tmp_path / "out" / "config_echo.json")
 
     code = main(["diagnose", "--history", str(tmp_path / "out"),
                  "--report", str(tmp_path / "diag.json")])
@@ -706,9 +754,14 @@ def test_cli_diagnose_fails_closed_on_bad_input(tmp_path, capsys,
     good = tmp_path / "good"
     emit_history(small_history, str(good))
     meta = json.loads((good / "meta.json").read_text())
-    no_dv, inf_r_max = tmp_path / "no_dv", tmp_path / "inf_r_max"
-    for d, doc in ((no_dv, {k: v for k, v in meta.items() if k != "dv"}),
-                   (inf_r_max, dict(meta, r_max=np.inf))):
+    older, nan_dv = tmp_path / "older", tmp_path / "nan_dv"
+    inf_r_max = tmp_path / "inf_r_max"
+    config = meta["config"]
+    for d, doc in ((older, {k: v for k, v in meta.items() if k != "config"}),
+                   (nan_dv, dict(meta, config=dict(
+                       config, time=dict(config["time"], dv=np.nan)))),
+                   (inf_r_max, dict(meta, config=dict(
+                       config, grid=dict(config["grid"], r_max=np.inf))))):
         shutil.copytree(good, d)
         (d / "meta.json").write_text(json.dumps(doc))
     no_h = tmp_path / "no_h"
@@ -716,9 +769,10 @@ def test_cli_diagnose_fails_closed_on_bad_input(tmp_path, capsys,
     prof = no_h / "profiles.npy"
     np.save(prof, np.load(prof, allow_pickle=False)[:3])
     for d, message in ((tmp_path / "missing", "No such file"),
-                       (no_dv, "meta.json: no key 'dv'"),
+                       (older, "meta.json: no key 'config'; re-run "),
+                       (nan_dv, "meta.json: time.dv must be finite"),
                        # an uncaught error deep in the checks if accepted
-                       (inf_r_max, "meta.json: r_max is inf"),
+                       (inf_r_max, "meta.json: grid.r_max must be finite"),
                        (no_h, "profiles.npy: <f8 (3, ")):
         assert main(["diagnose", "--history", str(d),
                      "--report", str(tmp_path / "diag.json")]) == 2
@@ -727,9 +781,9 @@ def test_cli_diagnose_fails_closed_on_bad_input(tmp_path, capsys,
         assert message in captured.err and len(captured.err.splitlines()) == 1
         assert "overall" not in captured.out
         assert not os.path.exists(tmp_path / "diag.json")
-    assert main(["audit-constraints", "--from-history", str(no_dv)]) == 2
+    assert main(["audit-constraints", "--from-history", str(nan_dv)]) == 2
     captured = capsys.readouterr()
-    assert "meta.json: no key 'dv'" in captured.err
+    assert "meta.json: time.dv must be finite" in captured.err
     assert "overall" not in captured.out
 
 
@@ -865,7 +919,8 @@ def test_cli_audit_from_history(tmp_path, capsys):
     assert report["scope"] == ("checks the embedding and the stencils, "
                                "not the run")
     capsys.readouterr()
-    # a grid that checks no node, too few nodes, a slice outside the
+    # a grid that checks no node, too few nodes, a tolerance that is not
+    # positive and finite (inf certifies any data), a slice outside the
     # history and a cube past the shell grid are input errors, never a PASS
     for extra, message in ((["--r-cut", "100"], "no node would be checked"),
                            (["--nodes", "2"], "at least 3 nodes"),
@@ -874,6 +929,9 @@ def test_cli_audit_from_history(tmp_path, capsys):
                             "for the 100000^3 input grid of E, B, rho and j, "
                             "more than the "),
                            (["--extent", "0"], "extent must be positive"),
+                           (["--nodes", "-3"], "--nodes must give at least 3"),
+                           *((["--tol", tol], "--tol must be positive and "
+                              "finite") for tol in ("inf", "nan", "-1", "0")),
                            (["--r-cut", "0"], "at least 2 grid spacings"),
                            (["--v", "50"], "outside recorded history"),
                            (["--v", "nan"], "outside recorded history"),
@@ -884,6 +942,12 @@ def test_cli_audit_from_history(tmp_path, capsys):
         assert code == 2, extra
         assert message in captured.err, extra
         assert "overall" not in captured.out, extra
+    # the flags are checked before any input is read
+    assert main(["audit-constraints", "--from-history", str(tmp_path / "none"),
+                 "--nodes", "0", "--tol", "inf"]) == 2
+    assert capsys.readouterr().err == ("--tol must be positive and finite\n"
+                                       "--nodes must give at least 3 nodes "
+                                       "per axis\n")
 
 
 def test_cli_audit_refuses_a_history_too_coarse_for_the_fit(tmp_path,

@@ -100,8 +100,8 @@ def test_batched_probe_flux_equals_per_slice_interp(small_history):
     noise = {k: rng.uniform(-1.0, 1.0, h.g_plus.shape)
              for k in ("g_plus", "g_minus", "h_plus", "h_minus")}
     noise["g_plus"][:, 101] = np.inf
-    for g in (dataclasses.replace(h, probe_radii=probes),
-              dataclasses.replace(h, probe_radii=probes, **noise)):
+    for g in (dataclasses.replace(h), dataclasses.replace(h, **noise)):
+        g.probe_radii = probes   # no config sets a probe past r_max
         with np.errstate(invalid="ignore"):   # the unused inf * 0 branch
             fluxes = g.flux_j, g.flux_p
         for flux, plus, minus in ((fluxes[0], g.g_plus, g.g_minus),
@@ -109,6 +109,20 @@ def test_batched_probe_flux_equals_per_slice_interp(small_history):
             at = np.array([np.interp(probes, edges, p - m)
                            for p, m in zip(plus, minus)])
             assert np.array_equal(flux, 4.0 * np.pi * probes**2 * (0.5 * at))
+
+
+def test_a_history_keeps_the_config_it_ran():
+    # an edit of the caller's config after the run reaches none of the
+    # values the history derives from its own copy
+    args = dict(resolution=(4, 4, 4), n_shells=32, v_final=0.05)
+    cfg, want = small_config(**args), small_config(**args)
+    h = run(cfg)
+    cfg.n_shells, cfg.dv, cfg.probe_radii = 64, 0.02, (0.1,)
+    cfg.datum_params["r_support"] = [0.2, 0.7]
+    assert h.config == want and h.config is not cfg
+    assert h.grid == want.grid and h.dv == want.steps[1]
+    assert np.array_equal(h.probe_radii, want.probes)
+    assert h.R0 == want.datum.R0
 
 
 def test_profile_at_reads_the_one_slice_of_a_single_slice_history(

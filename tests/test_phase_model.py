@@ -108,6 +108,13 @@ def test_resolution_validation():
         sample_particles(d, 1)
     with pytest.raises(ValueError):
         sample_particles(d, (8, 8, 1))
+    # a count the sampler would truncate is refused, naming it; a whole
+    # float is a count
+    for bad in (8.9, (8, 8, 8.9)):
+        with pytest.raises(ValueError, match=r"resolution .*8\.9"):
+            sample_particles(d, bad)
+    assert np.array_equal(sample_particles(d, (3.0, 3, 3.0)).weight,
+                          sample_particles(d, 3).weight)
 
 
 def test_weights_positive_and_pruned():
