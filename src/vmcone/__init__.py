@@ -16,8 +16,8 @@ from .radial_field import (ShellGrid, MOMENTS, moment_payloads, deposit,
                            cumulative_source, solve_field, node_field,
                            eval_field, radial_integral)
 from .config import RunConfig, ConfigError, config_from_dict, parse_config
-from .cone_evolver import (SliceHistory, RunAborted, run, step, auto_r_max,
-                           default_probe_radii, nirc_flux)
+from .cone_evolver import (SliceHistory, ParticleState, RunAborted, run,
+                           step, auto_r_max, default_probe_radii, nirc_flux)
 from . import cone_diagnostics
 from .constraint_audit import (GriddedFieldSet, grid_from_functions, audit,
                                check_equivalence, embed_symmetric_solution,

@@ -8,14 +8,17 @@ characteristics with RK4 in the field of the start of the step, and one
 Picard correction re-deposits the field source at the predicted endpoint
 and re-pushes in the averaged field, giving second-order coupling.
 
-A push holds its field frozen, so each particle's push is independent of
-the others.  A run of at least PUSH_WORKER_MIN particles and
-PUSH_WORKER_MIN_STEPS steps, in a process whose CPU affinity mask holds at
-least two CPUs and on a platform with fork, therefore forks one worker
-process that pushes the upper half of the particles while the run pushes
-the lower half; everything else, the deposits included, stays in the
-run's process.  Every push operation is elementwise, so the result is bit
-for bit the serial push.  Elsewhere the serial push runs.
+Every per-particle stage of a step is elementwise, and np.add.at
+accumulates each moment row on its own, in particle order.  A run of at
+least PUSH_WORKER_MIN particles and PUSH_WORKER_MIN_STEPS steps, in a
+process whose CPU affinity mask holds at least two CPUs and on a platform
+with fork, therefore forks one worker process (see ParticleState): at each
+slice the worker accumulates h_plus and h_minus while the run accumulates
+g_plus and g_minus and solves the field, and at each push the run takes
+the lower half of the particles and the worker the upper half, with every
+per-particle product of the slice the push reaches.  The halves give the
+bits of one call and their extremes and counts combine exactly, so the
+result is bit for bit the serial run's.
 
 The magnetic field is identically zero in spherical symmetry, so the
 incoming and outgoing radiation fluxes vanish structurally; see nirc_flux.
@@ -24,9 +27,10 @@ incoming and outgoing radiation fluxes vanish structurally; see nirc_flux.
 from __future__ import annotations
 
 import copy
+import math
 import mmap
 import os
-from contextlib import contextmanager, nullcontext, suppress
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -34,21 +38,22 @@ import numpy as np
 
 from .phase_model import (ParticleSet, sample_particles,
                           check_measure_positivity)
-from .radial_field import (MOMENTS, ShellGrid, deposit, moment_payloads,
-                           cumulative_source, solve_field, node_field,
-                           eval_field, radial_integral)
+from .radial_field import (MOMENTS, ShellGrid, cic_cells, deposit,
+                           moment_payloads, cumulative_source, solve_field,
+                           node_field, eval_field, radial_integral)
 from .characteristics import integrate_reduced
 # auto_r_max and default_probe_radii are read here by perfbench's set-up
 from .config import RunConfig, auto_r_max, default_probe_radii  # noqa: F401
 
-# particle and step counts from which run pushes half of the particles in
-# a forked worker.  Median worker/serial time ratios on 2 CPUs (desk datum,
-# 512 shells, dv 0.005, alternating fresh-process pairs): 0.72-0.94 from
-# 13,824 particles and 10 steps on; 1.03-1.08 at 5 steps and 13,824 or
-# 19,683 particles; 1.04-1.20 at 10 steps and 9,261-12,167 particles.  The
-# fork, the reap and two syncs a step cost more than a short or small push
-# saves.
-PUSH_WORKER_MIN = 13000
+# particle and step counts from which run forks a worker that runs half of
+# every per-particle stage.  Median worker/serial time ratios on 2 CPUs
+# (desk datum, 512 shells, dv 0.005, 10 alternating fresh-process pairs):
+# 0.82 and 0.72 at 10,648 particles and 10 or 50 steps, 0.84 and 0.73 at
+# 13,824, every pair won; at 10 steps 0.89 with 9,261 particles and 0.95
+# with 8,000, 8 of 10 won; at 5 steps 0.95 with 13,824 particles (8 of 10
+# won) and 1.20-1.70 with fewer.  The fork, the reap and two syncs a step
+# cost more than a short or small run saves.
+PUSH_WORKER_MIN = 10000
 PUSH_WORKER_MIN_STEPS = 10
 
 
@@ -161,39 +166,59 @@ class SliceHistory:
         return (1.0 - theta) * arr[rows, cols] + theta * arr[rows + 1, cols]
 
 
-def _push(r, w, q, I, grid, dv, r_floor):
-    """(r, w) after one step of the particles (r, w, q) over [0, dv] in the
-    field of the cumulative source I, frozen over the step."""
-    return integrate_reduced(r, w, q, lambda v, r: eval_field(grid, I, r),
-                             0.0, dv, dv, r_floor=r_floor)
+class ParticleState:
+    """The particles of a run, and the worker process that runs the upper
+    half of them when fork is true.
 
+    A phase is a function phase(state, sl) of the particles in the slice
+    sl.  each(phase) runs a per-particle phase in one call, or on the lower
+    half here while the worker runs the upper half; start(phase) begins a
+    phase that the worker runs alone, over all particles, and wait()
+    collects it.  One anonymous shared mmap holds what crosses between the
+    processes: two (r, w) buffers, the cells of the slice and of the
+    predictor, three payload rows, the field of a push, the h rows, each
+    process's partial reductions and the index of the current buffer.
+    Each process keeps the turned_out flags of its own half.  A phase
+    writes the spare buffer and its products, never its own input, so a
+    failure in either half is met again by one call over all particles,
+    which raises the serial run's exception.
 
-class _PushWorker:
-    """A forked process that pushes the upper half of the particles while
-    the calling process pushes the lower half, in one grid, dv and r_floor.
-
-    The worker's r, w and q, the field source I and its output (r, w) live
-    in one anonymous shared mmap made before the fork, so no array is
-    pickled: a push is one command byte down a pipe and one status byte
-    back.  The worker exits at EOF of the command pipe, or quietly on
-    SIGINT; leaving the with block closes the pipe and reaps it.  The fork
-    is safe because the worker runs only numpy's elementwise loops and
-    np.interp, never a BLAS call, whose threads it does not inherit.
-
-    The split is valid only while the field is frozen over a push.  A push
-    that recomputes the field from all particles at every stage, such as a
-    shell-sum push with a global sort, cannot be cut in two this way: the
-    worker must then be measured again, and deleted if it no longer pays.
+    A phase is one command byte down a pipe and one status byte back; the
+    worker exits at EOF of the command pipe, or quietly on SIGINT, and
+    leaving the with block closes the pipe and reaps it.  The fork is safe
+    because the worker runs only numpy's elementwise loops, np.add.at and
+    np.interp, never a BLAS call, whose threads it does not inherit.  The
+    split holds only while the field is frozen over a push: a shell-sum
+    push, which recomputes the field from all particles at every stage,
+    cannot be cut in two this way, and the worker must then be measured
+    again, and deleted if it no longer pays.
     """
 
-    def __init__(self, q, grid, dv, r_floor):
-        self.split = len(q) // 2
-        n, n_nodes = len(q) - self.split, grid.n_shells + 1
-        shared = np.frombuffer(mmap.mmap(-1, 8 * (5 * n + n_nodes)))
-        self.state = shared[:5 * n].reshape(5, n)   # r, w, q in; r, w out
-        self.state[2] = q[self.split:]
-        self.I = shared[5 * n:]
-        self.args = (grid, dv, r_floor)
+    def __init__(self, parts: ParticleSet, grid: ShellGrid, dv: float,
+                 r_floor: float = 1e-10, fork: bool = False):
+        n, m = len(parts), grid.n_shells + 1
+        self.q, self.weight, self.f_value = (parts.q, parts.weight,
+                                             parts.f_value)
+        self.grid, self.dv, self.r_floor = grid, dv, r_floor
+        self.turned_out = np.zeros(n, dtype=bool)
+        layout = {"rw": (2, 2, n), "j": (2, n), "frac": (2, n),
+                  "payloads": (3, n), "h": (2, m), "field": (m,),
+                  "reduced": (2, 5), "slot": (1,)}
+        block = mmap.mmap(-1, 8 * sum(map(math.prod, layout.values())))
+        offset = 0
+        for name, shape in layout.items():
+            dtype = np.int64 if name in ("j", "slot") else np.float64
+            setattr(self, name, np.frombuffer(block, dtype, math.prod(shape),
+                                              offset).reshape(shape))
+            offset += 8 * math.prod(shape)
+        self.rw[0] = parts.r, parts.w
+        # per process: max |p|^2, min r and max r of the slice, and the turn
+        # violations and min dw of the step to it; row 1 is the worker's
+        self.reduced[:] = (0.0, np.inf, 0.0, 0, 0.0)
+        self.row, self.own, self.pending = 0, slice(None), []
+        self.pid = self.command = self.reply = None
+        if not fork:
+            return
         command, self.command = os.pipe()
         self.reply, reply = os.pipe()
         try:
@@ -203,87 +228,172 @@ class _PushWorker:
                 os.close(fd)
             raise
         if self.pid == 0:
-            self._serve(command, reply)
+            self._serve(command, reply, slice(n // 2, None))
         os.close(command)
         os.close(reply)
+        self.own = slice(0, n // 2)
 
-    def _serve(self, command, reply):
-        """The worker: push its half at each command byte, reply with a
-        zero byte if the push succeeded and a one byte if it raised, and
-        exit at EOF."""
+    def _serve(self, command, reply, own):
+        """The worker: run each phase sent on its half, own, reply with a
+        zero byte if it succeeded and a one byte if it raised, and exit at
+        EOF."""
         try:
             os.close(self.command)
             os.close(self.reply)
-            r, w, q, r_out, w_out = self.state
-            while os.read(command, 1):
+            self.row = 1
+            while code := os.read(command, 1):
                 try:
-                    r_out[:], w_out[:] = _push(r, w, q, self.I, *self.args)
-                except Exception:   # the run pushes again and raises it
+                    _PHASES[code[0]](self, own)
+                except Exception:   # the run meets it again and raises it
                     os.write(reply, b"\1")
                 else:
                     os.write(reply, b"\0")
         finally:   # EOF, SIGINT or a broken reply pipe: never return
             os._exit(0)
 
-    def push(self, r, w, q, I):
-        """(r, w) after the push of all particles in the field of I, bit for
-        bit the serial push; an abort in either half raises the serial
-        push's exception, and a dead worker a RuntimeError."""
-        h = self.split
-        self.state[0] = r[h:]
-        self.state[1] = w[h:]
-        self.I[:] = I
-        with suppress(BrokenPipeError):   # a dead worker: the reply says so
-            os.write(self.command, b"p")
+    def _send(self, phase):
+        self.pending.append(phase)
+        with suppress(BrokenPipeError):   # a dead worker: wait says so
+            os.write(self.command, bytes([_PHASES.index(phase)]))
+
+    def _redo(self, phase):
+        """Run phase over all particles, which meets the failure of a half
+        in the serial order and raises it."""
+        phase(self, slice(None))
+        raise RuntimeError(f"the {phase.__name__[1:]} phase failed in a "
+                           f"half but not over all particles")
+
+    def each(self, phase):
+        """Run the per-particle phase on every particle, bit for bit one
+        call over all of them, and raise what that call raises."""
+        if self.pid is None:
+            return phase(self, slice(None))
+        self._send(phase)
         try:
-            lower = _push(r[:h], w[:h], q[:h], I, *self.args)
+            phase(self, self.own)
+            failed = False
         except Exception:
-            lower = None
-        status = os.read(self.reply, 1)
-        if not status:
-            pid, self.pid = self.pid, None
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            raise RuntimeError(f"the push worker (pid {pid}) ended during "
-                               f"a push with exit code {code}")
-        if lower is None or status != b"\0":
-            # the serial push meets the abort in its own order and raises
-            # it with its type and message
-            _push(r, w, q, I, *self.args)
-            raise RuntimeError("a half push failed where the serial push "
-                               "succeeds")
-        r_out, w_out = self.state[3:]
-        return (np.concatenate((lower[0], r_out)),
-                np.concatenate((lower[1], w_out)))
+            failed = True
+        self.wait()
+        if failed:
+            self._redo(phase)
+
+    def start(self, phase):
+        """Begin phase in the worker, or run it here if there is none."""
+        if self.pid is None:
+            return phase(self, slice(None))
+        self._send(phase)
+
+    def wait(self):
+        """Collect the worker's status of every phase sent, and redo one
+        that failed; a worker that ended raises a RuntimeError."""
+        while self.pending:
+            phase = self.pending.pop(0)
+            status = os.read(self.reply, 1)
+            if not status:
+                pid, self.pid = self.pid, None
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                raise RuntimeError(f"the worker (pid {pid}) ended in its "
+                                   f"{phase.__name__[1:]} phase with exit "
+                                   f"code {code}")
+            if status != b"\0":
+                self._redo(phase)
+
+    def particles(self) -> ParticleSet:
+        """A copy of the current particles, in private memory."""
+        r, w = self.rw[self.slot[0]].copy()
+        return ParticleSet(r, w, self.q, self.weight, self.f_value)
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc):
-        os.close(self.command)
-        os.close(self.reply)
+        if self.command is not None:
+            os.close(self.command)
+            os.close(self.reply)
         if self.pid is not None:
             os.waitpid(self.pid, 0)
 
 
-def step(parts: ParticleSet, grid: ShellGrid, I: np.ndarray, dv: float,
-         r_floor: float = 1e-10,
-         worker: _PushWorker | None = None) -> ParticleSet:
-    """Advance the particles over [v, v + dv] from the cumulative source I
-    at v: a push in its field predicts the endpoint, then the push is redone
-    in the field of the average of I and the I of the predicted endpoint.
-    A worker of the same grid, dv and r_floor pushes half of each push; the
-    result is the same bits."""
-    def push(I):
-        if worker is not None:
-            return worker.push(parts.r, parts.w, parts.q, I)
-        return _push(parts.r, parts.w, parts.q, I, grid, dv, r_floor)
+def _push(s, sl):
+    """(r, w) of the particles sl after one step over [0, dv] in the field
+    of the cumulative source s.field, frozen over the step."""
+    r, w = s.rw[s.slot[0], :, sl]
+    return integrate_reduced(r, w, s.q[sl],
+                             lambda v, r: eval_field(s.grid, s.field, r),
+                             0.0, s.dv, s.dv, r_floor=s.r_floor)
 
-    r_pred, _ = push(I)
-    I_end = solve_field(grid, deposit(r_pred, (parts.weight,), grid)[0])
-    r1, w1 = push(0.5 * (I + I_end))
-    if np.any(~np.isfinite(r1)) or np.any(~np.isfinite(w1)):
+
+def _record(s, sl, r, w):
+    """Check the particles sl at (r, w), and write the cells, the payloads
+    of g_minus, h_plus and h_minus and the extremes of their slice."""
+    parts = ParticleSet(r, w, s.q[sl], s.weight[sl], s.f_value[sl])
+    p_sq = parts.momentum_sq()
+    gamma = np.sqrt(1.0 + p_sq)
+    check_measure_positivity(parts, p_sq, gamma)
+    s.j[0, sl], s.frac[0, sl] = cic_cells(r, s.grid)
+    _, s.payloads[0, sl], s.payloads[1, sl], s.payloads[2, sl] = (
+        moment_payloads(parts, gamma))
+    s.reduced[s.row, :3] = (np.max(p_sq, initial=0.0),
+                            np.min(r, initial=np.inf),
+                            np.max(r, initial=0.0))
+
+
+def _start(s, sl):
+    """The first slice."""
+    _record(s, sl, *s.rw[s.slot[0], :, sl])
+
+
+def _deposit_h(s, sl):
+    """h_plus and h_minus of the slice, from all particles whatever sl."""
+    s.h[:] = deposit(s.rw[s.slot[0], 0], s.payloads[1:], s.grid,
+                     (s.j[0], s.frac[0]))
+
+
+def _predict(s, sl):
+    """The predictor push in s.field: its r into the spare buffer and its
+    cells into the predictor's."""
+    r, _ = _push(s, sl)
+    s.rw[1 - s.slot[0], 0, sl] = r
+    s.j[1, sl], s.frac[1, sl] = cic_cells(r, s.grid)
+
+
+def _correct(s, sl):
+    """The corrected push in s.field, the slice it reaches and the flow
+    counters of the step, into the spare buffer."""
+    r, w = _push(s, sl)
+    if np.any(~np.isfinite(r)) or np.any(~np.isfinite(w)):
         raise FloatingPointError("non-finite particle state after push")
-    return ParticleSet(r1, w1, parts.q, parts.weight, parts.f_value)
+    _record(s, sl, r, w)
+    r0, w0 = s.rw[s.slot[0], :, sl]
+    dr_sign = np.sign(r - r0)
+    s.reduced[s.row, 3:] = (
+        np.count_nonzero((dr_sign < 0) & s.turned_out[sl]),
+        np.min(w - w0, initial=0.0))
+    s.turned_out[sl] |= dr_sign > 0
+    s.rw[1 - s.slot[0], 0, sl], s.rw[1 - s.slot[0], 1, sl] = r, w
+
+
+# the phases a worker runs, by their command byte
+_PHASES = (_start, _deposit_h, _predict, _correct)
+
+
+def step(state: ParticleState, I: np.ndarray) -> None:
+    """Advance the particles of state over [v, v + dv] from the cumulative
+    source I at v: a push in its field predicts the endpoint, then the push
+    is redone in the field of the average of I and the I of the predicted
+    endpoint.  The corrected push also makes the per-particle products of
+    the slice at v + dv.  The state's worker, if any, runs half of each
+    push; the result is the same bits."""
+    grid = state.grid
+    state.field[:] = I
+    state.each(_predict)
+    r_pred = state.rw[1 - state.slot[0], 0]
+    I_end = solve_field(grid, deposit(r_pred, (state.weight,), grid,
+                                      (state.j[1], state.frac[1]))[0])
+    state.field[:] = 0.5 * (I + I_end)
+    state.each(_correct)
+    state.slot[0] = 1 - state.slot[0]   # both halves succeeded
 
 
 class RunAborted(RuntimeError):
@@ -293,7 +403,7 @@ class RunAborted(RuntimeError):
 @contextmanager
 def _naming_step(n: int, v: float):
     """Raise an abort of step n as a RunAborted from it; a RuntimeError
-    covers an IntegrationError and a push worker's end."""
+    covers an IntegrationError and a worker's end."""
     try:
         yield
     except (FloatingPointError, ValueError, RuntimeError,
@@ -313,48 +423,40 @@ def run(config: RunConfig) -> SliceHistory:
     moments = np.zeros((len(MOMENTS), n_slices, grid.n_shells + 1))
     series = {k: np.zeros(n_slices) for k in
               ("P_wedge", "R_slice_max", "R_min_run")}
-
-    parts = sample_particles(config.datum, config.resolution)
-    # one |p|^2 and one gamma per slice, shared by every reader
-    p_sq = parts.momentum_sq()
-    gamma = np.sqrt(1.0 + p_sq)
-    p_run = 0.0
-    r_run_min = np.inf
-    turned_out = np.zeros(len(parts), dtype=bool)
-    r_turn_violations = 0
-    min_dw = 0.0
+    p_run, r_run_min, r_turn_violations, min_dw = 0.0, np.inf, 0, 0.0
     vs = np.linspace(0.0, config.v_final, n_slices)
 
-    forks = (len(parts) >= PUSH_WORKER_MIN and n_steps >= PUSH_WORKER_MIN_STEPS
-             and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-             and len(os.sched_getaffinity(0)) >= 2)
-    with (_PushWorker(parts.q, grid, dv, config.r_floor) if forks
-          else nullcontext()) as worker:
+    parts = sample_particles(config.datum, config.resolution)
+    fork = (len(parts) >= PUSH_WORKER_MIN and n_steps >= PUSH_WORKER_MIN_STEPS
+            and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2)
+    with ParticleState(parts, grid, dv, config.r_floor, fork) as state:
+        del parts   # its r and w live in the state from here
+        with _naming_step(0, 0.0):
+            state.each(_start)
         for n, v in enumerate(vs):
-            with _naming_step(n, v):
-                moments[:, n] = deposit(parts.r, moment_payloads(parts, gamma),
-                                        grid)
-                I = solve_field(grid, moments[0, n])
-            p_run = max(p_run, float(np.sqrt(np.max(p_sq, initial=0.0))))
-            r_run_min = min(r_run_min, float(np.min(parts.r, initial=np.inf)))
-            series["R_slice_max"][n] = float(np.max(parts.r, initial=0.0))
+            # the extremes of slice n, the flow counters of the step to it
+            lo, hi = state.reduced.tolist()
+            p_run = max(p_run, math.sqrt(max(lo[0], hi[0])))
+            r_run_min = min(r_run_min, lo[1], hi[1])
+            series["R_slice_max"][n] = max(lo[2], hi[2])
             series["P_wedge"][n] = p_run
             series["R_min_run"][n] = (r_run_min if np.isfinite(r_run_min)
                                       else 0.0)
-            if n == n_steps:
-                break
+            r_turn_violations += int(lo[3] + hi[3])
+            min_dw = min(min_dw, lo[4], hi[4])
             with _naming_step(n, v):
-                pushed = step(parts, grid, I, dv, config.r_floor, worker)
-                p_sq = pushed.momentum_sq()
-                gamma = np.sqrt(1.0 + p_sq)
-                check_measure_positivity(pushed, p_sq, gamma)
-            dr_sign = np.sign(pushed.r - parts.r)
-            r_turn_violations += int(np.count_nonzero((dr_sign < 0)
-                                                      & turned_out))
-            turned_out |= dr_sign > 0
-            min_dw = min(min_dw,
-                         float(np.min(pushed.w - parts.w, initial=0.0)))
-            parts = pushed
+                state.start(_deposit_h)
+                moments[:2, n] = deposit(
+                    state.rw[state.slot[0], 0],
+                    (state.weight, state.payloads[0]), grid,
+                    (state.j[0], state.frac[0]))
+                I = solve_field(grid, moments[0, n])
+                if n < n_steps:
+                    step(state, I)
+                state.wait()
+            moments[2:, n] = state.h
+        parts = state.particles()
 
     return SliceHistory(
         config=config, vs=vs, **dict(zip(MOMENTS, moments)), **series,

@@ -136,12 +136,22 @@ def _read_npy(directory, name, shape, why=""):
 def load_history(directory) -> SliceHistory:
     """Reconstruct a SliceHistory from an emitted run directory.  Columns
     are read by header name and other files are not read, so a series.csv
-    that also holds derived series (M_wedge, N_wedge, ...) loads the same."""
+    that also holds derived series (M_wedge, N_wedge, ...) loads the same.
+    Its v column must be the first slices of the config's steps, bit for
+    bit: fewer rows load, more or other values raise a ValueError."""
     fields = _read_meta(os.path.join(directory, "meta.json"))
     series, n = _read_csv(directory, "series.csv")
+    config = fields["config"]
+    n_steps, dv = config.steps
+    slices = np.linspace(0.0, config.v_final, n_steps + 1)
+    if n > len(slices) or not np.array_equal(series["vs"], slices[:n]):
+        raise ValueError(
+            f"{os.path.join(directory, 'series.csv')}: its {n} v values are "
+            f"not the first of the {len(slices)} slices of meta.json's "
+            f"config (time.v_final {config.v_final:g}, dv {dv:g})")
     fields.update(series)
     fields.update(_read_npy(directory, "profiles.npy",
-                            (len(MOMENTS), n, fields["config"].n_shells + 1),
+                            (len(MOMENTS), n, config.n_shells + 1),
                             f" ({n} rows in series.csv, meta.json "
                             f"grid.n_shells)"))
     fields["particles_final"] = ParticleSet(

@@ -87,25 +87,33 @@ def moment_payloads(parts, gamma) -> tuple:
             omega * (gamma - parts.w) / one_plus)
 
 
-def deposit(r, payloads, grid: ShellGrid) -> np.ndarray:
-    """Cloud-in-cell deposition of particles at radii r onto the shell grid.
-
-    Returns the (len(payloads), n_shells + 1) node densities, one row per
-    per-particle payload; each row's node masses sum to its payload sum.
-    """
+def cic_cells(r, grid: ShellGrid) -> tuple:
+    """(j, frac): the node j below each particle at radii r and its offset
+    in cells from it, after checking that every particle lies on the grid.
+    Elementwise, so the cells of a part of r are that part of the cells."""
     if np.any(r >= grid.r_max) or np.any(r < 0.0):
         i = int(np.argmax((r >= grid.r_max) | (r < 0.0)))
         raise ValueError(
             f"particle {i} at r={r[i]:.6g} outside shell grid "
             f"[0, {grid.r_max:g}); enlarge r_max")
-    sums = np.zeros((len(payloads), grid.n_shells + 1))
     s = r / grid.dr
     j = np.minimum(s.astype(int), grid.n_shells - 1)
-    frac = s - j
-    rest = 1.0 - frac
+    return j, s - j
+
+
+def deposit(r, payloads, grid: ShellGrid, cells=None) -> np.ndarray:
+    """Cloud-in-cell deposition of particles at radii r onto the shell grid.
+
+    Returns the (len(payloads), n_shells + 1) node densities, one row per
+    per-particle payload; each row's node masses sum to its payload sum.
+    cells, when given, is cic_cells(r, grid), and r is not read again.
+    """
+    j, frac = cic_cells(r, grid) if cells is None else cells
+    sums = np.zeros((len(payloads), grid.n_shells + 1))
+    rest, above = 1.0 - frac, j + 1
     for row, payload in zip(sums, payloads):
         np.add.at(row, j, payload * rest)
-        np.add.at(row, j + 1, payload * frac)
+        np.add.at(row, above, payload * frac)
     return sums / grid.node_volumes
 
 

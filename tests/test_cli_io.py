@@ -451,6 +451,10 @@ def test_load_history_names_a_malformed_file(tmp_path, small_history):
         load_history(str(d))
     # no slice at all (a header alone)
     refused(series, rows[0].encode(), "no rows")
+    # one row more than the config's steps, which repeats the last v
+    refused(series, "".join(rows + rows[-1:]).encode(),
+            rf"its {n + 1} v values are not the first of the {n} slices of "
+            rf"meta\.json's config \(time\.v_final 3, dv 0\.01\)")
     series.write_text("".join(line.rsplit(",", 1)[0] + "\n" for line in rows))
     with pytest.raises(ValueError, match=r"series\.csv: no column 'R_min'"):
         load_history(str(d))
@@ -514,6 +518,22 @@ def test_load_history_names_a_malformed_file(tmp_path, small_history):
         with pytest.raises(ValueError) as got:
             load_history(str(d))
         assert str(got.value) == f"{meta}: {want.value}"
+    # a config whose dv no longer describes the recorded slices: 0.02
+    # where they are 0.01 apart, refused with all rows and with as few as a
+    # run that ended early writes
+    config = copy.deepcopy(doc["config"])
+    config["time"]["dv"] = 0.02
+    meta.write_text(json.dumps(dict(doc, config=config)))
+    for body in (rows, rows[:100]):   # the header and 301 or 99 slices
+        series.write_text("".join(body))
+        with pytest.raises(ValueError, match=rf"series\.csv: its "
+                                             rf"{len(body) - 1} v values are "
+                                             rf"not the first of the 151 "
+                                             rf"slices of meta\.json's config "
+                                             rf"\(time\.v_final 3, dv "
+                                             rf"0\.02\)$"):
+            load_history(str(d))
+    series.write_text("".join(rows))
     meta.write_text("{")
     with pytest.raises(ValueError, match=r"meta\.json: Expecting"):
         load_history(str(d))

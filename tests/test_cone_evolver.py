@@ -6,11 +6,12 @@ import sys
 import numpy as np
 import pytest
 
-from vmcone import (RunConfig, run, step, auto_r_max, IntegrationError,
-                    RunAborted, default_probe_radii, nirc_flux,
-                    builtin_datum, sample_particles, ShellGrid, ParticleSet,
-                    deposit, moment_payloads, solve_field, node_field,
-                    eval_field, radial_integral, MOMENTS, cone_evolver)
+from vmcone import (RunConfig, run, step, ParticleState, auto_r_max,
+                    IntegrationError, RunAborted, default_probe_radii,
+                    nirc_flux, builtin_datum, sample_particles, ShellGrid,
+                    ParticleSet, deposit, moment_payloads, solve_field,
+                    node_field, eval_field, radial_integral, MOMENTS,
+                    cone_evolver)
 from vmcone import cone_diagnostics as diag
 from vmcone.characteristics import char_rhs_reduced
 from vmcone.io_utils import emit_history
@@ -179,10 +180,17 @@ def predictor_corrector(parts, grid, I, dv):
     return rk4(parts, grid, 0.5 * (I + I_end), dv)
 
 
+def advance(parts, grid, I, dv):
+    """The particles after one step from the cumulative source I."""
+    with ParticleState(parts, grid, dv) as state:
+        step(state, I)
+        return state.particles()
+
+
 def test_step_zero_dv_is_identity():
     parts = sample_particles(builtin_datum("shell_polynomial"), 8)
     grid = ShellGrid(r_max=2.0, n_shells=64)
-    out = step(parts, grid, start_field(parts, grid), 0.0)
+    out = advance(parts, grid, start_field(parts, grid), 0.0)
     assert np.array_equal(out.r, parts.r)
     assert np.array_equal(out.w, parts.w)
 
@@ -194,7 +202,7 @@ def test_step_against_manual_push():
     grid = ShellGrid(r_max=2.0, n_shells=128)
     dv = 1e-3
     I = start_field(parts, grid)
-    pushed = step(parts, grid, I, dv)
+    pushed = advance(parts, grid, I, dv)
     r1, w1 = predictor_corrector(parts, grid, I, dv)
     assert np.allclose(pushed.r, r1, rtol=1e-14, atol=0.0)
     assert np.allclose(pushed.w, w1, rtol=1e-14, atol=0.0)
@@ -211,7 +219,7 @@ def test_ten_step_hand_integration_single_particle():
     evolved = parts
     manual = dataclasses.replace(parts)
     for _ in range(10):
-        evolved = step(evolved, grid, start_field(evolved, grid), dv)
+        evolved = advance(evolved, grid, start_field(evolved, grid), dv)
         I = solve_field(grid, deposit(manual.r, (manual.weight,), grid)[0])
         manual.r, manual.w = predictor_corrector(manual, grid, I, dv)
     assert np.allclose(evolved.r, manual.r, rtol=1e-13)
@@ -258,38 +266,59 @@ def test_run_aborts_name_step_and_v():
 
 
 def test_measure_positivity_abort_names_step_and_v(monkeypatch):
-    # a corrupt momentum after step 2 fails the positivity bound
-    real, steps = cone_evolver.step, []
+    # a corrupt momentum from the corrected push of step 2 fails the
+    # positivity bound, which that push's phase checks
+    real_step, real_push = cone_evolver.step, cone_evolver.integrate_reduced
+    steps, pushes = [], []
 
-    def corrupting(parts, *args):
-        pushed = real(parts, *args)
-        steps.append(pushed)
-        if len(steps) == 3:
-            pushed.w[0] = -1e9
-        return pushed
+    def counting(*args):
+        steps.append(1)
+        return real_step(*args)
 
-    monkeypatch.setattr(cone_evolver, "step", corrupting)
+    def corrupting(*args, **kwargs):
+        r, w = real_push(*args, **kwargs)
+        pushes.append(1)
+        if len(pushes) == 6:   # predictor and corrector of steps 0, 1, 2
+            w[0] = -1e9
+        return r, w
+
+    monkeypatch.setattr(cone_evolver, "step", counting)
+    monkeypatch.setattr(cone_evolver, "integrate_reduced", corrupting)
     with pytest.raises(RunAborted, match=r"^step 2 \(v=0\.0[0-9]*\): "
                                          r"measure positivity violated "
                                          r"at particle 0: ") as abort:
         run(small_config(resolution=(6, 6, 6), v_final=0.1))
     assert type(abort.value.__cause__) is AssertionError
-    assert len(steps) == 3
+    assert len(steps) == 3 and len(pushes) == 6
 
 
-def push_worker(monkeypatch, on):
-    """Push half of every run's particles in a worker whatever the particle
-    and CPU counts (on), or never; returns the list of forks made."""
-    if on and not hasattr(os, "fork"):
-        pytest.skip("no fork on this platform")
-    monkeypatch.setattr(cone_evolver, "PUSH_WORKER_MIN",
-                        0 if on else sys.maxsize)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
-                        raising=False)
-    forks, real = [], os.fork
-    if on:
-        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real())
-    return forks
+@pytest.fixture
+def force_worker(monkeypatch):
+    """force_worker(on) runs half of every run's particles in a worker
+    whatever the particle and CPU counts (on), or never, and returns the
+    list of forks made.  A test that waits on a worker for 60 s fails with
+    a TimeoutError instead of stalling the suite."""
+    def force(on):
+        if on and not hasattr(os, "fork"):
+            pytest.skip("no fork on this platform")
+        monkeypatch.setattr(cone_evolver, "PUSH_WORKER_MIN",
+                            0 if on else sys.maxsize)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        forks, real = [], os.fork
+        if on:
+            monkeypatch.setattr(os, "fork",
+                                lambda: forks.append(1) or real())
+        return forks
+
+    def hung(*_):
+        raise TimeoutError("run waited 60 s on its worker")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    yield force
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
 
 
 def assert_no_child_left():
@@ -297,34 +326,71 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_worker_push_gives_the_serial_bytes(monkeypatch, tmp_path):
-    # an odd particle count, so the halves differ in size
+def reorder(monkeypatch, reverse):
+    """Sample the run's particles in reverse order if reverse: the radii
+    grow with the index, so the inner particles become the upper half."""
+    real = cone_evolver.sample_particles
+
+    def ordered(*args):
+        parts = real(*args)
+        if not reverse:
+            return parts
+        return ParticleSet(*(a[::-1].copy() for a in (
+            parts.r, parts.w, parts.q, parts.weight, parts.f_value)))
+
+    monkeypatch.setattr(cone_evolver, "sample_particles", ordered)
+
+
+def test_worker_push_gives_the_serial_bytes(monkeypatch, tmp_path,
+                                            force_worker):
+    # an odd particle count, so the halves differ in size; in the sampled
+    # order the largest radius lies in the worker's upper half and in the
+    # reversed order the smallest and the largest momentum do.  A field
+    # that pulls the outer particles inwards makes r turn and w fall there,
+    # so the flow counters of the worker's half are not zero
     cfg = small_config(resolution=(11, 11, 11), v_final=0.5)
-    files, finals = {}, {}
-    for on in (False, True):
-        forks = push_worker(monkeypatch, on)
-        h = run(cfg)
-        assert len(forks) == on
-        assert_no_child_left()
-        emit_history(h, tmp_path / str(on))
-        files[on] = {f.name: f.read_bytes()
-                     for f in (tmp_path / str(on)).iterdir()}
-        finals[on] = h.particles_final
-    assert len(finals[True]) % 2 == 1 and len(files[True]) > 1
-    assert files[True] == files[False]
-    for name in ("r", "w", "q", "weight", "f_value"):
-        assert np.array_equal(getattr(finals[True], name),
-                              getattr(finals[False], name))
+    real = cone_evolver.eval_field
+    monkeypatch.setattr(cone_evolver, "eval_field", lambda grid, I, r: (
+        real(grid, I, r) - np.where(r > 0.45, 0.5, 0.0)))
+    for reverse in (False, True):
+        reorder(monkeypatch, reverse)
+        parts = cone_evolver.sample_particles(cfg.datum, cfg.resolution)
+        upper = np.arange(len(parts)) >= len(parts) // 2
+        p_sq = parts.momentum_sq()
+        assert upper[np.argmax(parts.r)] != reverse
+        assert upper[np.argmin(parts.r)] == upper[np.argmax(p_sq)] == reverse
+        files, histories = {}, {}
+        for on in (False, True):
+            forks = force_worker(on)
+            histories[on] = h = run(cfg)
+            assert len(forks) == on
+            assert_no_child_left()
+            emit_history(h, tmp_path / f"{reverse}{on}")
+            files[on] = {f.name: f.read_bytes()
+                         for f in (tmp_path / f"{reverse}{on}").iterdir()}
+        assert len(parts) % 2 == 1 and len(files[True]) > 1
+        assert files[True] == files[False]
+        serial, worker = histories[False], histories[True]
+        assert serial.r_turn_violations > 0 and serial.min_dw < 0.0
+        for field in dataclasses.fields(serial):
+            a, b = getattr(worker, field.name), getattr(serial, field.name)
+            if field.name == "particles_final":
+                a, b = dataclasses.astuple(a), dataclasses.astuple(b)
+                assert all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
+            elif isinstance(b, np.ndarray):
+                assert a.tobytes() == b.tobytes(), field.name
+            else:
+                assert type(a) is type(b) and a == b, field.name
 
 
-def test_a_short_run_forks_no_worker(monkeypatch, tmp_path):
+def test_a_short_run_forks_no_worker(tmp_path, force_worker):
     # below PUSH_WORKER_MIN_STEPS the fork and reap cost more than the
     # worker saves: a run forced onto the worker path forks only from that
     # step count, and the short run writes the serial bytes
     n = cone_evolver.PUSH_WORKER_MIN_STEPS
     files = {}
     for on, steps in ((False, n - 1), (True, n - 1), (True, n)):
-        forks = push_worker(monkeypatch, on)
+        forks = force_worker(on)
         h = run(small_config(resolution=(11, 11, 11), v_final=0.01 * steps))
         assert len(h.vs) == steps + 1
         assert len(forks) == (on and steps >= n)
@@ -337,26 +403,19 @@ def test_a_short_run_forks_no_worker(monkeypatch, tmp_path):
 
 
 @pytest.mark.parametrize("inner_half", ["lower", "upper"])
-def test_worker_abort_is_the_serial_abort(monkeypatch, inner_half):
+def test_worker_abort_is_the_serial_abort(monkeypatch, force_worker,
+                                          inner_half):
     # r_floor 0.4 lies inside the support, whose radii grow with the index;
     # reversed, the particles that cross it are the worker's upper half
-    real = cone_evolver.sample_particles
-
-    def ordered(*args):
-        parts = real(*args)
-        if inner_half == "upper":
-            parts = ParticleSet(*(a[::-1].copy() for a in (
-                parts.r, parts.w, parts.q, parts.weight, parts.f_value)))
-        half = len(parts) // 2
-        outer = parts.r[half:] if inner_half == "lower" else parts.r[:half]
-        assert np.min(outer) > 0.44
-        return parts
-
-    monkeypatch.setattr(cone_evolver, "sample_particles", ordered)
+    reorder(monkeypatch, inner_half == "upper")
     cfg = small_config(r_floor=0.4, v_final=0.5, resolution=(6, 6, 6))
+    parts = cone_evolver.sample_particles(cfg.datum, cfg.resolution)
+    half = len(parts) // 2
+    outer = parts.r[half:] if inner_half == "lower" else parts.r[:half]
+    assert np.min(outer) > 0.44
     errors = {}
     for on in (False, True):
-        forks = push_worker(monkeypatch, on)
+        forks = force_worker(on)
         with pytest.raises(RunAborted) as errors[on]:
             run(cfg)
         assert len(forks) == on
@@ -369,35 +428,36 @@ def test_worker_abort_is_the_serial_abort(monkeypatch, inner_half):
 
 @pytest.mark.parametrize("signum, code", [(signal.SIGKILL, -signal.SIGKILL),
                                           (signal.SIGINT, 0)])
-def test_a_worker_ending_mid_run_raises(monkeypatch, capfd, signum, code):
-    # the worker ends itself at its 20th field lookup, in step 2; the run
-    # must raise, not wait forever (the alarm turns a hang into a failure)
-    push_worker(monkeypatch, True)
-    parent, real, calls = os.getpid(), cone_evolver.eval_field, []
+@pytest.mark.parametrize("phase", ["predict", "deposit_h", "correct",
+                                   "start"])
+def test_a_worker_ending_mid_run_raises(monkeypatch, capfd, force_worker,
+                                        phase, signum, code):
+    # the worker ends itself inside one of its phases: at its 20th or 24th
+    # field lookup (8 a step: 4 in the predictor push, then 4 in the
+    # corrected one, of step 2), at its third deposit (1 a slice: h_plus
+    # and h_minus of slice 2) or at its first cells (those of slice 0); the
+    # run must raise, not wait forever
+    where, calls, step = {"predict": ("eval_field", 20, r"2 \(v=0\.02\)"),
+                          "correct": ("eval_field", 24, r"2 \(v=0\.02\)"),
+                          "deposit_h": ("deposit", 3, r"2 \(v=0\.02\)"),
+                          "start": ("cic_cells", 1, r"0 \(v=0\)")}[phase]
+    force_worker(True)
+    parent, real, seen = os.getpid(), getattr(cone_evolver, where), []
 
-    def ending(grid, I, r):
+    def ending(*args):
         if os.getpid() != parent:
-            calls.append(1)
-            if len(calls) == 20:
+            seen.append(1)
+            if len(seen) == calls:
                 os.kill(os.getpid(), signum)
-        return real(grid, I, r)
+        return real(*args)
 
-    def hung(*_):
-        raise TimeoutError("run waited on a worker that had ended")
-
-    monkeypatch.setattr(cone_evolver, "eval_field", ending)
-    previous = signal.signal(signal.SIGALRM, hung)
-    signal.alarm(60)
-    try:
-        with pytest.raises(RunAborted, match=rf"^step 2 \(v=0\.02\): the "
-                                             rf"push worker \(pid \d+\) "
-                                             rf"ended during a push with "
-                                             rf"exit code {code}$") as abort:
-            run(small_config(resolution=(6, 6, 6), v_final=0.1))
-        assert type(abort.value.__cause__) is RuntimeError
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
+    monkeypatch.setattr(cone_evolver, where, ending)
+    with pytest.raises(RunAborted, match=rf"^step {step}: the "
+                                         rf"worker \(pid \d+\) ended in its "
+                                         rf"{phase} phase with exit code "
+                                         rf"{code}$") as abort:
+        run(small_config(resolution=(6, 6, 6), v_final=0.1))
+    assert type(abort.value.__cause__) is RuntimeError
     assert_no_child_left()
     assert capfd.readouterr().err == ""   # the worker leaves quietly
 
