@@ -10,7 +10,7 @@ Subcommands:
                      phase-divergence comparison on random orbits
 
 Exit status: 0 if every check passes (or a run completes without one), 1 if
-a check fails, 2 on a bad argument or input file, 3 if a run aborts.
+a check fails, 2 on a bad argument, input or output path, 3 if a run aborts.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
+import os
 import sys
 
 from . import __version__
@@ -26,6 +27,11 @@ from . import cone_evolver
 from . import io_utils
 from . import report as report_mod
 from . import constraint_audit
+
+
+def _output_error(exc: OSError) -> int:
+    print(f"output error: {exc}", file=sys.stderr)
+    return 2
 
 
 def _report(doc: dict, path) -> int:
@@ -39,7 +45,10 @@ def _report(doc: dict, path) -> int:
         print(f"[SKIP] {c['name']}: {c['reason']}")
     print("overall:", "PASS" if doc["passed"] else "FAIL")
     if path:
-        io_utils.emit_report(doc, path)
+        try:
+            io_utils.emit_report(doc, path)
+        except OSError as exc:
+            return _output_error(exc)
         print(f"report written to {path}")
     return 0 if doc["passed"] else 1
 
@@ -55,13 +64,21 @@ def cmd_run(args) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
+    try:   # before the first step, so that a bad path costs no run
+        if cfg.output_directory:
+            os.makedirs(cfg.output_directory, exist_ok=True)
+    except OSError as exc:
+        return _output_error(exc)
     try:
         history = cone_evolver.run(cfg)
     except cone_evolver.RunAborted as exc:
         print(f"run aborted: {exc}", file=sys.stderr)
         return 3
     if cfg.output_directory:
-        io_utils.emit_history(history, cfg.output_directory)
+        try:
+            io_utils.emit_history(history, cfg.output_directory)
+        except OSError as exc:
+            return _output_error(exc)
         print(f"run artifacts written to {cfg.output_directory}")
     print(f"steps: {len(history.vs) - 1}, dv: {history.dv:g}, "
           f"particles: {len(history.particles_final)}")

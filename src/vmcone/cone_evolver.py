@@ -12,13 +12,14 @@ Every per-particle stage of a step is elementwise, and np.add.at
 accumulates each moment row on its own, in particle order.  A run of at
 least PUSH_WORKER_MIN particles and PUSH_WORKER_MIN_STEPS steps, in a
 process whose CPU affinity mask holds at least two CPUs and on a platform
-with fork, therefore forks one worker process (see ParticleState): at each
-slice the worker accumulates h_plus and h_minus while the run accumulates
-g_plus and g_minus and solves the field, and at each push the run takes
-the lower half of the particles and the worker the upper half, with every
-per-particle product of the slice the push reaches.  The halves give the
-bits of one call and their extremes and counts combine exactly, so the
-result is bit for bit the serial run's.
+with fork, therefore forks one worker process (see ParticleState) and
+splits each of the three phases of a step between the two: at the
+deposit the run accumulates g_plus and g_minus and solves the field while
+the worker accumulates h_plus and h_minus, and at the predictor and the
+corrected push the run takes the lower half of the particles and the
+worker the upper half, with every per-particle product of the slice the
+push reaches.  The halves give the bits of one call and their extremes
+and counts combine exactly, so the result is bit for bit the serial run's.
 
 The magnetic field is identically zero in spherical symmetry, so the
 incoming and outgoing radiation fluxes vanish structurally; see nirc_flux.
@@ -51,8 +52,8 @@ from .config import RunConfig, auto_r_max, default_probe_radii  # noqa: F401
 # 0.82 and 0.72 at 10,648 particles and 10 or 50 steps, 0.84 and 0.73 at
 # 13,824, every pair won; at 10 steps 0.89 with 9,261 particles and 0.95
 # with 8,000, 8 of 10 won; at 5 steps 0.95 with 13,824 particles (8 of 10
-# won) and 1.20-1.70 with fewer.  The fork, the reap and two syncs a step
-# cost more than a short or small run saves.
+# won) and 1.20-1.70 with fewer.  The fork, the reap and the syncs of each
+# step cost more than a short or small run saves.
 PUSH_WORKER_MIN = 10000
 PUSH_WORKER_MIN_STEPS = 10
 
@@ -167,21 +168,23 @@ class SliceHistory:
 
 
 class ParticleState:
-    """The particles of a run, and the worker process that runs the upper
-    half of them when fork is true.
+    """The particles of a run, and the worker process that runs half of
+    every phase when fork is true.
 
     A phase is a function phase(state, sl) of the particles in the slice
-    sl.  each(phase) runs a per-particle phase in one call, or on the lower
-    half here while the worker runs the upper half; start(phase) begins a
-    phase that the worker runs alone, over all particles, and wait()
-    collects it.  One anonymous shared mmap holds what crosses between the
-    processes: two (r, w) buffers, the cells of the slice and of the
-    predictor, three payload rows, the field of a push, the h rows, each
-    process's partial reductions and the index of the current buffer.
-    Each process keeps the turned_out flags of its own half.  A phase
-    writes the spare buffer and its products, never its own input, so a
-    failure in either half is met again by one call over all particles,
-    which raises the serial run's exception.
+    sl; each(phase) runs it in one call over all particles, or on the lower
+    half here while the worker runs the upper half.  The deposit phase
+    halves its moment rows instead: each half reads every particle, and the
+    lower half, g_plus and g_minus, also solves the field.  One anonymous
+    shared mmap holds what crosses between the processes: two (r, w)
+    buffers, the cells, three payload rows, the moments of the slice, the
+    field of a push, each process's partial reductions and the index of
+    the current buffer.  Each phase ends in both processes before the next
+    begins, so one set of cells serves the slice's deposit, then the
+    predictor, then the next slice.  Each process keeps the turned_out
+    flags of its own half.  A phase writes the spare buffer and its
+    products, never its own input, so one call over all particles meets a
+    failure of either half again and raises the serial run's exception.
 
     A phase is one command byte down a pipe and one status byte back; the
     worker exits at EOF of the command pipe, or quietly on SIGINT, and
@@ -201,9 +204,9 @@ class ParticleState:
                                              parts.f_value)
         self.grid, self.dv, self.r_floor = grid, dv, r_floor
         self.turned_out = np.zeros(n, dtype=bool)
-        layout = {"rw": (2, 2, n), "j": (2, n), "frac": (2, n),
-                  "payloads": (3, n), "h": (2, m), "field": (m,),
-                  "reduced": (2, 5), "slot": (1,)}
+        layout = {"rw": (2, 2, n), "j": (n,), "frac": (n,),
+                  "payloads": (3, n), "moments": (len(MOMENTS), m),
+                  "field": (m,), "reduced": (2, 5), "slot": (1,)}
         block = mmap.mmap(-1, 8 * sum(map(math.prod, layout.values())))
         offset = 0
         for name, shape in layout.items():
@@ -215,7 +218,7 @@ class ParticleState:
         # per process: max |p|^2, min r and max r of the slice, and the turn
         # violations and min dw of the step to it; row 1 is the worker's
         self.reduced[:] = (0.0, np.inf, 0.0, 0, 0.0)
-        self.row, self.own, self.pending = 0, slice(None), []
+        self.row, self.own = 0, slice(None)
         self.pid = self.command = self.reply = None
         if not fork:
             return
@@ -231,7 +234,7 @@ class ParticleState:
             self._serve(command, reply, slice(n // 2, None))
         os.close(command)
         os.close(reply)
-        self.own = slice(0, n // 2)
+        self.own = slice(None, n // 2)
 
     def _serve(self, command, reply, own):
         """The worker: run each phase sent on its half, own, reply with a
@@ -251,53 +254,30 @@ class ParticleState:
         finally:   # EOF, SIGINT or a broken reply pipe: never return
             os._exit(0)
 
-    def _send(self, phase):
-        self.pending.append(phase)
-        with suppress(BrokenPipeError):   # a dead worker: wait says so
-            os.write(self.command, bytes([_PHASES.index(phase)]))
-
-    def _redo(self, phase):
-        """Run phase over all particles, which meets the failure of a half
-        in the serial order and raises it."""
-        phase(self, slice(None))
-        raise RuntimeError(f"the {phase.__name__[1:]} phase failed in a "
-                           f"half but not over all particles")
-
     def each(self, phase):
-        """Run the per-particle phase on every particle, bit for bit one
-        call over all of them, and raise what that call raises."""
+        """Run the phase on every particle, bit for bit one call over all of
+        them, and raise what that call raises; a worker that ended raises a
+        RuntimeError."""
         if self.pid is None:
             return phase(self, slice(None))
-        self._send(phase)
+        with suppress(BrokenPipeError):   # a dead worker: its reply says so
+            os.write(self.command, bytes([_PHASES.index(phase)]))
         try:
             phase(self, self.own)
             failed = False
         except Exception:
             failed = True
-        self.wait()
-        if failed:
-            self._redo(phase)
-
-    def start(self, phase):
-        """Begin phase in the worker, or run it here if there is none."""
-        if self.pid is None:
-            return phase(self, slice(None))
-        self._send(phase)
-
-    def wait(self):
-        """Collect the worker's status of every phase sent, and redo one
-        that failed; a worker that ended raises a RuntimeError."""
-        while self.pending:
-            phase = self.pending.pop(0)
-            status = os.read(self.reply, 1)
-            if not status:
-                pid, self.pid = self.pid, None
-                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                raise RuntimeError(f"the worker (pid {pid}) ended in its "
-                                   f"{phase.__name__[1:]} phase with exit "
-                                   f"code {code}")
-            if status != b"\0":
-                self._redo(phase)
+        name = phase.__name__[1:]
+        if not (status := os.read(self.reply, 1)):
+            pid, self.pid = self.pid, None
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            raise RuntimeError(f"the worker (pid {pid}) ended in its {name} "
+                               f"phase with exit code {code}")
+        if failed or status != b"\0":
+            # all particles meet the failure of a half in the serial order
+            phase(self, slice(None))
+            raise RuntimeError(f"the {name} phase failed in a half but not "
+                               f"over all particles")
 
     def particles(self) -> ParticleSet:
         """A copy of the current particles, in private memory."""
@@ -331,7 +311,7 @@ def _record(s, sl, r, w):
     p_sq = parts.momentum_sq()
     gamma = np.sqrt(1.0 + p_sq)
     check_measure_positivity(parts, p_sq, gamma)
-    s.j[0, sl], s.frac[0, sl] = cic_cells(r, s.grid)
+    s.j[sl], s.frac[sl] = cic_cells(r, s.grid)
     _, s.payloads[0, sl], s.payloads[1, sl], s.payloads[2, sl] = (
         moment_payloads(parts, gamma))
     s.reduced[s.row, :3] = (np.max(p_sq, initial=0.0),
@@ -344,18 +324,25 @@ def _start(s, sl):
     _record(s, sl, *s.rw[s.slot[0], :, sl])
 
 
-def _deposit_h(s, sl):
-    """h_plus and h_minus of the slice, from all particles whatever sl."""
-    s.h[:] = deposit(s.rw[s.slot[0], 0], s.payloads[1:], s.grid,
-                     (s.j[0], s.frac[0]))
+def _deposit(s, sl):
+    """The moments of the slice from all particles, whatever sl: g_plus and
+    g_minus, and the field of g_plus into s.field, unless sl is the upper
+    half; h_plus and h_minus unless it is the lower half."""
+    # all particles are slice(None), the lower half slice(None, n // 2)
+    rows = slice(0 if sl.start is None else 2, 4 if sl.stop is None else 2)
+    s.moments[rows] = deposit(s.rw[s.slot[0], 0],
+                              (s.weight, *s.payloads)[rows], s.grid,
+                              (s.j, s.frac))
+    if sl.start is None:
+        s.field[:] = solve_field(s.grid, s.moments[0])
 
 
 def _predict(s, sl):
     """The predictor push in s.field: its r into the spare buffer and its
-    cells into the predictor's."""
+    cells into s.j and s.frac."""
     r, _ = _push(s, sl)
     s.rw[1 - s.slot[0], 0, sl] = r
-    s.j[1, sl], s.frac[1, sl] = cic_cells(r, s.grid)
+    s.j[sl], s.frac[sl] = cic_cells(r, s.grid)
 
 
 def _correct(s, sl):
@@ -375,22 +362,21 @@ def _correct(s, sl):
 
 
 # the phases a worker runs, by their command byte
-_PHASES = (_start, _deposit_h, _predict, _correct)
+_PHASES = (_start, _deposit, _predict, _correct)
 
 
-def step(state: ParticleState, I: np.ndarray) -> None:
+def step(state: ParticleState) -> None:
     """Advance the particles of state over [v, v + dv] from the cumulative
-    source I at v: a push in its field predicts the endpoint, then the push
-    is redone in the field of the average of I and the I of the predicted
-    endpoint.  The corrected push also makes the per-particle products of
-    the slice at v + dv.  The state's worker, if any, runs half of each
-    push; the result is the same bits."""
-    grid = state.grid
-    state.field[:] = I
+    source state.field at v: a push in its field predicts the endpoint,
+    then the push is redone in the field of the average of it and the
+    cumulative source of the predicted endpoint.  The corrected push also
+    makes the per-particle products of the slice at v + dv.  The state's
+    worker, if any, runs half of each push; the result is the same bits."""
+    grid, I = state.grid, state.field.copy()
     state.each(_predict)
-    r_pred = state.rw[1 - state.slot[0], 0]
-    I_end = solve_field(grid, deposit(r_pred, (state.weight,), grid,
-                                      (state.j[1], state.frac[1]))[0])
+    I_end = solve_field(grid, deposit(state.rw[1 - state.slot[0], 0],
+                                      (state.weight,), grid,
+                                      (state.j, state.frac))[0])
     state.field[:] = 0.5 * (I + I_end)
     state.each(_correct)
     state.slot[0] = 1 - state.slot[0]   # both halves succeeded
@@ -446,16 +432,10 @@ def run(config: RunConfig) -> SliceHistory:
             r_turn_violations += int(lo[3] + hi[3])
             min_dw = min(min_dw, lo[4], hi[4])
             with _naming_step(n, v):
-                state.start(_deposit_h)
-                moments[:2, n] = deposit(
-                    state.rw[state.slot[0], 0],
-                    (state.weight, state.payloads[0]), grid,
-                    (state.j[0], state.frac[0]))
-                I = solve_field(grid, moments[0, n])
+                state.each(_deposit)
+                moments[:, n] = state.moments
                 if n < n_steps:
-                    step(state, I)
-                state.wait()
-            moments[2:, n] = state.h
+                    step(state)
         parts = state.particles()
 
     return SliceHistory(

@@ -54,7 +54,7 @@ def emit_history(history: SliceHistory, directory) -> None:
 def _read_meta(path):
     """{SliceHistory field: value} of meta.json, its config built by
     config_from_dict.  Unless the config is valid, r_turn_violations an int
-    and min_dw a finite number, a ValueError names the file and the key."""
+    >= 0 and min_dw in (-inf, 0], a ValueError names the file and the key."""
     try:
         with open(path) as fh:
             meta = json.load(fh)
@@ -63,9 +63,10 @@ def _read_meta(path):
         if "config" not in meta:
             raise ValueError("no key 'config'; re-run `vmcone run` (older "
                              "versions wrote no config to meta.json)")
-        for key, ok in (("r_turn_violations", lambda x: type(x) is int),
+        for key, ok in (("r_turn_violations",
+                         lambda x: type(x) is int and x >= 0),
                         ("min_dw", lambda x: type(x) in (int, float)
-                         and math.isfinite(x))):
+                         and -math.inf < x <= 0.0)):
             if not ok(value := meta.get(key)):
                 raise ValueError(f"{key} is {value!r}" if key in meta
                                  else f"no key {key!r}")
@@ -76,25 +77,26 @@ def _read_meta(path):
 
 
 def _read_csv(directory, name):
-    """({field: column}, rows) of layout CSV ``name``, each column picked by
-    header name from rows as wide as the header; a missing column, a
-    malformed row or no row at all raises a ValueError naming the file."""
+    """({field: column}, rows) of layout CSV ``name``, whose header must be
+    exactly its layout's columns; another header, a malformed row or no
+    row at all raises a ValueError naming the file."""
     path, wanted = os.path.join(directory, name), LAYOUT[name]
     try:
         with open(path) as fh:
-            header = fh.readline().rstrip("\n").split(",")
+            header = fh.readline().rstrip("\n")
             lines = fh.read().splitlines()
-        if missing := [c for c in wanted if c not in header]:
-            raise ValueError(f"no column {missing[0]!r}")
+        if header != ",".join(wanted):
+            raise ValueError(f"header {header!r}, expected "
+                             f"{','.join(wanted)!r}")
         if not lines:
             raise ValueError("no rows")
         data = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None)
-        if data.shape[1] != len(header):
+        if data.shape[1] != len(wanted):
             raise ValueError(f"rows of {data.shape[1]} values under "
-                             f"{len(header)} columns")
+                             f"{len(wanted)} columns")
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    return {f: data[:, header.index(c)] for c, f in wanted.items()}, len(data)
+    return dict(zip(wanted.values(), data.T)), len(data)
 
 
 def _read_body(fh, shapes):
@@ -134,11 +136,10 @@ def _read_npy(directory, name, shape, why=""):
 
 
 def load_history(directory) -> SliceHistory:
-    """Reconstruct a SliceHistory from an emitted run directory.  Columns
-    are read by header name and other files are not read, so a series.csv
-    that also holds derived series (M_wedge, N_wedge, ...) loads the same.
-    Its v column must be the first slices of the config's steps, bit for
-    bit: fewer rows load, more or other values raise a ValueError."""
+    """Reconstruct a SliceHistory from an emitted run directory; files
+    outside LAYOUT are not read.  The v column of series.csv must be the
+    first slices of the config's steps, bit for bit: fewer rows load, more
+    or other values raise a ValueError."""
     fields = _read_meta(os.path.join(directory, "meta.json"))
     series, n = _read_csv(directory, "series.csv")
     config = fields["config"]

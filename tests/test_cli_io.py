@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from vmcone import (RunConfig, ConfigError, config_from_dict, parse_config,
-                    run, emit_history, load_history, emit_report)
+                    run, emit_history, load_history, emit_report,
+                    cone_evolver)
 from vmcone.report import diagnose_report
 from vmcone.cli import main
 from conftest import small_config, DESK_DATUM_PARAMS
@@ -455,20 +456,21 @@ def test_load_history_names_a_malformed_file(tmp_path, small_history):
     refused(series, "".join(rows + rows[-1:]).encode(),
             rf"its {n + 1} v values are not the first of the {n} slices of "
             rf"meta\.json's config \(time\.v_final 3, dv 0\.01\)")
+    # the one header emit_history writes: a column missing, reordered or
+    # added, as older layouts held derived series, is refused
+    layout = "'v,P_wedge,R_max,R_min'"
     series.write_text("".join(line.rsplit(",", 1)[0] + "\n" for line in rows))
-    with pytest.raises(ValueError, match=r"series\.csv: no column 'R_min'"):
-        load_history(str(d))
-    # the older layout with an N_wedge column the load does not read, and
-    # one row longer than its header
-    series.write_text("".join(rows))
-    _rewrite_columns(series, ["v", "N_wedge", "M_wedge", "P_wedge", "R_max",
-                              "R_min"])
-    rows_old = series.read_text().splitlines(keepends=True)
-    _same_history(load_history(str(d)), small_history)
-    series.write_text("".join(rows_old[:5]) + rows_old[5].rstrip("\n")
-                      + ",1.5\n" + "".join(rows_old[6:]))
-    with pytest.raises(ValueError, match=r"series\.csv: "):
-        load_history(str(d))
+    refused(series, series.read_bytes(),
+            rf"header 'v,P_wedge,R_max', expected {layout}$")
+    for columns in (["R_min", "v", "R_max", "P_wedge"],
+                    ["v", "N_wedge", "M_wedge", "P_wedge", "R_max", "R_min"]):
+        series.write_text("".join(rows))
+        _rewrite_columns(series, columns)
+        refused(series, series.read_bytes(),
+                rf"header '{','.join(columns)}', expected {layout}$")
+    # one row longer than the header
+    refused(series, ("".join(rows[:5]) + rows[5].rstrip("\n") + ",1.5\n"
+                     + "".join(rows[6:])).encode(), "")
     series.write_text("".join(rows))
     meta = d / "meta.json"
     doc = json.loads(meta.read_text())
@@ -485,7 +487,12 @@ def test_load_history_names_a_malformed_file(tmp_path, small_history):
                          # json reads NaN and Infinity; a count is an int
                          (dict(doc, min_dw=-np.inf), "min_dw is -inf"),
                          (dict(doc, r_turn_violations=1.5),
-                          "r_turn_violations is 1.5")):
+                          "r_turn_violations is 1.5"),
+                         # counters no run writes: a run adds turns to 0
+                         # and lowers min_dw from 0
+                         (dict(doc, r_turn_violations=-3),
+                          "r_turn_violations is -3"),
+                         (dict(doc, min_dw=0.5), "min_dw is 0.5")):
         meta.write_text(json.dumps(bad))
         with pytest.raises(ValueError, match=r"meta\.json: " + message):
             load_history(str(d))
@@ -611,46 +618,6 @@ def _rewrite_columns(path, columns):
     path.write_text(",".join(columns) + "\n" + "".join(
         ",".join(row[index[c]] if c in index else "nan" for c in columns)
         + "\n" for row in rows[1:]))
-
-
-def _same_history(a, b):
-    for name in ("vs", "g_plus", "g_minus", "h_plus", "h_minus", "E",
-                 "N_wedge", "M_wedge", "P_wedge", "R_slice_max", "R_min_run",
-                 "probe_radii", "flux_j", "flux_p"):
-        assert np.array_equal(getattr(a, name), getattr(b, name)), name
-    for name in ("r", "w", "q", "weight", "f_value"):
-        assert np.array_equal(getattr(a.particles_final, name),
-                              getattr(b.particles_final, name)), name
-    for name in ("R0", "F", "f_inf_norm", "dv", "r_turn_violations",
-                 "min_dw"):
-        assert getattr(a, name) == getattr(b, name), name
-    assert a.grid == b.grid
-
-
-def test_load_history_reads_columns_by_name(tmp_path, small_history):
-    d = tmp_path / "run"
-    emit_history(small_history, str(d))
-    # the series.csv of older directories: ten columns with N_wedge and the
-    # shifted series, and a fluxes.csv; the derived columns (here nan) and
-    # files are not read
-    _rewrite_columns(d / "series.csv", [
-        "v", "N_wedge", "M_wedge", "N_vee", "M_vee", "N_slice", "M_slice",
-        "P_wedge", "R_max", "R_min"])
-    (d / "fluxes.csv").write_text("v,flux_j_r0,flux_p_r0\nnan,nan,nan\n")
-    _same_history(load_history(str(d)), small_history)
-    # any column order
-    _rewrite_columns(d / "series.csv", [
-        "R_min", "M_wedge", "v", "R_max", "P_wedge"])
-    _same_history(load_history(str(d)), small_history)
-    # the series.csv of the last layout that stored M_wedge, with its
-    # values: the column is not read, and M_wedge is derived as before
-    emit_history(small_history, str(d))
-    h = small_history
-    np.savetxt(d / "series.csv", np.column_stack(
-        (h.vs, h.M_wedge, h.P_wedge, h.R_slice_max, h.R_min_run)),
-        fmt="%.17g", delimiter=",", comments="",
-        header="v,M_wedge,P_wedge,R_max,R_min")
-    _same_history(load_history(str(d)), small_history)
 
 
 def _csv_era(directory, history):
@@ -873,7 +840,38 @@ def test_cli_run_abort_is_one_line_and_exit_status_3(tmp_path, capsys):
     assert captured.err.startswith("run aborted: step 0 (v=0): trajectory "
                                    "reached r <= r_floor=0.4 at v=0.01")
     assert len(captured.err.splitlines()) == 1
-    assert captured.out == "" and not out.exists()
+    # the output directory is made before the first step, and stays empty
+    assert captured.out == "" and list(out.iterdir()) == []
+
+
+def test_cli_output_error_is_one_line_and_exit_status_2(tmp_path, capsys,
+                                                       monkeypatch):
+    # an output path under a regular file: run refuses --output before its
+    # first step, and a --report once the report is printed, whatever the
+    # subcommand
+    cfg_path = write_config(tmp_path / "cfg.json",
+                            time={"dv": 0.02, "v_final": 0.2})
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    runs, real = [], cone_evolver.run
+    monkeypatch.setattr(cone_evolver, "run",
+                        lambda cfg: runs.append(1) or real(cfg))
+    report = ["--report", str(blocker / "r.json")]
+    for argv, ran in (
+            (["run", "--config", cfg_path, "--output", str(blocker / "o")],
+             False),
+            (["run", "--config", cfg_path, "--diagnose", *report], True),
+            (["jacobian-test", "--orbits", "1", "--duration", "0.02",
+              *report], True)):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.err.startswith("output error: ") and str(
+            blocker) in captured.err, argv
+        assert len(captured.err.splitlines()) == 1
+        assert ("overall:" in captured.out) == ran, argv
+        assert len(runs) == (argv[0] == "run" and ran)
+        runs.clear()
+    assert blocker.read_text() == ""
 
 
 def test_cli_run_rejects_bad_datum_before_the_run(tmp_path, capsys):

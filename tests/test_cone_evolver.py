@@ -183,7 +183,8 @@ def predictor_corrector(parts, grid, I, dv):
 def advance(parts, grid, I, dv):
     """The particles after one step from the cumulative source I."""
     with ParticleState(parts, grid, dv) as state:
-        step(state, I)
+        state.field[:] = I
+        step(state)
         return state.particles()
 
 
@@ -402,17 +403,51 @@ def test_a_short_run_forks_no_worker(tmp_path, force_worker):
     assert len(files[True]) > 1 and files[True] == files[False]
 
 
-@pytest.mark.parametrize("inner_half", ["lower", "upper"])
-def test_worker_abort_is_the_serial_abort(monkeypatch, force_worker,
-                                          inner_half):
-    # r_floor 0.4 lies inside the support, whose radii grow with the index;
-    # reversed, the particles that cross it are the worker's upper half
-    reorder(monkeypatch, inner_half == "upper")
-    cfg = small_config(r_floor=0.4, v_final=0.5, resolution=(6, 6, 6))
+@pytest.mark.parametrize("case", ["lower", "upper", "correct", "solve"])
+def test_worker_abort_is_the_serial_abort(monkeypatch, force_worker, case):
+    # lower, upper: r_floor 0.4 lies inside the support, whose radii grow
+    # with the index; reversed, the particles that cross it in the
+    # predictor push are the worker's upper half.  correct: the corrected
+    # push gives particle k, index k - n // 2 of the worker's half, a
+    # momentum that the positivity check refuses (the predictor keeps only
+    # r), so only the redo over all particles names k.  solve: a negative
+    # weight of particle k makes g_plus negative, and the field solve of
+    # the run's half of the first deposit refuses it
+    reorder(monkeypatch, case == "upper")
+    floor = {"r_floor": 0.4} if case in ("lower", "upper") else {}
+    cfg = small_config(v_final=0.5, resolution=(6, 6, 6), **floor)
     parts = cone_evolver.sample_particles(cfg.datum, cfg.resolution)
-    half = len(parts) // 2
-    outer = parts.r[half:] if inner_half == "lower" else parts.r[:half]
-    assert np.min(outer) > 0.44
+    half, k = len(parts) // 2, len(parts) - 3
+    real_push, real_sample = (cone_evolver.integrate_reduced,
+                              cone_evolver.sample_particles)
+    at_k = lambda r, w, q: (r == parts.r[k]) & (w == parts.w[k]) & (
+        q == parts.q[k])
+    assert np.flatnonzero(at_k(parts.r, parts.w, parts.q)).tolist() == [k]
+
+    def corrupting(r, w, q, *args, **kwargs):
+        r_end, w_end = real_push(r, w, q, *args, **kwargs)
+        w_end[at_k(r, w, q)] = -1e9   # the start of step 0 finds k
+        return r_end, w_end
+
+    def negative(*args):
+        parts = real_sample(*args)
+        weight = parts.weight.copy()
+        weight[k] = -1e3 * np.sum(weight)
+        return dataclasses.replace(parts, weight=weight)
+
+    if case in ("lower", "upper"):
+        outer = parts.r[half:] if case == "lower" else parts.r[:half]
+        assert np.min(outer) > 0.44
+        cause, message = (IntegrationError, "trajectory reached r <= "
+                          "r_floor=0.4 at v=0.01")
+    elif case == "correct":
+        monkeypatch.setattr(cone_evolver, "integrate_reduced", corrupting)
+        cause, message = (AssertionError,
+                          f"measure positivity violated at particle {k}: ")
+    else:
+        monkeypatch.setattr(cone_evolver, "sample_particles", negative)
+        cause, message = (ValueError, "negative g_plus: moment invariant "
+                          "violated upstream")
     errors = {}
     for on in (False, True):
         forks = force_worker(on)
@@ -420,15 +455,14 @@ def test_worker_abort_is_the_serial_abort(monkeypatch, force_worker,
             run(cfg)
         assert len(forks) == on
         assert_no_child_left()
-        assert type(errors[on].value.__cause__) is IntegrationError
+        assert type(errors[on].value.__cause__) is cause
     assert str(errors[True].value) == str(errors[False].value)
-    assert str(errors[True].value).startswith(
-        "step 0 (v=0): trajectory reached r <= r_floor=0.4 at v=0.01")
+    assert str(errors[True].value).startswith("step 0 (v=0): " + message)
 
 
 @pytest.mark.parametrize("signum, code", [(signal.SIGKILL, -signal.SIGKILL),
                                           (signal.SIGINT, 0)])
-@pytest.mark.parametrize("phase", ["predict", "deposit_h", "correct",
+@pytest.mark.parametrize("phase", ["predict", "deposit", "correct",
                                    "start"])
 def test_a_worker_ending_mid_run_raises(monkeypatch, capfd, force_worker,
                                         phase, signum, code):
@@ -439,7 +473,7 @@ def test_a_worker_ending_mid_run_raises(monkeypatch, capfd, force_worker,
     # run must raise, not wait forever
     where, calls, step = {"predict": ("eval_field", 20, r"2 \(v=0\.02\)"),
                           "correct": ("eval_field", 24, r"2 \(v=0\.02\)"),
-                          "deposit_h": ("deposit", 3, r"2 \(v=0\.02\)"),
+                          "deposit": ("deposit", 3, r"2 \(v=0\.02\)"),
                           "start": ("cic_cells", 1, r"0 \(v=0\)")}[phase]
     force_worker(True)
     parent, real, seen = os.getpid(), getattr(cone_evolver, where), []
