@@ -79,7 +79,7 @@ def char_rhs_reduced(v, r, w, q, E_r, out=None):
     and q/r^3 is taken from it as (q/r^2)/r.
     """
     r = np.asarray(r, dtype=float)
-    if np.any(r <= 0.0):
+    if r.min(initial=np.inf) <= 0.0:
         raise ValueError("reduced characteristic RHS requires r > 0")
     w = np.asarray(w, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -157,7 +157,7 @@ def integrate_reduced(r, w, q, field_fn, v_from, v_to, step,
         char_rhs_reduced(v, y[0], y[1], q, field_fn(v, y[0]), out)
 
     def after_step(v, y):
-        if np.any(y[0] <= r_floor):
+        if y[0].min(initial=np.inf) <= r_floor:
             raise IntegrationError(
                 f"trajectory reached r <= r_floor={r_floor:g} at v={v:g}; "
                 "the axis bound sqrt(F)/P is violated")

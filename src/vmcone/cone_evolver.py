@@ -10,16 +10,16 @@ and re-pushes in the averaged field, giving second-order coupling.
 
 Every per-particle stage of a step is elementwise, and np.add.at
 accumulates each moment row on its own, in particle order.  A run of at
-least PUSH_WORKER_MIN particles and PUSH_WORKER_MIN_STEPS steps, in a
-process whose CPU affinity mask holds at least two CPUs and on a platform
-with fork, therefore forks one worker process (see ParticleState) and
-splits each of the three phases of a step between the two: at the
-deposit the run accumulates g_plus and g_minus and solves the field while
-the worker accumulates h_plus and h_minus, and at the predictor and the
-corrected push the run takes the lower half of the particles and the
-worker the upper half, with every per-particle product of the slice the
-push reaches.  The halves give the bits of one call and their extremes
-and counts combine exactly, so the result is bit for bit the serial run's.
+least PUSH_WORKER_MIN particles and PUSH_WORKER_MIN_PARTICLE_STEPS
+particle-steps, in a process whose CPU affinity mask holds at least two
+CPUs and on a platform with fork, therefore forks one worker process (see
+ParticleState) and splits each of the three phases of a step between the
+two: at the deposit the run accumulates g_plus and g_minus and solves the
+field while the worker accumulates h_plus and h_minus, and at the predictor
+and the corrected push the run takes the lower half of the particles and
+the worker the upper half, with every per-particle product of the slice the
+push reaches.  The halves give the bits of one call and their extremes and
+counts combine exactly, so the result is bit for bit the serial run's.
 
 The magnetic field is identically zero in spherical symmetry, so the
 incoming and outgoing radiation fluxes vanish structurally; see nirc_flux.
@@ -46,16 +46,17 @@ from .characteristics import integrate_reduced
 # auto_r_max and default_probe_radii are read here by perfbench's set-up
 from .config import RunConfig, auto_r_max, default_probe_radii  # noqa: F401
 
-# particle and step counts from which run forks a worker that runs half of
-# every per-particle stage.  Median worker/serial time ratios on 2 CPUs
-# (desk datum, 512 shells, dv 0.005, 10 alternating fresh-process pairs):
-# 0.82 and 0.72 at 10,648 particles and 10 or 50 steps, 0.84 and 0.73 at
-# 13,824, every pair won; at 10 steps 0.89 with 9,261 particles and 0.95
-# with 8,000, 8 of 10 won; at 5 steps 0.95 with 13,824 particles (8 of 10
-# won) and 1.20-1.70 with fewer.  The fork, the reap and the syncs of each
-# step cost more than a short or small run saves.
-PUSH_WORKER_MIN = 10000
-PUSH_WORKER_MIN_STEPS = 10
+# the particle count, and the count of particles times steps, from which
+# run forks a worker that runs half of every per-particle stage.  Median
+# worker/serial time ratios on 2 CPUs (desk datum, 512 shells, dv 0.005, 10
+# alternating fresh-process pairs per series, pairs won in brackets): at 300
+# steps 1.04 (5) with 1,000 particles, 0.96-1.07 (3-8) with 1,728, 0.92 (8)
+# with 2,197, 0.80-0.91 (8-10) with 2,744, 0.78 (9) with 4,096, 0.71 (10)
+# with 8,000; at 10 steps 1.18 (2) with 4,096 and 0.97 (6) with 8,000;
+# 0.79-0.94 (6-10) from 137,000 particle-steps, 0.86-1.03 (5-7) from 80,000
+# to 123,000, where the fork and the syncs cost what the worker saves.
+PUSH_WORKER_MIN = 2500
+PUSH_WORKER_MIN_PARTICLE_STEPS = 150000
 
 
 @dataclass
@@ -169,7 +170,7 @@ class SliceHistory:
 
 class ParticleState:
     """The particles of a run, and the worker process that runs half of
-    every phase when fork is true.
+    every phase when fork is true; a failed fork leaves the run serial.
 
     A phase is a function phase(state, sl) of the particles in the slice
     sl; each(phase) runs it in one call over all particles, or on the lower
@@ -226,10 +227,11 @@ class ParticleState:
         self.reply, reply = os.pipe()
         try:
             self.pid = os.fork()
-        except OSError:
+        except OSError:   # no process to spare: the serial path, same bits
             for fd in (command, self.command, self.reply, reply):
                 os.close(fd)
-            raise
+            self.command = self.reply = None
+            return
         if self.pid == 0:
             self._serve(command, reply, slice(n // 2, None))
         os.close(command)
@@ -310,13 +312,13 @@ def _record(s, sl, r, w):
     parts = ParticleSet(r, w, s.q[sl], s.weight[sl], s.f_value[sl])
     p_sq = parts.momentum_sq()
     gamma = np.sqrt(1.0 + p_sq)
-    check_measure_positivity(parts, p_sq, gamma)
+    one_plus = 1.0 + w / gamma
+    check_measure_positivity(parts, p_sq, one_plus)
     s.j[sl], s.frac[sl] = cic_cells(r, s.grid)
     _, s.payloads[0, sl], s.payloads[1, sl], s.payloads[2, sl] = (
-        moment_payloads(parts, gamma))
-    s.reduced[s.row, :3] = (np.max(p_sq, initial=0.0),
-                            np.min(r, initial=np.inf),
-                            np.max(r, initial=0.0))
+        moment_payloads(parts, gamma, one_plus))
+    s.reduced[s.row, :3] = (p_sq.max(initial=0.0), r.min(initial=np.inf),
+                            r.max(initial=0.0))
 
 
 def _start(s, sl):
@@ -349,14 +351,15 @@ def _correct(s, sl):
     """The corrected push in s.field, the slice it reaches and the flow
     counters of the step, into the spare buffer."""
     r, w = _push(s, sl)
-    if np.any(~np.isfinite(r)) or np.any(~np.isfinite(w)):
+    if not all(map(math.isfinite, (r.min(initial=0.0), r.max(initial=0.0),
+                                   w.min(initial=0.0), w.max(initial=0.0)))):
         raise FloatingPointError("non-finite particle state after push")
     _record(s, sl, r, w)
     r0, w0 = s.rw[s.slot[0], :, sl]
     dr_sign = np.sign(r - r0)
     s.reduced[s.row, 3:] = (
         np.count_nonzero((dr_sign < 0) & s.turned_out[sl]),
-        np.min(w - w0, initial=0.0))
+        (w - w0).min(initial=0.0))
     s.turned_out[sl] |= dr_sign > 0
     s.rw[1 - s.slot[0], 0, sl], s.rw[1 - s.slot[0], 1, sl] = r, w
 
@@ -413,7 +416,8 @@ def run(config: RunConfig) -> SliceHistory:
     vs = np.linspace(0.0, config.v_final, n_slices)
 
     parts = sample_particles(config.datum, config.resolution)
-    fork = (len(parts) >= PUSH_WORKER_MIN and n_steps >= PUSH_WORKER_MIN_STEPS
+    fork = (len(parts) >= PUSH_WORKER_MIN
+            and len(parts) * n_steps >= PUSH_WORKER_MIN_PARTICLE_STEPS
             and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
             and len(os.sched_getaffinity(0)) >= 2)
     with ParticleState(parts, grid, dv, config.r_floor, fork) as state:

@@ -214,22 +214,22 @@ def sample_particles(datum: InitialDatum, resolution) -> ParticleSet:
 
 
 def check_measure_positivity(parts: ParticleSet, momentum_sq=None,
-                             gamma=None):
+                             one_plus=None):
     """Assert 1 + phat.k >= (1/2) / (1 + |p|^2) for every particle.
 
     The lower bound makes the advanced-time parameterization non-degenerate
     on bounded momentum supports; violation indicates a corrupted state.
-    momentum_sq and gamma, when given, are parts.momentum_sq() and
-    parts.gamma().
+    momentum_sq and one_plus, when given, are parts.momentum_sq() and
+    parts.one_plus_phat_k().
     """
     if len(parts) == 0:
         return
-    lhs = parts.one_plus_phat_k() if gamma is None else 1.0 + parts.w / gamma
+    lhs = parts.one_plus_phat_k() if one_plus is None else one_plus
     if momentum_sq is None:
         momentum_sq = parts.momentum_sq()
     lower = 0.5 / (1.0 + momentum_sq)
     bad = lhs < lower * (1.0 - 1e-12)
-    if np.any(bad):
+    if bad.any():
         i = int(np.argmax(bad))
         raise AssertionError(
             f"measure positivity violated at particle {i}: "

@@ -76,12 +76,13 @@ class ShellGrid:
 MOMENTS = ("g_plus", "g_minus", "h_plus", "h_minus")
 
 
-def moment_payloads(parts, gamma) -> tuple:
+def moment_payloads(parts, gamma, one_plus=None) -> tuple:
     """Per-particle contributions to the MOMENTS (omega = weight):
     omega, omega (1 - phat.k) / (1 + phat.k), omega gamma and
-    omega (gamma - w) / (1 + phat.k); gamma is parts.gamma()."""
+    omega (gamma - w) / (1 + phat.k); gamma is parts.gamma() and one_plus,
+    when given, 1 + parts.w / gamma."""
     omega = parts.weight
-    one_plus = 1.0 + parts.w / gamma
+    one_plus = 1.0 + parts.w / gamma if one_plus is None else one_plus
     one_minus = 1.0 - parts.w / gamma
     return (omega, omega * one_minus / one_plus, omega * gamma,
             omega * (gamma - parts.w) / one_plus)
@@ -91,8 +92,9 @@ def cic_cells(r, grid: ShellGrid) -> tuple:
     """(j, frac): the node j below each particle at radii r and its offset
     in cells from it, after checking that every particle lies on the grid.
     Elementwise, so the cells of a part of r are that part of the cells."""
-    if np.any(r >= grid.r_max) or np.any(r < 0.0):
-        i = int(np.argmax((r >= grid.r_max) | (r < 0.0)))
+    if not (r.min(initial=0.0) >= 0.0 and r.max(initial=0.0) < grid.r_max):
+        # the complement of the grid's range, so that a NaN is refused too
+        i = int(np.argmax(~((r >= 0.0) & (r < grid.r_max))))
         raise ValueError(
             f"particle {i} at r={r[i]:.6g} outside shell grid "
             f"[0, {grid.r_max:g}); enlarge r_max")
@@ -147,9 +149,11 @@ def radial_integral(grid: ShellGrid, values: np.ndarray, r=None):
 def solve_field(grid: ShellGrid, g_plus: np.ndarray) -> np.ndarray:
     """The cumulative source I of the node densities of g_plus, after
     checking that they are finite and non-negative; node_field gives E_r."""
-    if np.any(~np.isfinite(g_plus)):
+    g_plus = np.asarray(g_plus)
+    hi, lo = g_plus.max(), g_plus.min()
+    if not -np.inf < lo <= hi < np.inf:   # written so that a NaN fails too
         raise ValueError("non-finite g_plus passed to field solve")
-    if np.any(g_plus < -1e-12 * max(1.0, float(np.max(np.abs(g_plus))))):
+    if lo < -1e-12 * max(1.0, abs(lo), abs(hi)):
         raise ValueError("negative g_plus: moment invariant violated upstream")
     return cumulative_source(grid, g_plus)
 
@@ -171,9 +175,11 @@ def eval_field(grid: ShellGrid, I: np.ndarray, r) -> np.ndarray:
     """
     scalar = np.ndim(r) == 0
     r = np.atleast_1d(np.asarray(r, dtype=float))
-    if np.any(r < 0.0):
+    r_min = r.min(initial=np.inf)
+    if r_min < 0.0:
         raise ValueError("field evaluation outside r >= 0")
-    # the masked divide leaves r^2 = 0 in place at r = 0
+    # a masked divide, unless every r is positive, leaves r^2 = 0 at r = 0
     E = np.multiply(r, r)
-    np.divide(np.interp(r, grid.edges, I), E, out=E, where=r > 0.0)
+    np.divide(np.interp(r, grid.edges, I), E, out=E,
+              where=True if r_min > 0.0 else r > 0.0)
     return float(E[0]) if scalar else E

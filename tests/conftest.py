@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from vmcone import RunConfig, run
@@ -44,3 +46,12 @@ def desk_report(desk_history):
 @pytest.fixture(scope="session")
 def small_history():
     return run(small_config())
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """After every test no child process is left, running or unreaped: a
+    run reaps its worker, and a test reaps what it starts."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

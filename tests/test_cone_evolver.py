@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import os
 import signal
 import sys
@@ -74,9 +75,9 @@ def test_derived_series_equal_the_per_slice_formulas(small_history,
     # plus the field energy of the slice
     kinetic, real = [], cone_evolver.moment_payloads
 
-    def recording(parts, gamma):
+    def recording(parts, gamma, *one_plus):
         kinetic.append(float(np.sum(parts.weight * parts.gamma())))
-        return real(parts, gamma)
+        return real(parts, gamma, *one_plus)
 
     monkeypatch.setattr(cone_evolver, "moment_payloads", recording)
     h = run(small_config(v_final=0.5))
@@ -296,18 +297,24 @@ def test_measure_positivity_abort_names_step_and_v(monkeypatch):
 @pytest.fixture
 def force_worker(monkeypatch):
     """force_worker(on) runs half of every run's particles in a worker
-    whatever the particle and CPU counts (on), or never, and returns the
-    list of forks made.  A test that waits on a worker for 60 s fails with
-    a TimeoutError instead of stalling the suite."""
+    whatever the particle, step and CPU counts (on), never (False), or as
+    the fork rule decides on two CPUs (None), and returns the list of
+    forks made.  A test that waits on a worker for 60 s fails with a
+    TimeoutError instead of stalling the suite."""
+    rule = {name: getattr(cone_evolver, name) for name in (
+        "PUSH_WORKER_MIN", "PUSH_WORKER_MIN_PARTICLE_STEPS")}
+
     def force(on):
-        if on and not hasattr(os, "fork"):
+        if on is not False and not hasattr(os, "fork"):
             pytest.skip("no fork on this platform")
-        monkeypatch.setattr(cone_evolver, "PUSH_WORKER_MIN",
-                            0 if on else sys.maxsize)
+        floors = rule if on is None else dict.fromkeys(
+            rule, 0 if on else sys.maxsize)
+        for name, floor in floors.items():
+            monkeypatch.setattr(cone_evolver, name, floor)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
                             raising=False)
         forks, real = [], os.fork
-        if on:
+        if on is not False:
             monkeypatch.setattr(os, "fork",
                                 lambda: forks.append(1) or real())
         return forks
@@ -384,23 +391,102 @@ def test_worker_push_gives_the_serial_bytes(monkeypatch, tmp_path,
                 assert type(a) is type(b) and a == b, field.name
 
 
-def test_a_short_run_forks_no_worker(tmp_path, force_worker):
-    # below PUSH_WORKER_MIN_STEPS the fork and reap cost more than the
-    # worker saves: a run forced onto the worker path forks only from that
-    # step count, and the short run writes the serial bytes
-    n = cone_evolver.PUSH_WORKER_MIN_STEPS
+def history_files(h, directory):
+    """{name: bytes} of every file that emit_history writes for h."""
+    emit_history(h, directory)
+    return {f.name: f.read_bytes() for f in directory.iterdir()}
+
+
+def test_the_fork_rule_boundary(tmp_path, force_worker):
+    # a run forks from PUSH_WORKER_MIN particles and
+    # PUSH_WORKER_MIN_PARTICLE_STEPS particle-steps: below either the fork,
+    # the reap and the syncs of each step cost more than the worker saves.
+    # 14^3 particles pass the particle floor; 13^3 do not, however long the
+    # run.  A run that the rule keeps serial writes the serial bytes
+    few, many = 13**3, 14**3
+    assert few < cone_evolver.PUSH_WORKER_MIN <= many
+    last_serial = -(-cone_evolver.PUSH_WORKER_MIN_PARTICLE_STEPS // many) - 1
     files = {}
-    for on, steps in ((False, n - 1), (True, n - 1), (True, n)):
+    for on, res, steps in ((False, 14, last_serial), (None, 14, last_serial),
+                           (None, 14, last_serial + 1), (None, 13, 300)):
         forks = force_worker(on)
-        h = run(small_config(resolution=(11, 11, 11), v_final=0.01 * steps))
-        assert len(h.vs) == steps + 1
-        assert len(forks) == (on and steps >= n)
+        h = run(small_config(resolution=(res,) * 3, v_final=0.01 * steps))
+        n = len(h.particles_final.r)
+        assert len(h.vs) == steps + 1 and n == res**3
+        assert len(forks) == (on is None and n * steps >= cone_evolver.
+                              PUSH_WORKER_MIN_PARTICLE_STEPS
+                              and n >= cone_evolver.PUSH_WORKER_MIN)
         assert_no_child_left()
-        if steps < n:
-            emit_history(h, tmp_path / str(on))
-            files[on] = {f.name: f.read_bytes()
-                         for f in (tmp_path / str(on)).iterdir()}
+        if steps == last_serial:
+            files[on] = history_files(h, tmp_path / str(on))
+    assert len(files[None]) > 1 and files[None] == files[False]
+
+
+def test_a_long_run_of_4096_particles_forks(tmp_path, force_worker):
+    # the round-trip size, 16^3 particles and 300 steps, pays for the
+    # worker; the forked run writes the serial bytes
+    files = {}
+    for on in (False, None):
+        forks = force_worker(on)
+        h = run(small_config(resolution=(16, 16, 16)))
+        assert len(h.particles_final.r) == 4096 and len(h.vs) == 301
+        assert len(forks) == (on is None)
+        assert_no_child_left()
+        files[on] = history_files(h, tmp_path / str(on))
+    assert len(files[None]) > 1 and files[None] == files[False]
+
+
+def test_a_failed_fork_runs_serially(monkeypatch, tmp_path, force_worker):
+    # a process limit makes fork fail with EAGAIN: the run closes its pipes
+    # and goes on serially, with the serial bytes and no child
+    cfg = small_config(resolution=(11, 11, 11), v_final=0.5)
+    files, real_pipe = {}, os.pipe
+    for on in (False, True):
+        force_worker(on)
+        pipes = []
+        monkeypatch.setattr(os, "pipe", lambda: pipes.extend(real_pipe())
+                            or tuple(pipes[-2:]))
+        if on:
+            def failing():
+                raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            monkeypatch.setattr(os, "fork", failing)
+        h = run(cfg)
+        assert len(pipes) == 4 * on
+        for fd in pipes:
+            with pytest.raises(OSError):
+                os.fstat(fd)
+        assert_no_child_left()
+        files[on] = history_files(h, tmp_path / str(on))
     assert len(files[True]) > 1 and files[True] == files[False]
+
+
+def test_a_nan_radius_aborts_naming_its_particle(monkeypatch, force_worker):
+    # the predictor push of step 0 puts particle k, in the worker's half,
+    # at r = NaN; the cells of the predicted radii refuse it, by its index
+    # in the run, on both paths
+    cfg = small_config(resolution=(6, 6, 6), v_final=0.1)
+    parts = cone_evolver.sample_particles(cfg.datum, cfg.resolution)
+    k, real = len(parts) - 3, cone_evolver.integrate_reduced
+    at_k = lambda r, w, q: (r == parts.r[k]) & (w == parts.w[k]) & (
+        q == parts.q[k])
+
+    def corrupting(r, w, q, *args, **kwargs):
+        r_end, w_end = real(r, w, q, *args, **kwargs)
+        r_end[at_k(r, w, q)] = np.nan
+        return r_end, w_end
+
+    monkeypatch.setattr(cone_evolver, "integrate_reduced", corrupting)
+    errors = {}
+    for on in (False, True):
+        forks = force_worker(on)
+        with pytest.raises(RunAborted) as errors[on]:
+            run(cfg)
+        assert len(forks) == on
+        assert_no_child_left()
+        assert type(errors[on].value.__cause__) is ValueError
+    assert str(errors[True].value) == str(errors[False].value) == (
+        f"step 0 (v=0): particle {k} at r=nan outside shell grid "
+        f"[0, {cfg.grid.r_max:g}); enlarge r_max")
 
 
 @pytest.mark.parametrize("case", ["lower", "upper", "correct", "solve"])
