@@ -89,6 +89,8 @@ def char_rhs_reduced(v, r, w, q, E_r, out=None):
     # gamma = sqrt(1 + w^2 + q/r^2) and then p0 = gamma + w live in dr,
     # gamma E_r + q/r^3 in dw, and q/r^2 and then q/r^3 in q_r2
     q_r2 = np.multiply(r, r)
+    if r.ndim == 0:   # a numpy scalar, which no out= takes
+        q_r2 = np.array(q_r2)
     np.divide(q, q_r2, out=q_r2)
     np.add(1.0, np.multiply(w, w, out=dr), out=dr)
     np.sqrt(np.add(dr, q_r2, out=dr), out=dr)

@@ -67,6 +67,11 @@ def cmd_run(args) -> int:
     try:   # before the first step, so that a bad path costs no run
         if cfg.output_directory:
             os.makedirs(cfg.output_directory, exist_ok=True)
+        if args.report:   # meet the error the report's write would meet
+            existed = os.path.exists(args.report)
+            open(args.report, "a").close()
+            if not existed:
+                os.remove(args.report)
     except OSError as exc:
         return _output_error(exc)
     try:
@@ -81,7 +86,7 @@ def cmd_run(args) -> int:
             return _output_error(exc)
         print(f"run artifacts written to {cfg.output_directory}")
     print(f"steps: {len(history.vs) - 1}, dv: {history.dv:g}, "
-          f"particles: {len(history.particles_final)}")
+          f"particles: {len(history.r_final)}")
     if args.diagnose:
         return _report(report_mod.diagnose_report(history), args.report)
     return 0
@@ -105,16 +110,17 @@ def _audit_grid(args):
     """The grid to audit: read from --input or embedded from a history."""
     if args.input:
         return io_utils.load_grid(args.input)
-    check_fits_memory("--nodes", f"the {args.nodes}^3 input grid of E, B, "
-                      "rho and j", 80 * args.nodes**3)   # 10 doubles a node
+    nodes = 48 if args.nodes is None else args.nodes
+    check_fits_memory("--nodes", f"the {nodes}^3 input grid of E, B, "
+                      "rho and j", 80 * nodes**3)   # 10 doubles a node
     history = io_utils.load_history(args.from_history)
     extent = (history.grid.r_max / 2.0 if args.extent is None
               else args.extent)
     # two grid spacings, or a tenth of the cube
-    r_cut = (max(4.0 * extent / (args.nodes - 1), 0.1 * extent)
+    r_cut = (max(4.0 * extent / (nodes - 1), 0.1 * extent)
              if args.r_cut is None else args.r_cut)
     return constraint_audit.embed_symmetric_solution(
-        history, args.v, args.nodes, extent, r_cut)
+        history, 0.0 if args.v is None else args.v, nodes, extent, r_cut)
 
 
 def cmd_audit(args) -> int:
@@ -123,7 +129,11 @@ def cmd_audit(args) -> int:
          bool(args.input) != bool(args.from_history)),
         ("--tol must be positive and finite",
          args.tol is None or 0.0 < args.tol < math.inf),
-        ("--nodes must give at least 3 nodes per axis", args.nodes >= 3))
+        ("--nodes must give at least 3 nodes per axis",
+         args.nodes is None or args.nodes >= 3),
+        *((f"{flag} embeds a history; --input audits its grid as saved",
+           not args.input or getattr(args, flag[2:].replace("-", "_")) is None)
+          for flag in ("--v", "--nodes", "--extent", "--r-cut")))
         if not ok]
     if bad:
         print("\n".join(bad), file=sys.stderr)
@@ -183,10 +193,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", help="binary grid file with E, B, rho, j")
     p.add_argument("--from-history", help="embed a recorded run slice; "
                    f"this {HISTORY_AUDIT_SCOPE}")
-    p.add_argument("--v", type=float, default=0.0,
-                   help="slice label when embedding from a history")
-    p.add_argument("--nodes", type=int, default=48,
-                   help="grid nodes per axis when embedding")
+    p.add_argument("--v", type=float,
+                   help="slice label when embedding from a history "
+                   "(default 0)")
+    p.add_argument("--nodes", type=int,
+                   help="grid nodes per axis when embedding (default 48)")
     p.add_argument("--extent", type=float,
                    help="half-width of the audit cube when embedding")
     p.add_argument("--r-cut", type=float, dest="r_cut",

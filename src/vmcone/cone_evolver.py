@@ -32,7 +32,7 @@ import math
 import mmap
 import os
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -66,9 +66,9 @@ class SliceHistory:
     Profile arrays have shape (n_slices, n_nodes); series arrays (n_slices,).
     P_wedge is the running momentum-support radius (non-decreasing by
     construction); R_min_run the running minimum particle radius.  The
-    grid, the probe spheres, the datum's constants, dv and the sampled
-    particles are fixed by the config and derived from it; E, N_wedge,
-    M_wedge, flux_j and flux_p are derived from the moment profiles.
+    grid, probes, datum constants, dv, sampled particles and the final
+    particles' q, weight and f_value, constants of the motion, are derived
+    from the config; E, N_wedge, M_wedge, flux_j and flux_p from the moments.
     """
 
     config: RunConfig
@@ -81,7 +81,8 @@ class SliceHistory:
     P_wedge: np.ndarray
     R_slice_max: np.ndarray
     R_min_run: np.ndarray
-    particles_final: ParticleSet
+    r_final: np.ndarray
+    w_final: np.ndarray
     # flow-monotonicity counters (claim: r has at most one local minimum,
     # w is non-decreasing while E.k >= 0)
     r_turn_violations: int
@@ -97,6 +98,8 @@ class SliceHistory:
     particles_initial = cached_property(   # sampled again
         lambda self: sample_particles(self.config.datum,
                                       self.config.resolution))
+    particles_final = cached_property(lambda self: replace(
+        self.particles_initial, r=self.r_final, w=self.w_final))
 
     @property
     def v_final(self) -> float:
@@ -281,11 +284,6 @@ class ParticleState:
             raise RuntimeError(f"the {name} phase failed in a half but not "
                                f"over all particles")
 
-    def particles(self) -> ParticleSet:
-        """A copy of the current particles, in private memory."""
-        r, w = self.rw[self.slot[0]].copy()
-        return ParticleSet(r, w, self.q, self.weight, self.f_value)
-
     def __enter__(self):
         return self
 
@@ -440,12 +438,12 @@ def run(config: RunConfig) -> SliceHistory:
                 moments[:, n] = state.moments
                 if n < n_steps:
                     step(state)
-        parts = state.particles()
+        r_final, w_final = state.rw[state.slot[0]].copy()
 
     return SliceHistory(
         config=config, vs=vs, **dict(zip(MOMENTS, moments)), **series,
-        particles_final=parts, r_turn_violations=r_turn_violations,
-        min_dw=min_dw)
+        r_final=r_final, w_final=w_final,
+        r_turn_violations=r_turn_violations, min_dw=min_dw)
 
 
 def nirc_flux(history: SliceHistory, v1: float, v2: float, r: float) -> float:

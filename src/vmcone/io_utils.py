@@ -8,25 +8,24 @@ import json
 import math
 import os
 import tokenize
-from operator import attrgetter
 
 import numpy as np
 
 from .config import config_from_dict
 from .radial_field import MOMENTS
-from .phase_model import ParticleSet
+from .phase_model import sample_particles
 from .cone_evolver import SliceHistory
 
 # The run-directory layout that emit_history writes and load_history reads:
 # each CSV column, .npy row and meta.json key with the SliceHistory field it
 # holds.  profiles.npy[k, i, j] is moment k of slice i (v in series.csv) at
-# node j (r = j * dr); particles.npy[k] is field k of particles_final;
+# node j (r = j * dr); particles.npy holds r and w of the final particles;
 # meta.json holds the config as to_dict writes it, with no output directory.
 LAYOUT = {
     "series.csv": {"v": "vs", "P_wedge": "P_wedge", "R_max": "R_slice_max",
                    "R_min": "R_min_run"},
     "profiles.npy": {c: c for c in MOMENTS},
-    "particles.npy": {c: c for c in ("r", "w", "q", "weight", "f_value")},
+    "particles.npy": {"r": "r_final", "w": "w_final"},
     "meta.json": {c: c for c in ("config", "r_turn_violations", "min_dw")},
 }
 NPY_HEADERS = {(1, 0): np.lib.format.read_array_header_1_0,
@@ -37,14 +36,12 @@ def emit_history(history: SliceHistory, directory) -> None:
     """Write the run record: series, profiles, final particles, metadata."""
     os.makedirs(directory, exist_ok=True)
     path = lambda name: os.path.join(directory, name)
-    fields = lambda name, obj=history: [
-        attrgetter(f)(obj) for f in LAYOUT[name].values()]
+    fields = lambda name: [getattr(history, f) for f in LAYOUT[name].values()]
     np.savetxt(path("series.csv"), np.column_stack(fields("series.csv")),
                fmt="%.17g", delimiter=",", comments="",
                header=",".join(LAYOUT["series.csv"]))
-    for name, obj in (("profiles.npy", history),
-                      ("particles.npy", history.particles_final)):
-        np.save(path(name), np.stack(fields(name, obj), dtype="<f8"))
+    for name in ("profiles.npy", "particles.npy"):
+        np.save(path(name), np.stack(fields(name), dtype="<f8"))
     meta = dict(zip(LAYOUT["meta.json"], fields("meta.json")))
     meta["config"] = meta["config"].to_dict()
     meta["config"]["output"]["directory"] = None
@@ -108,11 +105,10 @@ def _read_body(fh, shapes):
     return [np.fromfile(fh, "<f8", math.prod(s)).reshape(s) for s in shapes]
 
 
-def _read_npy(directory, name, shape, why=""):
+def _read_npy(directory, name, shape, why):
     """{field: row} of layout file ``name``, read without pickle.  Unless it
-    exists and is a C-order little-endian float64 array of ``shape`` (None:
-    any extent; ``why`` names its source) of exactly that size, a ValueError
-    names it."""
+    exists and is a C-order little-endian float64 array of ``shape`` (``why``
+    names its source) of exactly that size, a ValueError names it."""
     path = os.path.join(directory, name)
     try:
         with open(path, "rb") as fh:
@@ -122,8 +118,7 @@ def _read_npy(directory, name, shape, why=""):
             except (ValueError, KeyError, SyntaxError, TypeError, Warning,
                     tokenize.TokenError) as exc:
                 raise ValueError(f"bad .npy header: {exc!r}") from exc
-            if ((dtype.str, fortran, len(got)) != ("<f8", False, len(shape))
-                    or any(s not in (None, g) for s, g in zip(shape, got))):
+            if (dtype.str, fortran, got) != ("<f8", False, shape):
                 raise ValueError(f"{dtype.str} {got}, fortran_order {fortran},"
                                  f" expected <f8 {shape}, C order{why}")
             [rows] = _read_body(fh, [got])
@@ -137,9 +132,9 @@ def _read_npy(directory, name, shape, why=""):
 
 def load_history(directory) -> SliceHistory:
     """Reconstruct a SliceHistory from an emitted run directory; files
-    outside LAYOUT are not read.  The v column of series.csv must be the
-    first slices of the config's steps, bit for bit: fewer rows load, more
-    or other values raise a ValueError."""
+    outside LAYOUT are not read.  Unless the v column of series.csv is the
+    first slices of the config's steps, bit for bit, and particles.npy has
+    one column per particle the config samples, a ValueError names the file."""
     fields = _read_meta(os.path.join(directory, "meta.json"))
     series, n = _read_csv(directory, "series.csv")
     config = fields["config"]
@@ -155,9 +150,13 @@ def load_history(directory) -> SliceHistory:
                             (len(MOMENTS), n, config.n_shells + 1),
                             f" ({n} rows in series.csv, meta.json "
                             f"grid.n_shells)"))
-    fields["particles_final"] = ParticleSet(
-        **_read_npy(directory, "particles.npy", (5, None)))
-    return SliceHistory(**fields)
+    initial = sample_particles(config.datum, config.resolution)
+    fields.update(_read_npy(directory, "particles.npy", (2, len(initial)),
+                            " (r, w of meta.json's particles; 5 rows are "
+                            "an older version's: re-run `vmcone run`)"))
+    history = SliceHistory(**fields)
+    history.particles_initial = initial   # sampled once
+    return history
 
 
 def emit_report(report: dict, path) -> None:

@@ -82,13 +82,13 @@ def diagnose_report(history: SliceHistory) -> dict:
                                ("N_vee", N0, "future-cone mass"),
                                ("M_vee", M0, "future-cone energy")):
         fn, slope = diag.SHIFTED_SERIES[which]
+        # the future-cone series are also checked for monotonicity
+        monotone = [f"{which}_monotone"] if slope == 2.0 else []
         try:
             vs_w, vals, r_eval = diag.functional_series(history, which)
         except ValueError as exc:
-            kinds = ("constancy", "monotone") if slope == 2.0 else (
-                "constancy",)
-            skipped += [{"name": f"{which}_{kind}", "reason": str(exc)}
-                        for kind in kinds]
+            skipped += [{"name": name, "reason": str(exc)}
+                        for name in [f"{which}_constancy", *monotone]]
             continue
         checks.append(_check(
             f"{which}_constancy",
@@ -96,9 +96,12 @@ def diagnose_report(history: SliceHistory) -> dict:
             f"past-cone value (window v <= {vs_w[-1]:.3g}, r = {r_eval:.3g})",
             np.max(np.abs(vals - fn(history, 0.0, r_eval))) / norm,
             TOL_RELATIVE))
-        if slope == 2.0 and len(vals) > 1:
+        if monotone and len(vals) == 1:
+            skipped += [{"name": monotone[0], "reason": "one label in the "
+                         "window, so no increment"}]
+        elif monotone:
             checks.append(_check(
-                f"{which}_monotone",
+                monotone[0],
                 f"max positive per-step increment of the {label} series "
                 "(non-increasing up to tolerance)",
                 max(float(np.max(np.diff(vals))) / norm, 0.0),

@@ -13,7 +13,9 @@ import pytest
 
 from vmcone import (RunConfig, ConfigError, config_from_dict, parse_config,
                     run, emit_history, load_history, emit_report,
-                    cone_evolver)
+                    cone_evolver, io_utils)
+from vmcone.cone_evolver import SliceHistory
+from vmcone.io_utils import LAYOUT
 from vmcone.report import diagnose_report
 from vmcone.cli import main
 from conftest import small_config, DESK_DATUM_PARAMS
@@ -410,8 +412,7 @@ def test_load_history_names_a_malformed_file(tmp_path, small_history):
     prof, parts = d / "profiles.npy", d / "particles.npy"
     good = {prof: prof.read_bytes(), parts: parts.read_bytes()}
     arrays = {prof: np.stack([h.g_plus, h.g_minus, h.h_plus, h.h_minus]),
-              parts: np.stack([getattr(h.particles_final, f) for f in
-                               ("r", "w", "q", "weight", "f_value")])}
+              parts: np.stack([h.r_final, h.w_final])}
     for path, body in good.items():
         a = arrays[path]
         header = len(body) - a.nbytes
@@ -594,8 +595,9 @@ def test_series_columns(tmp_path, small_history):
 
 def test_profiles_and_particles_are_npy_arrays(tmp_path, small_history):
     # profiles.npy[k, i, j] holds moment k of slice i at node j; v is in
-    # series.csv and r = j * dr follows from meta.json; particles.npy[k]
-    # holds ParticleSet field k; both are little-endian float64 in C order
+    # series.csv and r = j * dr follows from meta.json; particles.npy holds
+    # r and w of the final particles, whose q, weight and f_value the config
+    # fixes; both are little-endian float64 in C order
     emit_history(small_history, str(tmp_path))
     h, n_nodes = small_history, small_history.grid.n_shells + 1
     prof = np.load(tmp_path / "profiles.npy", allow_pickle=False)
@@ -605,9 +607,55 @@ def test_profiles_and_particles_are_npy_arrays(tmp_path, small_history):
         assert np.array_equal(prof[k], getattr(h, name)), name
     parts = np.load(tmp_path / "particles.npy", allow_pickle=False)
     assert parts.dtype.str == "<f8" and parts.flags.c_contiguous
-    assert parts.shape == (5, len(h.particles_final))
-    for k, name in enumerate(("r", "w", "q", "weight", "f_value")):
+    assert parts.shape == (2, len(h.particles_final))
+    for k, name in enumerate(("r", "w")):
         assert np.array_equal(parts[k], getattr(h.particles_final, name)), name
+
+
+def test_particles_npy_of_another_count_or_layout_is_refused(
+        tmp_path, small_history):
+    # the config fixes the particle count and q, weight and f_value: a file
+    # cut to 100 particles, and one of the (5, n) layout of older versions,
+    # are refused by name, with the expected (2, n)
+    d = tmp_path / "run"
+    emit_history(small_history, str(d))
+    h, n = small_history, len(small_history.r_final)
+    cut = np.stack([h.r_final, h.w_final])[:, :100]
+    old = np.stack([getattr(h.particles_final, f)
+                    for f in ("r", "w", "q", "weight", "f_value")])
+    for bad in (cut, old):
+        (d / "particles.npy").write_bytes(_npy(bad))
+        with pytest.raises(ValueError, match=(
+                rf"particles\.npy: <f8 \({bad.shape[0]}, {bad.shape[1]}\), "
+                rf"fortran_order False, expected <f8 \(2, {n}\), C order "
+                rf"\(r, w of meta\.json's particles; 5 rows are an older "
+                rf"version's: re-run `vmcone run`\)$")):
+            load_history(str(d))
+
+
+def test_the_layout_persists_the_fields_and_nothing_derived():
+    # each SliceHistory field is persisted once, and nothing else is: what
+    # a history derives (E, the particle constants, the grid) is not
+    persisted = [f for columns in LAYOUT.values() for f in columns.values()]
+    assert sorted(persisted) == sorted(
+        f.name for f in dataclasses.fields(SliceHistory))
+
+
+def test_a_reload_samples_the_datum_once(tmp_path, small_history,
+                                         monkeypatch):
+    # the count check and the history's particle constants share one
+    # sampling, and the report reuses it
+    emit_history(small_history, str(tmp_path))
+    want = diagnose_report(small_history)
+    calls, real = [], io_utils.sample_particles
+    sample = lambda *args: calls.append(1) or real(*args)
+    monkeypatch.setattr(io_utils, "sample_particles", sample)
+    monkeypatch.setattr(cone_evolver, "sample_particles", sample)
+    loaded = load_history(str(tmp_path))
+    assert diagnose_report(loaded) == want and len(calls) == 1
+    for name in ("r", "w", "q", "weight", "f_value"):
+        assert np.array_equal(getattr(loaded.particles_final, name),
+                              getattr(small_history.particles_final, name))
 
 
 def _rewrite_columns(path, columns):
@@ -846,9 +894,9 @@ def test_cli_run_abort_is_one_line_and_exit_status_3(tmp_path, capsys):
 
 def test_cli_output_error_is_one_line_and_exit_status_2(tmp_path, capsys,
                                                        monkeypatch):
-    # an output path under a regular file: run refuses --output before its
-    # first step, and a --report once the report is printed, whatever the
-    # subcommand
+    # an output path under a regular file: run refuses --output and
+    # --report before its first step, and the other subcommands a --report
+    # once the report is printed
     cfg_path = write_config(tmp_path / "cfg.json",
                             time={"dv": 0.02, "v_final": 0.2})
     blocker = tmp_path / "file"
@@ -860,7 +908,7 @@ def test_cli_output_error_is_one_line_and_exit_status_2(tmp_path, capsys,
     for argv, ran in (
             (["run", "--config", cfg_path, "--output", str(blocker / "o")],
              False),
-            (["run", "--config", cfg_path, "--diagnose", *report], True),
+            (["run", "--config", cfg_path, "--diagnose", *report], False),
             (["jacobian-test", "--orbits", "1", "--duration", "0.02",
               *report], True)):
         assert main(argv) == 2, argv
@@ -872,6 +920,26 @@ def test_cli_output_error_is_one_line_and_exit_status_2(tmp_path, capsys,
         assert len(runs) == (argv[0] == "run" and ran)
         runs.clear()
     assert blocker.read_text() == ""
+
+
+def test_an_aborted_run_leaves_the_report_path_as_it_was(tmp_path, capsys,
+                                                         monkeypatch):
+    # run tries the report path before its first step: a new path is left
+    # absent and an existing file unchanged when the run aborts
+    cfg_path = write_config(tmp_path / "cfg.json")
+
+    def aborting(cfg):
+        raise cone_evolver.RunAborted("step 0 (v=0): stopped")
+
+    monkeypatch.setattr(cone_evolver, "run", aborting)
+    old = tmp_path / "old.json"
+    old.write_text("kept")
+    for path in (tmp_path / "new.json", old):
+        assert main(["run", "--config", cfg_path, "--diagnose",
+                     "--report", str(path)]) == 3
+        assert capsys.readouterr().err == ("run aborted: step 0 (v=0): "
+                                           "stopped\n")
+    assert not (tmp_path / "new.json").exists() and old.read_text() == "kept"
 
 
 def test_cli_run_rejects_bad_datum_before_the_run(tmp_path, capsys):
@@ -1030,6 +1098,16 @@ def test_cli_audit_from_grid_file(tmp_path, capsys):
     assert main(["audit-constraints", "--input", str(path),
                  "--report", str(rep)]) == 0
     assert "scope" not in json.loads(rep.read_text())
+    capsys.readouterr()
+    # the flags that shape an embedding are refused by name: --input audits
+    # its grid as saved
+    for flag, value in (("--v", "3"), ("--nodes", "2"), ("--extent", "5"),
+                        ("--r-cut", "100")):
+        assert main(["audit-constraints", "--input", str(path), flag,
+                     value]) == 2
+        captured = capsys.readouterr()
+        assert (f"{flag} embeds a history; --input audits its grid as "
+                f"saved\n") in captured.err and "overall" not in captured.out
     # requiring exactly one input source
     assert main(["audit-constraints"]) == 2
     assert main(["audit-constraints", "--input", str(path),

@@ -233,6 +233,28 @@ def test_flux_identity_samples_and_skipped_checks(small_history):
     assert full["skipped"] == []
 
 
+def test_a_future_cone_window_of_one_label_skips_its_monotone_checks():
+    # at v_final 3.30 the future-cone window holds one label, so its series
+    # has no increment: both monotone checks are skipped with that reason,
+    # never left out; at 3.31 the window holds two labels and both run
+    from vmcone import RunConfig, run
+    from vmcone.report import diagnose_report
+
+    monotone = {"N_vee_monotone", "M_vee_monotone"}
+    names = {}
+    for v_final in (3.30, 3.31):
+        doc = diagnose_report(run(RunConfig(
+            datum_name="shell_polynomial", resolution=(6, 6, 6),
+            n_shells=128, dv=0.01, v_final=v_final)))
+        ran = {c["name"] for c in doc["checks"]}
+        names[v_final] = ran | {s["name"] for s in doc["skipped"]}
+        assert len(ran) + len(doc["skipped"]) == 24
+        assert {s["name"]: s["reason"] for s in doc["skipped"]} == (
+            {} if v_final == 3.31 else dict.fromkeys(
+                monotone, "one label in the window, so no increment"))
+    assert names[3.30] == names[3.31]
+
+
 # ---------------------------------------------------------------------------
 # batched cone functionals against the per-label forms
 

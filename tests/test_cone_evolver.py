@@ -186,7 +186,8 @@ def advance(parts, grid, I, dv):
     with ParticleState(parts, grid, dv) as state:
         state.field[:] = I
         step(state)
-        return state.particles()
+        r, w = state.rw[state.slot[0]].copy()
+    return dataclasses.replace(parts, r=r, w=w)
 
 
 def test_step_zero_dv_is_identity():
@@ -382,10 +383,7 @@ def test_worker_push_gives_the_serial_bytes(monkeypatch, tmp_path,
         assert serial.r_turn_violations > 0 and serial.min_dw < 0.0
         for field in dataclasses.fields(serial):
             a, b = getattr(worker, field.name), getattr(serial, field.name)
-            if field.name == "particles_final":
-                a, b = dataclasses.astuple(a), dataclasses.astuple(b)
-                assert all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
-            elif isinstance(b, np.ndarray):
+            if isinstance(b, np.ndarray):
                 assert a.tobytes() == b.tobytes(), field.name
             else:
                 assert type(a) is type(b) and a == b, field.name

@@ -2,7 +2,8 @@
 NaN, +-inf, empty arrays and scalars.  Each guard is one reduction; these
 cases pin the exception type and message, or the value, that the guards
 gave as elementwise compares, except that cic_cells now refuses a NaN
-radius (the compares let it through as cell -2**63)."""
+radius (the compares let it through as cell -2**63) and char_rhs_reduced
+now takes a 0-d radius (it raised a TypeError)."""
 
 import sys
 
@@ -105,9 +106,9 @@ CASES = {
     "rhs-inf": (lambda: bool(np.all(np.isfinite(rhs([INF])))), same(True)),
     "rhs-empty": (lambda: tuple(a.shape for a in rhs(np.empty(0))),
                   same(((0,), (0,)))),
-    # a 0-d r makes q/r^2 a scalar, which no out= takes
+    # a 0-d r gives the values of the one-element call, 0-d
     "rhs-scalar": (lambda: rhs(0.5),
-                   (TypeError, "return arrays must be of ArrayType")),
+                   same(tuple(a.reshape(()) for a in rhs([0.5])))),
     # integrate_reduced: the r_floor check after each step
     "push-floor": (lambda: push([0.6, 0.5]),
                    (IntegrationError, "trajectory reached r <= r_floor=0.45 "
