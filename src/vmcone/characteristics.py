@@ -114,7 +114,11 @@ def _integrate(rhs, y, v, v_to, step, after_step):
         raise ValueError(f"span v={v:g} -> v_to={v_to:g} is not finite")
     if span != 0.0 and not 0.0 < step < np.inf:
         raise ValueError(f"step must be positive and finite, got {step:g}")
-    n = max(1, int(np.ceil(abs(span) / step - 1e-12))) if span else 0
+    ratio = abs(span) / step if span else 0.0
+    if not ratio < np.inf:
+        raise ValueError(f"span {span:g} / step {step:g} overflows the "
+                         "step count")
+    n = max(1, int(np.ceil(ratio - 1e-12))) if span else 0
     dv = span / max(n, 1)
     k = np.empty((4,) + y.shape)
     ys = np.empty_like(y)

@@ -34,6 +34,22 @@ def _output_error(exc: OSError) -> int:
     return 2
 
 
+def _try_outputs(report, directory=None):
+    """Before any work, make the output directory and meet the error that
+    writing the report would meet, leaving the report path as it was; the
+    exit status of an output error, or None."""
+    try:
+        if directory:
+            os.makedirs(directory, exist_ok=True)
+        if report:
+            existed = os.path.exists(report)
+            open(report, "a").close()
+            if not existed:
+                os.remove(report)
+    except OSError as exc:
+        return _output_error(exc)
+
+
 def _report(doc: dict, path) -> int:
     """Print a report, write it to path if one is given, and return the
     exit status."""
@@ -64,16 +80,8 @@ def cmd_run(args) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    try:   # before the first step, so that a bad path costs no run
-        if cfg.output_directory:
-            os.makedirs(cfg.output_directory, exist_ok=True)
-        if args.report:   # meet the error the report's write would meet
-            existed = os.path.exists(args.report)
-            open(args.report, "a").close()
-            if not existed:
-                os.remove(args.report)
-    except OSError as exc:
-        return _output_error(exc)
+    if status := _try_outputs(args.report, cfg.output_directory):
+        return status
     try:
         history = cone_evolver.run(cfg)
     except cone_evolver.RunAborted as exc:
@@ -93,6 +101,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
+    if status := _try_outputs(args.report):
+        return status
     try:
         history = io_utils.load_history(args.history)
     except (OSError, ValueError) as exc:
@@ -107,20 +117,18 @@ HISTORY_AUDIT_SCOPE = "checks the embedding and the stencils, not the run"
 
 
 def _audit_grid(args):
-    """The grid to audit: read from --input or embedded from a history."""
+    """The grid to audit: read from --input, or embedded from a history on
+    the cube of half-width r_max/2, r_cut two grid spacings or a tenth."""
     if args.input:
         return io_utils.load_grid(args.input)
     nodes = 48 if args.nodes is None else args.nodes
     check_fits_memory("--nodes", f"the {nodes}^3 input grid of E, B, "
                       "rho and j", 80 * nodes**3)   # 10 doubles a node
     history = io_utils.load_history(args.from_history)
-    extent = (history.grid.r_max / 2.0 if args.extent is None
-              else args.extent)
-    # two grid spacings, or a tenth of the cube
-    r_cut = (max(4.0 * extent / (nodes - 1), 0.1 * extent)
-             if args.r_cut is None else args.r_cut)
+    extent = history.grid.r_max / 2.0
     return constraint_audit.embed_symmetric_solution(
-        history, 0.0 if args.v is None else args.v, nodes, extent, r_cut)
+        history, 0.0 if args.v is None else args.v, nodes, extent,
+        max(4.0 * extent / (nodes - 1), 0.1 * extent))
 
 
 def cmd_audit(args) -> int:
@@ -132,12 +140,14 @@ def cmd_audit(args) -> int:
         ("--nodes must give at least 3 nodes per axis",
          args.nodes is None or args.nodes >= 3),
         *((f"{flag} embeds a history; --input audits its grid as saved",
-           not args.input or getattr(args, flag[2:].replace("-", "_")) is None)
-          for flag in ("--v", "--nodes", "--extent", "--r-cut")))
+           not args.input or getattr(args, flag[2:]) is None)
+          for flag in ("--v", "--nodes")))
         if not ok]
     if bad:
         print("\n".join(bad), file=sys.stderr)
         return 2
+    if status := _try_outputs(args.report):
+        return status
     try:
         grid = _audit_grid(args)
     except (OSError, ValueError) as exc:
@@ -150,19 +160,15 @@ def cmd_audit(args) -> int:
 
 
 def cmd_jacobian(args) -> int:
-    bad = [msg for msg, ok in (
-        ("--orbits must be at least 1", args.orbits >= 1),
-        ("--duration must be finite", math.isfinite(args.duration)),
-        ("--step must be positive and finite", 0.0 < args.step < math.inf),
-        ("--h-fd must be positive and finite", 0.0 < args.h_fd < math.inf))
-        if not ok]
-    if bad:
-        print("\n".join(bad), file=sys.stderr)
+    if status := _try_outputs(args.report):
+        return status
+    try:
+        doc = report_mod.jacobian_report(n_orbits=args.orbits,
+                                         duration=args.duration,
+                                         step=args.step, seed=args.seed)
+    except ValueError as exc:
+        print(f"jacobian-test input error: {exc}", file=sys.stderr)
         return 2
-    doc = report_mod.jacobian_report(n_orbits=args.orbits,
-                                     duration=args.duration,
-                                     step=args.step, h_fd=args.h_fd,
-                                     seed=args.seed)
     return _report(doc, args.report)
 
 
@@ -198,10 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
                    "(default 0)")
     p.add_argument("--nodes", type=int,
                    help="grid nodes per axis when embedding (default 48)")
-    p.add_argument("--extent", type=float,
-                   help="half-width of the audit cube when embedding")
-    p.add_argument("--r-cut", type=float, dest="r_cut",
-                   help="radius of the excluded ball around the origin")
     p.add_argument("--tol", type=float,
                    help="constraint tolerance (default 10 h^2 + 1e-8)")
     p.add_argument("--report", help="write the report JSON here")
@@ -212,7 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--orbits", type=int, default=20)
     p.add_argument("--duration", type=float, default=0.5)
     p.add_argument("--step", type=float, default=0.01)
-    p.add_argument("--h-fd", type=float, dest="h_fd", default=1e-4)
     p.add_argument("--seed", type=int, default=1234)
     p.add_argument("--report", help="write the report JSON here")
     p.set_defaults(func=cmd_jacobian)

@@ -11,6 +11,7 @@ import numpy as np
 
 from . import __version__
 from . import cone_diagnostics as diag
+from .config import check_fits_memory
 from .cone_evolver import SliceHistory, nirc_flux
 from .characteristics import (flow_jacobian_det, phase_divergence,
                               phase_divergence_fd)
@@ -227,6 +228,10 @@ def jacobian_report(n_orbits=20, duration=0.5, step=0.01, h_fd=1e-4,
     closed-form phase divergence with its finite-difference value."""
     if n_orbits < 1:
         raise ValueError(f"need at least one orbit, got n_orbits={n_orbits}")
+    # at the peak, the three (13, 6) stacks and the 6 x 6 jacobians of
+    # flow_jacobian_det and the drawn states: tracemalloc reads 2,782 bytes
+    check_fits_memory("n_orbits", f"the arrays of {n_orbits} orbits at "
+                      "2,800 bytes an orbit", 2800 * n_orbits)
     field = _test_field()
     x, p = np.reshape(random_states(n_orbits, seed=seed),
                       (-1, 2, 3)).swapaxes(0, 1)

@@ -279,6 +279,18 @@ def test_non_finite_span_names_the_span(v_to):
         jacobian_report(n_orbits=2, duration=v_to)
 
 
+def test_a_step_count_past_the_floats_names_the_step_and_span():
+    # 1e300 / 1e-300 overflows to inf: a ValueError, not the OverflowError
+    # of int(inf), and both integrators refuse it
+    message = r"^span 1e\+300 / step 1e-300 overflows the step count$"
+    with pytest.raises(ValueError, match=message):
+        integrate_reduced(0.5, 0.1, 0.01, radial_field_reduced(), 0.0, 1e300,
+                          1e-300)
+    with pytest.raises(ValueError, match=message):
+        integrate_cartesian(np.ones(3), np.zeros(3), radial_field_3d(), 0.0,
+                            1e300, 1e-300)
+
+
 def test_zero_span_is_identity():
     r1, w1 = integrate_reduced(0.5, 0.1, 0.01, radial_field_reduced(),
                                1.0, 1.0, 0.1)

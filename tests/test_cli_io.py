@@ -894,32 +894,50 @@ def test_cli_run_abort_is_one_line_and_exit_status_3(tmp_path, capsys):
 
 def test_cli_output_error_is_one_line_and_exit_status_2(tmp_path, capsys,
                                                        monkeypatch):
-    # an output path under a regular file: run refuses --output and
-    # --report before its first step, and the other subcommands a --report
-    # once the report is printed
+    # an output path under a regular file: every subcommand refuses it
+    # before it runs, loads, embeds or draws anything
+    from vmcone import report as report_module
+    out = str(tmp_path / "out")
     cfg_path = write_config(tmp_path / "cfg.json",
                             time={"dv": 0.02, "v_final": 0.2})
+    assert main(["run", "--config", cfg_path, "--output", out]) == 0
+    capsys.readouterr()
     blocker = tmp_path / "file"
     blocker.write_text("")
-    runs, real = [], cone_evolver.run
-    monkeypatch.setattr(cone_evolver, "run",
-                        lambda cfg: runs.append(1) or real(cfg))
+    work = []
+    for module, name in ((cone_evolver, "run"), (io_utils, "load_history"),
+                         (io_utils, "load_grid"),
+                         (report_module, "random_states")):
+        monkeypatch.setattr(module, name,
+                            lambda *a, name=name, **k: work.append(name))
     report = ["--report", str(blocker / "r.json")]
-    for argv, ran in (
-            (["run", "--config", cfg_path, "--output", str(blocker / "o")],
-             False),
-            (["run", "--config", cfg_path, "--diagnose", *report], False),
-            (["jacobian-test", "--orbits", "1", "--duration", "0.02",
-              *report], True)):
+    for argv in (
+            ["run", "--config", cfg_path, "--output", str(blocker / "o")],
+            ["run", "--config", cfg_path, "--diagnose", *report],
+            ["diagnose", "--history", out, *report],
+            ["audit-constraints", "--from-history", out, *report],
+            ["audit-constraints", "--input", out, *report],
+            ["jacobian-test", "--orbits", "1", "--duration", "0.02",
+             *report]):
         assert main(argv) == 2, argv
         captured = capsys.readouterr()
         assert captured.err.startswith("output error: ") and str(
             blocker) in captured.err, argv
         assert len(captured.err.splitlines()) == 1
-        assert ("overall:" in captured.out) == ran, argv
-        assert len(runs) == (argv[0] == "run" and ran)
-        runs.clear()
+        assert captured.out == "" and work == [], argv
     assert blocker.read_text() == ""
+
+
+def test_cli_run_writes_its_report_into_its_new_output_directory(tmp_path,
+                                                                 capsys):
+    # the report path is tried once the output directory is made
+    out = tmp_path / "new" / "out"
+    cfg_path = write_config(tmp_path / "cfg.json",
+                            time={"dv": 0.02, "v_final": 0.2})
+    assert main(["run", "--config", cfg_path, "--output", str(out),
+                 "--diagnose", "--report", str(out / "diag.json")]) == 0
+    assert capsys.readouterr().err == ""
+    assert json.loads((out / "diag.json").read_text())["passed"]
 
 
 def test_an_aborted_run_leaves_the_report_path_as_it_was(tmp_path, capsys,
@@ -963,19 +981,70 @@ def test_jacobian_test_needs_an_orbit(capsys):
         jacobian_report(n_orbits=0)
     assert main(["jacobian-test", "--orbits", "0"]) == 2
     captured = capsys.readouterr()
-    assert "--orbits" in captured.err and "overall" not in captured.out
+    assert captured.err == ("jacobian-test input error: need at least one "
+                            "orbit, got n_orbits=0\n")
+    assert "overall" not in captured.out
+
+
+def jacobian_refusal(argv, capsys, monkeypatch):
+    """stderr of a jacobian-test that exits 2, having integrated nothing
+    and printed nothing."""
+    from vmcone import characteristics
+    monkeypatch.setattr(characteristics, "char_rhs_cartesian", None)
+    assert main(["jacobian-test", "--orbits", "1", *argv]) == 2, argv
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1, argv
+    assert captured.err.startswith("jacobian-test input error: "), argv
+    return captured.err
 
 
 @pytest.mark.parametrize("flag, value", [
     ("--step", "0"), ("--step", "-0.01"), ("--step", "nan"), ("--step", "inf"),
-    ("--duration", "nan"), ("--duration", "inf"), ("--duration", "-inf"),
-    ("--h-fd", "0"), ("--h-fd", "-1e-4"), ("--h-fd", "nan"),
-    ("--h-fd", "inf")])
-def test_jacobian_test_rejects_bad_numbers(flag, value, capsys):
-    # exit 2 naming the flag, before any orbit is integrated
-    assert main(["jacobian-test", "--orbits", "1", f"{flag}={value}"]) == 2
-    captured = capsys.readouterr()
-    assert flag in captured.err and "overall" not in captured.out
+    ("--duration", "nan"), ("--duration", "inf"), ("--duration", "-inf")])
+def test_jacobian_test_rejects_bad_numbers(flag, value, capsys, monkeypatch):
+    # exit 2 with the library's message naming the value
+    message = {"--step": f"step must be positive and finite, got {value}",
+               "--duration": f"span v=0 -> v_to={value} is not finite"}[flag]
+    assert message in jacobian_refusal([f"{flag}={value}"], capsys,
+                                       monkeypatch)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--duration", "1e300", "--step", "1e-300"],
+     "span 1e+300 / step 1e-300 overflows the step count"),
+    (["--seed=-1"], "expected non-negative integer")])
+def test_jacobian_test_library_errors_are_one_line(argv, message, capsys,
+                                                   monkeypatch):
+    # a step count past the floats and a seed numpy refuses, no traceback
+    assert message in jacobian_refusal(argv, capsys, monkeypatch)
+
+
+def test_jacobian_test_reads_no_step_at_zero_duration(capsys):
+    # no step is taken, as in integrate_reduced over a zero span
+    assert main(["jacobian-test", "--orbits", "1", "--duration", "0",
+                 "--step", "0"]) == 0
+    assert "overall: PASS" in capsys.readouterr().out
+
+
+def test_jacobian_test_refuses_orbits_beyond_memory(capsys, monkeypatch):
+    # sized at 2,800 bytes an orbit against the physical memory, before
+    # any orbit is drawn
+    import vmcone.config as config_module
+    from vmcone import report as report_module
+    drawn = []
+    monkeypatch.setattr(report_module, "random_states",
+                        lambda n, seed: drawn.append(n))
+    monkeypatch.setattr(config_module, "physical_memory", lambda: 2800 * 9)
+    assert main(["jacobian-test", "--orbits", "10"]) == 2
+    assert capsys.readouterr().err == (
+        "jacobian-test input error: n_orbits: 2.80e+4 bytes for the arrays "
+        "of 10 orbits at 2,800 bytes an orbit, more than the 2.52e+4 bytes "
+        "of physical memory\n")
+    assert drawn == []
+    monkeypatch.undo()
+    monkeypatch.setattr(config_module, "physical_memory", lambda: 2800 * 10)
+    assert main(["jacobian-test", "--orbits", "10",
+                 "--duration", "0.02"]) == 0
 
 
 def test_cli_jacobian_test(tmp_path, capsys):
@@ -986,6 +1055,13 @@ def test_cli_jacobian_test(tmp_path, capsys):
     assert report["passed"]
     assert {c["name"] for c in report["checks"]} == {
         "flow_jacobian_determinant", "phase_divergence_closed_form"}
+    # the finite-difference step is jacobian_report's, no option
+    assert report["h_fd"] == 1e-4
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["jacobian-test", "--h-fd", "1e-4"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --h-fd 1e-4" in capsys.readouterr().err
 
 
 def test_cli_audit_from_history(tmp_path, capsys):
@@ -994,7 +1070,7 @@ def test_cli_audit_from_history(tmp_path, capsys):
     assert main(["run", "--config", cfg_path]) == 0
     capsys.readouterr()
     code = main(["audit-constraints", "--from-history", str(tmp_path / "out"),
-                 "--v", "1.0", "--nodes", "25", "--extent", "0.6",
+                 "--v", "1.0", "--nodes", "25",
                  "--report", str(tmp_path / "audit.json")])
     assert code == 0
     report = json.loads((tmp_path / "audit.json").read_text())
@@ -1006,22 +1082,19 @@ def test_cli_audit_from_history(tmp_path, capsys):
                                "not the run")
     capsys.readouterr()
     # a grid that checks no node, too few nodes, a tolerance that is not
-    # positive and finite (inf certifies any data), a slice outside the
-    # history and a cube past the shell grid are input errors, never a PASS
-    for extra, message in ((["--r-cut", "100"], "no node would be checked"),
+    # positive and finite (inf certifies any data) and a slice outside the
+    # history are input errors, never a PASS
+    for extra, message in ((["--nodes", "4"], "no node would be checked"),
                            (["--nodes", "2"], "at least 3 nodes"),
                            (["--nodes", "1"], "at least 3 nodes"),
                            (["--nodes", "100000"], "--nodes: 8.00e+16 bytes "
                             "for the 100000^3 input grid of E, B, rho and j, "
                             "more than the "),
-                           (["--extent", "0"], "extent must be positive"),
                            (["--nodes", "-3"], "--nodes must give at least 3"),
                            *((["--tol", tol], "--tol must be positive and "
                               "finite") for tol in ("inf", "nan", "-1", "0")),
-                           (["--r-cut", "0"], "at least 2 grid spacings"),
                            (["--v", "50"], "outside recorded history"),
-                           (["--v", "nan"], "outside recorded history"),
-                           (["--extent", "100"], "exceeds the shell grid")):
+                           (["--v", "nan"], "outside recorded history")):
         code = main(["audit-constraints", "--from-history",
                      str(tmp_path / "out"), "--v", "1.0"] + extra)
         captured = capsys.readouterr()
@@ -1101,13 +1174,18 @@ def test_cli_audit_from_grid_file(tmp_path, capsys):
     capsys.readouterr()
     # the flags that shape an embedding are refused by name: --input audits
     # its grid as saved
-    for flag, value in (("--v", "3"), ("--nodes", "2"), ("--extent", "5"),
-                        ("--r-cut", "100")):
+    for flag, value in (("--v", "3"), ("--nodes", "2")):
         assert main(["audit-constraints", "--input", str(path), flag,
                      value]) == 2
         captured = capsys.readouterr()
         assert (f"{flag} embeds a history; --input audits its grid as "
                 f"saved\n") in captured.err and "overall" not in captured.out
+    # the embedding's cube and cut are no options
+    for flag in ("--extent", "--r-cut"):
+        with pytest.raises(SystemExit) as exc:
+            main(["audit-constraints", "--input", str(path), flag, "1"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
     # requiring exactly one input source
     assert main(["audit-constraints"]) == 2
     assert main(["audit-constraints", "--input", str(path),
