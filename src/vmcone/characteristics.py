@@ -27,13 +27,19 @@ def _norm(x):
     return np.sqrt(np.vecdot(x, x))
 
 
+def _smallest(r):
+    """min(r) over the non-NaN values, inf if none: ``_smallest(r) <= a``
+    is ``np.any(r <= a)``, in one reduction."""
+    return np.fmin.reduce(r, axis=None, initial=np.inf)
+
+
 def _kinematics(x, p, what):
     """States as float arrays, with |x|, k = x/|x| and gamma = sqrt(1+|p|^2)
     over the last axis; ``what`` names the quantity undefined at x = 0."""
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
     r = _norm(x)
-    if np.any(r <= 0.0):
+    if _smallest(r) <= 0.0:
         raise ValueError(f"{what} undefined at |x| = 0")
     return x, p, r, x / r[..., None], np.sqrt(1.0 + np.vecdot(p, p))
 
@@ -41,7 +47,8 @@ def _kinematics(x, p, what):
 def _cross(a, b):
     """np.cross(a, b) over the last axis: its arithmetic, component by
     component, without its moveaxis and astype copies."""
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    out = np.empty(a.shape if a.shape == b.shape
+                   else np.broadcast_shapes(a.shape, b.shape))
     for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         np.subtract(a[..., j] * b[..., k], a[..., k] * b[..., j],
                     out=out[..., i])
@@ -53,15 +60,15 @@ def char_rhs_cartesian(v, x, p, field, out=None):
 
     ``field(v, x) -> (E, B)``, all of shape ``(..., 3)`` like the states of
     every function here; each row is computed as for one ``(3,)`` point.
-    Returns (dx, dp), the columns :3 and 3: of ``out`` (shape (..., 6))
-    when it is given.
+    Returns (dx, dp), the blocks ``out[0]`` and ``out[1]`` of ``out``
+    (shape (2, ..., 3)) when it is given.
     """
     x, p, _, k, gamma = _kinematics(x, p, "Cartesian characteristic RHS")
     p0 = (gamma + np.vecdot(p, k))[..., None]
     E, B = field(v, x)
     if out is None:
-        out = np.empty(np.broadcast_shapes(x.shape, p.shape)[:-1] + (6,))
-    dx, dp = out[..., :3], out[..., 3:]
+        out = np.empty((2,) + np.broadcast_shapes(x.shape, p.shape))
+    dx, dp = out
     np.divide(p, p0, out=dx)
     np.multiply(gamma[..., None], E, out=dp)
     dp += _cross(p, np.asarray(B, dtype=float))
@@ -120,6 +127,10 @@ def _integrate(rhs, y, v, v_to, step, after_step):
                          "step count")
     n = max(1, int(np.ceil(ratio - 1e-12))) if span else 0
     dv = span / max(n, 1)
+    # a step that cannot move v would have the stages read stalled times
+    if span and (v + dv == v or v_to - dv == v_to):
+        raise ValueError(f"step {step:g} is below the time resolution of the "
+                         f"span v={v:g} -> v_to={v_to:g}")
     k = np.empty((4,) + y.shape)
     ys = np.empty_like(y)
     half = 0.5 * dv
@@ -174,24 +185,29 @@ def integrate_reduced(r, w, q, field_fn, v_from, v_to, step,
 
 def integrate_cartesian(x, p, field, v_from, v_to, step, r_floor=1e-10):
     """Integrate the 6D Cartesian system for phase points ``(..., 3)``, in
-    chunks of CHUNK_ROWS independent rows that bound every temporary."""
+    chunks of CHUNK_ROWS independent rows that bound every temporary.  Each
+    chunk is copied into one contiguous ``(2, rows, 3)`` block of x and p,
+    so that no stage reads a strided half of an interleaved state."""
     def rhs(v, y, out):
-        char_rhs_cartesian(v, y[:, :3], y[:, 3:], field, out)
+        char_rhs_cartesian(v, y[0], y[1], field, out)
 
     def after_step(v, y):
-        r = _norm(y[:, :3])
-        if np.any(r <= r_floor):
+        r = _norm(y[0])
+        if _smallest(r) <= r_floor:
             i = int(np.argmax(r <= r_floor))
             raise IntegrationError(
-                f"trajectory {start + i} (of {len(rows)}) reached "
+                f"trajectory {start + i} (of {n}) reached "
                 f"r={r[i]:g} <= r_floor={r_floor:g} at v={v:g}")
 
-    y = np.concatenate([np.asarray(x, float), np.asarray(p, float)], axis=-1)
-    rows = y.reshape(-1, 6)
-    for start in range(0, max(len(rows), 1), CHUNK_ROWS):  # 0 rows: check step
-        _integrate(rhs, rows[start:start + CHUNK_ROWS], v_from, v_to, step,
-                   after_step)
-    return y[..., :3], y[..., 3:]
+    y = np.stack([np.asarray(x, float), np.asarray(p, float)])
+    rows = y.reshape(2, -1, 3)
+    n = rows.shape[1]
+    for start in range(0, max(n, 1), CHUNK_ROWS):  # 0 rows: check step
+        chunk = rows[:, start:start + CHUNK_ROWS]
+        block = np.ascontiguousarray(chunk)
+        _integrate(rhs, block, v_from, v_to, step, after_step)
+        chunk[...] = block
+    return y[0], y[1]
 
 
 def phase_divergence(v, x, p, field):

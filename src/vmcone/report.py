@@ -195,12 +195,13 @@ def diagnose_report(history: SliceHistory) -> dict:
 def _test_field():
     """Smooth compactly concentrated test field with nonzero curl E x B
     structure: radial-ish electric part, solenoidal magnetic part."""
+    yxx, scale = np.array([1, 0, 0]), np.array([-0.3, 0.3, 0.0])
 
     def field(v, x):
         x = np.asarray(x, dtype=float)
         env = np.exp(-np.vecdot(x, x))[..., None]
         E = 0.4 * (1.0 + 0.3 * np.sin(1.7 * v)) * x * env
-        B = x[..., [1, 0, 0]] * [-0.3, 0.3, 0.0]
+        B = x[..., yxx] * scale
         B[..., 2] = 0.15
         B *= env
         return E, B
@@ -228,6 +229,8 @@ def jacobian_report(n_orbits=20, duration=0.5, step=0.01, h_fd=1e-4,
     closed-form phase divergence with its finite-difference value."""
     if n_orbits < 1:
         raise ValueError(f"need at least one orbit, got n_orbits={n_orbits}")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     # at the peak, the three (13, 6) stacks and the 6 x 6 jacobians of
     # flow_jacobian_det and the drawn states: tracemalloc reads 2,782 bytes
     check_fits_memory("n_orbits", f"the arrays of {n_orbits} orbits at "

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -152,6 +154,14 @@ def test_batched_calls_equal_row_by_row_calls():
                           [one_plus_phat_k(a, b) for a, b in states])
 
 
+@pytest.mark.parametrize("seed", [-1, np.int64(-3), 1.5, "7", None])
+def test_jacobian_report_refuses_a_bad_seed_before_drawing(seed, monkeypatch):
+    monkeypatch.setattr(report, "random_states", None)
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"seed must be a non-negative integer, got {seed!r}") + "$"):
+        jacobian_report(n_orbits=1, seed=seed)
+
+
 def test_jacobian_report_reference_values():
     doc = jacobian_report(n_orbits=10, seed=0)
     values = {c["name"]: c["value"] for c in doc["checks"]}
@@ -289,6 +299,22 @@ def test_a_step_count_past_the_floats_names_the_step_and_span():
     with pytest.raises(ValueError, match=message):
         integrate_cartesian(np.ones(3), np.zeros(3), radial_field_3d(), 0.0,
                             1e300, 1e-300)
+
+
+@pytest.mark.parametrize("v, v_to, step, span", [
+    (0.0, 1e200, 1e-100, "v=0 -> v_to=1e+200"),     # v_to - dv == v_to
+    (1e20, 2e20, 1.0, "v=1e+20 -> v_to=2e+20"),     # v + dv == v
+    (2e20, 1e20, 1.0, "v=2e+20 -> v_to=1e+20")])
+def test_a_step_below_the_time_resolution_names_the_step_and_span(
+        v, v_to, step, span):
+    # such a step cannot move v: refused before any stage, by both
+    # integrators, where it would otherwise run 1e300 or 1e20 steps
+    message = re.escape(f"step {step:g} is below the time resolution of the "
+                        f"span {span}")
+    with pytest.raises(ValueError, match=message):
+        integrate_reduced(0.5, 0.1, 0.01, None, v, v_to, step)
+    with pytest.raises(ValueError, match=message):
+        integrate_cartesian(np.ones(3), np.zeros(3), None, v, v_to, step)
 
 
 def test_zero_span_is_identity():

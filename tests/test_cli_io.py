@@ -1012,10 +1012,15 @@ def test_jacobian_test_rejects_bad_numbers(flag, value, capsys, monkeypatch):
 @pytest.mark.parametrize("argv, message", [
     (["--duration", "1e300", "--step", "1e-300"],
      "span 1e+300 / step 1e-300 overflows the step count"),
-    (["--seed=-1"], "expected non-negative integer")])
+    pytest.param(["--seed=-1"], "seed must be a non-negative integer, got -1",
+                 id="negative-seed"),
+    pytest.param(["--duration", "1e200", "--step", "1e-100"],
+                 "step 1e-100 is below the time resolution of the span "
+                 "v=0 -> v_to=1e+200", id="step-below-time-resolution")])
 def test_jacobian_test_library_errors_are_one_line(argv, message, capsys,
                                                    monkeypatch):
-    # a step count past the floats and a seed numpy refuses, no traceback
+    # a step count past the floats, a negative seed and a step that cannot
+    # move v, each before any orbit is integrated, with no traceback
     assert message in jacobian_refusal(argv, capsys, monkeypatch)
 
 

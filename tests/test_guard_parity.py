@@ -3,7 +3,10 @@ NaN, +-inf, empty arrays and scalars.  Each guard is one reduction; these
 cases pin the exception type and message, or the value, that the guards
 gave as elementwise compares, except that cic_cells now refuses a NaN
 radius (the compares let it through as cell -2**63) and char_rhs_reduced
-now takes a 0-d radius (it raised a TypeError)."""
+now takes a 0-d radius (it raised a TypeError).  The 6D Cartesian guards
+(|x| > 0 in the RHS, r > r_floor after each step) gave the same with the
+interleaved (rows, 6) state; only the shape of char_rhs_cartesian's out=
+changed, to the (2, rows, 3) blocks of x and p."""
 
 import sys
 
@@ -14,7 +17,9 @@ from vmcone import (ShellGrid, ParticleSet, RunAborted, IntegrationError,
                     check_measure_positivity, cone_evolver,
                     cumulative_source, deposit, eval_field,
                     integrate_reduced, moment_payloads, run, solve_field)
-from vmcone.characteristics import char_rhs_reduced
+from vmcone.characteristics import (char_rhs_cartesian, char_rhs_reduced,
+                                     integrate_cartesian)
+from vmcone.report import _test_field
 from vmcone.radial_field import cic_cells
 
 from conftest import small_config
@@ -54,6 +59,43 @@ def push(r, w=-1.0):
     r = np.asarray(r, dtype=float)
     return integrate_reduced(r, np.full(r.shape, w), np.full(r.shape, 1e-4),
                              lambda v, r: 0.0, 0.0, 0.1, 0.1, r_floor=0.45)
+
+
+def cartesian(x, out=None):
+    x = np.asarray(x, dtype=float)
+    return char_rhs_cartesian(0.0, x, np.full(x.shape, 0.1), _test_field(),
+                              out)
+
+
+def nan_rows(arrays):
+    """Which rows of each array hold a NaN."""
+    return tuple(np.isnan(a).any(axis=-1).tolist() for a in arrays)
+
+
+def cartesian_into(out):
+    """True iff char_rhs_cartesian returns views of out's two blocks that
+    hold the values of the call without out."""
+    x = np.array([[0.5, 0.1, 0.0], [0.0, 0.7, 0.2]])
+    dx, dp = cartesian(x, out)
+    return bool(np.shares_memory(dx, out[0]) and np.shares_memory(dp, out[1])
+                and not np.shares_memory(dx, dp)
+                and np.array_equal(np.stack((dx, dp)), np.stack(cartesian(x))))
+
+
+def fall(*starts, n=4099):
+    """integrate_cartesian over one step of 0.1 in a zero field: n rows at
+    x = e1, but each (row, x0) of starts at x0 and falling towards the axis.
+    Row 4097 lies past CHUNK_ROWS, so it is named by its global index."""
+    x = np.tile([1.0, 0.0, 0.0], (n, 1))
+    p = np.tile([0.1, 0.2, 0.0], (n, 1))
+    for i, x0 in starts:
+        x[i], p[i] = x0, [-0.1, 0.0, 0.0]
+    return integrate_cartesian(x, p, lambda v, x: (np.zeros_like(x),) * 2,
+                               0.0, 0.1, 0.1, r_floor=0.05)
+
+
+FLOOR = ("trajectory 4097 (of 4099) reached r=0.0489501 <= r_floor=0.05 "
+         "at v=0.1")
 
 
 def same(want):
@@ -119,6 +161,40 @@ CASES = {
                    same(((0,), (0,)))),
     "push-scalar": (lambda: tuple(a.shape for a in push(0.6, w=0.0)),
                     same(((1,), (1,)))),
+    # char_rhs_cartesian: |x| > 0 in every row; a NaN or infinite row
+    # passes as NaN
+    "cartesian-zero": (lambda: cartesian([[0.5, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+                       (ValueError, "Cartesian characteristic RHS undefined "
+                        "at |x| = 0")),
+    "cartesian-minus-zero": (lambda: cartesian([-0.0, 0.0, -0.0]),
+                             (ValueError, "Cartesian characteristic RHS "
+                              "undefined at |x| = 0")),
+    "cartesian-nan": (lambda: nan_rows(cartesian([[0.5, 0.0, 0.0],
+                                                  [NAN, 0.0, 0.0]])),
+                      same(([False, True], [False, True]))),
+    # a NaN row hides no row at the origin
+    "cartesian-nan-and-zero": (lambda: cartesian([[NAN, 0.0, 0.0],
+                                                  [0.0, 0.0, 0.0]]),
+                               (ValueError, "Cartesian characteristic RHS "
+                                "undefined at |x| = 0")),
+    "cartesian-inf": (lambda: nan_rows(cartesian([[0.5, 0.0, 0.0],
+                                                  [INF, 0.0, 0.0]])),
+                      same(([False, True], [False, True]))),
+    "cartesian-minus-inf": (lambda: nan_rows(cartesian([[0.0, -INF, 0.0]])),
+                            same(([True], [True]))),
+    "cartesian-empty": (lambda: tuple(a.shape
+                                      for a in cartesian(np.empty((0, 3)))),
+                        same(((0, 3), (0, 3)))),
+    "cartesian-out": (lambda: cartesian_into(np.empty((2, 2, 3))), same(True)),
+    # integrate_cartesian: the r_floor check after each step names the
+    # global row; a NaN radius passes through and hides no other row
+    "cartesian-push-floor": (lambda: fall((4097, [0.06, 0.0, 0.0])),
+                             (IntegrationError, FLOOR)),
+    "cartesian-push-nan": (lambda: nan_rows(fall((4097, [NAN, 0.0, 0.0]))),
+                           same(([False] * 4097 + [True, False],) * 2)),
+    "cartesian-push-nan-and-floor": (
+        lambda: fall((4096, [NAN, 0.0, 0.0]), (4097, [0.06, 0.0, 0.0])),
+        (IntegrationError, FLOOR)),
     # cic_cells: every r in [0, r_max), and a NaN is refused
     "cells-zero": (lambda: cic_cells(np.array([0.0, 0.5]), GRID),
                    same((np.array([0, 4]), np.array([0.0, 0.0])))),
