@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import numpy as np
 
-CHUNK_ROWS = 4096  # rows integrate_cartesian advances together
-
 
 class IntegrationError(RuntimeError):
     """Raised when a trajectory leaves the admissible domain (r <= r_floor)."""
@@ -86,7 +84,7 @@ def char_rhs_reduced(v, r, w, q, E_r, out=None):
     and q/r^3 is taken from it as (q/r^2)/r.
     """
     r = np.asarray(r, dtype=float)
-    if r.min(initial=np.inf) <= 0.0:
+    if _smallest(r) <= 0.0:
         raise ValueError("reduced characteristic RHS requires r > 0")
     w = np.asarray(w, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -119,7 +117,8 @@ def _integrate(rhs, y, v, v_to, step, after_step):
     # written so that a NaN fails too
     if not abs(span) < np.inf:
         raise ValueError(f"span v={v:g} -> v_to={v_to:g} is not finite")
-    if span != 0.0 and not 0.0 < step < np.inf:
+    # a zero span takes no step, but a report still writes the step down
+    if not abs(step) < np.inf or (span != 0.0 and not step > 0.0):
         raise ValueError(f"step must be positive and finite, got {step:g}")
     ratio = abs(span) / step if span else 0.0
     if not ratio < np.inf:
@@ -174,7 +173,7 @@ def integrate_reduced(r, w, q, field_fn, v_from, v_to, step,
         char_rhs_reduced(v, y[0], y[1], q, field_fn(v, y[0]), out)
 
     def after_step(v, y):
-        if y[0].min(initial=np.inf) <= r_floor:
+        if _smallest(y[0]) <= r_floor:
             raise IntegrationError(
                 f"trajectory reached r <= r_floor={r_floor:g} at v={v:g}; "
                 "the axis bound sqrt(F)/P is violated")
@@ -184,10 +183,9 @@ def integrate_reduced(r, w, q, field_fn, v_from, v_to, step,
 
 
 def integrate_cartesian(x, p, field, v_from, v_to, step, r_floor=1e-10):
-    """Integrate the 6D Cartesian system for phase points ``(..., 3)``, in
-    chunks of CHUNK_ROWS independent rows that bound every temporary.  Each
-    chunk is copied into one contiguous ``(2, rows, 3)`` block of x and p,
-    so that no stage reads a strided half of an interleaved state."""
+    """Integrate the 6D Cartesian system for phase points ``(..., 3)`` as
+    one contiguous ``(2, rows, 3)`` block of x and p: no stage reads a
+    strided half.  Callers bound the memory by the rows they pass."""
     def rhs(v, y, out):
         char_rhs_cartesian(v, y[0], y[1], field, out)
 
@@ -196,17 +194,11 @@ def integrate_cartesian(x, p, field, v_from, v_to, step, r_floor=1e-10):
         if _smallest(r) <= r_floor:
             i = int(np.argmax(r <= r_floor))
             raise IntegrationError(
-                f"trajectory {start + i} (of {n}) reached "
+                f"trajectory {i} (of {r.size}) reached "
                 f"r={r[i]:g} <= r_floor={r_floor:g} at v={v:g}")
 
     y = np.stack([np.asarray(x, float), np.asarray(p, float)])
-    rows = y.reshape(2, -1, 3)
-    n = rows.shape[1]
-    for start in range(0, max(n, 1), CHUNK_ROWS):  # 0 rows: check step
-        chunk = rows[:, start:start + CHUNK_ROWS]
-        block = np.ascontiguousarray(chunk)
-        _integrate(rhs, block, v_from, v_to, step, after_step)
-        chunk[...] = block
+    _integrate(rhs, y.reshape(2, -1, 3), v_from, v_to, step, after_step)
     return y[0], y[1]
 
 

@@ -160,9 +160,11 @@ def load_history(directory) -> SliceHistory:
 
 
 def emit_report(report: dict, path) -> None:
-    """A JSON document (a report, meta.json), indented with sorted keys."""
+    """A JSON document (a report, meta.json), indented with sorted keys, in
+    strict JSON: a NaN or infinite number is written as null."""
+    doc = json.loads(json.dumps(report), parse_constant=lambda _: None)
     with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

@@ -17,6 +17,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .characteristics import _smallest
+
 
 @dataclass(frozen=True)
 class ShellGrid:
@@ -175,7 +177,7 @@ def eval_field(grid: ShellGrid, I: np.ndarray, r) -> np.ndarray:
     """
     scalar = np.ndim(r) == 0
     r = np.atleast_1d(np.asarray(r, dtype=float))
-    r_min = r.min(initial=np.inf)
+    r_min = _smallest(r)
     if r_min < 0.0:
         raise ValueError("field evaluation outside r >= 0")
     # a masked divide, unless every r is positive, leaves r^2 = 0 at r = 0

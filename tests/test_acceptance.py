@@ -92,17 +92,13 @@ def test_criterion_05_future_cone_monotonicity(desk_history):
     _verdict(5, "future-cone series non-increasing", max(worst, 0.0), 1e-3)
 
 
-def _stacked(states):
-    return (np.array([x for x, _ in states]), np.array([p for _, p in states]))
-
-
 def test_criterion_06_jacobian_determinant():
     def radial_field(v, x):
         x = np.asarray(x, dtype=float)
         return (0.35 * x * np.exp(-np.vecdot(x, x))[..., None],
                 np.zeros_like(x))
 
-    x, p = _stacked(random_states(20, seed=2024))
+    x, p = random_states(20, seed=2024)
     det_fd, det_exact = flow_jacobian_det(x, p, radial_field, 0.0, 0.4, 2e-3,
                                           h_fd=1e-4)
     worst = float(np.max(np.abs(det_fd - det_exact)))
@@ -119,7 +115,7 @@ def test_criterion_07_phase_divergence():
         B = np.stack([-x[..., 1], x[..., 0], 0.7 * const], axis=-1) * env
         return E, B
 
-    x, p = _stacked(random_states(1000, seed=77))
+    x, p = random_states(1000, seed=77)
     worst = float(np.max(np.abs(phase_divergence(0.2, x, p, field)
                                 - phase_divergence_fd(0.2, x, p, field))))
     _verdict(7, "phase divergence closed form, 1000 states", worst, 1e-6)

@@ -6,7 +6,6 @@ import pytest
 from vmcone import (IntegrationError, integrate_reduced, integrate_cartesian,
                     phase_divergence, phase_divergence_fd, flow_jacobian_det,
                     embed_reduced_state, one_plus_phat_k)
-from vmcone import characteristics
 from vmcone.characteristics import (char_rhs_cartesian, char_rhs_reduced,
                                      _cross)
 from vmcone import (report, builtin_datum, sample_particles, ShellGrid,
@@ -67,36 +66,47 @@ def test_batched_r_floor_abort_names_row_v_and_r():
         integrate_cartesian(x, p, zero, 0.0, 1.0, 0.01, r_floor=0.05)
 
 
-def test_later_chunk_abort_names_the_global_row(monkeypatch):
-    # with two rows a chunk, the failing row 4 sits in the third chunk
-    monkeypatch.setattr(characteristics, "CHUNK_ROWS", 2)
-    zero = lambda v, x: (np.zeros_like(x), np.zeros_like(x))
-    x = np.tile([1.0, 0.0, 0.0], (6, 1))
-    p = np.tile([0.1, 0.2, 0.0], (6, 1))
-    x[4], p[4] = [0.2, 0.0, 0.0], [-0.3, 0.0, 0.0]
-    with pytest.raises(IntegrationError,
-                       match=r"trajectory 4 \(of 6\) reached r=0\.0\d+ "
-                             r"<= r_floor=0\.05 at v=0\.\d+"):
-        integrate_cartesian(x, p, zero, 0.0, 1.0, 0.01, r_floor=0.05)
-
-
 def test_results_do_not_depend_on_the_chunk_size(monkeypatch):
-    states = random_states(50, seed=7)
-    x = np.array([s[0] for s in states])
-    p = np.array([s[1] for s in states])
-    runs = []
-    for rows in (1, 7, characteristics.CHUNK_ROWS):
-        monkeypatch.setattr(characteristics, "CHUNK_ROWS", rows)
-        runs.append(flow_jacobian_det(x, p, general_field, 0.0, 0.1, 0.01))
-    for det, exact in runs[:-1]:
-        assert np.array_equal(det, runs[-1][0])
-        assert np.array_equal(exact, runs[-1][1])
+    docs = []
+    for orbits in (1, 7, report.CHUNK_ORBITS):
+        monkeypatch.setattr(report, "CHUNK_ORBITS", orbits)
+        docs.append(jacobian_report(n_orbits=50, duration=0.1, seed=7))
+    assert docs[0] == docs[1] == docs[2]
+
+
+def test_random_states_keep_the_per_orbit_draw_order():
+    # the draw of the list-of-tuples form: per orbit a direction, a radius
+    # and a momentum from one generator
+    rng = np.random.default_rng(9)
+    want = []
+    for _ in range(40):
+        u = rng.normal(size=3)
+        u /= np.linalg.norm(u)
+        want.append((u * rng.uniform(0.4, 1.6), rng.normal(scale=0.6, size=3)))
+    x, p = random_states(40, seed=9)
+    assert x.tobytes() == np.array([a for a, _ in want]).tobytes()
+    assert p.tobytes() == np.array([b for _, b in want]).tobytes()
+
+
+def test_jacobian_report_peak_memory_is_flat_in_the_orbit_count():
+    # the orbits are drawn and checked a chunk at a time: of what grows
+    # with the count, only the two error vectors stay
+    import tracemalloc
+
+    jacobian_report(n_orbits=1, duration=0.05)
+    peaks = []
+    for n in (1000, 4000):
+        tracemalloc.start()
+        try:
+            jacobian_report(n_orbits=n, duration=0.05)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 0.5e6, peaks
 
 
 def test_cross_is_np_cross_bit_for_bit():
-    states = random_states(50, seed=7)
-    x = np.array([s[0] for s in states])
-    p = np.array([s[1] for s in states])
+    x, p = random_states(50, seed=7)
     rng = np.random.default_rng(11)
     a, b = rng.normal(size=(2, 17, 17, 17, 3))
     c = rng.normal(size=3)
@@ -130,17 +140,15 @@ def test_test_field_is_the_stacked_field_bit_for_bit():
 
 def test_batched_calls_equal_row_by_row_calls():
     # every row of a batched call computes exactly what a (3,) call does
-    states = random_states(50, seed=7)
-    x = np.array([s[0] for s in states])
-    p = np.array([s[1] for s in states])
+    x, p = random_states(50, seed=7)
     x1, p1 = integrate_cartesian(x, p, general_field, 0.0, 0.3, 0.01)
     det, exact = flow_jacobian_det(x, p, general_field, 0.0, 0.3, 0.01)
     rows = [integrate_cartesian(a, b, general_field, 0.0, 0.3, 0.01)
-            for a, b in states]
+            for a, b in zip(x, p)]
     assert np.array_equal(x1, np.array([r[0] for r in rows]))
     assert np.array_equal(p1, np.array([r[1] for r in rows]))
     singles = [flow_jacobian_det(a, b, general_field, 0.0, 0.3, 0.01)
-               for a, b in states]
+               for a, b in zip(x, p)]
     assert np.array_equal(det, [d for d, _ in singles])
     assert np.array_equal(exact, [e for _, e in singles])
     # the base state stacked as row 12 follows the unperturbed flow exactly
@@ -149,14 +157,14 @@ def test_batched_calls_equal_row_by_row_calls():
     for fn in (phase_divergence, phase_divergence_fd):
         assert np.array_equal(fn(0.3, x, p, general_field),
                               [fn(0.3, a, b, general_field)
-                               for a, b in states])
+                               for a, b in zip(x, p)])
     assert np.array_equal(one_plus_phat_k(x, p),
-                          [one_plus_phat_k(a, b) for a, b in states])
+                          [one_plus_phat_k(a, b) for a, b in zip(x, p)])
 
 
 @pytest.mark.parametrize("seed", [-1, np.int64(-3), 1.5, "7", None])
 def test_jacobian_report_refuses_a_bad_seed_before_drawing(seed, monkeypatch):
-    monkeypatch.setattr(report, "random_states", None)
+    monkeypatch.setattr(report, "_draw", None)
     with pytest.raises(ValueError, match="^" + re.escape(
             f"seed must be a non-negative integer, got {seed!r}") + "$"):
         jacobian_report(n_orbits=1, seed=seed)
@@ -173,7 +181,7 @@ def test_jacobian_report_reference_values():
 
 def test_jacobian_report_names_the_worst_orbits():
     doc = jacobian_report(n_orbits=12, seed=5)
-    x, p = np.reshape(random_states(12, seed=5), (-1, 2, 3)).swapaxes(0, 1)
+    x, p = random_states(12, seed=5)
     field = report._test_field()
     det, exact = flow_jacobian_det(x, p, field, 0.0, 0.5, 0.01)
     det_err = np.abs(det - exact)

@@ -907,7 +907,7 @@ def test_cli_output_error_is_one_line_and_exit_status_2(tmp_path, capsys,
     work = []
     for module, name in ((cone_evolver, "run"), (io_utils, "load_history"),
                          (io_utils, "load_grid"),
-                         (report_module, "random_states")):
+                         (report_module, "_draw")):
         monkeypatch.setattr(module, name,
                             lambda *a, name=name, **k: work.append(name))
     report = ["--report", str(blocker / "r.json")]
@@ -1016,11 +1016,16 @@ def test_jacobian_test_rejects_bad_numbers(flag, value, capsys, monkeypatch):
                  id="negative-seed"),
     pytest.param(["--duration", "1e200", "--step", "1e-100"],
                  "step 1e-100 is below the time resolution of the span "
-                 "v=0 -> v_to=1e+200", id="step-below-time-resolution")])
+                 "v=0 -> v_to=1e+200", id="step-below-time-resolution"),
+    # no step is taken, but the report would write the step down
+    pytest.param(["--duration", "0", "--step", "nan"],
+                 "step must be positive and finite, got nan",
+                 id="nan-step-at-zero-duration")])
 def test_jacobian_test_library_errors_are_one_line(argv, message, capsys,
                                                    monkeypatch):
-    # a step count past the floats, a negative seed and a step that cannot
-    # move v, each before any orbit is integrated, with no traceback
+    # a step count past the floats, a negative seed, a step that cannot
+    # move v and a NaN step, each before any orbit is integrated, with no
+    # traceback
     assert message in jacobian_refusal(argv, capsys, monkeypatch)
 
 
@@ -1032,24 +1037,51 @@ def test_jacobian_test_reads_no_step_at_zero_duration(capsys):
 
 
 def test_jacobian_test_refuses_orbits_beyond_memory(capsys, monkeypatch):
-    # sized at 2,800 bytes an orbit against the physical memory, before
-    # any orbit is drawn
+    # the two error vectors, 16 bytes an orbit, sized against the physical
+    # memory before any orbit is drawn
     import vmcone.config as config_module
     from vmcone import report as report_module
     drawn = []
-    monkeypatch.setattr(report_module, "random_states",
-                        lambda n, seed: drawn.append(n))
-    monkeypatch.setattr(config_module, "physical_memory", lambda: 2800 * 9)
+    monkeypatch.setattr(report_module, "_draw",
+                        lambda rng, n: drawn.append(n))
+    monkeypatch.setattr(config_module, "physical_memory", lambda: 16 * 9)
     assert main(["jacobian-test", "--orbits", "10"]) == 2
     assert capsys.readouterr().err == (
-        "jacobian-test input error: n_orbits: 2.80e+4 bytes for the arrays "
-        "of 10 orbits at 2,800 bytes an orbit, more than the 2.52e+4 bytes "
-        "of physical memory\n")
+        "jacobian-test input error: n_orbits: 160 bytes for the two errors "
+        "of 10 orbits at 16 bytes an orbit, more than the 144 bytes of "
+        "physical memory\n")
     assert drawn == []
     monkeypatch.undo()
-    monkeypatch.setattr(config_module, "physical_memory", lambda: 2800 * 10)
+    monkeypatch.setattr(config_module, "physical_memory", lambda: 16 * 10)
     assert main(["jacobian-test", "--orbits", "10",
                  "--duration", "0.02"]) == 0
+
+
+def test_non_finite_numbers_are_written_as_null(tmp_path, capsys,
+                                                monkeypatch):
+    # a NaN error fails its check, is printed, and is written as null: the
+    # file is JSON without NaN or Infinity
+    from vmcone import report as report_module
+    monkeypatch.setattr(report_module, "flow_jacobian_det",
+                        lambda x, *a, **k: (np.full(len(x), np.nan),) * 2)
+    path = tmp_path / "jac.json"
+    assert main(["jacobian-test", "--orbits", "3", "--duration", "0.02",
+                 "--report", str(path)]) == 1
+    assert ("[FAIL] flow_jacobian_determinant: value nan (tolerance 1e-05)"
+            in capsys.readouterr().out)
+
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    doc = json.loads(path.read_text(), parse_constant=refuse)
+    det = doc["checks"][0]
+    assert det["value"] is None and det["passed"] is False
+    assert doc["passed"] is False and doc["worst_det_orbit"] == 0
+    # in every part of a document, a report's details too
+    io_utils.emit_report({"a": [np.nan, -np.inf, 0.5], "b": {"c": np.inf}},
+                         path)
+    assert json.loads(path.read_text(), parse_constant=refuse) == {
+        "a": [None, None, 0.5], "b": {"c": None}}
 
 
 def test_cli_jacobian_test(tmp_path, capsys):

@@ -6,12 +6,16 @@ radius (the compares let it through as cell -2**63) and char_rhs_reduced
 now takes a 0-d radius (it raised a TypeError).  The 6D Cartesian guards
 (|x| > 0 in the RHS, r > r_floor after each step) gave the same with the
 interleaved (rows, 6) state; only the shape of char_rhs_cartesian's out=
-changed, to the (2, rows, 3) blocks of x and p."""
+changed, to the (2, rows, 3) blocks of x and p.  The radius guards take
+the smallest radius with NaN ignored, so a NaN hides no other radius; a
+hypothesis test holds each to its elementwise form on drawn radii."""
 
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vmcone import (ShellGrid, ParticleSet, RunAborted, IntegrationError,
                     check_measure_positivity, cone_evolver,
@@ -85,7 +89,7 @@ def cartesian_into(out):
 def fall(*starts, n=4099):
     """integrate_cartesian over one step of 0.1 in a zero field: n rows at
     x = e1, but each (row, x0) of starts at x0 and falling towards the axis.
-    Row 4097 lies past CHUNK_ROWS, so it is named by its global index."""
+    The message names the row by its index among all n."""
     x = np.tile([1.0, 0.0, 0.0], (n, 1))
     p = np.tile([0.1, 0.2, 0.0], (n, 1))
     for i, x0 in starts:
@@ -136,6 +140,10 @@ CASES = {
                              (ValueError, "field evaluation outside r >= 0")),
     "eval_field-empty": (lambda: eval_field(GRID, I, np.empty(0)),
                          same(np.empty(0))),
+    # a NaN radius hides no negative one
+    "eval_field-nan-and-negative": (
+        lambda: eval_field(GRID, I, np.array([NAN, -0.5])),
+        (ValueError, "field evaluation outside r >= 0")),
     # char_rhs_reduced
     "rhs-zero": (lambda: rhs(0.0),
                  (ValueError, "reduced characteristic RHS requires r > 0")),
@@ -145,6 +153,9 @@ CASES = {
                       (ValueError, "reduced characteristic RHS requires r > 0")),
     "rhs-nan": (lambda: bool(np.isnan(rhs([0.5, NAN])).tolist()
                              == [[False, True], [False, True]]), same(True)),
+    "rhs-nan-and-zero": (lambda: rhs([NAN, 0.0]),
+                         (ValueError,
+                          "reduced characteristic RHS requires r > 0")),
     "rhs-inf": (lambda: bool(np.all(np.isfinite(rhs([INF])))), same(True)),
     "rhs-empty": (lambda: tuple(a.shape for a in rhs(np.empty(0))),
                   same(((0,), (0,)))),
@@ -157,6 +168,10 @@ CASES = {
                     "at v=0.1; the axis bound sqrt(F)/P is violated")),
     "push-nan": (lambda: bool(np.isnan(push([0.6, NAN], w=0.0)[0][1])),
                  same(True)),
+    "push-nan-and-floor": (lambda: push([NAN, 0.46]),
+                           (IntegrationError, "trajectory reached r <= "
+                            "r_floor=0.45 at v=0.1; the axis bound "
+                            "sqrt(F)/P is violated")),
     "push-empty": (lambda: tuple(a.shape for a in push(np.empty(0))),
                    same(((0,), (0,)))),
     "push-scalar": (lambda: tuple(a.shape for a in push(0.6, w=0.0)),
@@ -288,6 +303,62 @@ def test_positivity_takes_the_step_s_one_plus():
     with pytest.raises(AssertionError, match="at particle 1: "):
         check_measure_positivity(bad, bad.momentum_sq(),
                                  bad.one_plus_phat_k())
+
+
+# radii or coordinates: the edge values among ordinary ones, which are
+# multiples of 1e-3, so that no square underflows
+EDGE = (st.sampled_from([NAN, INF, -INF, 0.0, -0.0, 0.5])
+        | st.floats(-2.0, 2.0).map(lambda a: round(a, 3)))
+
+
+def raised(call):
+    """The exception call raises, None if it returns."""
+    try:
+        with np.errstate(all="ignore"):
+            call()
+    except (ValueError, IntegrationError) as exc:
+        return exc
+    return None
+
+
+def refused(exc, cause):
+    """True iff exc is of type cause, or both are None."""
+    return type(exc) is cause if cause else exc is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(EDGE, max_size=6).map(lambda r: np.array(r, dtype=float)))
+def test_radial_guards_refuse_what_the_elementwise_compares_refuse(r):
+    assert refused(raised(lambda: eval_field(GRID, I, r)),
+                   ValueError if np.any(r < 0.0) else None)
+    below_axis = ValueError if np.any(r <= 0.0) else None
+    assert refused(raised(lambda: rhs(r)), below_axis)
+    # w = q = 0 in no field: every radius stays where it is for the
+    # r_floor check, after the RHS has checked r > 0
+    stay = lambda: integrate_reduced(r, np.zeros_like(r), np.zeros_like(r),
+                                     lambda v, r: 0.0, 0.0, 0.1, 0.1,
+                                     r_floor=0.5)
+    assert refused(raised(stay), below_axis or (
+        IntegrationError if np.any(r <= 0.5) else None))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(EDGE, min_size=3, max_size=3), max_size=4)
+       .map(lambda x: np.array(x, dtype=float).reshape(-1, 3)))
+def test_cartesian_guards_refuse_what_the_elementwise_compares_refuse(x):
+    r = np.linalg.norm(x, axis=-1)
+    at_axis = ValueError if np.any(r <= 0.0) else None
+    assert refused(raised(lambda: cartesian(x)), at_axis)
+    # p = 0 in no field: a finite x stays where it is for the r_floor check
+    zero = lambda v, x: (np.zeros_like(x),) * 2
+    exc = raised(lambda: integrate_cartesian(x, np.zeros_like(x), zero, 0.0,
+                                             0.1, 0.1, r_floor=0.5))
+    floor = r <= 0.5
+    assert refused(exc, at_axis or (
+        IntegrationError if np.any(floor) else None))
+    if type(exc) is IntegrationError:
+        assert str(exc).startswith(f"trajectory {np.argmax(floor)} "
+                                   f"(of {len(x)}) ")
 
 
 @pytest.mark.parametrize("r, w", [(NAN, 0.0), (INF, 0.0), (0.5, INF),
