@@ -242,7 +242,7 @@ def momentum_support_bound(history: SliceHistory) -> dict:
     bound = np.minimum(N0 / history.grid.edges[1:] ** 2,
                        C_E * P[:, None] ** (5.0 / 3.0))
     max_margin = float(np.max(np.abs(history.E[:, 1:]) - bound))
-    ineq_ok = not np.any(_momentum_excess(P, P0, N0, C_E) > 1e-12)
+    ineq_ok = bool(np.all(_momentum_excess(P, P0, N0, C_E) <= 1e-12))
     return {
         "N0": N0, "M0": M0, "f_inf_norm": f_inf,
         "l43_constant": l43_bound_constant(f_inf, M0),

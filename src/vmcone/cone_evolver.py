@@ -63,12 +63,13 @@ PUSH_WORKER_MIN_PARTICLE_STEPS = 150000
 class SliceHistory:
     """Per-step radial profiles and scalar series of one run of config.
 
-    Profile arrays have shape (n_slices, n_nodes); series arrays (n_slices,).
-    P_wedge is the running momentum-support radius (non-decreasing by
-    construction); R_min_run the running minimum particle radius.  The
-    grid, probes, datum constants, dv, sampled particles and the final
-    particles' q, weight and f_value, constants of the motion, are derived
-    from the config; E, N_wedge, M_wedge, flux_j and flux_p from the moments.
+    Profile arrays have shape (n_slices, n_nodes); series arrays (n_slices,)
+    hold what each slice measures: its largest |p| and its least and largest
+    radius, +inf and 0 with no particle.  The running bounds P_wedge (the
+    momentum support) and R_min_run are derived from them; the grid,
+    probes, datum constants, dv, sampled particles and the final particles'
+    q, weight and f_value, constants of the motion, from the config; E,
+    N_wedge, M_wedge, flux_j and flux_p from the moments.
     """
 
     config: RunConfig
@@ -78,9 +79,9 @@ class SliceHistory:
     h_plus: np.ndarray
     h_minus: np.ndarray
     # scalar series
-    P_wedge: np.ndarray
+    P_slice: np.ndarray
+    R_slice_min: np.ndarray
     R_slice_max: np.ndarray
-    R_min_run: np.ndarray
     r_final: np.ndarray
     w_final: np.ndarray
     # flow-monotonicity counters (claim: r has at most one local minimum,
@@ -95,11 +96,14 @@ class SliceHistory:
     F = property(lambda self: self.config.datum.F)
     f_inf_norm = property(lambda self: self.config.datum.f_inf_norm)
     dv = property(lambda self: self.config.steps[1])
-    particles_initial = cached_property(   # sampled again
+    particles_initial = cached_property(   # unless run or load_history set it
         lambda self: sample_particles(self.config.datum,
                                       self.config.resolution))
     particles_final = cached_property(lambda self: replace(
         self.particles_initial, r=self.r_final, w=self.w_final))
+    P_wedge = cached_property(lambda self: np.maximum.accumulate(self.P_slice))
+    R_min_run = cached_property(
+        lambda self: np.minimum.accumulate(self.R_slice_min))
 
     @property
     def v_final(self) -> float:
@@ -183,12 +187,13 @@ class ParticleState:
     shared mmap holds what crosses between the processes: two (r, w)
     buffers, the cells, three payload rows, the moments of the slice, the
     field of a push, each process's partial reductions and the index of
-    the current buffer.  Each phase ends in both processes before the next
-    begins, so one set of cells serves the slice's deposit, then the
-    predictor, then the next slice.  Each process keeps the turned_out
-    flags of its own half.  A phase writes the spare buffer and its
-    products, never its own input, so one call over all particles meets a
-    failure of either half again and raises the serial run's exception.
+    the current buffer.  The state records the first slice before it forks.
+    Each phase ends in both processes before the next begins, so one set of
+    cells serves the slice's deposit, then the predictor, then the next
+    slice.  Each process keeps the turned_out flags of its own half.  A
+    phase writes the spare buffer and its products, never its own input,
+    so one call over all particles meets a failure of either half again
+    and raises the serial run's exception.
 
     A phase is one command byte down a pipe and one status byte back; the
     worker exits at EOF of the command pipe, or quietly on SIGINT, and
@@ -224,6 +229,7 @@ class ParticleState:
         self.reduced[:] = (0.0, np.inf, 0.0, 0, 0.0)
         self.row, self.own = 0, slice(None)
         self.pid = self.command = self.reply = None
+        _record(self, slice(None), parts.r, parts.w)   # the first slice
         if not fork:
             return
         command, self.command = os.pipe()
@@ -319,11 +325,6 @@ def _record(s, sl, r, w):
                             r.max(initial=0.0))
 
 
-def _start(s, sl):
-    """The first slice."""
-    _record(s, sl, *s.rw[s.slot[0], :, sl])
-
-
 def _deposit(s, sl):
     """The moments of the slice from all particles, whatever sl: g_plus and
     g_minus, and the field of g_plus into s.field, unless sl is the upper
@@ -363,7 +364,7 @@ def _correct(s, sl):
 
 
 # the phases a worker runs, by their command byte
-_PHASES = (_start, _deposit, _predict, _correct)
+_PHASES = (_deposit, _predict, _correct)
 
 
 def step(state: ParticleState) -> None:
@@ -408,9 +409,7 @@ def run(config: RunConfig) -> SliceHistory:
 
     n_slices = n_steps + 1
     moments = np.zeros((len(MOMENTS), n_slices, grid.n_shells + 1))
-    series = {k: np.zeros(n_slices) for k in
-              ("P_wedge", "R_slice_max", "R_min_run")}
-    p_run, r_run_min, r_turn_violations, min_dw = 0.0, np.inf, 0, 0.0
+    reduced = np.zeros((n_slices, 2, 5))   # state.reduced of each slice
     vs = np.linspace(0.0, config.v_final, n_slices)
 
     parts = sample_particles(config.datum, config.resolution)
@@ -418,21 +417,11 @@ def run(config: RunConfig) -> SliceHistory:
             and len(parts) * n_steps >= PUSH_WORKER_MIN_PARTICLE_STEPS
             and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
             and len(os.sched_getaffinity(0)) >= 2)
-    with ParticleState(parts, grid, dv, config.r_floor, fork) as state:
-        del parts   # its r and w live in the state from here
-        with _naming_step(0, 0.0):
-            state.each(_start)
+    with _naming_step(0, 0.0):
+        state = ParticleState(parts, grid, dv, config.r_floor, fork)
+    with state:
         for n, v in enumerate(vs):
-            # the extremes of slice n, the flow counters of the step to it
-            lo, hi = state.reduced.tolist()
-            p_run = max(p_run, math.sqrt(max(lo[0], hi[0])))
-            r_run_min = min(r_run_min, lo[1], hi[1])
-            series["R_slice_max"][n] = max(lo[2], hi[2])
-            series["P_wedge"][n] = p_run
-            series["R_min_run"][n] = (r_run_min if np.isfinite(r_run_min)
-                                      else 0.0)
-            r_turn_violations += int(lo[3] + hi[3])
-            min_dw = min(min_dw, lo[4], hi[4])
+            reduced[n] = state.reduced
             with _naming_step(n, v):
                 state.each(_deposit)
                 moments[:, n] = state.moments
@@ -440,10 +429,14 @@ def run(config: RunConfig) -> SliceHistory:
                     step(state)
         r_final, w_final = state.rw[state.slot[0]].copy()
 
-    return SliceHistory(
-        config=config, vs=vs, **dict(zip(MOMENTS, moments)), **series,
-        r_final=r_final, w_final=w_final,
-        r_turn_violations=r_turn_violations, min_dw=min_dw)
+    p_sq, r_min, r_max, turns, dw = reduced.transpose(2, 0, 1)
+    history = SliceHistory(
+        config=config, vs=vs, **dict(zip(MOMENTS, moments)),
+        P_slice=np.sqrt(p_sq.max(axis=1)), R_slice_min=r_min.min(axis=1),
+        R_slice_max=r_max.max(axis=1), r_final=r_final, w_final=w_final,
+        r_turn_violations=int(turns.sum()), min_dw=float(dw.min()))
+    history.particles_initial = parts   # sampled once
+    return history
 
 
 def nirc_flux(history: SliceHistory, v1: float, v2: float, r: float) -> float:

@@ -22,8 +22,8 @@ from .cone_evolver import SliceHistory
 # node j (r = j * dr); particles.npy holds r and w of the final particles;
 # meta.json holds the config as to_dict writes it, with no output directory.
 LAYOUT = {
-    "series.csv": {"v": "vs", "P_wedge": "P_wedge", "R_max": "R_slice_max",
-                   "R_min": "R_min_run"},
+    "series.csv": {"v": "vs", "P_slice": "P_slice",
+                   "R_slice_min": "R_slice_min", "R_slice_max": "R_slice_max"},
     "profiles.npy": {c: c for c in MOMENTS},
     "particles.npy": {"r": "r_final", "w": "w_final"},
     "meta.json": {c: c for c in ("config", "r_turn_violations", "min_dw")},

@@ -371,21 +371,23 @@ def test_config_defaults():
 # history round trip
 
 def test_history_round_trip(tmp_path, small_history):
+    # every field of the history reloads bit for bit, and so do the running
+    # bounds, the field, the fluxes and the particles derived from them
     d = str(tmp_path / "run")
     emit_history(small_history, d)
     loaded = load_history(d)
-    assert np.array_equal(loaded.vs, small_history.vs)
-    for name in ("g_plus", "g_minus", "h_plus", "h_minus", "E"):
-        assert np.array_equal(getattr(loaded, name),
-                              getattr(small_history, name)), name
-    assert np.array_equal(loaded.N_wedge, small_history.N_wedge)
-    assert np.array_equal(loaded.flux_j, small_history.flux_j)
-    assert np.array_equal(loaded.probe_radii, small_history.probe_radii)
-    assert loaded.R0 == small_history.R0
-    assert loaded.dv == small_history.dv
-    pf = loaded.particles_final
-    assert np.array_equal(pf.r, small_history.particles_final.r)
-    assert np.array_equal(pf.weight, small_history.particles_final.weight)
+    for name in [f.name for f in dataclasses.fields(SliceHistory)] + [
+            "P_wedge", "R_min_run", "E", "N_wedge", "M_wedge", "flux_j",
+            "flux_p", "probe_radii", "R0", "F", "f_inf_norm", "dv"]:
+        a, b = getattr(loaded, name), getattr(small_history, name)
+        if isinstance(b, np.ndarray):
+            assert (a.dtype, a.shape, a.tobytes()) == (
+                b.dtype, b.shape, b.tobytes()), name
+        else:
+            assert type(a) is type(b) and a == b, name
+    for name in ("r", "w", "q", "weight", "f_value"):
+        assert np.array_equal(getattr(loaded.particles_final, name),
+                              getattr(small_history.particles_final, name))
 
 
 def _npy(array):
@@ -459,11 +461,12 @@ def test_load_history_names_a_malformed_file(tmp_path, small_history):
             rf"meta\.json's config \(time\.v_final 3, dv 0\.01\)")
     # the one header emit_history writes: a column missing, reordered or
     # added, as older layouts held derived series, is refused
-    layout = "'v,P_wedge,R_max,R_min'"
+    layout = "'v,P_slice,R_slice_min,R_slice_max'"
     series.write_text("".join(line.rsplit(",", 1)[0] + "\n" for line in rows))
     refused(series, series.read_bytes(),
-            rf"header 'v,P_wedge,R_max', expected {layout}$")
-    for columns in (["R_min", "v", "R_max", "P_wedge"],
+            rf"header 'v,P_slice,R_slice_min', expected {layout}$")
+    for columns in (["R_slice_max", "v", "R_slice_min", "P_slice"],
+                    ["v", "P_wedge", "R_max", "R_min"],
                     ["v", "N_wedge", "M_wedge", "P_wedge", "R_max", "R_min"]):
         series.write_text("".join(rows))
         _rewrite_columns(series, columns)
@@ -586,11 +589,11 @@ def test_series_columns(tmp_path, small_history):
         "meta.json", "particles.npy", "profiles.npy", "series.csv"]
     path = tmp_path / "series.csv"
     header = path.read_text().splitlines()[0]
-    assert header == "v,P_wedge,R_max,R_min"
+    assert header == "v,P_slice,R_slice_min,R_slice_max"
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     h = small_history
     assert np.array_equal(data, np.column_stack(
-        (h.vs, h.P_wedge, h.R_slice_max, h.R_min_run)))
+        (h.vs, h.P_slice, h.R_slice_min, h.R_slice_max)))
 
 
 def test_profiles_and_particles_are_npy_arrays(tmp_path, small_history):
@@ -656,6 +659,63 @@ def test_a_reload_samples_the_datum_once(tmp_path, small_history,
     for name in ("r", "w", "q", "weight", "f_value"):
         assert np.array_equal(getattr(loaded.particles_final, name),
                               getattr(small_history.particles_final, name))
+    # a run keeps its own sample, which it leaves as sampled
+    calls.clear()
+    cfg = small_config(resolution=(6, 6, 6), n_shells=64, v_final=1.0)
+    h = run(cfg)
+    diagnose_report(h)
+    assert len(calls) == 1
+    fresh = real(cfg.datum, cfg.resolution)
+    for name in ("r", "w", "q", "weight", "f_value"):
+        assert np.array_equal(getattr(h.particles_initial, name),
+                              getattr(fresh, name)), name
+
+
+def test_a_nan_momentum_fails_the_momentum_checks(tmp_path, small_history):
+    # one slice's P lost in series.csv: the running support is NaN from
+    # there on, and neither the self-consistency inequality nor the ceiling
+    # passes on the other slices
+    emit_history(small_history, str(tmp_path))
+    path = tmp_path / "series.csv"
+    rows = path.read_text().splitlines(keepends=True)
+    k = len(rows) // 2
+    v, _, rest = rows[k].split(",", 2)
+    rows[k] = f"{v},nan,{rest}"
+    path.write_text("".join(rows))
+    loaded = load_history(str(tmp_path))
+    assert np.isnan(loaded.P_slice[k - 1]) and np.isnan(loaded.P_wedge[-1])
+    checks = {c["name"]: c for c in diagnose_report(loaded)["checks"]}
+    for name in ("momentum_self_consistency", "momentum_ceiling"):
+        assert not checks[name]["passed"], name
+
+
+@pytest.mark.parametrize("datum", [
+    {"name": "zero"},
+    {"name": "shell_polynomial", "params": {"amplitude": 0.0}}],
+    ids=["zero", "amplitude-0"])
+def test_an_empty_plasma_passes_the_axis_bound(tmp_path, datum):
+    # no particle: every slice's least radius is +inf, the identity of min,
+    # so the clearance is +inf, in memory, in series.csv and reloaded
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "cfg.json", datum=datum,
+                       sampling={"resolution": [6, 6, 6]},
+                       grid={"n_shells": 64},
+                       time={"dv": 0.01, "v_final": 0.05})
+    reports = [tmp_path / "in_memory.json", tmp_path / "reloaded.json"]
+    assert main(["run", "--config", cfg, "--output", str(out),
+                 "--diagnose", "--report", str(reports[0])]) == 0
+    assert main(["diagnose", "--history", str(out),
+                 "--report", str(reports[1])]) == 0
+    for report in reports:
+        checks = {c["name"]: c for c in json.loads(report.read_text())[
+            "checks"]}
+        assert checks["axis_clearance_bound"]["passed"]
+    rows = (out / "series.csv").read_text().splitlines()
+    assert rows[0] == "v,P_slice,R_slice_min,R_slice_max"
+    assert all(row.split(",")[2] == "inf" for row in rows[1:])
+    loaded = load_history(str(out))
+    assert len(loaded.vs) == 6 and np.all(loaded.R_slice_min == np.inf)
+    assert np.all(loaded.R_min_run == np.inf)
 
 
 def _rewrite_columns(path, columns):

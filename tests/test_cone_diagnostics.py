@@ -388,8 +388,8 @@ def test_profile_reads_per_report_do_not_grow_with_slices(small_history,
     h = small_history
     # the same run recorded at every other slice
     half = replace(h, **{name: getattr(h, name)[::2] for name in (
-        "vs", "g_plus", "g_minus", "h_plus", "h_minus", "P_wedge",
-        "R_slice_max", "R_min_run")})
+        "vs", "g_plus", "g_minus", "h_plus", "h_minus", "P_slice",
+        "R_slice_min", "R_slice_max")})
     assert 2 * len(half.vs) - 1 == len(h.vs)
     calls = []
     read = SliceHistory.profile_at

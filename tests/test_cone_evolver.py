@@ -546,19 +546,20 @@ def test_worker_abort_is_the_serial_abort(monkeypatch, force_worker, case):
 
 @pytest.mark.parametrize("signum, code", [(signal.SIGKILL, -signal.SIGKILL),
                                           (signal.SIGINT, 0)])
-@pytest.mark.parametrize("phase", ["predict", "deposit", "correct",
-                                   "start"])
+@pytest.mark.parametrize("case", ["predict", "deposit", "correct",
+                                  "first-deposit"])
 def test_a_worker_ending_mid_run_raises(monkeypatch, capfd, force_worker,
-                                        phase, signum, code):
+                                        case, signum, code):
     # the worker ends itself inside one of its phases: at its 20th or 24th
     # field lookup (8 a step: 4 in the predictor push, then 4 in the
     # corrected one, of step 2), at its third deposit (1 a slice: h_plus
-    # and h_minus of slice 2) or at its first cells (those of slice 0); the
-    # run must raise, not wait forever
-    where, calls, step = {"predict": ("eval_field", 20, r"2 \(v=0\.02\)"),
-                          "correct": ("eval_field", 24, r"2 \(v=0\.02\)"),
-                          "deposit": ("deposit", 3, r"2 \(v=0\.02\)"),
-                          "start": ("cic_cells", 1, r"0 \(v=0\)")}[phase]
+    # and h_minus of slice 2) or at its first, of slice 0, whose cells the
+    # run recorded before the fork; the run must raise, not wait forever
+    phase, where, calls, step = {
+        "predict": ("predict", "eval_field", 20, r"2 \(v=0\.02\)"),
+        "correct": ("correct", "eval_field", 24, r"2 \(v=0\.02\)"),
+        "deposit": ("deposit", "deposit", 3, r"2 \(v=0\.02\)"),
+        "first-deposit": ("deposit", "deposit", 1, r"0 \(v=0\)")}[case]
     force_worker(True)
     parent, real, seen = os.getpid(), getattr(cone_evolver, where), []
 
