@@ -13,13 +13,16 @@ accumulates each moment row on its own, in particle order.  A run of at
 least PUSH_WORKER_MIN particles and PUSH_WORKER_MIN_PARTICLE_STEPS
 particle-steps, in a process whose CPU affinity mask holds at least two
 CPUs and on a platform with fork, therefore forks one worker process (see
-ParticleState) and splits each of the three phases of a step between the
-two: at the deposit the run accumulates g_plus and g_minus and solves the
-field while the worker accumulates h_plus and h_minus, and at the predictor
-and the corrected push the run takes the lower half of the particles and
-the worker the upper half, with every per-particle product of the slice the
-push reaches.  The halves give the bits of one call and their extremes and
-counts combine exactly, so the result is bit for bit the serial run's.
+ParticleState) and splits both phases of a step between the two: at the
+predictor and at the corrected push the run takes the lower half of the
+particles and the worker the upper half, and each half deposits what it
+has just moved, the predicted weights or the four moments of the slice
+the corrected push reaches, into its own partial rows.  The run adds the
+two partials, the lower half's first, and solves the field.  Without a
+worker each phase is one call over all particles, whose deposit splits
+at n // 2 into the same two partials, so a forked run is bit for bit the
+serial run.  The sum of two partials rounds differently from one
+np.add.at pass over all particles, by a few ulps of each node.
 
 The magnetic field is identically zero in spherical symmetry, so the
 incoming and outgoing radiation fluxes vanish structurally; see nirc_flux.
@@ -47,14 +50,14 @@ from .characteristics import integrate_reduced
 from .config import RunConfig, auto_r_max, default_probe_radii  # noqa: F401
 
 # the particle count, and the count of particles times steps, from which
-# run forks a worker that runs half of every per-particle stage.  Median
-# worker/serial time ratios on 2 CPUs (desk datum, 512 shells, dv 0.005, 10
-# alternating fresh-process pairs per series, pairs won in brackets): at 300
-# steps 1.04 (5) with 1,000 particles, 0.96-1.07 (3-8) with 1,728, 0.92 (8)
-# with 2,197, 0.80-0.91 (8-10) with 2,744, 0.78 (9) with 4,096, 0.71 (10)
-# with 8,000; at 10 steps 1.18 (2) with 4,096 and 0.97 (6) with 8,000;
-# 0.79-0.94 (6-10) from 137,000 particle-steps, 0.86-1.03 (5-7) from 80,000
-# to 123,000, where the fork and the syncs cost what the worker saves.
+# run forks a worker that runs half of every per-particle stage, fitted on
+# 2 CPUs where it took 0.71-0.92 of the serial time from 2,197 to 8,000
+# particles at 300 steps.  With two phases a step, on 2 vCPUs where it does
+# not pay (desk datum, 512 shells, dv 0.005, worker/serial medians of 10
+# alternating fresh-process pairs, pairs won in brackets): 1.31 (0) and
+# 1.41 (0) with 13,824 particles at 8 and 5 steps; at 300 steps 1.47 (2)
+# with 1,728, 1.36 (0) with 2,197, 1.37 (0) with 2,744, 1.29 (0) with
+# 4,096 and 1.20 (0) with 8,000; 1.05 (0) with 32,768 at 50 steps.
 PUSH_WORKER_MIN = 2500
 PUSH_WORKER_MIN_PARTICLE_STEPS = 150000
 
@@ -181,19 +184,21 @@ class ParticleState:
 
     A phase is a function phase(state, sl) of the particles in the slice
     sl; each(phase) runs it in one call over all particles, or on the lower
-    half here while the worker runs the upper half.  The deposit phase
-    halves its moment rows instead: each half reads every particle, and the
-    lower half, g_plus and g_minus, also solves the field.  One anonymous
-    shared mmap holds what crosses between the processes: two (r, w)
-    buffers, the cells, three payload rows, the moments of the slice, the
-    field of a push, each process's partial reductions and the index of
-    the current buffer.  The state records the first slice before it forks.
-    Each phase ends in both processes before the next begins, so one set of
-    cells serves the slice's deposit, then the predictor, then the next
-    slice.  Each process keeps the turned_out flags of its own half.  A
-    phase writes the spare buffer and its products, never its own input,
-    so one call over all particles meets a failure of either half again
-    and raises the serial run's exception.
+    half here while the worker runs the upper half.  Each phase ends in a
+    deposit of the radii it has just made, into the partial rows of the
+    process that made them: s.partial[0] holds the lower half's, and
+    s.partial[1] the upper half's, also after one call over all particles,
+    which splits its deposit at n // 2.  Row 0 of a partial is the weights
+    at the predicted radii, rows 1 to 4 the MOMENTS of the slice; the run
+    adds the partials, the lower half's first.  One anonymous shared mmap
+    holds what crosses between the processes: two (r, w) buffers, the
+    partial rows, the field of a push, each process's partial reductions
+    and the index of the current buffer.  The state records the first
+    slice before it forks.  Each phase ends in both processes before the
+    next begins, and each process keeps the turned_out flags of its own
+    half.  A phase writes the spare buffer and its products, never its own
+    input, so one call over all particles meets a failure of either half
+    again and raises the serial run's exception.
 
     A phase is one command byte down a pipe and one status byte back; the
     worker exits at EOF of the command pipe, or quietly on SIGINT, and
@@ -213,13 +218,12 @@ class ParticleState:
                                              parts.f_value)
         self.grid, self.dv, self.r_floor = grid, dv, r_floor
         self.turned_out = np.zeros(n, dtype=bool)
-        layout = {"rw": (2, 2, n), "j": (n,), "frac": (n,),
-                  "payloads": (3, n), "moments": (len(MOMENTS), m),
+        layout = {"rw": (2, 2, n), "partial": (2, 1 + len(MOMENTS), m),
                   "field": (m,), "reduced": (2, 5), "slot": (1,)}
         block = mmap.mmap(-1, 8 * sum(map(math.prod, layout.values())))
         offset = 0
         for name, shape in layout.items():
-            dtype = np.int64 if name in ("j", "slot") else np.float64
+            dtype = np.int64 if name == "slot" else np.float64
             setattr(self, name, np.frombuffer(block, dtype, math.prod(shape),
                                               offset).reshape(shape))
             offset += 8 * math.prod(shape)
@@ -310,40 +314,38 @@ def _push(s, sl):
                              0.0, s.dv, s.dv, r_floor=s.r_floor)
 
 
+def _deposit_partial(s, sl, rows, r, payloads):
+    """Deposit the payloads of the particles sl at radii r into the rows of
+    their half's partial; all particles, sl = slice(None), split at n // 2
+    into both partials, as two halves would."""
+    cells = cic_cells(r, s.grid)
+    n = len(s.q)
+    halves = (((0, slice(None, n // 2)), (1, slice(n // 2, None)))
+              if sl == slice(None) else ((s.row, slice(None)),))
+    for row, half in halves:
+        s.partial[row, rows] = deposit(r[half], [x[half] for x in payloads],
+                                       s.grid, [c[half] for c in cells])
+
+
 def _record(s, sl, r, w):
-    """Check the particles sl at (r, w), and write the cells, the payloads
-    of g_minus, h_plus and h_minus and the extremes of their slice."""
+    """Check the particles sl at (r, w), and deposit the moments and write
+    the extremes of their slice."""
     parts = ParticleSet(r, w, s.q[sl], s.weight[sl], s.f_value[sl])
     p_sq = parts.momentum_sq()
     gamma = np.sqrt(1.0 + p_sq)
     one_plus = 1.0 + w / gamma
     check_measure_positivity(parts, p_sq, one_plus)
-    s.j[sl], s.frac[sl] = cic_cells(r, s.grid)
-    _, s.payloads[0, sl], s.payloads[1, sl], s.payloads[2, sl] = (
-        moment_payloads(parts, gamma, one_plus))
+    _deposit_partial(s, sl, slice(1, None), r,
+                     moment_payloads(parts, gamma, one_plus))
     s.reduced[s.row, :3] = (p_sq.max(initial=0.0), r.min(initial=np.inf),
                             r.max(initial=0.0))
 
 
-def _deposit(s, sl):
-    """The moments of the slice from all particles, whatever sl: g_plus and
-    g_minus, and the field of g_plus into s.field, unless sl is the upper
-    half; h_plus and h_minus unless it is the lower half."""
-    # all particles are slice(None), the lower half slice(None, n // 2)
-    rows = slice(0 if sl.start is None else 2, 4 if sl.stop is None else 2)
-    s.moments[rows] = deposit(s.rw[s.slot[0], 0],
-                              (s.weight, *s.payloads)[rows], s.grid,
-                              (s.j, s.frac))
-    if sl.start is None:
-        s.field[:] = solve_field(s.grid, s.moments[0])
-
-
 def _predict(s, sl):
-    """The predictor push in s.field: its r into the spare buffer and its
-    cells into s.j and s.frac."""
+    """The predictor push in s.field, and the deposit of the weights at the
+    radii it reaches."""
     r, _ = _push(s, sl)
-    s.rw[1 - s.slot[0], 0, sl] = r
-    s.j[sl], s.frac[sl] = cic_cells(r, s.grid)
+    _deposit_partial(s, sl, slice(0, 1), r, (s.weight[sl],))
 
 
 def _correct(s, sl):
@@ -364,21 +366,19 @@ def _correct(s, sl):
 
 
 # the phases a worker runs, by their command byte
-_PHASES = (_deposit, _predict, _correct)
+_PHASES = (_predict, _correct)
 
 
 def step(state: ParticleState) -> None:
     """Advance the particles of state over [v, v + dv] from the cumulative
     source state.field at v: a push in its field predicts the endpoint,
     then the push is redone in the field of the average of it and the
-    cumulative source of the predicted endpoint.  The corrected push also
-    makes the per-particle products of the slice at v + dv.  The state's
-    worker, if any, runs half of each push; the result is the same bits."""
-    grid, I = state.grid, state.field.copy()
+    cumulative source of the predicted weights.  The corrected push also
+    deposits the moments of the slice at v + dv.  The state's worker, if
+    any, runs half of each push; the result is the same bits."""
+    I = state.field.copy()
     state.each(_predict)
-    I_end = solve_field(grid, deposit(state.rw[1 - state.slot[0], 0],
-                                      (state.weight,), grid,
-                                      (state.j, state.frac))[0])
+    I_end = solve_field(state.grid, state.partial[0, 0] + state.partial[1, 0])
     state.field[:] = 0.5 * (I + I_end)
     state.each(_correct)
     state.slot[0] = 1 - state.slot[0]   # both halves succeeded
@@ -422,9 +422,9 @@ def run(config: RunConfig) -> SliceHistory:
     with state:
         for n, v in enumerate(vs):
             reduced[n] = state.reduced
+            moments[:, n] = state.partial[0, 1:] + state.partial[1, 1:]
             with _naming_step(n, v):
-                state.each(_deposit)
-                moments[:, n] = state.moments
+                state.field[:] = solve_field(grid, moments[0, n])
                 if n < n_steps:
                     step(state)
         r_final, w_final = state.rw[state.slot[0]].copy()

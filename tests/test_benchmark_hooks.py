@@ -110,7 +110,9 @@ def test_benchmark_hooks_resolve_and_measure(bench, tmp_path, monkeypatch,
     n = len(capture.results["run"].particles_final)
     deposits = [s[5] for s in tracer.spans if s[0] == "radial_field.deposit"]
     assert n == 6**3 and deposits
-    assert all(work == {"particles": n} for work in deposits)
+    # the serial run deposits each half of the particles on its own
+    assert all(work in ({"particles": n // 2}, {"particles": n - n // 2})
+               for work in deposits)
 
 
 @pytest.mark.parametrize("name", ["desk_run", "artifact_roundtrip",

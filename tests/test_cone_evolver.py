@@ -389,6 +389,39 @@ def test_worker_push_gives_the_serial_bytes(monkeypatch, tmp_path,
                 assert type(a) is type(b) and a == b, field.name
 
 
+def test_g_plus_is_the_sum_of_the_half_deposits(small_history):
+    # each half of the particles deposits its own weights, and the run adds
+    # the lower half's partial to the upper half's: bit for bit that sum at
+    # the first and the last slice, and one deposit of all particles up to
+    # the rounding of the sum
+    h = small_history
+    for k, parts in ((0, h.particles_initial), (-1, h.particles_final)):
+        half = len(parts) // 2
+        lower, upper = (deposit(parts.r[sl], (parts.weight[sl],), h.grid)[0]
+                        for sl in (slice(None, half), slice(half, None)))
+        assert (lower + upper).tobytes() == h.g_plus[k].tobytes()
+        np.testing.assert_allclose(
+            h.g_plus[k], deposit(parts.r, (parts.weight,), h.grid)[0],
+            rtol=1e-15, atol=0.0)
+
+
+def test_a_forked_step_is_two_round_trips(monkeypatch, force_worker):
+    # the run writes one command byte to its worker per phase, and a step
+    # is two phases: the predictor and the corrected push
+    pipes, writes, parent = [], [], os.getpid()
+    real_pipe, real_write = os.pipe, os.write
+    monkeypatch.setattr(os, "pipe", lambda: pipes.extend(real_pipe())
+                        or tuple(pipes[-2:]))
+    monkeypatch.setattr(os, "write", lambda fd, data: (
+        os.getpid() == parent and writes.append((fd, data)))
+        or real_write(fd, data))
+    forks = force_worker(True)
+    h = run(small_config(resolution=(6, 6, 6), v_final=0.1))
+    assert len(forks) == 1 and len(h.vs) == 11
+    assert_no_child_left()
+    assert writes == [(pipes[1], bytes([code])) for code in (0, 1) * 10]
+
+
 def history_files(h, directory):
     """{name: bytes} of every file that emit_history writes for h."""
     emit_history(h, directory)
@@ -552,14 +585,15 @@ def test_a_worker_ending_mid_run_raises(monkeypatch, capfd, force_worker,
                                         case, signum, code):
     # the worker ends itself inside one of its phases: at its 20th or 24th
     # field lookup (8 a step: 4 in the predictor push, then 4 in the
-    # corrected one, of step 2), at its third deposit (1 a slice: h_plus
-    # and h_minus of slice 2) or at its first, of slice 0, whose cells the
-    # run recorded before the fork; the run must raise, not wait forever
+    # corrected one, of step 2), at its sixth deposit (2 a step: the
+    # predicted weights, then the moments of the slice reached, of step 2)
+    # or at its first, of step 0's predictor, after the run recorded slice
+    # 0 before the fork; the run must raise, not wait forever
     phase, where, calls, step = {
         "predict": ("predict", "eval_field", 20, r"2 \(v=0\.02\)"),
         "correct": ("correct", "eval_field", 24, r"2 \(v=0\.02\)"),
-        "deposit": ("deposit", "deposit", 3, r"2 \(v=0\.02\)"),
-        "first-deposit": ("deposit", "deposit", 1, r"0 \(v=0\)")}[case]
+        "deposit": ("correct", "deposit", 6, r"2 \(v=0\.02\)"),
+        "first-deposit": ("predict", "deposit", 1, r"0 \(v=0\)")}[case]
     force_worker(True)
     parent, real, seen = os.getpid(), getattr(cone_evolver, where), []
 
