@@ -349,8 +349,8 @@ def _predict(s, sl):
 
 
 def _correct(s, sl):
-    """The corrected push in s.field, the slice it reaches and the flow
-    counters of the step, into the spare buffer."""
+    """The corrected push in s.field, the record of the slice it reaches,
+    the flow counters of the step and its (r, w) into the spare buffer."""
     r, w = _push(s, sl)
     if not all(map(math.isfinite, (r.min(initial=0.0), r.max(initial=0.0),
                                    w.min(initial=0.0), w.max(initial=0.0)))):
