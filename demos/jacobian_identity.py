@@ -30,7 +30,7 @@ orbits = [(rng.uniform(0.5, 1.2), rng.uniform(-0.2, 0.3),
 x, p = (np.array(a) for a in zip(*(embed_reduced_state(*o) for o in orbits)))
 # all 6 orbits, their 72 perturbed trajectories and the 6 base states in
 # one integration
-det_fd, det_ex = flow_jacobian_det(x, p, field, 0.0, 0.5, 1e-2, h_fd=1e-4)
+det_fd, det_ex = flow_jacobian_det(x, p, field, 0.0, 0.5, 1e-2)
 
 print("orbit                          det(FD)        det(exact)     |diff|")
 for (r, w, q), a, b in zip(orbits, det_fd, det_ex):

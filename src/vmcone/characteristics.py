@@ -17,6 +17,9 @@ from __future__ import annotations
 import numpy as np
 
 
+H_FD = 1e-4  # relative step of flow_jacobian_det's central differences
+
+
 class IntegrationError(RuntimeError):
     """Raised when a trajectory leaves the admissible domain (r <= r_floor)."""
 
@@ -240,15 +243,15 @@ def one_plus_phat_k(x, p):
     return 1.0 + np.vecdot(p, k) / gamma
 
 
-def flow_jacobian_det(x, p, field, v_from, v_to, step, h_fd=1e-4):
+def flow_jacobian_det(x, p, field, v_from, v_to, step):
     """(det, exact): the 6x6 finite-difference Jacobian determinant of the
     flow map and its exact value (1 + phat.k)(start) / (1 + Phat.K)(end),
     which holds for any field, from one integration of 13 stacked rows per
-    state: rows 2j and 2j+1 move coordinate j by +-h (relative h_fd) for
+    state: rows 2j and 2j+1 move coordinate j by +-h (relative H_FD) for
     the central differences, and row 12 is the base state.
     """
     z0 = np.concatenate([np.asarray(x, float), np.asarray(p, float)], axis=-1)
-    h = h_fd * np.maximum(1.0, np.abs(z0))
+    h = H_FD * np.maximum(1.0, np.abs(z0))
     z = np.repeat(z0[..., None, :], 13, axis=-2)
     j = np.arange(6)
     z[..., 2 * j, j] += h

@@ -16,7 +16,6 @@ a check fails, 2 on a bad argument, input or output path, 3 if a run aborts.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import os
 import sys
@@ -75,24 +74,22 @@ def cmd_run(args) -> int:
         return 2
     try:
         cfg = parse_config(args.config)
-        if args.output:
-            cfg = dataclasses.replace(cfg, output_directory=args.output)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    if status := _try_outputs(args.report, cfg.output_directory):
+    if status := _try_outputs(args.report, args.output):
         return status
     try:
         history = cone_evolver.run(cfg)
     except cone_evolver.RunAborted as exc:
         print(f"run aborted: {exc}", file=sys.stderr)
         return 3
-    if cfg.output_directory:
+    if args.output:
         try:
-            io_utils.emit_history(history, cfg.output_directory)
+            io_utils.emit_history(history, args.output)
         except OSError as exc:
             return _output_error(exc)
-        print(f"run artifacts written to {cfg.output_directory}")
+        print(f"run artifacts written to {args.output}")
     print(f"steps: {len(history.vs) - 1}, dv: {history.dv:g}, "
           f"particles: {len(history.r_final)}")
     if args.diagnose:
@@ -183,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="execute a configured solver run")
     p.add_argument("--config", required=True, help="JSON configuration file")
-    p.add_argument("--output", help="override the output directory")
+    p.add_argument("--output", help="the directory of the run artifacts")
     p.add_argument("--diagnose", action="store_true",
                    help="run the diagnostics suite after the run")
     p.add_argument("--report", help="write the diagnostics report JSON here")

@@ -109,15 +109,6 @@ def functional_series(history: SliceHistory, which: str):
 # ---------------------------------------------------------------------------
 # flux identities
 
-def _probe_index(history: SliceHistory, r_probe: float) -> int:
-    d = np.abs(history.probe_radii - r_probe)
-    i = int(np.argmin(d))
-    if d[i] > 0.5 * history.grid.dr:
-        raise ValueError(f"{r_probe:g} is not a recorded probe radius "
-                         f"{history.probe_radii}")
-    return i
-
-
 def _flux_time_integral(history: SliceHistory, series, v1, v2):
     """int_v1^v2 of a recorded probe flux series, linear between slices:
     F(v2) - F(v1) of its one cumulative trapezoid F."""
@@ -130,12 +121,11 @@ def _flux_time_integral(history: SliceHistory, series, v1, v2):
     return F_t[0] - F_t[1]
 
 
-def mass_identity_residual(history: SliceHistory, v, r_probe: float,
+def mass_identity_residual(history: SliceHistory, v, col: int,
                            slope: float = 1.0):
-    """Mass identity between the cone of slope s and the past cone:
-    n_s(v,r) - n^(v,r) + int_v^{v+s r} flux (s = 1 slice, s = 2 future cone),
-    per label like cone_mass."""
-    col = _probe_index(history, r_probe)
+    """Mass identity between the cone of slope s and the past cone at probe
+    col, of radius r = probe_radii[col]: n_s(v,r) - n^(v,r) + int_v^{v+s r}
+    flux (s = 1 slice, s = 2 future cone), per label like cone_mass."""
     r = float(history.probe_radii[col])
     return (cone_mass(history, v, r, slope) - cone_mass(history, v, r)
             + _flux_time_integral(history, history.flux_j[:, col], v,
@@ -148,7 +138,8 @@ def flux_derivative_checks(history: SliceHistory) -> dict:
     the outgoing energy-flux integrand.
 
     Returns max absolute residuals (normalized by the initial mass /
-    energy) and the minimum of the e - pflux.k integrand over the run.
+    energy), the number of (probe, v) differences they are taken over and
+    the minimum of the e - pflux.k integrand over the run.
     """
     vs = history.vs
     N0 = max(float(history.N_wedge[0]), 1e-300)
@@ -167,6 +158,7 @@ def flux_derivative_checks(history: SliceHistory) -> dict:
     return {
         "mass_flux_residual": residual(cone_mass, history.flux_j, N0),
         "energy_flux_residual": residual(cone_energy, history.flux_p, M0),
+        "samples": len(history.probe_radii) * len(idx),
         "min_outgoing_integrand": float(np.min(e_minus)),
     }
 

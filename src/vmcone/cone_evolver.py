@@ -52,12 +52,12 @@ from .config import RunConfig, auto_r_max, default_probe_radii  # noqa: F401
 # the particle count, and the count of particles times steps, from which
 # run forks a worker that runs half of every per-particle stage, fitted on
 # 2 CPUs where it took 0.71-0.92 of the serial time from 2,197 to 8,000
-# particles at 300 steps.  With two phases a step, on 2 vCPUs where it does
-# not pay (desk datum, 512 shells, dv 0.005, worker/serial medians of 10
-# alternating fresh-process pairs, pairs won in brackets): 1.31 (0) and
-# 1.41 (0) with 13,824 particles at 8 and 5 steps; at 300 steps 1.47 (2)
-# with 1,728, 1.36 (0) with 2,197, 1.37 (0) with 2,744, 1.29 (0) with
-# 4,096 and 1.20 (0) with 8,000; 1.05 (0) with 32,768 at 50 steps.
+# particles at 300 steps.  On 2 vCPUs, with two phases a step, the
+# benchmark (30 s of repeated runs per process) ran forked at 1.71x the
+# serial particle-steps/s on desk_run and 1.11x on artifact_roundtrip,
+# against these floors forced above every run (10 of 10 alternating
+# fresh-process runs each), although one run() per fresh process there
+# took 1.05-1.47x the serial time from 1,728 to 32,768 particles.
 PUSH_WORKER_MIN = 2500
 PUSH_WORKER_MIN_PARTICLE_STEPS = 150000
 

@@ -1,9 +1,9 @@
 """Run configuration: schema, defaults, fail-closed checks, run inputs.
 
-The configuration file is JSON with seven sections (datum, sampling, grid,
-time, solver, output, diagnostics).  Unknown keys anywhere are errors: a
-silently ignored typo in a tolerance or step key would invalidate a
-verification run.
+The configuration file is JSON with six sections (datum, sampling, grid,
+time, solver, diagnostics).  Unknown keys anywhere are errors: a silently
+ignored typo in a tolerance or step key would invalidate a verification
+run.  The output directory is not a key: `vmcone run --output` names it.
 """
 
 from __future__ import annotations
@@ -131,8 +131,6 @@ class RunConfig:
     dv: float | None = _entry("time.dv", _optional(_number))
     v_final: float = _entry("time.v_final", _number, 5.0)
     r_floor: float = _entry("solver.r_floor", _number, 1e-10)
-    output_directory: str | None = _entry(
-        "output.directory", _optional(partial(_instance, str)))
     probe_radii: tuple | None = _entry("diagnostics.probe_radii",
                                        _optional(_float_tuple),
                                        dump=_optional(list))

@@ -20,7 +20,7 @@ from .cone_evolver import SliceHistory
 # each CSV column, .npy row and meta.json key with the SliceHistory field it
 # holds.  profiles.npy[k, i, j] is moment k of slice i (v in series.csv) at
 # node j (r = j * dr); particles.npy holds r and w of the final particles;
-# meta.json holds the config as to_dict writes it, with no output directory.
+# meta.json holds the config that ran, as to_dict writes it.
 LAYOUT = {
     "series.csv": {"v": "vs", "P_slice": "P_slice",
                    "R_slice_min": "R_slice_min", "R_slice_max": "R_slice_max"},
@@ -44,7 +44,6 @@ def emit_history(history: SliceHistory, directory) -> None:
         np.save(path(name), np.stack(fields(name), dtype="<f8"))
     meta = dict(zip(LAYOUT["meta.json"], fields("meta.json")))
     meta["config"] = meta["config"].to_dict()
-    meta["config"]["output"]["directory"] = None
     emit_report(meta, path("meta.json"))
 
 

@@ -91,37 +91,32 @@ def _zero_datum() -> InitialDatum:
                         support_box=((0.0, 0.0), (0.0, 0.0), (1.0, 1.0)))
 
 
-def _shell_box_datum(amplitude, r_support, w_max, q_support, sharpness=None):
+def _shell_box_datum(amplitude, r_support, w_max, q_support, sharpness=0.0):
+    """The bump product on the box, times exp(-sharpness |s|^2) in the box
+    coordinates s scaled to [-1, 1]: shell_gaussian's factor, exactly 1 at
+    shell_polynomial's sharpness 0."""
     r_lo, r_hi = (float(r_support[0]), float(r_support[1]))
     q_lo, q_hi = (float(q_support[0]), float(q_support[1]))
-    w_max = float(w_max)
-    amplitude = float(amplitude)
-    if not np.all(np.isfinite([r_lo, r_hi, q_lo, q_hi, w_max, amplitude])):
+    w_max, amplitude, c = float(w_max), float(amplitude), float(sharpness)
+    if not np.all(np.isfinite([r_lo, r_hi, q_lo, q_hi, w_max, amplitude, c])):
         raise ValueError("shell profile parameters must be finite")
     if not (0.0 < r_lo < r_hi):
         raise ValueError("r_support must satisfy 0 < r_lo < r_hi")
     if q_lo <= 0.0:
         raise ValueError("q_support lower bound must be positive (F > 0)")
-    if q_hi <= q_lo or w_max <= 0.0 or amplitude < 0.0:
+    # a negative sharpness would raise the density above f_inf_norm
+    if q_hi <= q_lo or w_max <= 0.0 or amplitude < 0.0 or c < 0.0:
         raise ValueError("invalid shell profile parameters")
 
     rc, rw = 0.5 * (r_lo + r_hi), 0.5 * (r_hi - r_lo)
     qc, qw = 0.5 * (q_lo + q_hi), 0.5 * (q_hi - q_lo)
 
-    if sharpness is None:
-        def density(r, w, q):
-            return amplitude * (_bump((np.asarray(r) - rc) / rw)
-                                * _bump(np.asarray(w) / w_max)
-                                * _bump((np.asarray(q) - qc) / qw))
-    else:
-        c = float(sharpness)
-
-        def density(r, w, q):
-            sr = (np.asarray(r) - rc) / rw
-            sw = np.asarray(w) / w_max
-            sq = (np.asarray(q) - qc) / qw
-            gauss = np.exp(-c * (sr**2 + sw**2 + sq**2))
-            return amplitude * gauss * _bump(sr) * _bump(sw) * _bump(sq)
+    def density(r, w, q):
+        sr = (np.asarray(r) - rc) / rw
+        sw = np.asarray(w) / w_max
+        sq = (np.asarray(q) - qc) / qw
+        return (amplitude * (_bump(sr) * _bump(sw) * _bump(sq))
+                * np.exp(-c * (sr**2 + sw**2 + sq**2)))
 
     return InitialDatum(
         density=density,

@@ -13,7 +13,7 @@ from . import __version__
 from . import cone_diagnostics as diag
 from .config import check_fits_memory
 from .cone_evolver import SliceHistory, nirc_flux
-from .characteristics import (flow_jacobian_det, phase_divergence,
+from .characteristics import (H_FD, flow_jacobian_det, phase_divergence,
                               phase_divergence_fd)
 
 TOL_MASS_DRIFT = 1e-10
@@ -117,11 +117,11 @@ def diagnose_report(history: SliceHistory) -> dict:
     for slope, surface, symbol in ((1.0, "slice", "n"),
                                    (2.0, "future", "nfuture")):
         worst, samples = 0.0, 0
-        for r_p in history.probe_radii:
+        for col, r_p in enumerate(history.probe_radii):
             v_top = diag.window_top(history, slope, float(r_p))
             if v_top >= 0.0:
                 residuals = diag.mass_identity_residual(
-                    history, np.linspace(0.0, v_top, 9), float(r_p), slope)
+                    history, np.linspace(0.0, v_top, 9), col, slope)
                 worst = np.max(np.abs(residuals), initial=worst)
                 samples += residuals.size
         checks.append(dict(_check(
@@ -129,15 +129,16 @@ def diagnose_report(history: SliceHistory) -> dict:
             f"max |{symbol}(v,r) - npast(v,r) + int flux| / N(0) over probes",
             worst / N0, TOL_RELATIVE), samples=samples))
 
+    # "samples" counts the (probe, v) central differences, 0 when the
+    # history has too few slices for one
     fd = diag.flux_derivative_checks(history)
-    checks.append(_check(
-        "mass_flux_derivative",
-        "max |d/dv npast + flux| / N(0) at the probes (central differences)",
-        fd["mass_flux_residual"], TOL_FLUX_DERIVATIVE))
-    checks.append(_check(
-        "energy_flux_derivative",
-        "max |d/dv mpast + flux| / M(0) at the probes (central differences)",
-        fd["energy_flux_residual"], TOL_FLUX_DERIVATIVE))
+    for kind, symbol, norm in (("mass", "n", "N"), ("energy", "m", "M")):
+        checks.append(dict(_check(
+            f"{kind}_flux_derivative",
+            f"max |d/dv {symbol}past + flux| / {norm}(0) at the probes "
+            "(central differences)",
+            fd[f"{kind}_flux_residual"], TOL_FLUX_DERIVATIVE),
+            samples=fd["samples"]))
     checks.append(_check(
         "outgoing_energy_integrand_sign",
         "negative part of the outgoing energy-flux integrand (must vanish)",
@@ -226,12 +227,11 @@ def random_states(n, seed=1234):
     return _draw(np.random.default_rng(seed), n)
 
 
-def jacobian_report(n_orbits=20, duration=0.5, step=0.01, h_fd=1e-4,
-                    seed=1234) -> dict:
-    """Compare the finite-difference flow jacobian determinant with the
-    closed form (1 + phat.k) / (1 + Phat.K) on random orbits, and the
-    closed-form phase divergence with its finite-difference value, drawing
-    and checking CHUNK_ORBITS orbits at a time."""
+def jacobian_report(n_orbits=20, duration=0.5, step=0.01, seed=1234) -> dict:
+    """Compare the finite-difference flow jacobian determinant (relative
+    step H_FD) with the closed form (1 + phat.k) / (1 + Phat.K) on random
+    orbits, and the closed-form phase divergence with its finite-difference
+    value, drawing and checking CHUNK_ORBITS orbits at a time."""
     if n_orbits < 1:
         raise ValueError(f"need at least one orbit, got n_orbits={n_orbits}")
     if not isinstance(seed, (int, np.integer)) or seed < 0:
@@ -244,8 +244,7 @@ def jacobian_report(n_orbits=20, duration=0.5, step=0.01, h_fd=1e-4,
     for start in range(0, n_orbits, CHUNK_ORBITS):
         x, p = _draw(rng, min(CHUNK_ORBITS, n_orbits - start))
         part = slice(start, start + len(x))
-        det_fd, det_exact = flow_jacobian_det(x, p, field, 0.0, duration,
-                                              step, h_fd=h_fd)
+        det_fd, det_exact = flow_jacobian_det(x, p, field, 0.0, duration, step)
         det_err[part] = np.abs(det_fd - det_exact)
         div_err[part] = np.abs(phase_divergence(0.0, x, p, field)
                                - phase_divergence_fd(0.0, x, p, field))
@@ -260,7 +259,7 @@ def jacobian_report(n_orbits=20, duration=0.5, step=0.01, h_fd=1e-4,
     # orbit index (into random_states) of each largest error; a NaN error
     # is the one named
     return _finish(checks, {
-        "orbits": n_orbits, "duration": duration, "step": step, "h_fd": h_fd,
+        "orbits": n_orbits, "duration": duration, "step": step, "h_fd": H_FD,
         "worst_det_orbit": int(np.argmax(det_err)),
         "worst_div_orbit": int(np.argmax(div_err))})
 

@@ -99,8 +99,7 @@ def test_criterion_06_jacobian_determinant():
                 np.zeros_like(x))
 
     x, p = random_states(20, seed=2024)
-    det_fd, det_exact = flow_jacobian_det(x, p, radial_field, 0.0, 0.4, 2e-3,
-                                          h_fd=1e-4)
+    det_fd, det_exact = flow_jacobian_det(x, p, radial_field, 0.0, 0.4, 2e-3)
     worst = float(np.max(np.abs(det_fd - det_exact)))
     _verdict(6, "flow jacobian determinant identity, 20 orbits", worst, 1e-5)
 
@@ -127,19 +126,19 @@ def test_criterion_08_mass_identities(desk_history):
     dr = h.grid.dr
     worst = 0.0
     evaluated = 0
-    for r_p in h.probe_radii:
+    for col, r_p in enumerate(h.probe_radii):
         r_p = float(r_p)
         v1 = h.v_final - r_p - 2.0 * dr
         v2 = h.v_final - 2.0 * (r_p + 2.0 * dr)
         if v1 >= 0.0:
             for v in np.linspace(0.0, v1, 11):
                 worst = max(worst, abs(
-                    diag.mass_identity_residual(h, float(v), r_p)))
+                    diag.mass_identity_residual(h, float(v), col)))
                 evaluated += 1
         if v2 >= 0.0:
             for v in np.linspace(0.0, v2, 11):
                 worst = max(worst, abs(
-                    diag.mass_identity_residual(h, float(v), r_p, 2.0)))
+                    diag.mass_identity_residual(h, float(v), col, 2.0)))
                 evaluated += 1
     assert evaluated > 20
     _verdict(8, "mass flux identities at probe radii", worst / N0, 1e-3)

@@ -433,8 +433,7 @@ def test_jacobian_identity_on_tangential_orbit():
     # mostly tangential orbit in a fixed external radial field
     x, p = embed_reduced_state(1.0, 0.02, 0.09)
     field = radial_field_3d()
-    det_fd, det_exact = flow_jacobian_det(x, p, field, 0.0, 0.4, 1e-3,
-                                          h_fd=1e-4)
+    det_fd, det_exact = flow_jacobian_det(x, p, field, 0.0, 0.4, 1e-3)
     assert abs(det_fd - det_exact) <= 1e-5
 
 

@@ -38,8 +38,7 @@ def write_config(path, **over):
 # configuration
 
 def test_config_round_trip(tmp_path):
-    cfg = small_config(output_directory=str(tmp_path / "out"),
-                       probe_radii=(0.5, 1.0))
+    cfg = small_config(probe_radii=(0.5, 1.0))
     path = tmp_path / "cfg.json"
     emit_report(cfg.to_dict(), path)
     assert parse_config(path) == cfg
@@ -60,11 +59,10 @@ def test_config_fail_closed(tmp_path):
         config_from_dict({"solver": {"field_off": True}})
     with pytest.raises(ConfigError, match=r"unknown key.*'picard_iters'"):
         config_from_dict({"solver": {"picard_iters": 2}})
-    # a name or directory that is not a string, and params that are not an
-    # object, are refused, never coerced
+    # a name that is not a string, and params that are not an object, are
+    # refused, never coerced
     for section, key, value in (("datum", "name", 5),
-                                ("datum", "params", [["amplitude", 5.0]]),
-                                ("output", "directory", 5)):
+                                ("datum", "params", [["amplitude", 5.0]])):
         with pytest.raises(ConfigError, match=rf"{section}\.{key}: "):
             config_from_dict({section: {key: value}})
     for solver in ({"picard_iters": 2}, {"scheme": "rk4"}):
@@ -117,9 +115,9 @@ def test_config_rejects_a_non_positive_r_max(tmp_path, capsys):
                                               r"positive"):
             config_from_dict(dict(doc, grid={"r_max": r_max}))
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(dict(
-        doc, grid={"r_max": 0.0}, output={"directory": str(tmp_path / "out")})))
-    assert main(["run", "--config", str(cfg_path)]) == 2
+    cfg_path.write_text(json.dumps(dict(doc, grid={"r_max": 0.0})))
+    assert main(["run", "--config", str(cfg_path),
+                 "--output", str(tmp_path / "out")]) == 2
     captured = capsys.readouterr()
     assert "configuration error" in captured.err
     assert "grid.r_max" in captured.err and "steps" not in captured.out
@@ -141,9 +139,9 @@ def test_config_rejects_r_max_inside_the_reach_of_the_matter(tmp_path,
         config_from_dict(dict(doc, grid={"r_max": 0.59}))
     assert config_from_dict(dict(doc, grid={"r_max": 0.85})).r_max == 0.85
     cfg_path = write_config(tmp_path / "cfg.json",
-                            grid={"n_shells": 128, "r_max": 0.59},
-                            output={"directory": str(tmp_path / "out")})
-    assert main(["run", "--config", cfg_path]) == 2
+                            grid={"n_shells": 128, "r_max": 0.59})
+    assert main(["run", "--config", cfg_path,
+                 "--output", str(tmp_path / "out")]) == 2
     captured = capsys.readouterr()
     assert "configuration error" in captured.err
     assert "grid.r_max" in captured.err and "steps" not in captured.out
@@ -170,10 +168,9 @@ def test_cli_run_rejects_bad_resolution_and_probes_before_the_run(tmp_path,
                        "in the shell grid [0, 2]"),
                       ({"diagnostics": {"probe_radii": "12"}},
                        "diagnostics.probe_radii")):
-        cfg_path = write_config(tmp_path / "cfg.json",
-                                output={"directory": str(tmp_path / "out")},
-                                **over)
-        assert main(["run", "--config", cfg_path, "--diagnose"]) == 2, over
+        cfg_path = write_config(tmp_path / "cfg.json", **over)
+        assert main(["run", "--config", cfg_path, "--diagnose",
+                     "--output", str(tmp_path / "out")]) == 2, over
         captured = capsys.readouterr()
         assert "configuration error" in captured.err, over
         assert key in captured.err and "steps" not in captured.out, over
@@ -197,10 +194,9 @@ def test_cli_run_refuses_arrays_larger_than_memory(tmp_path, capsys,
                        "time.dv"),
                       ({"sampling": {"resolution": 100000}},
                        "sampling.resolution")):
-        cfg_path = write_config(tmp_path / "cfg.json",
-                                output={"directory": str(tmp_path / "out")},
-                                **over)
-        assert main(["run", "--config", cfg_path]) == 2, over
+        cfg_path = write_config(tmp_path / "cfg.json", **over)
+        assert main(["run", "--config", cfg_path,
+                     "--output", str(tmp_path / "out")]) == 2, over
         captured = capsys.readouterr()
         assert "configuration error" in captured.err, over
         assert key in captured.err and "physical memory" in captured.err
@@ -334,8 +330,7 @@ def test_a_config_built_in_python_is_checked_at_construction():
                       ("datum.params", {"datum_params": [["amplitude", 5.0]]}),
                       # meta.json could not hold it
                       ("datum.params", {"datum_params": dict(
-                          DESK_DATUM_PARAMS, amplitude=np.float32(5.0))}),
-                      ("output.directory", {"output_directory": 5})):
+                          DESK_DATUM_PARAMS, amplitude=np.float32(5.0))})):
         with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
             RunConfig(**dict(desk, **over))
     # the resolved inputs of the run
@@ -567,13 +562,13 @@ def test_diagnose_report_survives_round_trip(tmp_path, small_history):
 
 def test_a_reloaded_config_reruns_the_same_directory(tmp_path):
     # meta.json holds the config that ran, so a run of the reloaded config
-    # writes the same bytes; the output directory is not part of it
+    # writes the same bytes
     d, d2 = tmp_path / "a", tmp_path / "b"
     cfg = small_config(resolution=(6, 6, 6), n_shells=32, dv=0.02,
-                       v_final=0.4, output_directory=str(d))
+                       v_final=0.4)
     emit_history(run(cfg), str(d))
     config = load_history(str(d)).config
-    assert config == dataclasses.replace(cfg, output_directory=None)
+    assert config == cfg
     emit_history(run(config), str(d2))
     files = sorted(os.listdir(d))
     assert files == sorted(os.listdir(d2))
@@ -821,17 +816,17 @@ def test_emit_report(tmp_path):
 # command line
 
 def test_cli_run_and_diagnose(tmp_path, capsys):
-    cfg_path = write_config(tmp_path / "cfg.json",
-                            output={"directory": str(tmp_path / "out")})
-    assert main(["run", "--config", cfg_path]) == 0
+    cfg_path = write_config(tmp_path / "cfg.json")
+    assert main(["run", "--config", cfg_path,
+                 "--output", str(tmp_path / "out")]) == 0
     out = capsys.readouterr().out
     assert "steps" in out
     assert os.path.exists(tmp_path / "out" / "series.csv")
-    # meta.json holds the config that ran, without its output directory,
-    # and no other file repeats it
+    # meta.json holds the config that ran, verbatim, and no other file
+    # repeats it
     meta = json.loads((tmp_path / "out" / "meta.json").read_text())
-    assert config_from_dict(meta["config"]) == dataclasses.replace(
-        parse_config(cfg_path), output_directory=None)
+    assert meta["config"] == parse_config(cfg_path).to_dict()
+    assert "output" not in meta["config"]
     assert not os.path.exists(tmp_path / "out" / "config_echo.json")
 
     code = main(["diagnose", "--history", str(tmp_path / "out"),
@@ -850,9 +845,12 @@ def test_cli_diagnose_fails_closed_on_bad_input(tmp_path, capsys,
     emit_history(small_history, str(good))
     meta = json.loads((good / "meta.json").read_text())
     older, nan_dv = tmp_path / "older", tmp_path / "nan_dv"
-    inf_r_max = tmp_path / "inf_r_max"
+    inf_r_max, output = tmp_path / "inf_r_max", tmp_path / "output"
     config = meta["config"]
     for d, doc in ((older, {k: v for k, v in meta.items() if k != "config"}),
+                   # as versions with an output section wrote it
+                   (output, dict(meta, config=dict(
+                       config, output={"directory": None}))),
                    (nan_dv, dict(meta, config=dict(
                        config, time=dict(config["time"], dv=np.nan)))),
                    (inf_r_max, dict(meta, config=dict(
@@ -868,6 +866,8 @@ def test_cli_diagnose_fails_closed_on_bad_input(tmp_path, capsys,
                        (nan_dv, "meta.json: time.dv must be finite"),
                        # an uncaught error deep in the checks if accepted
                        (inf_r_max, "meta.json: grid.r_max must be finite"),
+                       (output, "meta.json: unknown configuration "
+                        "section(s): ['output']"),
                        (no_h, "profiles.npy: <f8 (3, ")):
         assert main(["diagnose", "--history", str(d),
                      "--report", str(tmp_path / "diag.json")]) == 2
@@ -896,9 +896,9 @@ def test_cli_prints_the_skipped_checks(tmp_path, capsys):
 def test_cli_run_report_needs_diagnose(tmp_path, capsys):
     # a run alone writes no report: refused in one line before the run
     out, rep = tmp_path / "out", tmp_path / "diag.json"
-    cfg_path = write_config(tmp_path / "cfg.json",
-                            output={"directory": str(out)})
-    assert main(["run", "--config", cfg_path, "--report", str(rep)]) == 2
+    cfg_path = write_config(tmp_path / "cfg.json")
+    assert main(["run", "--config", cfg_path, "--output", str(out),
+                 "--report", str(rep)]) == 2
     captured = capsys.readouterr()
     assert captured.err == "--report needs --diagnose\n"
     assert captured.out == ""
@@ -910,9 +910,9 @@ def test_cli_audit_of_a_single_slice_history(tmp_path, capsys):
     # finite residuals, and a later slice is still refused
     out, rep = str(tmp_path / "out"), tmp_path / "audit.json"
     cfg_path = write_config(tmp_path / "cfg.json",
-                            time={"dv": 0.02, "v_final": 0.0},
-                            output={"directory": out})
-    assert main(["run", "--config", cfg_path, "--diagnose"]) == 0
+                            time={"dv": 0.02, "v_final": 0.0})
+    assert main(["run", "--config", cfg_path, "--output", out,
+                 "--diagnose"]) == 0
     for nodes in ("24", "64"):
         assert main(["audit-constraints", "--from-history", out, "--v", "0",
                      "--nodes", nodes, "--report", str(rep)]) == 0
@@ -932,6 +932,16 @@ def test_cli_run_bad_config(tmp_path, capsys):
     p.write_text(json.dumps({"tme": {}}))
     assert main(["run", "--config", str(p)]) == 2
     assert "configuration error" in capsys.readouterr().err
+    # the output directory is `run --output` alone: the retired output
+    # section is refused by name, and no directory is made
+    out = tmp_path / "out"
+    cfg_path = write_config(tmp_path / "cfg.json",
+                            output={"directory": str(out)})
+    assert main(["run", "--config", cfg_path]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("configuration error: unknown configuration "
+                            "section(s): ['output']\n")
+    assert captured.out == "" and not out.exists()
 
 
 def test_cli_run_abort_is_one_line_and_exit_status_3(tmp_path, capsys):
@@ -1162,9 +1172,9 @@ def test_cli_jacobian_test(tmp_path, capsys):
 
 
 def test_cli_audit_from_history(tmp_path, capsys):
-    cfg_path = write_config(tmp_path / "cfg.json",
-                            output={"directory": str(tmp_path / "out")})
-    assert main(["run", "--config", cfg_path]) == 0
+    cfg_path = write_config(tmp_path / "cfg.json")
+    assert main(["run", "--config", cfg_path,
+                 "--output", str(tmp_path / "out")]) == 0
     capsys.readouterr()
     code = main(["audit-constraints", "--from-history", str(tmp_path / "out"),
                  "--v", "1.0", "--nodes", "25",
@@ -1212,9 +1222,8 @@ def test_cli_audit_refuses_a_history_too_coarse_for_the_fit(tmp_path,
     # input error naming both counts, never a minimum-norm fit that passes
     out = str(tmp_path / "out")
     cfg_path = write_config(tmp_path / "cfg.json", grid={"n_shells": 4},
-                            time={"dv": 0.02, "v_final": 0.2},
-                            output={"directory": out})
-    assert main(["run", "--config", cfg_path]) == 0
+                            time={"dv": 0.02, "v_final": 0.2})
+    assert main(["run", "--config", cfg_path, "--output", out]) == 0
     capsys.readouterr()
     assert main(["audit-constraints", "--from-history", out,
                  "--v", "0.1"]) == 2
@@ -1234,9 +1243,8 @@ def test_cli_audit_from_history_runs_without_scipy(tmp_path):
 
     out = str(tmp_path / "out")
     cfg_path = write_config(tmp_path / "cfg.json",
-                            time={"dv": 0.02, "v_final": 0.4},
-                            output={"directory": out})
-    assert main(["run", "--config", cfg_path]) == 0
+                            time={"dv": 0.02, "v_final": 0.4})
+    assert main(["run", "--config", cfg_path, "--output", out]) == 0
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -116,12 +116,9 @@ def test_energy_functionals_positive(small_history):
 def test_flux_identities_small_scale(small_history):
     h = small_history
     N0 = float(h.N_wedge[0])
-    r_p = float(h.probe_radii[0])
     for v in (0.0, 0.5, 1.0):
-        assert abs(diag.mass_identity_residual(h, v, r_p)) < 5e-3 * N0
-    assert abs(diag.mass_identity_residual(h, 0.0, r_p, 2.0)) < 5e-3 * N0
-    with pytest.raises(ValueError, match="probe"):
-        diag.mass_identity_residual(h, 0.0, 0.123456)
+        assert abs(diag.mass_identity_residual(h, v, 0)) < 5e-3 * N0
+    assert abs(diag.mass_identity_residual(h, 0.0, 0, 2.0)) < 5e-3 * N0
 
 
 def test_flux_derivative_checks(small_history):
@@ -204,7 +201,7 @@ def test_lq_invariant():
     assert diag.lq_invariant(empty, 2.0) == 0.0
 
 
-def _flux_identity_samples(doc):
+def _flux_samples(doc):
     return {c["name"]: c["samples"] for c in doc["checks"] if "samples" in c}
 
 
@@ -213,11 +210,17 @@ def test_flux_identity_samples_and_skipped_checks(small_history):
     from vmcone import run
     from vmcone.report import diagnose_report
 
-    # 50 desk steps: no probe has a window and no shifted series exists,
-    # so the identities evaluated nothing and the series checks are skipped
-    short = diagnose_report(run(desk_config(v_final=0.25)))
-    assert _flux_identity_samples(short) == {
-        "slice_mass_flux_identity": 0, "future_mass_flux_identity": 0}
+    # 50 desk steps (the desk_run benchmark's run): no probe has a window
+    # and no shifted series exists, so the identities evaluated nothing and
+    # the series checks are skipped; the flux derivatives take a central
+    # difference at every inner slice of every probe
+    h = run(desk_config(v_final=0.25))
+    short = diagnose_report(h)
+    inner = len(h.probe_radii) * (len(h.vs) - 2)
+    assert inner > 0
+    assert _flux_samples(short) == {
+        "slice_mass_flux_identity": 0, "future_mass_flux_identity": 0,
+        "mass_flux_derivative": inner, "energy_flux_derivative": inner}
     assert [s["name"] for s in short["skipped"]] == [
         "N_slice_constancy", "M_slice_constancy", "N_vee_constancy",
         "N_vee_monotone", "M_vee_constancy", "M_vee_monotone"]
@@ -225,10 +228,21 @@ def test_flux_identity_samples_and_skipped_checks(small_history):
     assert not {s["name"] for s in short["skipped"]} & {
         c["name"] for c in short["checks"]}
 
+    # one step records two slices, so no slice has a neighbour on both
+    # sides: the flux derivatives pass at 0.0 having checked nothing, and
+    # their samples say so
+    two = run(desk_config(resolution=(6, 6, 6), dv=0.01, v_final=0.01))
+    assert len(two.vs) == 2
+    checks = {c["name"]: c for c in diagnose_report(two)["checks"]}
+    for name in ("mass_flux_derivative", "energy_flux_derivative"):
+        assert checks[name]["value"] == 0.0 and checks[name]["passed"]
+        assert checks[name]["samples"] == 0
+
     full = diagnose_report(small_history)
-    samples = _flux_identity_samples(full)
+    samples = _flux_samples(full)
     assert set(samples) == {"slice_mass_flux_identity",
-                            "future_mass_flux_identity"}
+                            "future_mass_flux_identity",
+                            "mass_flux_derivative", "energy_flux_derivative"}
     assert all(n > 0 for n in samples.values())
     assert full["skipped"] == []
 
@@ -366,7 +380,7 @@ def test_batched_checks_equal_their_per_label_loops(small_history):
             if top < 0.0:
                 continue
             labels = np.linspace(0.0, top, 9)
-            batched = diag.mass_identity_residual(h, labels, r_p, slope)
+            batched = diag.mass_identity_residual(h, labels, col, slope)
             for v, got in zip(labels, batched):
                 v = float(v)
                 old = (diag.cone_mass(h, v, r_p, slope)
@@ -374,7 +388,7 @@ def test_batched_checks_equal_their_per_label_loops(small_history):
                        + _old_flux_time_integral(h, h.flux_j[:, col], v,
                                                  v + slope * r_p))
                 assert abs(got - old) <= 1e-15 * N0, (slope, r_p, v)
-                assert diag.mass_identity_residual(h, v, r_p, slope) == got
+                assert diag.mass_identity_residual(h, v, col, slope) == got
                 samples += 1
     assert samples > 9
 

@@ -53,11 +53,37 @@ def test_angular_momentum_floor_required():
 
 
 def test_non_finite_datum_parameters_rejected():
-    # a NaN amplitude used to pass validation and sample 0 particles
-    for params in ({"amplitude": float("nan")}, {"w_max": float("nan")},
-                   {"q_support": [0.01, float("inf")]}):
+    # a NaN amplitude or sharpness used to pass validation and sample 0
+    # particles
+    for name, params in (
+            ("shell_polynomial", {"amplitude": float("nan")}),
+            ("shell_polynomial", {"w_max": float("nan")}),
+            ("shell_polynomial", {"q_support": [0.01, float("inf")]}),
+            ("shell_gaussian", {"sharpness": float("nan")}),
+            ("shell_gaussian", {"sharpness": float("inf")})):
         with pytest.raises(ValueError, match="must be finite"):
-            builtin_datum("shell_polynomial", params)
+            builtin_datum(name, params)
+
+
+def test_both_shells_are_one_density():
+    # shell_polynomial is the shell formula at sharpness 0, bit for bit the
+    # bump product alone; shell_gaussian multiplies it by its exponential
+    def bump(s):
+        return np.where(np.abs(s) < 1.0, (1.0 - s**2) ** 2, 0.0)
+
+    rng = np.random.default_rng(5)
+    r = rng.uniform(0.4, 1.1, 500)
+    w = rng.uniform(-0.3, 0.3, 500)
+    q = rng.uniform(0.005, 0.025, 500)
+    # the default box: r in (0.5, 1), |w| < 0.25, q in (0.01, 0.02)
+    s = ((r - 0.75) / 0.25, w / 0.25,
+         (q - 0.5 * (0.01 + 0.02)) / (0.5 * (0.02 - 0.01)))
+    product = 2.5 * (bump(s[0]) * bump(s[1]) * bump(s[2]))
+    poly = builtin_datum("shell_polynomial", {"amplitude": 2.5})
+    assert np.array_equal(poly.density(r, w, q), product)
+    gauss = builtin_datum("shell_gaussian", {"amplitude": 2.5})
+    assert np.allclose(gauss.density(r, w, q), product * np.exp(
+        -2.0 * (s[0]**2 + s[1]**2 + s[2]**2)), rtol=2e-15, atol=0.0)
 
 
 def test_support_descriptors_exact():
@@ -80,6 +106,9 @@ def test_gaussian_sup_norm_attained():
                      0.5 * (q_lo + q_hi)) == pytest.approx(3.0)
     parts = sample_particles(d, 16)
     assert np.max(parts.f_value) <= d.f_inf_norm
+    # a negative sharpness would raise the density above f_inf_norm
+    with pytest.raises(ValueError, match="invalid shell profile"):
+        builtin_datum("shell_gaussian", {"sharpness": -3.0})
 
 
 def test_sampled_mass_matches_quadrature():
