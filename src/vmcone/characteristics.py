@@ -34,6 +34,15 @@ def _smallest(r):
     return np.fmin.reduce(r, axis=None, initial=np.inf)
 
 
+def _check_floor(r, r_floor, at=""):
+    """Raise an IntegrationError naming the first trajectory, by its index
+    in r, whose radius is at or below r_floor; ``at`` ends the message."""
+    if _smallest(r) <= r_floor:
+        i = int(np.argmax(r <= r_floor))
+        raise IntegrationError(f"trajectory {i} (of {r.size}) reached "
+                               f"r={r[i]:g} <= r_floor={r_floor:g}{at}")
+
+
 def _kinematics(x, p, what):
     """States as float arrays, with |x|, k = x/|x| and gamma = sqrt(1+|p|^2)
     over the last axis; ``what`` names the quantity undefined at x = 0."""
@@ -110,12 +119,9 @@ def char_rhs_reduced(v, r, w, q, E_r, out=None):
     return dr, dw
 
 
-def _integrate(rhs, y, v, v_to, step, after_step):
-    """Fixed-step RK4 of dy/dv = rhs(v, y, out), advancing y in place from v
-    to v_to and calling after_step(v, y) after every step.  The four stage
-    buffers are allocated once; each combination keeps the association of
-    the textbook formula, so the result is bit for bit that of the form
-    that allocates every stage."""
+def rk4_steps(v, v_to, step):
+    """(n, dv): the n equal RK4 steps dv of at most ``step`` from v to
+    v_to, none over a zero span."""
     span = v_to - v
     # written so that a NaN fails too
     if not abs(span) < np.inf:
@@ -133,6 +139,16 @@ def _integrate(rhs, y, v, v_to, step, after_step):
     if span and (v + dv == v or v_to - dv == v_to):
         raise ValueError(f"step {step:g} is below the time resolution of the "
                          f"span v={v:g} -> v_to={v_to:g}")
+    return n, dv
+
+
+def _integrate(rhs, y, v, v_to, step, after_step):
+    """Fixed-step RK4 of dy/dv = rhs(v, y, out), advancing y in place from v
+    to v_to in rk4_steps and calling after_step(v, y) after every step.
+    The four stage buffers are allocated once; each combination keeps the
+    association of the textbook formula, so the result is bit for bit that
+    of the form that allocates every stage."""
+    n, dv = rk4_steps(v, v_to, step)
     k = np.empty((4,) + y.shape)
     ys = np.empty_like(y)
     half = 0.5 * dv
@@ -175,13 +191,8 @@ def integrate_reduced(r, w, q, field_fn, v_from, v_to, step,
     def rhs(v, y, out):
         char_rhs_reduced(v, y[0], y[1], q, field_fn(v, y[0]), out)
 
-    def after_step(v, y):
-        if _smallest(y[0]) <= r_floor:
-            raise IntegrationError(
-                f"trajectory reached r <= r_floor={r_floor:g} at v={v:g}; "
-                "the axis bound sqrt(F)/P is violated")
-
-    _integrate(rhs, y, v_from, v_to, step, after_step)
+    _integrate(rhs, y, v_from, v_to, step,
+               lambda v, y: _check_floor(y[0], r_floor))
     return y[0], y[1]
 
 
@@ -192,16 +203,9 @@ def integrate_cartesian(x, p, field, v_from, v_to, step, r_floor=1e-10):
     def rhs(v, y, out):
         char_rhs_cartesian(v, y[0], y[1], field, out)
 
-    def after_step(v, y):
-        r = _norm(y[0])
-        if _smallest(r) <= r_floor:
-            i = int(np.argmax(r <= r_floor))
-            raise IntegrationError(
-                f"trajectory {i} (of {r.size}) reached "
-                f"r={r[i]:g} <= r_floor={r_floor:g} at v={v:g}")
-
     y = np.stack([np.asarray(x, float), np.asarray(p, float)])
-    _integrate(rhs, y.reshape(2, -1, 3), v_from, v_to, step, after_step)
+    _integrate(rhs, y.reshape(2, -1, 3), v_from, v_to, step,
+               lambda v, y: _check_floor(_norm(y[0]), r_floor, f" at v={v:g}"))
     return y[0], y[1]
 
 

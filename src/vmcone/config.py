@@ -1,9 +1,11 @@
 """Run configuration: schema, defaults, fail-closed checks, run inputs.
 
-The configuration file is JSON with six sections (datum, sampling, grid,
-time, solver, diagnostics).  Unknown keys anywhere are errors: a silently
-ignored typo in a tolerance or step key would invalidate a verification
-run.  The output directory is not a key: `vmcone run --output` names it.
+The configuration file is JSON with five sections (datum, sampling, grid,
+time, solver).  Unknown keys anywhere are errors: a silently ignored typo
+in a tolerance or step key would invalidate a verification run.  The
+output directory is not a key: `vmcone run --output` names it, and the
+probes are not one: the flux checks measure at default_probe_radii, on
+spheres that hold the datum's matter.
 """
 
 from __future__ import annotations
@@ -63,12 +65,6 @@ def _instance(kind, value):
 
 def _optional(parse):
     return lambda value: None if value is None else parse(value)
-
-
-def _float_tuple(value):
-    if not isinstance(value, (list, tuple)):
-        raise TypeError(f"expected a list of numbers, got {value!r}")
-    return tuple(map(_number, value))
 
 
 def auto_r_max(datum, v_final: float, margin: float) -> float:
@@ -131,9 +127,6 @@ class RunConfig:
     dv: float | None = _entry("time.dv", _optional(_number))
     v_final: float = _entry("time.v_final", _number, 5.0)
     r_floor: float = _entry("solver.r_floor", _number, 1e-10)
-    probe_radii: tuple | None = _entry("diagnostics.probe_radii",
-                                       _optional(_float_tuple),
-                                       dump=_optional(list))
 
     def __post_init__(self):
         for f in fields(self):
@@ -145,9 +138,7 @@ class RunConfig:
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(f"malformed configuration value for "
                                   f"{key}: {exc}") from exc
-            numbers = value if isinstance(value, tuple) else (value,)
-            if not all(math.isfinite(x) for x in numbers
-                       if isinstance(x, float)):
+            if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{key} must be finite")
             setattr(self, f.name, value)
         if self.v_final < 0.0:
@@ -179,12 +170,6 @@ class RunConfig:
         if self.r_max is not None and self.r_max < reach:
             raise ConfigError(f"grid.r_max {self.r_max:g} is below the reach "
                               f"of the matter, R0 + v_final/2 = {reach:g}")
-        r_max, probes = self.grid.r_max, self.probe_radii
-        if probes is not None and not (
-                len(probes) and all(0.0 <= r <= r_max for r in probes)):
-            raise ConfigError(f"diagnostics.probe_radii {list(probes)} must "
-                              f"be one or more radii in the shell grid "
-                              f"[0, {r_max:g}]")
 
     @property
     def datum(self) -> InitialDatum:
@@ -211,10 +196,8 @@ class RunConfig:
 
     @property
     def probes(self) -> np.ndarray:
-        """probe_radii, or default_probe_radii if it is None."""
-        if self.probe_radii is None:
-            return default_probe_radii(self.datum, self.grid)
-        return np.array(self.probe_radii, dtype=float)
+        """The probe radii: default_probe_radii of the datum and grid."""
+        return default_probe_radii(self.datum, self.grid)
 
     def to_dict(self) -> dict:
         return {section: {key: f.metadata["dump"](getattr(self, f.name))

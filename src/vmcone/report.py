@@ -14,7 +14,7 @@ from . import cone_diagnostics as diag
 from .config import check_fits_memory
 from .cone_evolver import SliceHistory, nirc_flux
 from .characteristics import (H_FD, flow_jacobian_det, phase_divergence,
-                              phase_divergence_fd)
+                              phase_divergence_fd, rk4_steps)
 
 TOL_MASS_DRIFT = 1e-10
 TOL_RELATIVE = 1e-3
@@ -248,10 +248,12 @@ def jacobian_report(n_orbits=20, duration=0.5, step=0.01, seed=1234) -> dict:
         det_err[part] = np.abs(det_fd - det_exact)
         div_err[part] = np.abs(phase_divergence(0.0, x, p, field)
                                - phase_divergence_fd(0.0, x, p, field))
+    # "samples" counts the RK4 steps of the orbits, 0 when no step is taken
     checks = [
-        _check("flow_jacobian_determinant",
-               "max |det(FD) - (1+phat.k)/(1+Phat.K)| over random orbits",
-               np.max(det_err), TOL_JACOBIAN),
+        dict(_check("flow_jacobian_determinant",
+                    "max |det(FD) - (1+phat.k)/(1+Phat.K)| over random orbits",
+                    np.max(det_err), TOL_JACOBIAN),
+             samples=n_orbits * rk4_steps(0.0, duration, step)[0]),
         _check("phase_divergence_closed_form",
                "max |closed form - finite difference| of the phase divergence",
                np.max(div_err), TOL_DIVERGENCE),

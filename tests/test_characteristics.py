@@ -334,10 +334,11 @@ def test_zero_span_is_identity():
 def test_r_floor_abort():
     # steady inward drift with negligible angular momentum crosses the floor
     fn = lambda v, r: np.zeros_like(np.asarray(r, dtype=float))
+    # the abort names the trajectory, its r and the floor, not the push's
+    # own time, which is not a run's v
     with pytest.raises(IntegrationError,
-                       match=r"^trajectory reached r <= r_floor=0\.05 at "
-                             r"v=0\.\d+; the axis bound sqrt\(F\)/P is "
-                             r"violated$"):
+                       match=r"^trajectory 0 \(of 1\) reached r=0\.0467805 "
+                             r"<= r_floor=0\.05$"):
         integrate_reduced(0.2, -0.3, 1e-12, fn, 0.0, 5.0, 0.01,
                           r_floor=0.05)
 

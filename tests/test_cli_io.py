@@ -38,7 +38,7 @@ def write_config(path, **over):
 # configuration
 
 def test_config_round_trip(tmp_path):
-    cfg = small_config(probe_radii=(0.5, 1.0))
+    cfg = small_config(r_max=2.5)
     path = tmp_path / "cfg.json"
     emit_report(cfg.to_dict(), path)
     assert parse_config(path) == cfg
@@ -81,8 +81,7 @@ def test_config_rejects_non_finite_numbers():
     for text, key in (('{"time": {"v_final": Infinity}}', "time.v_final"),
                       ('{"grid": {"margin": NaN}}', "grid.margin"),
                       ('{"grid": {"r_max": -Infinity}}', "grid.r_max"),
-                      ('{"diagnostics": {"probe_radii": [0.5, NaN]}}',
-                       "diagnostics.probe_radii")):
+                      ('{"solver": {"r_floor": NaN}}', "solver.r_floor")):
         with pytest.raises(ConfigError, match=f"{key} must be finite"):
             config_from_dict(json.loads(text))
     with pytest.raises(ConfigError, match="grid.n_shells"):
@@ -97,7 +96,7 @@ def test_config_rejects_coerced_numbers():
                                 ("time", "v_final", "2.5"),
                                 ("grid", "n_shells", True),
                                 ("grid", "margin", False),
-                                ("diagnostics", "probe_radii", [0.5, "1"])):
+                                ("solver", "r_floor", [1e-10])):
         with pytest.raises(ConfigError, match=rf"{section}\.{key}: "):
             config_from_dict({section: {key: value}})
     cfg = config_from_dict({"grid": {"n_shells": 300.0},
@@ -150,37 +149,26 @@ def test_config_rejects_r_max_inside_the_reach_of_the_matter(tmp_path,
 
 def test_cli_run_rejects_bad_resolution_and_probes_before_the_run(tmp_path,
                                                                  capsys):
-    # the write_config datum at v_final 2 has the automatic r_max 1.85
+    # probes are no key: the flux checks measure at default_probe_radii
     for over, key in (({"sampling": {"resolution": [1, 1, 1]}},
                        "sampling.resolution"),
                       ({"sampling": {"resolution": True}},
                        "sampling.resolution"),
                       ({"sampling": {"resolution": 8.5}},
                        "sampling.resolution"),
-                      ({"diagnostics": {"probe_radii": []}},
-                       "diagnostics.probe_radii [] must be"),
-                      ({"diagnostics": {"probe_radii": [-0.1, 0.5]}},
-                       "diagnostics.probe_radii [-0.1, 0.5] must be"),
-                      ({"diagnostics": {"probe_radii": [0.5, 1.9]}},
-                       "in the shell grid [0, 1.85]"),
-                      ({"diagnostics": {"probe_radii": [2.5]},
-                        "grid": {"n_shells": 128, "r_max": 2.0}},
-                       "in the shell grid [0, 2]"),
-                      ({"diagnostics": {"probe_radii": "12"}},
-                       "diagnostics.probe_radii")):
+                      ({"diagnostics": {"probe_radii": None}},
+                       "unknown configuration section(s): ['diagnostics']")):
         cfg_path = write_config(tmp_path / "cfg.json", **over)
         assert main(["run", "--config", cfg_path, "--diagnose",
                      "--output", str(tmp_path / "out")]) == 2, over
         captured = capsys.readouterr()
         assert "configuration error" in captured.err, over
         assert key in captured.err and "steps" not in captured.out, over
+        assert len(captured.err.splitlines()) == 1, over
         assert not os.path.exists(tmp_path / "out")
-    # a probe on the explicit r_max, and a whole float count, are accepted
-    cfg = config_from_dict({"grid": {"r_max": 2.0},
-                            "time": {"v_final": 2.0},
-                            "sampling": {"resolution": [8.0, 2, 3]},
-                            "diagnostics": {"probe_radii": [0.0, 2.0]}})
-    assert cfg.resolution == (8, 2, 3) and cfg.probe_radii == (0.0, 2.0)
+    # a whole float count is accepted
+    cfg = config_from_dict({"sampling": {"resolution": [8.0, 2, 3]}})
+    assert cfg.resolution == (8, 2, 3)
 
 
 def test_cli_run_refuses_arrays_larger_than_memory(tmp_path, capsys,
@@ -249,7 +237,6 @@ _NEAR = {
     | st.lists(_NUMBER, min_size=2, max_size=4),
     "grid.r_max": st.none() | _NUMBER,
     "time.dv": st.none() | _NUMBER,
-    "diagnostics.probe_radii": st.none() | st.lists(_NUMBER, max_size=4),
 }
 
 
@@ -305,10 +292,7 @@ def test_config_from_dict_fuzz(doc):
         return
     assert direct() == cfg
     assert all(type(n) is int and n >= 2 for n in cfg.resolution)
-    if cfg.probe_radii is not None:
-        assert cfg.probe_radii
-        assert all(0.0 <= r <= cfg.grid.r_max for r in cfg.probe_radii)
-        assert list(cfg.probes) == list(cfg.probe_radii)
+    assert all(map(cfg.grid.covers, cfg.probes))
     assert config_from_dict(cfg.to_dict()) == cfg
 
 
@@ -501,17 +485,8 @@ def test_load_history_names_a_malformed_file(tmp_path, small_history):
             (("grid", "n_shells"), 256.5, "grid.n_shells: expected a whole"),
             (("grid", "r_max"), 0.0, "grid.r_max 0 must be positive"),
             (("grid", "r_max"), np.inf, "grid.r_max must be finite"),
-            (("diagnostics", "probe_radii"), 0.5,
-             "diagnostics.probe_radii: expected a list of numbers"),
-            (("diagnostics", "probe_radii"), [],
-             r"diagnostics.probe_radii \[\] must be one or more radii"),
-            (("diagnostics", "probe_radii"), [-0.1],
-             r"diagnostics.probe_radii \[-0\.1\] must be"),
-            (("diagnostics", "probe_radii"), [0.5, 9.0],
-             r"diagnostics.probe_radii \[0\.5, 9\.0\] must be one or more "
-             r"radii in the shell grid \[0, 2\.35\]"),
-            (("diagnostics", "probe_radii"), [0.5, np.nan],
-             "diagnostics.probe_radii must be finite"),
+            (("solver", "r_floor"), [1e-10],
+             "solver.r_floor: expected a number"),
             (("time", "dv"), np.nan, "time.dv must be finite"),
             # the datum's f_inf_norm is its amplitude
             (("datum", "params", "amplitude"), np.inf,
@@ -846,11 +821,15 @@ def test_cli_diagnose_fails_closed_on_bad_input(tmp_path, capsys,
     meta = json.loads((good / "meta.json").read_text())
     older, nan_dv = tmp_path / "older", tmp_path / "nan_dv"
     inf_r_max, output = tmp_path / "inf_r_max", tmp_path / "output"
+    probes = tmp_path / "probes"
     config = meta["config"]
     for d, doc in ((older, {k: v for k, v in meta.items() if k != "config"}),
-                   # as versions with an output section wrote it
+                   # as versions with an output or a diagnostics section
+                   # wrote it
                    (output, dict(meta, config=dict(
                        config, output={"directory": None}))),
+                   (probes, dict(meta, config=dict(
+                       config, diagnostics={"probe_radii": None}))),
                    (nan_dv, dict(meta, config=dict(
                        config, time=dict(config["time"], dv=np.nan)))),
                    (inf_r_max, dict(meta, config=dict(
@@ -868,6 +847,8 @@ def test_cli_diagnose_fails_closed_on_bad_input(tmp_path, capsys,
                        (inf_r_max, "meta.json: grid.r_max must be finite"),
                        (output, "meta.json: unknown configuration "
                         "section(s): ['output']"),
+                       (probes, "meta.json: unknown configuration "
+                        "section(s): ['diagnostics']"),
                        (no_h, "profiles.npy: <f8 (3, ")):
         assert main(["diagnose", "--history", str(d),
                      "--report", str(tmp_path / "diag.json")]) == 2
@@ -955,9 +936,8 @@ def test_cli_run_abort_is_one_line_and_exit_status_3(tmp_path, capsys):
     assert main(["run", "--config", cfg_path, "--output", str(out),
                  "--diagnose"]) == 3
     captured = capsys.readouterr()
-    assert captured.err.startswith("run aborted: step 0 (v=0): trajectory "
-                                   "reached r <= r_floor=0.4 at v=0.01")
-    assert len(captured.err.splitlines()) == 1
+    assert captured.err == ("run aborted: step 0 (v=0): trajectory 0 (of "
+                            "216) reached r=0.324476 <= r_floor=0.4\n")
     # the output directory is made before the first step, and stays empty
     assert captured.out == "" and list(out.iterdir()) == []
 
@@ -1104,6 +1084,19 @@ def test_jacobian_test_reads_no_step_at_zero_duration(capsys):
     assert main(["jacobian-test", "--orbits", "1", "--duration", "0",
                  "--step", "0"]) == 0
     assert "overall: PASS" in capsys.readouterr().out
+
+
+def test_jacobian_check_counts_its_steps(tmp_path):
+    # samples is orbits x RK4 steps: 0 where no step is taken, whose pass
+    # checks no flow, and 500 at the benchmark's argv
+    path = tmp_path / "jac.json"
+    for argv, samples in ((["--orbits", "20", "--duration", "0"], 0),
+                          (["--orbits", "10", "--duration", "0.5",
+                            "--step", "0.01"], 500)):
+        assert main(["jacobian-test", *argv, "--report", str(path)]) == 0
+        det = json.loads(path.read_text())["checks"][0]
+        assert det["name"] == "flow_jacobian_determinant"
+        assert det["passed"] and det["samples"] == samples, argv
 
 
 def test_jacobian_test_refuses_orbits_beyond_memory(capsys, monkeypatch):

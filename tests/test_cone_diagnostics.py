@@ -1,10 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from vmcone import ShellGrid, ParticleSet
+from vmcone import ShellGrid, ParticleSet, SliceHistory
 from vmcone import cone_diagnostics as diag
 from vmcone.radial_field import radial_integral
+from vmcone.report import diagnose_report
 
 
 def test_radial_integral_against_quadrature(small_history):
@@ -436,3 +439,24 @@ def test_a_nan_profile_fails_the_checks_that_read_it(small_history):
         assert np.isnan(checks[name]["value"]), name
         assert not checks[name]["passed"], name
     assert not doc["passed"]
+
+
+FLUX_CHECKS = ("slice_mass_flux_identity", "future_mass_flux_identity",
+               "mass_flux_derivative", "energy_flux_derivative")
+
+
+def test_the_flux_checks_see_a_flipped_probe_flux(desk_history, desk_report,
+                                                  monkeypatch):
+    # the default probes hold the datum's matter: the four flux checks pass
+    # on the desk run (2.0e-4, 4.4e-4, 9.5e-3, 9.5e-3), and a probe flux of
+    # the wrong sign fails each of them (0.14, 0.26, 0.23, 0.23)
+    checks = lambda report: {c["name"]: c for c in report["checks"]}
+    clean = checks(desk_report)
+    assert all(clean[name]["passed"] for name in FLUX_CHECKS)
+    real = SliceHistory._probe_flux
+    monkeypatch.setattr(SliceHistory, "_probe_flux",
+                        lambda self, plus, minus: -real(self, plus, minus))
+    h = dataclasses.replace(desk_history)   # a copy without cached fluxes
+    h.particles_initial = desk_history.particles_initial
+    flipped = checks(diagnose_report(h))
+    assert not any(flipped[name]["passed"] for name in FLUX_CHECKS)

@@ -119,7 +119,7 @@ def test_a_history_keeps_the_config_it_ran():
     args = dict(resolution=(4, 4, 4), n_shells=32, v_final=0.05)
     cfg, want = small_config(**args), small_config(**args)
     h = run(cfg)
-    cfg.n_shells, cfg.dv, cfg.probe_radii = 64, 0.02, (0.1,)
+    cfg.n_shells, cfg.dv = 64, 0.02
     cfg.datum_params["r_support"] = [0.2, 0.7]
     assert h.config == want and h.config is not cfg
     assert h.grid == want.grid and h.dv == want.steps[1]
@@ -555,8 +555,12 @@ def test_worker_abort_is_the_serial_abort(monkeypatch, force_worker, case):
     if case in ("lower", "upper"):
         outer = parts.r[half:] if case == "lower" else parts.r[:half]
         assert np.min(outer) > 0.44
-        cause, message = (IntegrationError, "trajectory reached r <= "
-                          "r_floor=0.4 at v=0.01")
+        # the redo over all particles names the first one inside the floor
+        # by its index in run order, in the upper case one of the worker's
+        i = np.flatnonzero(parts.r <= 0.4)[0]
+        assert (i >= half) == (case == "upper")
+        cause, message = (IntegrationError, f"trajectory {i} (of "
+                          f"{len(parts)}) reached r=")
     elif case == "correct":
         monkeypatch.setattr(cone_evolver, "integrate_reduced", corrupting)
         cause, message = (AssertionError,

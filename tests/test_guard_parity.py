@@ -2,8 +2,10 @@
 NaN, +-inf, empty arrays and scalars.  Each guard is one reduction; these
 cases pin the exception type and message, or the value, that the guards
 gave as elementwise compares, except that cic_cells now refuses a NaN
-radius (the compares let it through as cell -2**63) and char_rhs_reduced
-now takes a 0-d radius (it raised a TypeError).  The 6D Cartesian guards
+radius (the compares let it through as cell -2**63), char_rhs_reduced
+now takes a 0-d radius (it raised a TypeError) and the reduced r_floor
+abort names its trajectory and r, as the Cartesian one does, in place of
+the push's own time.  The 6D Cartesian guards
 (|x| > 0 in the RHS, r > r_floor after each step) gave the same with the
 interleaved (rows, 6) state; only the shape of char_rhs_cartesian's out=
 changed, to the (2, rows, 3) blocks of x and p.  The radius guards take
@@ -164,14 +166,13 @@ CASES = {
                    same(tuple(a.reshape(()) for a in rhs([0.5])))),
     # integrate_reduced: the r_floor check after each step
     "push-floor": (lambda: push([0.6, 0.5]),
-                   (IntegrationError, "trajectory reached r <= r_floor=0.45 "
-                    "at v=0.1; the axis bound sqrt(F)/P is violated")),
+                   (IntegrationError, "trajectory 0 (of 2) reached "
+                    "r=0.358712 <= r_floor=0.45")),
     "push-nan": (lambda: bool(np.isnan(push([0.6, NAN], w=0.0)[0][1])),
                  same(True)),
     "push-nan-and-floor": (lambda: push([NAN, 0.46]),
-                           (IntegrationError, "trajectory reached r <= "
-                            "r_floor=0.45 at v=0.1; the axis bound "
-                            "sqrt(F)/P is violated")),
+                           (IntegrationError, "trajectory 1 (of 2) reached "
+                            "r=0.218887 <= r_floor=0.45")),
     "push-empty": (lambda: tuple(a.shape for a in push(np.empty(0))),
                    same(((0,), (0,)))),
     "push-scalar": (lambda: tuple(a.shape for a in push(0.6, w=0.0)),
