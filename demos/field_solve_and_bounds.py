@@ -10,8 +10,8 @@ g_plus.  Two independent bounds must hold everywhere: the total-mass bound
 
 import numpy as np
 
-from vmcone import (builtin_datum, sample_particles, ShellGrid, deposit,
-                    solve_field, node_field)
+from vmcone import (builtin_datum, sample_particles, kinematics, ShellGrid,
+                    deposit, solve_field, node_field)
 from vmcone import cone_diagnostics as diag
 
 datum = builtin_datum("shell_polynomial",
@@ -34,10 +34,11 @@ print(f"mass bound margin: max E / (N / 4 pi r^2) = "
       f"{np.max(E[1:] / coulomb):.3f}  (must be <= 1)")
 
 # interpolation-chain bound
-M0 = float(np.sum(parts.weight * parts.gamma()))
+p_sq, gamma, _ = kinematics(parts.r, parts.w, parts.q)
+M0 = float(np.sum(parts.weight * gamma))
 K = diag.l43_bound_constant(datum.f_inf_norm, M0)
 C_E = diag.field_bound_constant(datum.f_inf_norm, M0)
-P = float(np.sqrt(np.max(parts.momentum_sq())))
+P = float(np.sqrt(np.max(p_sq)))
 print(f"L^(4/3) norm of g_plus = {diag.l43_norm(grid, g_plus):.4e} "
       f"<= K = {K:.4e}")
 print(f"field bound C_E P^(5/3) = {C_E * P ** (5.0 / 3.0):.3e} "

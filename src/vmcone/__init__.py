@@ -7,7 +7,7 @@ __version__ = "0.1.0"
 
 from .phase_model import (InitialDatum, ParticleSet, builtin_datum,
                           sample_particles, check_measure_positivity,
-                          ANGULAR_FACTOR)
+                          kinematics, ANGULAR_FACTOR)
 from .characteristics import (IntegrationError, integrate_reduced,
                               integrate_cartesian, phase_divergence,
                               phase_divergence_fd, flow_jacobian_det,

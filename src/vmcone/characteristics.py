@@ -34,13 +34,19 @@ def _smallest(r):
     return np.fmin.reduce(r, axis=None, initial=np.inf)
 
 
+def _trajectory(r, bad):
+    """'trajectory i (of n) reached r=r_i': the first index i of r, in its
+    flat order, at which the mask bad holds, and its radius."""
+    i = int(np.argmax(bad))
+    return f"trajectory {i} (of {np.size(r)}) reached r={np.ravel(r)[i]:g}"
+
+
 def _check_floor(r, r_floor, at=""):
     """Raise an IntegrationError naming the first trajectory, by its index
     in r, whose radius is at or below r_floor; ``at`` ends the message."""
     if _smallest(r) <= r_floor:
-        i = int(np.argmax(r <= r_floor))
-        raise IntegrationError(f"trajectory {i} (of {r.size}) reached "
-                               f"r={r[i]:g} <= r_floor={r_floor:g}{at}")
+        raise IntegrationError(f"{_trajectory(r, r <= r_floor)} <= "
+                               f"r_floor={r_floor:g}{at}")
 
 
 def _kinematics(x, p, what):
@@ -93,11 +99,13 @@ def char_rhs_reduced(v, r, w, q, E_r, out=None):
     particle arrays; E_r is the radial field value(s) at r and is only
     read.  Returns (dr, dw), the rows of ``out`` (shape (2, n)) when it is
     given; they also hold the intermediates, so only q/r^2 is allocated,
-    and q/r^3 is taken from it as (q/r^2)/r.
+    and q/r^3 is taken from it as (q/r^2)/r.  gamma^2 is summed as
+    (1 + w^2) + q/r^2, the order of phase_model.kinematics.
     """
     r = np.asarray(r, dtype=float)
     if _smallest(r) <= 0.0:
-        raise ValueError("reduced characteristic RHS requires r > 0")
+        raise ValueError(f"{_trajectory(r, r <= 0.0)}: reduced "
+                         "characteristic RHS requires r > 0")
     w = np.asarray(w, dtype=float)
     q = np.asarray(q, dtype=float)
     if out is None:

@@ -331,10 +331,7 @@ def _record(s, sl, r, w):
     """Check the particles sl at (r, w), and deposit the moments and write
     the extremes of their slice."""
     parts = ParticleSet(r, w, s.q[sl], s.weight[sl], s.f_value[sl])
-    p_sq = parts.momentum_sq()
-    gamma = np.sqrt(1.0 + p_sq)
-    one_plus = 1.0 + w / gamma
-    check_measure_positivity(parts, p_sq, one_plus)
+    p_sq, gamma, one_plus = check_measure_positivity(parts)
     _deposit_partial(s, sl, slice(1, None), r,
                      moment_payloads(parts, gamma, one_plus))
     s.reduced[s.row, :3] = (p_sq.max(initial=0.0), r.min(initial=np.inf),

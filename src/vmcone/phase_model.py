@@ -5,7 +5,8 @@ squared angular momentum q = |x x p|^2.  The invariant measure of the
 advanced-time transport operator is f * (1 + phat.k) d3x d3p, which in the
 reduced coordinates reads 4 pi^2 f (1 + w / sqrt(1 + w^2 + q/r^2)) dr dw dq.
 Macroparticle weights discretize that measure and are exact constants of the
-motion, as are the carried density values.
+motion, as are the carried density values.  kinematics is the one rule for
+|p|^2, gamma and 1 + phat.k, in the rounding of the push.
 """
 
 from __future__ import annotations
@@ -70,17 +71,17 @@ class ParticleSet:
     def __len__(self):
         return self.r.size
 
-    def momentum_sq(self) -> np.ndarray:
-        """|p|^2 = w^2 + q / r^2."""
-        return self.w**2 + self.q / self.r**2
 
-    def gamma(self) -> np.ndarray:
-        """sqrt(1 + |p|^2)."""
-        return np.sqrt(1.0 + self.momentum_sq())
-
-    def one_plus_phat_k(self) -> np.ndarray:
-        """1 + phat.k = 1 + w / sqrt(1 + |p|^2); strictly positive."""
-        return 1.0 + self.w / self.gamma()
+def kinematics(r, w, q):
+    """(|p|^2, gamma, 1 + phat.k) = (w^2 + q/r^2, sqrt((1 + w^2) + q/r^2),
+    1 + w/gamma), gamma^2 summed in the order of
+    characteristics.char_rhs_reduced, in three allocations."""
+    q_r2 = np.multiply(r, r)
+    np.divide(q, q_r2, out=q_r2)
+    gamma = np.multiply(w, w)
+    p_sq = gamma + q_r2
+    np.sqrt(np.add(np.add(gamma, 1.0, out=gamma), q_r2, out=gamma), out=gamma)
+    return p_sq, gamma, np.add(1.0, np.divide(w, gamma, out=q_r2), out=q_r2)
 
 
 def _zero_datum() -> InitialDatum:
@@ -199,33 +200,25 @@ def sample_particles(datum: InitialDatum, resolution) -> ParticleSet:
         return empty
     r, w, q, f = r[keep], w[keep], q[keep], f[keep]
 
-    gamma = np.sqrt(1.0 + w**2 + q / r**2)
-    one_plus = 1.0 + w / gamma
-    weight = f * one_plus * ANGULAR_FACTOR * dr * dw * dq
+    weight = f * kinematics(r, w, q)[2] * ANGULAR_FACTOR * dr * dw * dq
 
     parts = ParticleSet(r=r, w=w, q=q, weight=weight, f_value=f)
     check_measure_positivity(parts)
     return parts
 
 
-def check_measure_positivity(parts: ParticleSet, momentum_sq=None,
-                             one_plus=None):
-    """Assert 1 + phat.k >= (1/2) / (1 + |p|^2) for every particle.
+def check_measure_positivity(parts: ParticleSet):
+    """Assert 1 + phat.k >= (1/2) / (1 + |p|^2) for every particle, and
+    return the kinematics(parts.r, parts.w, parts.q) it checked.
 
     The lower bound makes the advanced-time parameterization non-degenerate
     on bounded momentum supports; violation indicates a corrupted state.
-    momentum_sq and one_plus, when given, are parts.momentum_sq() and
-    parts.one_plus_phat_k().
     """
-    if len(parts) == 0:
-        return
-    lhs = parts.one_plus_phat_k() if one_plus is None else one_plus
-    if momentum_sq is None:
-        momentum_sq = parts.momentum_sq()
-    lower = 0.5 / (1.0 + momentum_sq)
-    bad = lhs < lower * (1.0 - 1e-12)
+    p_sq, _, one_plus = kin = kinematics(parts.r, parts.w, parts.q)
+    lower = 0.5 / (1.0 + p_sq)
+    bad = one_plus < lower * (1.0 - 1e-12)
     if bad.any():
         i = int(np.argmax(bad))
-        raise AssertionError(
-            f"measure positivity violated at particle {i}: "
-            f"1+phat.k={lhs[i]:.3e} < {lower[i]:.3e}")
+        raise AssertionError(f"measure positivity violated at particle {i}: "
+                             f"1+phat.k={one_plus[i]:.3e} < {lower[i]:.3e}")
+    return kin

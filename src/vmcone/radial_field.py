@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .characteristics import _smallest
+from .characteristics import _smallest, _trajectory
 
 
 @dataclass(frozen=True)
@@ -78,13 +78,12 @@ class ShellGrid:
 MOMENTS = ("g_plus", "g_minus", "h_plus", "h_minus")
 
 
-def moment_payloads(parts, gamma, one_plus=None) -> tuple:
+def moment_payloads(parts, gamma, one_plus) -> tuple:
     """Per-particle contributions to the MOMENTS (omega = weight):
     omega, omega (1 - phat.k) / (1 + phat.k), omega gamma and
-    omega (gamma - w) / (1 + phat.k); gamma is parts.gamma() and one_plus,
-    when given, 1 + parts.w / gamma."""
+    omega (gamma - w) / (1 + phat.k); gamma and one_plus are those of
+    phase_model.kinematics, as check_measure_positivity(parts) returns."""
     omega = parts.weight
-    one_plus = 1.0 + parts.w / gamma if one_plus is None else one_plus
     one_minus = 1.0 - parts.w / gamma
     return (omega, omega * one_minus / one_plus, omega * gamma,
             omega * (gamma - parts.w) / one_plus)
@@ -179,7 +178,8 @@ def eval_field(grid: ShellGrid, I: np.ndarray, r) -> np.ndarray:
     r = np.atleast_1d(np.asarray(r, dtype=float))
     r_min = _smallest(r)
     if r_min < 0.0:
-        raise ValueError("field evaluation outside r >= 0")
+        raise ValueError(f"{_trajectory(r, r < 0.0)}: field evaluation "
+                         "outside r >= 0")
     # a masked divide, unless every r is positive, leaves r^2 = 0 at r = 0
     E = np.multiply(r, r)
     np.divide(np.interp(r, grid.edges, I), E, out=E,

@@ -43,8 +43,9 @@ def test_rhs_rejects_origin():
     with pytest.raises(ValueError, match=r"\|x\| = 0"):
         char_rhs_cartesian(0.0, np.zeros(3), np.ones(3), general_field)
     for out in (None, np.empty((2, 1))):
-        with pytest.raises(ValueError, match=r"^reduced characteristic RHS "
-                                             r"requires r > 0$"):
+        with pytest.raises(ValueError, match=r"^trajectory 0 \(of 1\) reached "
+                                             r"r=0: reduced characteristic "
+                                             r"RHS requires r > 0$"):
             char_rhs_reduced(0.0, np.array([0.0]), np.array([0.1]),
                              np.array([0.01]), 0.0, out)
 

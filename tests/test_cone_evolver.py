@@ -12,11 +12,11 @@ from vmcone import (RunConfig, run, step, ParticleState, auto_r_max,
                     nirc_flux, builtin_datum, sample_particles, ShellGrid,
                     ParticleSet, deposit, moment_payloads, solve_field,
                     node_field, eval_field, radial_integral, MOMENTS,
-                    cone_evolver)
+                    check_measure_positivity, kinematics, cone_evolver)
 from vmcone import cone_diagnostics as diag
 from vmcone.characteristics import char_rhs_reduced
 from vmcone.io_utils import emit_history
-from conftest import small_config
+from conftest import DESK_DATUM_PARAMS, small_config
 
 
 def test_auto_r_max():
@@ -75,9 +75,9 @@ def test_derived_series_equal_the_per_slice_formulas(small_history,
     # plus the field energy of the slice
     kinetic, real = [], cone_evolver.moment_payloads
 
-    def recording(parts, gamma, *one_plus):
-        kinetic.append(float(np.sum(parts.weight * parts.gamma())))
-        return real(parts, gamma, *one_plus)
+    def recording(parts, gamma, one_plus):
+        kinetic.append(float(np.sum(parts.weight * gamma)))
+        return real(parts, gamma, one_plus)
 
     monkeypatch.setattr(cone_evolver, "moment_payloads", recording)
     h = run(small_config(v_final=0.5))
@@ -154,7 +154,7 @@ def test_profile_at_reads_the_one_slice_of_a_single_slice_history(
 def start_field(parts, grid):
     """The cumulative source run() solves at the start of a step: from row 0
     of the moment deposit."""
-    payloads = moment_payloads(parts, parts.gamma())
+    payloads = moment_payloads(parts, *check_measure_positivity(parts)[1:])
     return solve_field(grid, deposit(parts.r, payloads, grid)[0])
 
 
@@ -365,7 +365,7 @@ def test_worker_push_gives_the_serial_bytes(monkeypatch, tmp_path,
         reorder(monkeypatch, reverse)
         parts = cone_evolver.sample_particles(cfg.datum, cfg.resolution)
         upper = np.arange(len(parts)) >= len(parts) // 2
-        p_sq = parts.momentum_sq()
+        p_sq = kinematics(parts.r, parts.w, parts.q)[0]
         assert upper[np.argmax(parts.r)] != reverse
         assert upper[np.argmin(parts.r)] == upper[np.argmax(p_sq)] == reverse
         files, histories = {}, {}
@@ -403,6 +403,20 @@ def test_g_plus_is_the_sum_of_the_half_deposits(small_history):
         np.testing.assert_allclose(
             h.g_plus[k], deposit(parts.r, (parts.weight,), h.grid)[0],
             rtol=1e-15, atol=0.0)
+
+
+def test_h_plus_is_the_sum_of_the_half_deposits_of_omega_gamma(
+        small_history):
+    # the first slice's h_plus is the deposit of omega gamma, gamma^2 summed
+    # as (1 + w^2) + q/r^2 like the push sums it, split at n // 2 as the run
+    # splits it: bit for bit
+    h, parts = small_history, small_history.particles_initial
+    gamma = np.sqrt(1.0 + parts.w**2 + parts.q / parts.r**2)
+    half = len(parts) // 2
+    lower, upper = (deposit(parts.r[sl], (parts.weight[sl] * gamma[sl],),
+                            h.grid)[0]
+                    for sl in (slice(None, half), slice(half, None)))
+    assert (lower + upper).tobytes() == h.h_plus[0].tobytes()
 
 
 def test_a_forked_step_is_two_round_trips(monkeypatch, force_worker):
@@ -518,6 +532,31 @@ def test_a_nan_radius_aborts_naming_its_particle(monkeypatch, force_worker):
     assert str(errors[True].value) == str(errors[False].value) == (
         f"step 0 (v=0): particle {k} at r=nan outside shell grid "
         f"[0, {cfg.grid.r_max:g}); enlarge r_max")
+
+
+def test_a_flipped_strong_push_names_the_trajectory_past_the_axis(
+        monkeypatch, force_worker):
+    # the strong datum (amplitude 1e4) pushed in its own field flipped in
+    # sign falls through the axis; the field lookup of the RK4 stage that
+    # first reaches r < 0 names the first such particle by its index in
+    # the run, with its r, on both paths: the worker's run redoes the phase
+    # over all particles, so it names the index among all 216, not a half's
+    cfg = small_config(resolution=(6, 6, 6), datum_params=dict(
+        DESK_DATUM_PARAMS, amplitude=1e4))
+    real = cone_evolver.eval_field
+    monkeypatch.setattr(cone_evolver, "eval_field",
+                        lambda grid, I, r: -real(grid, I, r))
+    errors = {}
+    for on in (False, True):
+        forks = force_worker(on)
+        with pytest.raises(RunAborted) as errors[on]:
+            run(cfg)
+        assert len(forks) == on
+        assert_no_child_left()
+        assert type(errors[on].value.__cause__) is ValueError
+    assert str(errors[True].value) == str(errors[False].value) == (
+        "step 156 (v=1.56): trajectory 78 (of 216) reached r=-0.0320305: "
+        "field evaluation outside r >= 0")
 
 
 @pytest.mark.parametrize("case", ["lower", "upper", "correct", "solve"])

@@ -5,7 +5,9 @@ gave as elementwise compares, except that cic_cells now refuses a NaN
 radius (the compares let it through as cell -2**63), char_rhs_reduced
 now takes a 0-d radius (it raised a TypeError) and the reduced r_floor
 abort names its trajectory and r, as the Cartesian one does, in place of
-the push's own time.  The 6D Cartesian guards
+the push's own time; eval_field's r >= 0 and char_rhs_reduced's r > 0
+refusals name their first trajectory and its r the same way, and the
+positivity check returns the kinematics it checked.  The 6D Cartesian guards
 (|x| > 0 in the RHS, r > r_floor after each step) gave the same with the
 interleaved (rows, 6) state; only the shape of char_rhs_cartesian's out=
 changed, to the (2, rows, 3) blocks of x and p.  The radius guards take
@@ -22,7 +24,7 @@ from hypothesis import strategies as st
 from vmcone import (ShellGrid, ParticleSet, RunAborted, IntegrationError,
                     check_measure_positivity, cone_evolver,
                     cumulative_source, deposit, eval_field,
-                    integrate_reduced, moment_payloads, run, solve_field)
+                    integrate_reduced, kinematics, run, solve_field)
 from vmcone.characteristics import (char_rhs_cartesian, char_rhs_reduced,
                                      integrate_cartesian)
 from vmcone.report import _test_field
@@ -35,6 +37,8 @@ GRID = ShellGrid(1.0, 8)
 I = np.linspace(1.0, 2.0, 9)
 NAN, INF = np.nan, np.inf
 OUTSIDE = "outside shell grid [0, 1); enlarge r_max"
+NEGATIVE = "field evaluation outside r >= 0"
+AXIS = "reduced characteristic RHS requires r > 0"
 
 
 def field_at(r):
@@ -50,7 +54,8 @@ def parts(w, q=1e-2):
 
 
 def positivity_message(p, i):
-    lhs, lower = p.one_plus_phat_k()[i], 0.5 / (1.0 + p.momentum_sq()[i])
+    p_sq, _, one_plus = kinematics(p.r, p.w, p.q)
+    lhs, lower = one_plus[i], 0.5 / (1.0 + p_sq[i])
     return (f"measure positivity violated at particle {i}: "
             f"1+phat.k={lhs:.3e} < {lower:.3e}")
 
@@ -120,6 +125,12 @@ def same(want):
     return check
 
 
+def passed(p):
+    """A check that the result is the kinematics of the particles p."""
+    with np.errstate(invalid="ignore"):
+        return same(kinematics(p.r, p.w, p.q))
+
+
 CASES = {
     # eval_field: E(0) = 0, a plain divide where every r is positive
     "eval_field-zero": (lambda: eval_field(GRID, I, 0.0), same(0.0)),
@@ -130,34 +141,38 @@ CASES = {
     "eval_field-positive-scalar": (lambda: eval_field(GRID, I, 0.3),
                                    same(float(field_at(0.3)))),
     "eval_field-negative": (lambda: eval_field(GRID, I, np.array([0.5, -1e-300])),
-                            (ValueError, "field evaluation outside r >= 0")),
+                            (ValueError, "trajectory 1 (of 2) reached "
+                             f"r=-1e-300: {NEGATIVE}")),
     "eval_field-negative-scalar": (lambda: eval_field(GRID, I, -0.5),
-                                   (ValueError,
-                                    "field evaluation outside r >= 0")),
+                                   (ValueError, "trajectory 0 (of 1) reached "
+                                    f"r=-0.5: {NEGATIVE}")),
     "eval_field-nan": (lambda: eval_field(GRID, I, np.array([0.5, NAN])),
                        same(np.array([field_at(0.5), NAN]))),
     "eval_field-inf": (lambda: eval_field(GRID, I, np.array([INF])),
                        same(np.array([0.0]))),
     "eval_field-minus-inf": (lambda: eval_field(GRID, I, np.array([-INF])),
-                             (ValueError, "field evaluation outside r >= 0")),
+                             (ValueError, "trajectory 0 (of 1) reached "
+                              f"r=-inf: {NEGATIVE}")),
     "eval_field-empty": (lambda: eval_field(GRID, I, np.empty(0)),
                          same(np.empty(0))),
     # a NaN radius hides no negative one
     "eval_field-nan-and-negative": (
         lambda: eval_field(GRID, I, np.array([NAN, -0.5])),
-        (ValueError, "field evaluation outside r >= 0")),
+        (ValueError, f"trajectory 1 (of 2) reached r=-0.5: {NEGATIVE}")),
     # char_rhs_reduced
     "rhs-zero": (lambda: rhs(0.0),
-                 (ValueError, "reduced characteristic RHS requires r > 0")),
+                 (ValueError, f"trajectory 0 (of 1) reached r=0: {AXIS}")),
     "rhs-negative": (lambda: rhs([0.5, -0.1]),
-                     (ValueError, "reduced characteristic RHS requires r > 0")),
+                     (ValueError, f"trajectory 1 (of 2) reached r=-0.1: "
+                      f"{AXIS}")),
     "rhs-minus-inf": (lambda: rhs([-INF]),
-                      (ValueError, "reduced characteristic RHS requires r > 0")),
+                      (ValueError, f"trajectory 0 (of 1) reached r=-inf: "
+                       f"{AXIS}")),
     "rhs-nan": (lambda: bool(np.isnan(rhs([0.5, NAN])).tolist()
                              == [[False, True], [False, True]]), same(True)),
     "rhs-nan-and-zero": (lambda: rhs([NAN, 0.0]),
                          (ValueError,
-                          "reduced characteristic RHS requires r > 0")),
+                          f"trajectory 1 (of 2) reached r=0: {AXIS}")),
     "rhs-inf": (lambda: bool(np.all(np.isfinite(rhs([INF])))), same(True)),
     "rhs-empty": (lambda: tuple(a.shape for a in rhs(np.empty(0))),
                   same(((0,), (0,)))),
@@ -262,17 +277,17 @@ CASES = {
                      "maximum which has no identity")),
     "solve-scalar": (lambda: solve_field(GRID, 1.0),
                      same(cumulative_source(GRID, np.ones(9)))),
-    # check_measure_positivity
+    # check_measure_positivity: what it passes, it returns the kinematics of
     "positivity-bad": (
         lambda: check_measure_positivity(parts([0.0, -1.0], q=-0.125)),
         (AssertionError, positivity_message(parts([0.0, -1.0], q=-0.125), 1))),
     "positivity-nan": (lambda: check_measure_positivity(parts([0.0, NAN])),
-                       same(None)),
+                       passed(parts([0.0, NAN]))),
     # w/gamma is inf/inf, and a NaN compares false
     "positivity-minus-inf": (lambda: check_measure_positivity(parts([-INF])),
-                             same(None)),
+                             passed(parts([-INF]))),
     "positivity-empty": (lambda: check_measure_positivity(parts([])),
-                         same(None)),
+                         passed(parts([]))),
 }
 
 
@@ -287,23 +302,6 @@ def test_guard_gives_what_it_gave(case):
     with pytest.raises(Exception) as error:
         call()
     assert type(error.value) is cause and str(error.value) == message
-
-
-def test_positivity_takes_the_step_s_one_plus():
-    # the step hands its |p|^2 and 1 + w/gamma to the check and to the
-    # payloads; both are the bits of the check's own and the payloads' own
-    p = parts([0.0, 0.2, -0.3])
-    p_sq, gamma = p.momentum_sq(), p.gamma()
-    one_plus = 1.0 + p.w / gamma
-    assert one_plus.tobytes() == p.one_plus_phat_k().tobytes()
-    check_measure_positivity(p, p_sq, one_plus)
-    for a, b in zip(moment_payloads(p, gamma, one_plus),
-                    moment_payloads(p, gamma)):
-        assert a.tobytes() == b.tobytes()
-    bad = parts([0.0, -1.0], q=-0.125)
-    with pytest.raises(AssertionError, match="at particle 1: "):
-        check_measure_positivity(bad, bad.momentum_sq(),
-                                 bad.one_plus_phat_k())
 
 
 # radii or coordinates: the edge values among ordinary ones, which are
@@ -330,10 +328,15 @@ def refused(exc, cause):
 @settings(max_examples=300, deadline=None)
 @given(st.lists(EDGE, max_size=6).map(lambda r: np.array(r, dtype=float)))
 def test_radial_guards_refuse_what_the_elementwise_compares_refuse(r):
-    assert refused(raised(lambda: eval_field(GRID, I, r)),
-                   ValueError if np.any(r < 0.0) else None)
+    # a refusal names the first radius that the compare refuses
+    for exc, bad in ((raised(lambda: eval_field(GRID, I, r)), r < 0.0),
+                     (raised(lambda: rhs(r)), r <= 0.0)):
+        assert refused(exc, ValueError if np.any(bad) else None)
+        if exc is not None:
+            i = np.argmax(bad)
+            assert str(exc).startswith(f"trajectory {i} (of {len(r)}) "
+                                       f"reached r={r[i]:g}: ")
     below_axis = ValueError if np.any(r <= 0.0) else None
-    assert refused(raised(lambda: rhs(r)), below_axis)
     # w = q = 0 in no field: every radius stays where it is for the
     # r_floor check, after the RHS has checked r > 0
     stay = lambda: integrate_reduced(r, np.zeros_like(r), np.zeros_like(r),

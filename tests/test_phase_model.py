@@ -3,7 +3,9 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 
 from vmcone import (InitialDatum, builtin_datum, sample_particles,
-                    check_measure_positivity, ParticleSet, ANGULAR_FACTOR)
+                    check_measure_positivity, kinematics, ParticleSet,
+                    ANGULAR_FACTOR)
+from vmcone.characteristics import char_rhs_reduced
 
 
 def gauss_mass_oracle(datum, n_gauss=48):
@@ -153,7 +155,8 @@ def test_weights_positive_and_pruned():
     assert np.all(parts.f_value > 1e-14 * d.f_inf_norm)
     assert np.all(parts.q >= d.F)
     assert np.all(parts.r < d.R0)
-    assert np.sqrt(np.max(parts.momentum_sq())) <= d.P0 + 1e-12
+    p_sq = kinematics(parts.r, parts.w, parts.q)[0]
+    assert np.sqrt(np.max(p_sq)) <= d.P0 + 1e-12
 
 
 def test_particle_set_kinematics():
@@ -163,11 +166,26 @@ def test_particle_set_kinematics():
                         w=rng.normal(scale=2.0, size=n),
                         q=rng.uniform(0.001, 0.5, n),
                         weight=np.ones(n), f_value=np.ones(n))
-    gamma = parts.gamma()
-    assert np.allclose(gamma**2, 1.0 + parts.momentum_sq())
-    one_plus = parts.one_plus_phat_k()
+    p_sq, gamma, one_plus = kinematics(parts.r, parts.w, parts.q)
+    assert np.allclose(gamma**2, 1.0 + p_sq)
     assert np.all(one_plus > 0.0)
     assert np.all(one_plus < 2.0)
+
+
+def test_kinematics_is_the_push_s_gamma():
+    # kinematics sums gamma^2 as the push does: the push's dr = w / p0 with
+    # p0 = gamma + w is w / (gamma + w) of kinematics' gamma, bit for bit,
+    # on drawn states, and so are |p|^2 and 1 + phat.k of that gamma
+    rng = np.random.default_rng(5)
+    n = 4096
+    r = 10.0 ** rng.uniform(-2.0, 1.0, n)
+    w = rng.normal(size=n) * 10.0 ** rng.uniform(-3.0, 1.0, n)
+    q = 10.0 ** rng.uniform(-4.0, 1.0, n)
+    p_sq, gamma, one_plus = kinematics(r, w, q)
+    dr, _ = char_rhs_reduced(0.0, r, w, q, 0.0)
+    assert np.array_equal(dr, w / (gamma + w))
+    assert np.array_equal(p_sq, w**2 + q / r**2)
+    assert np.array_equal(one_plus, 1.0 + w / gamma)
 
 
 from hypothesis import given, settings
@@ -196,16 +214,10 @@ def test_measure_positivity_bound():
 
 
 def test_measure_positivity_rejects_corrupt_state():
-    # w below -gamma is not a physical state and must be flagged
-    parts = ParticleSet(r=np.array([1.0]), w=np.array([-3.0]),
-                        q=np.array([0.01]), weight=np.array([1.0]),
-                        f_value=np.array([1.0]))
-    parts.w = np.array([-3.0])
-
-    class Broken(ParticleSet):
-        def one_plus_phat_k(self):
-            return np.array([1e-8])
-
-    bad = Broken(parts.r, parts.w, parts.q, parts.weight, parts.f_value)
+    # a negative q, which no physical state has, puts 1 + phat.k below the
+    # bound, and the check must flag it
+    bad = ParticleSet(r=np.array([0.5]), w=np.array([-1.0]),
+                      q=np.array([-0.125]), weight=np.array([1.0]),
+                      f_value=np.array([1.0]))
     with pytest.raises(AssertionError, match="measure positivity"):
         check_measure_positivity(bad)

@@ -4,7 +4,7 @@ import pytest
 from vmcone import (ShellGrid, ParticleSet, MOMENTS, moment_payloads,
                     deposit, cumulative_source, solve_field, node_field,
                     eval_field, radial_integral, builtin_datum,
-                    sample_particles)
+                    sample_particles, check_measure_positivity)
 
 
 def make_parts(r, w, q, weight):
@@ -15,10 +15,15 @@ def make_parts(r, w, q, weight):
                        f_value=np.ones_like(r))
 
 
+def payloads(parts):
+    """The MOMENTS payloads of parts, from the gamma and 1 + phat.k of the
+    positivity check, as the run takes them."""
+    return moment_payloads(parts, *check_measure_positivity(parts)[1:])
+
+
 def moments(parts, grid):
     """{name: node densities} of the four-moment deposit."""
-    payloads = moment_payloads(parts, parts.gamma())
-    return dict(zip(MOMENTS, deposit(parts.r, payloads, grid)))
+    return dict(zip(MOMENTS, deposit(parts.r, payloads(parts), grid)))
 
 
 def source(parts, grid):
@@ -60,7 +65,8 @@ def test_deposit_conserves_mass_exactly():
     assert total == pytest.approx(np.sum(parts.weight), rel=1e-14)
     # kinetic moment conserves the gamma-weighted sum the same way
     kin = np.sum(prof["h_plus"] * grid.node_volumes)
-    assert kin == pytest.approx(float(np.sum(parts.weight * parts.gamma())),
+    gamma = check_measure_positivity(parts)[1]
+    assert kin == pytest.approx(float(np.sum(parts.weight * gamma)),
                                 rel=1e-14)
 
 
@@ -69,7 +75,7 @@ def test_deposit_moment_factors_single_particle():
     grid = ShellGrid(r_max=1.0, n_shells=10)
     r0 = 0.5
     parts = make_parts([r0], [0.2], [0.01], [3.0])
-    gamma = float(parts.gamma()[0])
+    gamma = float(np.sqrt(1.0 + 0.2**2 + 0.01 / r0**2))
     one_plus = 1.0 + 0.2 / gamma
     prof = moments(parts, grid)
     j = 5
@@ -94,18 +100,18 @@ def test_deposit_cic_split():
 def test_deposit_rejects_out_of_grid():
     grid = ShellGrid(r_max=1.0, n_shells=10)
     parts = make_parts([0.5, 1.2], [0.0, 0.0], [0.01, 0.01], [1.0, 1.0])
-    for payloads in (moment_payloads(parts, parts.gamma()), (parts.weight,)):
+    for rows in (payloads(parts), (parts.weight,)):
         with pytest.raises(ValueError, match=r"^particle 1 at r=1\.2 outside "
                                              r"shell grid \[0, 1\); enlarge "
                                              r"r_max$"):
-            deposit(parts.r, payloads, grid)
+            deposit(parts.r, rows, grid)
 
 
 def test_weight_deposit_is_row_0_of_the_moments():
     grid = ShellGrid(r_max=2.0, n_shells=128)
     for parts in (sample_particles(builtin_datum("shell_polynomial"), 8),
                   make_parts([], [], [], [])):
-        full = deposit(parts.r, moment_payloads(parts, parts.gamma()), grid)
+        full = deposit(parts.r, payloads(parts), grid)
         src = deposit(parts.r, (parts.weight,), grid)
         assert full.shape == (4, 129) and src.shape == (1, 129)
         assert np.array_equal(src[0], full[0])
