@@ -16,7 +16,6 @@ a check fails, 2 on a bad argument, input or output path, 3 if a run aborts.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 
@@ -132,8 +131,6 @@ def cmd_audit(args) -> int:
     bad = [msg for msg, ok in (
         ("give exactly one of --input or --from-history",
          bool(args.input) != bool(args.from_history)),
-        ("--tol must be positive and finite",
-         args.tol is None or 0.0 < args.tol < math.inf),
         ("--nodes must give at least 3 nodes per axis",
          args.nodes is None or args.nodes >= 3),
         *((f"{flag} embeds a history; --input audits its grid as saved",
@@ -150,7 +147,7 @@ def cmd_audit(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"audit input error: {exc}", file=sys.stderr)
         return 2
-    doc = report_mod.audit_report(grid, tol=args.tol)
+    doc = report_mod.audit_report(grid)
     if args.from_history:
         doc["scope"] = HISTORY_AUDIT_SCOPE
     return _report(doc, args.report)
@@ -201,8 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
                    "(default 0)")
     p.add_argument("--nodes", type=int,
                    help="grid nodes per axis when embedding (default 48)")
-    p.add_argument("--tol", type=float,
-                   help="constraint tolerance (default 10 h^2 + 1e-8)")
     p.add_argument("--report", help="write the report JSON here")
     p.set_defaults(func=cmd_audit)
 

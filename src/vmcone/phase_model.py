@@ -200,10 +200,9 @@ def sample_particles(datum: InitialDatum, resolution) -> ParticleSet:
         return empty
     r, w, q, f = r[keep], w[keep], q[keep], f[keep]
 
-    weight = f * kinematics(r, w, q)[2] * ANGULAR_FACTOR * dr * dw * dq
-
-    parts = ParticleSet(r=r, w=w, q=q, weight=weight, f_value=f)
-    check_measure_positivity(parts)
+    parts = ParticleSet(r=r, w=w, q=q, weight=None, f_value=f)
+    one_plus = check_measure_positivity(parts)[2]
+    parts.weight = f * one_plus * ANGULAR_FACTOR * dr * dw * dq
     return parts
 
 

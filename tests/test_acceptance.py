@@ -145,8 +145,9 @@ def test_criterion_08_mass_identities(desk_history):
 
 
 def test_criterion_09_interpolation_bound(desk_history):
-    out = diag.l43_bound_check(desk_history)
-    excess = max(out["max_norm"] - out["bound"], 0.0)
+    norms = diag.l43_norm(desk_history.grid, desk_history.g_plus)
+    bound = diag.momentum_support_bound(desk_history)["l43_constant"]
+    excess = max(np.max(norms) - bound, 0.0)
     _verdict(9, "L^{4/3} norm below explicit constant", excess, 0.0)
 
 

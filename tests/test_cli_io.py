@@ -641,6 +641,21 @@ def test_a_reload_samples_the_datum_once(tmp_path, small_history,
                               getattr(fresh, name)), name
 
 
+def test_cli_diagnose_refuses_short_series_rows(tmp_path, capsys,
+                                                 small_history):
+    # the emitted header over rows that lost their last value: an input
+    # error naming the file and both counts, never a report
+    emit_history(small_history, str(tmp_path))
+    path = tmp_path / "series.csv"
+    header, *rows = path.read_text().splitlines()
+    path.write_text("\n".join([header] + [r.rsplit(",", 1)[0] for r in rows]))
+    assert main(["diagnose", "--history", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.endswith(
+        "series.csv: rows of 3 values under 4 columns\n")
+    assert "overall" not in captured.out
+
+
 def test_a_nan_momentum_fails_the_momentum_checks(tmp_path, small_history):
     # one slice's P lost in series.csv: the running support is NaN from
     # there on, and neither the self-consistency inequality nor the ceiling
@@ -1181,8 +1196,7 @@ def test_cli_audit_from_history(tmp_path, capsys):
     assert report["scope"] == ("checks the embedding and the stencils, "
                                "not the run")
     capsys.readouterr()
-    # a grid that checks no node, too few nodes, a tolerance that is not
-    # positive and finite (inf certifies any data) and a slice outside the
+    # a grid that checks no node, too few nodes and a slice outside the
     # history are input errors, never a PASS
     for extra, message in ((["--nodes", "4"], "no node would be checked"),
                            (["--nodes", "2"], "at least 3 nodes"),
@@ -1191,8 +1205,6 @@ def test_cli_audit_from_history(tmp_path, capsys):
                             "for the 100000^3 input grid of E, B, rho and j, "
                             "more than the "),
                            (["--nodes", "-3"], "--nodes must give at least 3"),
-                           *((["--tol", tol], "--tol must be positive and "
-                              "finite") for tol in ("inf", "nan", "-1", "0")),
                            (["--v", "50"], "outside recorded history"),
                            (["--v", "nan"], "outside recorded history")):
         code = main(["audit-constraints", "--from-history",
@@ -1203,10 +1215,19 @@ def test_cli_audit_from_history(tmp_path, capsys):
         assert "overall" not in captured.out, extra
     # the flags are checked before any input is read
     assert main(["audit-constraints", "--from-history", str(tmp_path / "none"),
-                 "--nodes", "0", "--tol", "inf"]) == 2
-    assert capsys.readouterr().err == ("--tol must be positive and finite\n"
-                                       "--nodes must give at least 3 nodes "
+                 "--nodes", "0"]) == 2
+    assert capsys.readouterr().err == ("--nodes must give at least 3 nodes "
                                        "per axis\n")
+    # the audit owns its tolerance, 10 h^2 + 1e-8: no --tol, at any value,
+    # can pass a grid that tolerance fails
+    for tol in ("1", "1e300", "inf", "nan", "-1", "0"):
+        with pytest.raises(SystemExit) as exc:
+            main(["audit-constraints", "--from-history",
+                  str(tmp_path / "none"), "--tol", tol])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert f"unrecognized arguments: --tol {tol}" in captured.err, tol
+        assert "input error" not in captured.err, tol
 
 
 def test_cli_audit_refuses_a_history_too_coarse_for_the_fit(tmp_path,
@@ -1270,6 +1291,14 @@ def test_cli_audit_from_grid_file(tmp_path, capsys):
                  "--report", str(rep)]) == 0
     assert "scope" not in json.loads(rep.read_text())
     capsys.readouterr()
+    # rho shifted by 0.5 breaks div E = rho + j.k: the audit's own
+    # tolerance fails it, and no option can set another
+    shifted = grid_from_functions(25, 1.0, 0.25, E_fn, B_fn,
+                                  lambda x: rho_fn(x) + 0.5, j_fn)
+    save_grid(shifted, tmp_path / "shifted.vmgrid")
+    assert main(["audit-constraints", "--input",
+                 str(tmp_path / "shifted.vmgrid")]) == 1
+    assert "[FAIL] constraint_W2" in capsys.readouterr().out
     # the flags that shape an embedding are refused by name: --input audits
     # its grid as saved
     for flag, value in (("--v", "3"), ("--nodes", "2")):

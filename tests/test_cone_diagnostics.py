@@ -167,29 +167,56 @@ def test_momentum_ceiling_properties():
     assert P > P0
 
 
+def test_momentum_ceiling_doubles_its_bracket():
+    # a ceiling above the first bracket [0, max(P0, 1)] is reached by
+    # doubling it; one past 1e12 is refused, never returned
+    P = diag.momentum_ceiling(0.4, 1.0, 10.0)
+    assert P == pytest.approx(64006.46187906098, rel=1e-12)
+    assert diag._momentum_excess(P, 0.4, 1.0, 10.0) <= 0.0
+    assert diag._momentum_excess(np.nextafter(P, np.inf), 0.4, 1.0, 10.0) > 0
+    with pytest.raises(RuntimeError, match="momentum ceiling bracket failed"):
+        diag.momentum_ceiling(0.4, 1.0, 1e5)
+
+
 def test_momentum_support_bound_report(small_history):
     h = small_history
     out = diag.momentum_support_bound(h)
-    assert out["self_consistency_ok"]
+    assert out["self_consistency_excess"] < 0.0
     assert out["field_bound_max_margin"] <= 1e-12 * out["N0"]
     assert out["measured_P_final"] <= out["momentum_ceiling"]
     # the array form equals the per-slice loop it replaced
     N0, C_E, P0 = out["N0"], out["field_constant"], float(h.P_wedge[0])
     A = 2.0 * np.sqrt(N0 * C_E)
-    margin, ok = -np.inf, True
+    margin = excess = -np.inf
     for n, P in enumerate(h.P_wedge):
         bound = np.minimum(N0 / h.grid.edges[1:] ** 2, C_E * P ** (5.0 / 3.0))
         margin = max(margin, float(np.max(np.abs(h.E[n][1:]) - bound)))
-        lhs = np.sqrt(1.0 + P**2)
-        if lhs > np.sqrt(1.0 + P0**2) + A * P ** (5.0 / 6.0) + 1e-12:
-            ok = False
+        excess = max(excess, float(np.sqrt(1.0 + P**2) - np.sqrt(1.0 + P0**2)
+                                   - A * P ** (5.0 / 6.0)))
     assert out["field_bound_max_margin"] == margin
-    assert out["self_consistency_ok"] == ok
+    assert out["self_consistency_excess"] == excess
 
 
-def test_l43_bound_check(small_history):
-    out = diag.l43_bound_check(small_history)
-    assert out["max_norm"] <= out["bound"]
+@pytest.mark.parametrize("excess, passed", [
+    (1e-12, True), (2e-12, False), (np.nan, False)])
+def test_momentum_self_consistency_applies_the_tolerance_it_prints(
+        small_history, monkeypatch, excess, passed):
+    # the report compares the largest excess with 1e-12 and prints both;
+    # a NaN excess is carried through max(excess, 0) and fails
+    monkeypatch.setattr(diag, "_momentum_excess",
+                        lambda P, *a: np.full(np.shape(P), excess))
+    check, = (c for c in diagnose_report(small_history)["checks"]
+              if c["name"] == "momentum_self_consistency")
+    assert check["tolerance"] == 1e-12
+    assert check["passed"] == passed
+    assert (np.isnan(check["value"]) if np.isnan(excess)
+            else check["value"] == excess)
+
+
+def test_l43_norm_stays_below_its_constant(small_history):
+    norms = diag.l43_norm(small_history.grid, small_history.g_plus)
+    assert np.max(norms) <= diag.momentum_support_bound(
+        small_history)["l43_constant"]
 
 
 def test_lq_invariant():
@@ -351,7 +378,8 @@ def _old_flux_time_integral(history, series, v1, v2):
     return float(np.trapezoid(np.interp(ts, vs, series), ts))
 
 
-def test_batched_checks_equal_their_per_label_loops(small_history):
+def test_batched_checks_equal_their_per_label_loops(small_history,
+                                                    monkeypatch):
     h = small_history
     vs, N0, M0 = h.vs, float(h.N_wedge[0]), float(h.M_wedge[0])
     # flux_derivative_checks, one label pair at a time
@@ -370,9 +398,16 @@ def test_batched_checks_equal_their_per_label_loops(small_history):
     fd = diag.flux_derivative_checks(h)
     assert fd["mass_flux_residual"] == res_n > 0.0
     assert fd["energy_flux_residual"] == res_m > 0.0
-    # l43_bound_check, one slice at a time
+    # the L^{4/3} interpolation bound, one slice at a time: at a constant
+    # of 0 the report's excess is the largest norm itself, and the report
+    # takes its constant from momentum_support_bound alone
     norms = [diag.l43_norm(h.grid, g) for g in h.g_plus]
-    assert diag.l43_bound_check(h)["max_norm"] == max(norms)
+    with monkeypatch.context() as m:
+        m.setattr(diag, "l43_bound_constant", lambda *a: 0.0)
+        l43, = (c["value"] for c in diagnose_report(h)["checks"]
+                if c["name"] == "l43_interpolation_bound")
+    assert l43 == max(norms) > 0.0
+    assert not hasattr(diag, "l43_bound_check")
     # the mass flux identity, one label at a time; the cumulative flux
     # integral reassociates the trapezoid sum, so it agrees to rounding
     samples = 0

@@ -609,14 +609,16 @@ def test_audit_peak_memory_stays_below_three_input_sizes():
 @pytest.mark.parametrize("plane", [1, 4, 7])
 def test_a_nan_node_reaches_every_max(plane):
     # a NaN in any block is carried into every max, the streamed identity
-    # maxima included, and the report fails
+    # maxima included, and the report fails at the one tolerance it owns
     from vmcone.report import audit_report
 
     g = _raw_field_set(9)
     g.E[plane, 4, 4, 0] = np.nan
     res = audit(g)
     assert all(np.isnan(res[key]) for key in res if key.endswith("_max"))
-    assert not audit_report(g, tol=1.0)["passed"]
+    assert not audit_report(g)["passed"]
+    with pytest.raises(TypeError):
+        audit_report(g, tol=1e300)
 
 
 def _traced_peak(fn):
